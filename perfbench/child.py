@@ -1,11 +1,14 @@
 """One workload pass in a fresh process: ``child.py WORKLOAD SEED TRACE WORKDIR K``.
 
 Imports rootsys, optionally installs the span tracer, then times the pass
-from the first call into rootsys to the last byte written.  Everything the
-pass produced is left in WORKDIR for run.py to check against the
-reference data: the CLI's stdout per command in ``out-K-<i>.json``, and a
-summary in ``pass-K.json`` with the pass time, this process's peak RSS, the
-exit codes, the defect verdicts and, when traced, the spans.
+from the first call into rootsys to the last byte written, while
+``hostspeed.Probe`` samples how fast the host runs.  Everything the pass
+produced is left in WORKDIR for run.py to check against the reference data:
+the CLI's stdout per command in ``out-K-<i>.json``, and a summary in
+``pass-K.json`` with the pass time (``raw_wall_s``, the probe's own time
+taken out), the host-speed factor, the pass time at reference speed
+(``wall_s``), this process's peak RSS, the exit codes, the defect verdicts
+and, when traced, the spans.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ import sys
 import time
 from pathlib import Path
 
+import hostspeed
 import reference
 
 import rootsys
 import rootsys.cli
 from rootsys import Root, RootSystem
+
+PROBE_BOOKENDS = 3  # host-speed samples taken just before and just after the pass
 
 COMMANDS = {
     "sweep12": (["verify", "--all", "--max-rank", "12"],),
@@ -114,6 +120,9 @@ def main() -> int:
         tracer.install(rootsys)
 
     result: dict = {"exit_codes": [], "outputs": []}
+    probe = hostspeed.Probe()
+    probe.sample_now(PROBE_BOOKENDS)
+    probe.start()
     t0 = time.perf_counter()
     if workload == "defects":
         result["draws"] = run_defects(int(seed), tracer)
@@ -124,7 +133,13 @@ def main() -> int:
                 code = rootsys.cli.main(argv)
             result["exit_codes"].append(code)
             result["outputs"].append(str(path))
-    result["wall_s"] = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    probe.stop()
+    probed = probe.spent
+    probe.sample_now(PROBE_BOOKENDS)
+    result["raw_wall_s"] = elapsed - probed
+    result["speed_factor"] = probe.factor()
+    result["wall_s"] = result["raw_wall_s"] * result["speed_factor"]
     result["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if tracer is not None:
         result["trace"] = tracer.dump()

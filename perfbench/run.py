@@ -1,6 +1,6 @@
 """rootsys benchmark: verdict time, memory and correctness per workload.
 
-    python3 perfbench/run.py --workload sweep12 --seed 0 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload sweep12 --seed 0 --seconds 30 --trace 0
 
 Run from anywhere inside a source checkout: the program is imported from
 the checkout's ``src`` directory.  Each pass runs in a fresh single-threaded
@@ -11,12 +11,15 @@ the reference data in ``reference.py``, and the last line of stdout is one
 JSON object with the verdict and the metrics:
 
 * ``--trace 0``: end-to-end metrics from untraced passes: ``wall_s`` (median
-  pass time), ``setup_s`` (median time to start an interpreter and import
-  rootsys) and ``peak_rss_mb`` (median peak RSS of a pass).
+  pass time, scaled to the reference host speed; see ``hostspeed.py``),
+  ``setup_s`` (median time to start an interpreter and import rootsys, the
+  import scaled the same way) and
+  ``peak_rss_mb`` (median peak RSS of a pass).
 * ``--trace 1``: untraced and traced passes alternate.  Per-layer metrics
-  are medians over the traced passes, ``trace.overhead_s`` is the traced
-  minus the untraced median pass time, and the spans of the last traced
-  pass are written to ``.perfbench_work/trace-<workload>-seed<seed>.json``.
+  are medians over the traced passes, with times scaled to the reference
+  host speed like ``wall_s``; ``trace.overhead_s`` is the traced minus the
+  untraced median pass time, and the spans of the last traced pass are
+  written to ``.perfbench_work/trace-<workload>-seed<seed>.json``.
 
 Workloads (see NOTES.md for why each was chosen and what it should move):
 
@@ -65,6 +68,25 @@ RUN_LIMIT_S = 165  # the whole run must end within 180 s
 PERCENTILE_TAIL = 10  # samples that must lie beyond a reported high percentile
 
 IMPORT_PROBE = "import rootsys, sys; sys.stdout.write(rootsys.__file__)"
+# One set-up sample: the import, timed with the host-speed probe sampling
+# every 10 ms (the import takes about 0.1 s).  Prints the import time and
+# all the time spent in the probe, both in seconds, and the speed factor.
+SETUP_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import hostspeed
+probe = hostspeed.Probe(0.01)
+probe.sample_now(3)
+before = probe.spent
+probe.start()
+t0 = time.perf_counter()
+import rootsys
+t = time.perf_counter() - t0
+probe.stop()
+probed = probe.spent
+probe.sample_now(3)
+print(t - probed, before + probe.spent, probe.factor())
+"""
 
 
 def child_env() -> dict[str, str]:
@@ -83,10 +105,17 @@ def child_env() -> dict[str, str]:
 
 
 def time_setup(env) -> float:
-    """Interpreter start plus ``import rootsys``, numpy included."""
+    """Interpreter start plus ``import rootsys``, numpy included, with the
+    import scaled to the reference host speed.  The interpreter start before
+    any Python runs cannot be probed and stays as measured."""
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-c", "import rootsys"], env=env, cwd=ROOT, check=True)
-    return time.perf_counter() - t0
+    out = subprocess.run(
+        [sys.executable, "-c", SETUP_CHILD, str(HERE)],
+        env=env, cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout
+    total = time.perf_counter() - t0
+    import_s, probe_s, factor = map(float, out.split())
+    return total - probe_s - import_s + import_s * factor
 
 
 def high_percentile(values: list[float]) -> tuple[float, float] | None:
@@ -133,6 +162,10 @@ def layer_unit(name: str) -> str:
     return "bytes" if name.endswith(".bytes") else "count"
 
 
+def at_reference_speed(metrics: dict[str, float], factor: float) -> dict[str, float]:
+    return {k: v * factor if k.endswith("_s") else v for k, v in metrics.items()}
+
+
 def output_bytes(p: dict) -> int:
     return sum(os.path.getsize(f) for f in p.get("outputs", []))
 
@@ -147,7 +180,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=int, default=36)
+    ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
@@ -211,6 +244,11 @@ def main(argv=None) -> int:
     for name, (value, unit) in e2e.items():
         print(f"  {name:<16} {value:>12.4f} {unit:<6} median")
     print(f"  {'wall_s':<16} n={len(walls)} passes: " + " ".join(f"{w:.3f}" for w in walls))
+    raw = [p["raw_wall_s"] for p in plain]
+    print(f"  {'raw wall_s':<16} {statistics.median(raw):>12.4f} s      median; passes: "
+          + " ".join(f"{w:.3f}" for w in raw))
+    print(f"  {'host speed':<16} {statistics.median(p['speed_factor'] for p in plain):>12.4f} "
+          "x      median reference/measured; wall_s = raw wall_s * this, per pass")
     hp = high_percentile(walls)
     if hp is None:
         print(f"  {'wall_s':<16} no high percentile: it needs more than {PERCENTILE_TAIL} samples")
@@ -224,7 +262,10 @@ def main(argv=None) -> int:
             print(f"  problem: {line}")
 
     if args.trace:
-        per_pass = [spans.layer_metrics(p["trace"], p["output_bytes"]) for p in traced]
+        per_pass = [
+            at_reference_speed(spans.layer_metrics(p["trace"], p["output_bytes"]), p["speed_factor"])
+            for p in traced
+        ]
         metrics = spans.median_metrics(per_pass)
         traced_wall = statistics.median(p["wall_s"] for p in traced)
         metrics["trace.wall_s"] = traced_wall
