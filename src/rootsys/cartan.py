@@ -182,9 +182,9 @@ def validate_cartan(raw: Sequence[Sequence[int]]) -> CartanMatrix:
     n = len(raw)
     if n == 0 or any(len(row) != n for row in raw):
         raise InvalidArgumentError("expected a nonempty square matrix")
-    rows = tuple(tuple(int(x) for x in row) for row in raw)
-    if any(rows[i][j] != raw[i][j] for i in range(n) for j in range(n)):
+    if any(isinstance(x, bool) or not isinstance(x, int) for row in raw for x in row):
         raise InvalidArgumentError("expected integer entries")
+    rows = tuple(tuple(row) for row in raw)
 
     violations: list[str] = []
     if any(rows[i][i] != 2 for i in range(n)):
@@ -439,8 +439,6 @@ class ExtendedDynkinGraph(DynkinGraph):
     def __init__(self, base: DynkinGraph, multiplicity, arrows) -> None:
         super().__init__((0,) + base.vertices, multiplicity, arrows)
         self.base = base
-
-    affine_vertex = 0
 
 
 def dynkin_graph(c: CartanMatrix, form: SymmetrizedForm | None = None) -> DynkinGraph:

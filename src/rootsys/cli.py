@@ -57,13 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run all structural checks")
     _add_selector(ver, with_all=True)
-    ver.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
-    ver.add_argument(
-        "--exhaustive-limit",
-        type=int,
-        default=240,
-        help="max signed-root count for exhaustive triple scans",
-    )
     return parser
 
 
@@ -187,10 +180,7 @@ def cmd_verify(args) -> int:
         if cartan.rank < 2:
             skipped.append({"type": label, "skipped": SKIP_RANK_ONE})
             continue
-        rs = _system(label, cartan)
-        ledgers.append(
-            build_ledger(rs, exhaustive_limit=args.exhaustive_limit, seed=args.seed)
-        )
+        ledgers.append(build_ledger(_system(label, cartan)))
 
     payload: dict = {
         "ledgers": [l.to_json_dict() for l in ledgers],

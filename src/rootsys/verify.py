@@ -19,11 +19,8 @@ result.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable
-
-import numpy as np
 
 from .errors import InternalInconsistencyError, InvalidArgumentError
 from .exponents import (
@@ -35,8 +32,6 @@ from .exponents import (
 )
 from .roots import Root, RootSystem
 
-DEFAULT_EXHAUSTIVE_LIMIT = 240  # covers every built-in type through E8
-DEFAULT_SAMPLES = 100_000
 COUNTEREXAMPLE_CAP = 8
 
 
@@ -529,192 +524,144 @@ def check_no_detour(rs: RootSystem) -> CheckResult:
     return CheckResult("no_detour", not cx, cx, f"{checked} applicable pairs")
 
 
-def check_long_pair_positive(rs: RootSystem) -> CheckResult:
-    """Signed root pairs whose difference is a root and which contain a long
-    root have strictly positive inner product."""
+@dataclass(frozen=True)
+class WeylOrbits:
+    """The signed roots split into orbits under the simple reflections.
+
+    ``escapes`` lists every (root, i, image) whose image under s_i is not
+    a signed root; when it is empty the set is Weyl-stable and each orbit
+    is a W-orbit, since the simple reflections generate W.
+    """
+
+    signed: tuple[tuple[int, ...], ...]
+    representatives: tuple[tuple[int, ...], ...]
+    escapes: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
+
+
+def weyl_orbits(rs: RootSystem) -> WeylOrbits:
+    """Close the signed roots under s_i(v) = v - <v, alpha_i> alpha_i,
+    keeping the first root met in each orbit as its representative."""
     pos = [r.coeffs for r in rs.positive_roots()]
     signed = pos + [tuple(-c for c in v) for v in pos]
     member = set(signed)
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    escapes = []
+    for start in signed:
+        if start in seen:
+            continue
+        reps.append(start)
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for i, row in enumerate(rs.cartan.rows):
+                p = sum(a * x for a, x in zip(row, v))
+                if not p:
+                    continue
+                w = v[:i] + (v[i] - p,) + v[i + 1 :]
+                if w not in member:
+                    escapes.append((v, i + 1, w))
+                elif w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return WeylOrbits(tuple(signed), tuple(reps), tuple(escapes))
+
+
+def _not_weyl_stable(name: str, orbits: WeylOrbits) -> CheckResult:
+    cx = [
+        {"root": list(v), "reflection": i, "image": list(w)}
+        for v, i, w in orbits.escapes[:COUNTEREXAMPLE_CAP]
+    ]
+    return CheckResult(
+        name, False, cx, f"not Weyl-stable: {len(orbits.escapes)} reflected roots escape"
+    )
+
+
+def _orbit_count(count: int, kind: str) -> str:
+    return f"{count} {kind}Weyl orbit{'' if count == 1 else 's'}"
+
+
+def check_long_pair_positive(rs: RootSystem) -> CheckResult:
+    """Signed root pairs whose difference is a root and which contain a long
+    root have strictly positive inner product.
+
+    Both conditions are Weyl-invariant, so the long root is fixed to one
+    representative of each long orbit and only its partner is scanned.
+    """
+    orbits = weyl_orbits(rs)
+    if orbits.escapes:
+        return _not_weyl_stable("long_pair_positive", orbits)
+    member = set(orbits.signed)
     form = rs.form
-    max_norm = max(form.inner_int(v, v) for v in pos)
-    is_long = [form.inner_int(v, v) == max_norm for v in signed]
+    max_norm = max(form.inner_int(v, v) for v in orbits.signed)
+    long_reps = [r for r in orbits.representatives if form.inner_int(r, r) == max_norm]
     cx: list = []
     checked = 0
-    for a in range(len(signed)):
-        va = signed[a]
-        for b in range(a + 1, len(signed)):
-            vb = signed[b]
-            if not (is_long[a] or is_long[b]):
-                continue
-            diff = tuple(x - y for x, y in zip(va, vb))
-            if diff not in member:
+    for r in long_reps:
+        for b in orbits.signed:
+            if tuple(x - y for x, y in zip(r, b)) not in member:
                 continue
             checked += 1
-            if form.inner_int(va, vb) <= 0:
-                cx.append({"beta1": list(va), "beta2": list(vb)})
-    return CheckResult("long_pair_positive", not cx, cx, f"{checked} qualifying pairs")
+            if form.inner_int(r, b) <= 0 and len(cx) < COUNTEREXAMPLE_CAP:
+                cx.append({"beta1": list(r), "beta2": list(b)})
+    note = (
+        f"exhaustive over {_orbit_count(len(long_reps), 'long ')}: "
+        f"{len(orbits.signed)} signed roots, {checked} qualifying pairs"
+    )
+    return CheckResult("long_pair_positive", not cx, cx, note)
 
 
-class _SignedIndex:
-    """Signed roots encoded as base-b integers so membership of sums and
-    differences reduces to sorted-array lookups.
-
-    The digit offset covers any sum of up to three roots, so key arithmetic
-    is collision-free; keys stay below 2**61 so a three-term sum cannot
-    overflow int64.
-    """
-
-    def __init__(self, rs: RootSystem) -> None:
-        pos = [r.coeffs for r in rs.positive_roots()]
-        self.vectors: list[tuple[int, ...]] = pos + [
-            tuple(-c for c in v) for v in pos
-        ]
-        self.member = set(self.vectors)
-        self.rank = rs.rank
-        maxc = max(abs(c) for v in self.vectors for c in v)
-        self.offset = 3 * maxc + 1
-        base = 2 * self.offset + 1
-        self.numpy_ok = base ** self.rank < 2 ** 61
-        if self.numpy_ok:
-            self.powers = np.array(
-                [base ** k for k in range(self.rank)], dtype=np.int64
-            )
-            arr = np.array(self.vectors, dtype=np.int64)
-            self.keys = (arr + self.offset) @ self.powers
-            self.zero_key = int(self.offset * self.powers.sum())
-            self.sorted_keys = np.sort(self.keys)
-
-    def contains_keys(self, ks: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self.sorted_keys, ks)
-        out = np.zeros(len(ks), dtype=bool)
-        inb = pos < len(self.sorted_keys)
-        out[inb] = self.sorted_keys[pos[inb]] == ks[inb]
-        return out
-
-
-def _triple_ok(sx: _SignedIndex, a, b, c) -> bool | None:
-    """None when the triple does not qualify, else whether >= 2 partial
-    sums are roots."""
-    ab = tuple(x + y for x, y in zip(a, b))
-    ac = tuple(x + y for x, y in zip(a, c))
-    bc = tuple(x + y for x, y in zip(b, c))
-    if not any(ab) or not any(ac) or not any(bc):
-        return None
-    total = tuple(x + y for x, y in zip(ab, c))
-    if total not in sx.member:
-        return None
-    count = (ab in sx.member) + (ac in sx.member) + (bc in sx.member)
-    return count >= 2
-
-
-def _two_of_three_exhaustive_np(sx: _SignedIndex) -> tuple[int, list]:
-    n = len(sx.vectors)
-    keys = sx.keys
-    zero = sx.zero_key
-    iu, ju = np.triu_indices(n)
-    pair_key = keys[iu] + keys[ju] - zero
-    keep = pair_key != zero
-    iu, ju, pair_key = iu[keep], ju[keep], pair_key[keep]
-    order = np.argsort(ju, kind="stable")
-    iu, ju, pair_key = iu[order], ju[order], pair_key[order]
-    in12 = sx.contains_keys(pair_key)
-    bounds = np.searchsorted(ju, np.arange(n), side="right")
-    checked = 0
-    cx: list = []
-    for k in range(n):
-        hi = int(bounds[k])
-        if hi == 0:
-            continue
-        total = pair_key[:hi] + (keys[k] - zero)
-        qual = sx.contains_keys(total)
-        if not qual.any():
-            continue
-        ik = keys[iu[:hi]] + keys[k] - zero
-        jk = keys[ju[:hi]] + keys[k] - zero
-        qual &= (ik != zero) & (jk != zero)
-        idx = np.nonzero(qual)[0]
-        if idx.size == 0:
-            continue
-        checked += int(idx.size)
-        counts = (
-            in12[:hi][idx].astype(np.int8)
-            + sx.contains_keys(ik[idx])
-            + sx.contains_keys(jk[idx])
-        )
-        for b in idx[counts < 2]:
-            if len(cx) < COUNTEREXAMPLE_CAP:
-                cx.append(
-                    {
-                        "beta1": list(sx.vectors[int(iu[b])]),
-                        "beta2": list(sx.vectors[int(ju[b])]),
-                        "beta3": list(sx.vectors[k]),
-                    }
-                )
-    return checked, cx
-
-
-def _two_of_three_exhaustive_py(sx: _SignedIndex) -> tuple[int, list]:
-    vs = sx.vectors
-    n = len(vs)
-    checked = 0
-    cx: list = []
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(b, n):
-                ok = _triple_ok(sx, vs[a], vs[b], vs[c])
-                if ok is None:
-                    continue
-                checked += 1
-                if not ok and len(cx) < COUNTEREXAMPLE_CAP:
-                    cx.append(
-                        {"beta1": list(vs[a]), "beta2": list(vs[b]), "beta3": list(vs[c])}
-                    )
-    return checked, cx
-
-
-def _two_of_three_sampled(sx: _SignedIndex, seed: int, samples: int) -> tuple[int, list]:
-    rng = random.Random(seed)
-    vs = sx.vectors
-    n = len(vs)
-    checked = 0
-    cx: list = []
-    for _ in range(samples):
-        a, b, c = (rng.randrange(n) for _ in range(3))
-        ok = _triple_ok(sx, vs[a], vs[b], vs[c])
-        if ok is None:
-            continue
-        checked += 1
-        if not ok and len(cx) < COUNTEREXAMPLE_CAP:
-            cx.append(
-                {"beta1": list(vs[a]), "beta2": list(vs[b]), "beta3": list(vs[c])}
-            )
-    return checked, cx
-
-
-def check_two_of_three_sums(
-    rs: RootSystem,
-    *,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    seed: int = 0,
-    samples: int = DEFAULT_SAMPLES,
-) -> CheckResult:
+def check_two_of_three_sums(rs: RootSystem) -> CheckResult:
     """For signed root triples with nonzero pairwise sums whose total is a
     root, at least two of the pairwise sums are roots.
 
-    Exhaustive up to ``exhaustive_limit`` signed roots, seeded uniform
-    sampling beyond that.
+    Both conditions are Weyl-invariant, so the first root is fixed to one
+    representative per orbit and every pair b <= c is scanned: O(orbits * N^2)
+    instead of O(N^3).  Roots are encoded as integers linear in their
+    coefficients, with a base wide enough that sums of three roots never
+    collide, so vector sums become integer sums.
     """
-    sx = _SignedIndex(rs)
-    n = len(sx.vectors)
-    if n <= exhaustive_limit:
-        if sx.numpy_ok:
-            checked, cx = _two_of_three_exhaustive_np(sx)
-        else:
-            checked, cx = _two_of_three_exhaustive_py(sx)
-        note = f"exhaustive: {n} signed roots, {checked} qualifying triples"
-    else:
-        checked, cx = _two_of_three_sampled(sx, seed, samples)
-        note = f"sampled: {samples} triples, seed={seed}, {checked} qualifying"
+    orbits = weyl_orbits(rs)
+    if orbits.escapes:
+        return _not_weyl_stable("two_of_three_sums", orbits)
+    vs = orbits.signed
+    base = 6 * max(abs(c) for v in vs for c in v) + 1
+    powers = [base**k for k in range(rs.rank)]
+
+    def key(v: tuple[int, ...]) -> int:
+        return sum(c * p for c, p in zip(v, powers))
+
+    keys = [key(v) for v in vs]
+    member = set(keys)
+    n = len(vs)
+    checked = 0
+    cx: list = []
+    for r in orbits.representatives:
+        kr = key(r)
+        with_r = [kr + k for k in keys]
+        for b in range(n):
+            rb = with_r[b]
+            if not rb:
+                continue
+            kb = keys[b]
+            rb_root = rb in member
+            for c in range(b, n):
+                kc = keys[c]
+                rc = with_r[c]
+                bc = kb + kc
+                if not rc or not bc or rb + kc not in member:
+                    continue
+                checked += 1
+                roots = rb_root + (rc in member) + (bc in member)
+                if roots < 2 and len(cx) < COUNTEREXAMPLE_CAP:
+                    cx.append(
+                        {"beta1": list(r), "beta2": list(vs[b]), "beta3": list(vs[c])}
+                    )
+    note = (
+        f"exhaustive over {_orbit_count(len(orbits.representatives), '')}: "
+        f"{n} signed roots, {checked} qualifying triples"
+    )
     return CheckResult("two_of_three_sums", not cx, cx, note)
 
 
@@ -782,58 +729,38 @@ class VerificationLedger:
         }
 
 
-CHECK_NAMES = (
-    "exponents_agree",
-    "exponent_duality",
-    "top_chain",
-    "case_witness",
-    "main_relation",
-    "mark_chain",
-    "chains_coincide",
-    "step_multiset",
-    "step_nonramification",
-    "differences",
-    "lengths",
-    "mark_one_iff_top_one",
-    "string_descent",
-    "two_of_three_sums",
-    "long_pair_positive",
-    "no_detour",
-)
-
-
-def build_ledger(
-    rs: RootSystem,
-    *,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    seed: int = 0,
-    samples: int = DEFAULT_SAMPLES,
-) -> VerificationLedger:
+def build_ledger(rs: RootSystem) -> VerificationLedger:
     """Run every check on one system, converting raised inconsistencies into
-    failed results so batch runs always complete."""
+    failed results so batch runs always complete.
+
+    A check whose input (the dual exponents, the top chain) could not be
+    built is reported as blocked.  The headline m2 comes from the Coxeter
+    route, which needs only the Cartan matrix.
+    """
     if rs.rank < 2:
         raise InvalidArgumentError("rank >= 2 required; m2 is undefined at rank 1")
-    rep_d = dual_partition(height_distribution(rs))
     rep_c = coxeter_exponents(rs.cartan)
 
     checks: dict[str, CheckResult] = {}
 
-    def run(name, fn) -> CheckResult | None:
+    def run(name, fn, blocked_by: str | None = None) -> None:
+        if blocked_by:
+            note = f"blocked: {blocked_by} unavailable"
+            checks[name] = CheckResult(name, False, [], note)
+            return
         try:
-            result = fn()
+            checks[name] = fn()
         except Exception as exc:  # findings, not crashes
-            result = CheckResult(name, False, [], f"error: {exc}")
-        checks[name] = result
-        return result
+            checks[name] = CheckResult(name, False, [], f"error: {exc}")
 
-    def blocked(name: str) -> None:
-        checks[name] = CheckResult(name, False, [], "blocked: top chain unavailable")
-
-    run("exponents_agree", lambda: check_exponents_agree(rep_d, rep_c))
-    run("exponent_duality", lambda: check_exponent_duality(rep_d, rs))
-
+    rep_d: ExponentReport | None = None
     top: TopChain | None = None
     split: CaseSplit | None = None
+
+    def _agree() -> CheckResult:
+        nonlocal rep_d
+        rep_d = dual_partition(height_distribution(rs))
+        return check_exponents_agree(rep_d, rep_c)
 
     def _build_top() -> CheckResult:
         nonlocal top
@@ -848,52 +775,32 @@ def build_ledger(
             )
         return CheckResult("top_chain", True, [], note)
 
-    run("top_chain", _build_top)
+    def _split() -> CheckResult:
+        nonlocal split
+        split = classify_case(top, rs)
+        witness = "" if split.witness is None else f", witness t = {split.witness}"
+        return CheckResult("case_witness", True, [], f"case {split.case}{witness}")
 
-    if top is not None and not top.non_simple:
-        def _split() -> CheckResult:
-            nonlocal split
-            split = classify_case(top, rs)
-            witness = "" if split.witness is None else f", witness t = {split.witness}"
-            return CheckResult(
-                "case_witness", True, [], f"case {split.case}{witness}"
-            )
-
-        run("case_witness", _split)
-    else:
-        blocked("case_witness")
-
-    if split is not None:
-        run("main_relation", lambda: check_main_relation(rs, rep_d, split))
-    else:
-        blocked("main_relation")
-
+    run("exponents_agree", _agree)
+    no_dual = "dual exponents" if rep_d is None else None
+    run("exponent_duality", lambda: check_exponent_duality(rep_d, rs), no_dual)
+    run("top_chain", _build_top, no_dual)
+    run("case_witness", _split, "top chain" if top is None or top.non_simple else None)
+    no_split = "top chain" if split is None else None
+    run("main_relation", lambda: check_main_relation(rs, rep_d, split), no_split)
     run("mark_chain", lambda: check_mark_chain(rs))
-    run("chains_coincide", lambda: check_chains_coincide(rs, rep_d))
-
-    if top is not None and split is not None:
-        run("step_multiset", lambda: check_step_multiset(rs, top, split))
-        run("step_nonramification", lambda: check_step_nonramification(rs, top))
-        run("differences", lambda: check_differences(rs, top, split))
-        run("lengths", lambda: check_lengths(rs, top, split))
-        run("mark_one_iff_top_one", lambda: check_single_mark_iff_single_top(rs, top))
-    else:
-        for name in (
-            "step_multiset",
-            "step_nonramification",
-            "differences",
-            "lengths",
-            "mark_one_iff_top_one",
-        ):
-            blocked(name)
-
-    run("string_descent", lambda: check_string_descent(rs))
+    run("chains_coincide", lambda: check_chains_coincide(rs, rep_d), no_dual)
+    run("step_multiset", lambda: check_step_multiset(rs, top, split), no_split)
+    run("step_nonramification", lambda: check_step_nonramification(rs, top), no_split)
+    run("differences", lambda: check_differences(rs, top, split), no_split)
+    run("lengths", lambda: check_lengths(rs, top, split), no_split)
     run(
-        "two_of_three_sums",
-        lambda: check_two_of_three_sums(
-            rs, exhaustive_limit=exhaustive_limit, seed=seed, samples=samples
-        ),
+        "mark_one_iff_top_one",
+        lambda: check_single_mark_iff_single_top(rs, top),
+        no_split,
     )
+    run("string_descent", lambda: check_string_descent(rs))
+    run("two_of_three_sums", lambda: check_two_of_three_sums(rs))
     run("long_pair_positive", lambda: check_long_pair_positive(rs))
     run("no_detour", lambda: check_no_detour(rs))
 
@@ -901,7 +808,7 @@ def build_ledger(
         label=rs.label or "custom",
         rank=rs.rank,
         c_max=rs.c_max(),
-        m2=rep_d.exponents[1],
+        m2=rep_c.exponents[1],
         case=split.case if split else None,
         witness_t=split.witness if split else None,
         checks=checks,

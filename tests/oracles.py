@@ -93,3 +93,34 @@ def exact_det(m) -> Fraction:
             for c in range(k, n):
                 mat[r][c] -= f * mat[k][c]
     return det
+
+
+def two_of_three_triples(rs) -> list[tuple[tuple, tuple, tuple, bool]]:
+    """Every qualifying multiset {a, b, c} of signed roots (nonzero pairwise
+    sums, total a root), by the plain O(N^3) scan, each with whether at
+    least two of its pairwise sums are roots."""
+    pos = [r.coeffs for r in rs.positive_roots()]
+    vs = pos + [tuple(-x for x in v) for v in pos]
+    member = set(vs)
+
+    def add(x, y):
+        return tuple(p + q for p, q in zip(x, y))
+
+    out = []
+    n = len(vs)
+    for i in range(n):
+        a = vs[i]
+        for j in range(i, n):
+            b = vs[j]
+            ab = add(a, b)
+            if not any(ab):
+                continue
+            for c in vs[j:]:
+                if add(ab, c) not in member:
+                    continue
+                ac, bc = add(a, c), add(b, c)
+                if not any(ac) or not any(bc):
+                    continue
+                roots = (ab in member) + (ac in member) + (bc in member)
+                out.append((a, b, c, roots >= 2))
+    return out

@@ -125,14 +125,7 @@ def test_criterion_5_structure_theorems(sweep_data):
 
 
 def test_criterion_6_lemma_suites(sweep_data):
-    exhaustive = [
-        label
-        for label, (rs, *_rest) in sweep_data.items()
-        if 2 * rs.num_positive <= 60 or label.startswith("E")
-    ]
-    assert {"E6", "E7", "E8", "G2", "F4", "B2", "C2"} <= set(exhaustive)
-    for label in exhaustive:
-        rs, _, _, top, split = sweep_data[label]
+    for label, (rs, _, _, top, split) in sweep_data.items():
         for res in (
             check_string_descent(rs),
             check_two_of_three_sums(rs),
@@ -142,14 +135,10 @@ def test_criterion_6_lemma_suites(sweep_data):
             check_lengths(rs, top, split),
         ):
             assert res.passed, (label, res.name, res.counterexamples)
-            if res.name == "two_of_three_sums":
+            if res.name in ("two_of_three_sums", "long_pair_positive"):
                 assert res.note.startswith("exhaustive"), (label, res.note)
-    # the sampling path stays available for oversized inputs and records its seed
-    sampled = check_two_of_three_sums(
-        sweep_data["F4"][0], exhaustive_limit=10, seed=11, samples=20_000
-    )
-    assert sampled.passed and "seed=11" in sampled.note
-    _verdict(6, f"lemma scans with zero counterexamples ({len(exhaustive)} exhaustive types)")
+    n = len(sweep_data)
+    _verdict(6, f"lemma scans with zero counterexamples, exhaustive on all {n} types")
 
 
 def test_criterion_7_oracle_equivalence():

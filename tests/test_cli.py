@@ -175,10 +175,23 @@ def test_gen_all_emits_array(capsys):
     assert [d["type"] for d in data] == ["A1", "A2", "B2", "C2", "G2"]
 
 
-def test_verify_seed_flag(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--type", "B2", "--seed", "3")
-    assert code == 0
-    assert json.loads(out)["ledgers"][0]["type"] == "B2"
+@pytest.mark.parametrize("flag", ["--seed", "--exhaustive-limit"])
+def test_verify_rejects_removed_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "B2", flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry", ["1e400", "NaN", '"x"', "2.0", "-1.0", "true", "null", "[-1]"]
+)
+def test_cartan_rejects_non_integer_entry(capsys, tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(f"[[2, {entry}], [-1, 2]]")
+    code, out, err = run_cli(capsys, "verify", "--cartan", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: expected integer entries\n"
 
 
 def test_verify_exit_one_on_failure(capsys, monkeypatch):

@@ -1,10 +1,14 @@
 """Chain structures, the case split, and the structural checks."""
 
+import collections
+import itertools
+
 import pytest
 
 import rootsys as R
 from rootsys.errors import InvalidArgumentError
 from rootsys.verify import (
+    COUNTEREXAMPLE_CAP,
     check_chains_coincide,
     check_differences,
     check_lengths,
@@ -14,9 +18,11 @@ from rootsys.verify import (
     check_step_nonramification,
     check_string_descent,
     check_two_of_three_sums,
+    weyl_orbits,
 )
 
 from conftest import small_labels, sweep_labels
+from oracles import two_of_three_triples
 
 
 def _rep(rs):
@@ -229,24 +235,88 @@ def test_two_of_three_small(system):
         assert res.note.startswith("exhaustive")
 
 
-def test_two_of_three_sampled_mode(system):
-    res = check_two_of_three_sums(
-        system("F4"), exhaustive_limit=10, seed=7, samples=20_000
+def _swap_one_root(rs, height):
+    """Replace the first root of the given height that has a non-root one
+    unit away (one unit moved between two coordinates) by that non-root,
+    keeping every layer's size."""
+    layer = rs.layer(height)
+    for root in layer:
+        c = root.coeffs
+        for i, j in itertools.permutations(range(len(c)), 2):
+            fake = tuple(x - (k == i) + (k == j) for k, x in enumerate(c))
+            if c[i] > 0 and fake not in rs:
+                kept = sorted(
+                    [r for r in layer if r is not root] + [R.Root(fake)],
+                    key=lambda r: r.coeffs,
+                )
+                layers = rs.layers[:height] + (tuple(kept),) + rs.layers[height + 1 :]
+                return R.RootSystem(rs.cartan, rs.form, layers, None)
+    raise AssertionError(f"no non-root of height {height} is one move away")
+
+
+def _with_doubles(rs):
+    """The roots together with their doubles: a Weyl-stable set on which
+    the two-of-three lemma fails."""
+    by_height = collections.defaultdict(list)
+    for r in rs.positive_roots():
+        by_height[r.height].append(r)
+        by_height[2 * r.height].append(R.Root(tuple(2 * c for c in r.coeffs)))
+    layers = ((),) + tuple(
+        tuple(sorted(by_height[h], key=lambda r: r.coeffs))
+        for h in range(1, max(by_height) + 1)
     )
-    assert res.passed, res.counterexamples
-    assert "seed=7" in res.note and res.note.startswith("sampled")
+    return R.RootSystem(rs.cartan, rs.form, layers, None)
 
 
-def test_two_of_three_scan_paths_agree(system):
-    # the vectorised scan and the plain triple loop must count the same triples
-    from rootsys.verify import _SignedIndex, _two_of_three_exhaustive_np, _two_of_three_exhaustive_py
+def _scan_both(rs):
+    """(orbit scan passed, brute-force oracle passed).  On a Weyl-stable set
+    the orbit scan's qualifying count must be the oracle's counts of triples
+    through each representative, summed: such a triple is scanned once, as
+    (r, b, c) with b <= c."""
+    triples = two_of_three_triples(rs)
+    res = check_two_of_three_sums(rs)
+    orbits = weyl_orbits(rs)
+    if not orbits.escapes:
+        count = sum(r in t[:3] for r in orbits.representatives for t in triples)
+        assert f", {count} qualifying triples" in res.note, res.note
+    return res.passed, all(ok for *_, ok in triples)
 
-    for label in ("A2", "B2", "G2", "B3"):
-        sx = _SignedIndex(system(label))
-        assert sx.numpy_ok
-        np_checked, np_cx = _two_of_three_exhaustive_np(sx)
-        py_checked, py_cx = _two_of_three_exhaustive_py(sx)
-        assert (np_checked, np_cx) == (py_checked, py_cx), label
+
+def test_two_of_three_differential_oracle(system):
+    # every type of rank <= 6, which includes E6, F4 and G2
+    for label in sweep_labels(6):
+        rs = system(label)
+        assert _scan_both(rs) == (True, True), label
+        if rs.max_height > 2:  # A2: its only root of height 2 is the top
+            # the swapped A3 still satisfies the lemma; only the orbit scan,
+            # which sees that the set is not Weyl-stable, catches it
+            assert _scan_both(_swap_one_root(rs, 2)) == (False, label == "A3"), label
+    for label in ("A2", "A3", "B2", "G2"):
+        assert _scan_both(_with_doubles(system(label))) == (False, False), label
+
+
+def test_weyl_orbits(system):
+    # W is transitive on the roots of each length
+    for label, root_lengths in (("A4", 1), ("G2", 2), ("F4", 2), ("E6", 1)):
+        rs = system(label)
+        orbits = weyl_orbits(rs)
+        assert len(orbits.representatives) == root_lengths, label
+        assert orbits.escapes == () and len(orbits.signed) == 2 * rs.num_positive
+
+
+def test_scans_fail_on_swapped_root(system):
+    bad = _swap_one_root(system("F4"), 5)
+    orbits = weyl_orbits(bad)
+    escapes = orbits.escapes
+    assert escapes
+    for check in (check_two_of_three_sums, check_long_pair_positive):
+        res = check(bad)
+        assert not res.passed
+        assert res.note.startswith("not Weyl-stable")
+        assert len(res.counterexamples) == min(len(escapes), COUNTEREXAMPLE_CAP)
+        cx = res.counterexamples[0]
+        assert tuple(cx["root"]) in orbits.signed
+        assert tuple(cx["image"]) not in orbits.signed
 
 
 def test_long_pair_positive(system):
@@ -275,6 +345,20 @@ def test_ledger_g2(system):
     for payload in d["checks"].values():
         assert payload["pass"] is True
         assert payload["counterexamples"] == []
+
+
+def test_ledger_reports_dropped_root(system):
+    # a dropped root breaks the dual partition; the ledger still completes
+    e6 = system("E6")
+    layers = list(e6.layers)
+    layers[3] = layers[3][1:]
+    led = R.build_ledger(R.RootSystem(e6.cartan, e6.form, tuple(layers), None))
+    assert not led.passed and led.m2 == 4 and led.case is None
+    assert led.checks["exponents_agree"].note.startswith("error: ")
+    for name in ("exponent_duality", "top_chain", "chains_coincide"):
+        assert led.checks[name].note == "blocked: dual exponents unavailable", name
+    assert led.checks["lengths"].note == "blocked: top chain unavailable"
+    assert list(led.checks) == list(R.build_ledger(e6).checks)
 
 
 def test_ledger_rejects_rank_one(system):
