@@ -2,6 +2,7 @@
 positive-root enumeration, Weyl exponents, and structural verification."""
 
 from .cartan import (
+    MAX_RANK,
     CartanMatrix,
     DynkinGraph,
     ExtendedDynkinGraph,

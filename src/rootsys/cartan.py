@@ -36,6 +36,13 @@ from .errors import (
 
 FAMILIES = "ABCDEFG"
 
+# Largest rank accepted anywhere: named types, validated matrices and the
+# ``--max-rank`` sweep bound.  A type of rank l has up to l^2 positive roots
+# and the verify scans grow about as l^4 (B32 takes about 2 s), so this is
+# the explicit resource bound; inputs above it are rejected before anything
+# is built.
+MAX_RANK = 32
+
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "F": 4, "G": 2}
 _EXACT_RANK = {"F": 4, "G": 2}
 
@@ -52,6 +59,8 @@ class RankedType:
             raise InvalidTypeError(
                 f"unknown family {self.family!r}: must be one of {FAMILIES}"
             )
+        if self.rank > MAX_RANK:
+            raise InvalidTypeError(f"rank {self.rank} exceeds MAX_RANK = {MAX_RANK}")
         if self.family == "E":
             if self.rank not in (6, 7, 8):
                 raise InvalidTypeError("family E requires rank in {6, 7, 8}")
@@ -68,11 +77,16 @@ class RankedType:
     @classmethod
     def parse(cls, text: str) -> "RankedType":
         text = text.strip()
-        if len(text) < 2 or not text[1:].isdigit():
+        digits = text[1:]
+        if len(text) < 2 or not (digits.isascii() and digits.isdigit()):
             raise InvalidTypeError(
                 f"cannot parse type {text!r}: expected a family letter followed by a rank"
             )
-        return cls(text[0].upper(), int(text[1:]))
+        try:
+            rank = int(digits)
+        except ValueError as exc:  # more digits than int() accepts
+            raise InvalidTypeError(f"rank exceeds MAX_RANK = {MAX_RANK}") from exc
+        return cls(text[0].upper(), rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -80,8 +94,8 @@ class RankedType:
 
 def all_types(max_rank: int) -> list[RankedType]:
     """Every irreducible type with rank <= max_rank, in canonical order."""
-    if max_rank < 1:
-        raise InvalidArgumentError("max_rank must be >= 1")
+    if not 1 <= max_rank <= MAX_RANK:
+        raise InvalidArgumentError(f"max_rank must be between 1 and {MAX_RANK}")
     out: list[RankedType] = []
     for fam in FAMILIES:
         if fam == "E":
@@ -159,16 +173,21 @@ def _propagate_d(rows: Sequence[Sequence[int]]) -> tuple[Fraction, ...] | None:
 def _leading_minors_positive(sym: Sequence[Sequence[Fraction]]) -> bool:
     # Fraction-exact Gaussian elimination without pivoting: the pivots are
     # the ratios of consecutive leading principal minors, so the matrix is
-    # positive definite iff every pivot stays positive.
+    # positive definite iff every pivot stays positive.  Rows with a zero
+    # below the pivot, and zero entries of the pivot row, change nothing and
+    # are skipped; on a Dynkin tree few entries are nonzero.
     n = len(sym)
     m = [list(row) for row in sym]
     for k in range(n):
-        if m[k][k] <= 0:
+        pivot = m[k][k]
+        if pivot <= 0:
             return False
+        support = [j for j in range(k, n) if m[k][j]]
         for i in range(k + 1, n):
-            factor = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
+            if m[i][k]:
+                factor = m[i][k] / pivot
+                for j in support:
+                    m[i][j] -= factor * m[k][j]
     return True
 
 
@@ -182,6 +201,8 @@ def validate_cartan(raw: Sequence[Sequence[int]]) -> CartanMatrix:
     n = len(raw)
     if n == 0 or any(len(row) != n for row in raw):
         raise InvalidArgumentError("expected a nonempty square matrix")
+    if n > MAX_RANK:
+        raise InvalidArgumentError(f"rank {n} exceeds MAX_RANK = {MAX_RANK}")
     if any(isinstance(x, bool) or not isinstance(x, int) for row in raw for x in row):
         raise InvalidArgumentError("expected integer entries")
     rows = tuple(tuple(row) for row in raw)
@@ -220,9 +241,7 @@ def validate_cartan(raw: Sequence[Sequence[int]]) -> CartanMatrix:
         else:
             d = _propagate_d(rows)
             assert d is not None  # trees cannot conflict
-            sym = [
-                [d[i] * rows[i][j] for j in range(n)] for i in range(n)
-            ]
+            sym = [[d[i] * a if a else 0 for a in rows[i]] for i in range(n)]
             if not _leading_minors_positive(sym):
                 violations.append("not-positive-definite")
 
@@ -316,17 +335,16 @@ def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
         raise InternalInconsistencyError("validated matrix is not symmetrizable")
     low = min(d)
     d = tuple(x / low for x in d)
+    zero = Fraction(0)
     gram = tuple(
-        tuple(d[i] * rows[i][j] for j in range(n)) for i in range(n)
+        tuple(d[i] * a if a else zero for a in rows[i]) for i in range(n)
     )
     scale = lcm(*(x.denominator for row in gram for x in row))
     int_gram = tuple(
-        tuple(int(x * scale) for x in row) for row in gram
+        tuple(x.numerator * (scale // x.denominator) for x in row) for row in gram
     )
-    for i in range(n):
-        for j in range(n):
-            if gram[i][j] != gram[j][i]:
-                raise InternalInconsistencyError("symmetrization failed")
+    if int_gram != tuple(zip(*int_gram)):
+        raise InternalInconsistencyError("symmetrization failed")
     return SymmetrizedForm(d=d, gram=gram, int_gram=int_gram)
 
 

@@ -11,7 +11,14 @@ import argparse
 import json
 import sys
 
-from .cartan import CartanMatrix, RankedType, all_types, build_cartan, validate_cartan
+from .cartan import (
+    MAX_RANK,
+    CartanMatrix,
+    RankedType,
+    all_types,
+    build_cartan,
+    validate_cartan,
+)
 from .errors import InvalidArgumentError, InvalidCartanError, InvalidTypeError
 from .exponents import (
     COXETER_EIGENVALUES,
@@ -95,8 +102,8 @@ def _targets(args) -> list[tuple[str, CartanMatrix]]:
         return [(str(t), build_cartan(t))]
     if args.cartan:
         return [("custom", _load_cartan_file(args.cartan))]
-    if args.max_rank < 1:
-        raise _CliError("--max-rank must be >= 1")
+    if not 1 <= args.max_rank <= MAX_RANK:
+        raise _CliError(f"--max-rank must be between 1 and {MAX_RANK}")
     return [(str(t), build_cartan(t)) for t in all_types(args.max_rank)]
 
 

@@ -24,7 +24,8 @@ class InvalidArgumentError(ValueError):
 
 
 class NumericInconsistencyError(RuntimeError):
-    """A floating-point result strayed too far from the exact value it must round to."""
+    """Exact Coxeter-element data broke an identity it must satisfy: no finite
+    order, an inexact division, or eigenvalue counts that do not add up."""
 
 
 class InternalInconsistencyError(RuntimeError):

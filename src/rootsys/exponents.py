@@ -1,14 +1,15 @@
 """Weyl-group exponents by two independent routes: the dual partition of
-the height distribution, and eigenvalue angles of a Coxeter element.
+the height distribution, and the eigenvalues of a Coxeter element.
+
+Both routes are exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import cmath
+from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
-
-import numpy as np
 
 from .cartan import CartanMatrix
 from .errors import (
@@ -20,10 +21,6 @@ from .roots import HEIGHT_CAP_FACTOR, RootSystem
 
 DUAL_PARTITION = "dual-partition"
 COXETER_EIGENVALUES = "coxeter-eigenvalues"
-
-# Eigenvalues of integer matrices of rank <= 12 come out far more accurate
-# than this; a larger residual indicates a real bug, not roundoff.
-ANGLE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,6 @@ class ExponentReport:
     exponents: tuple[int, ...]
     coxeter_number: int
     method: str
-    max_residual: float = 0.0
 
     def __post_init__(self) -> None:
         h = self.coxeter_number
@@ -109,6 +105,16 @@ def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
+def _reflection_order(c: CartanMatrix, order: Sequence[int] | None) -> list[int]:
+    n = c.rank
+    order = list(range(1, n + 1) if order is None else order)
+    if sorted(order) != list(range(1, n + 1)):
+        raise InvalidArgumentError(
+            f"order must be a permutation of 1..{n}, got {order}"
+        )
+    return order
+
+
 def coxeter_matrix(
     c: CartanMatrix, order: Sequence[int] | None = None
 ) -> tuple[tuple[int, ...], ...]:
@@ -116,14 +122,7 @@ def coxeter_matrix(
     root space in simple-root coordinates.  ``order`` defaults to the
     index-ascending product; any permutation of 1..rank is accepted.
     """
-    n = c.rank
-    if order is None:
-        order = range(1, n + 1)
-    order = list(order)
-    if sorted(order) != list(range(1, n + 1)):
-        raise InvalidArgumentError(
-            f"order must be a permutation of 1..{n}, got {order}"
-        )
+    order = _reflection_order(c, order)
     m = _reflection_matrix(c, order[0])
     for i in order[1:]:
         m = _matmul(m, _reflection_matrix(c, i))
@@ -142,37 +141,86 @@ def coxeter_order(m: Sequence[Sequence[int]], bound: int) -> int:
     raise NumericInconsistencyError(f"matrix order not found within {bound}")
 
 
+def coxeter_traces(
+    c: CartanMatrix, order: Sequence[int] | None = None
+) -> tuple[int, tuple[int, ...]]:
+    """Order h of the Coxeter element of ``coxeter_matrix(c, order)`` and
+    the traces tr(c^k) for 0 <= k < h.
+
+    Column j of the running power holds the image of the simple root e_j.
+    The power is carried through the chain of simple reflections (the
+    rightmost factor acts first).  s_i changes only coordinate i of each
+    column, v_i -= sum_j a_ij v_j, so it rewrites row i of the power from
+    the rows j with a_ij != 0.  One power costs O(rank^2) on a Dynkin tree
+    instead of a dense O(rank^3) matrix product.
+    """
+    n = c.rank
+    steps = [
+        (
+            i - 1,
+            1 - c.rows[i - 1][i - 1],
+            [(j, a) for j, a in enumerate(c.rows[i - 1]) if a and j != i - 1],
+        )
+        for i in reversed(_reflection_order(c, order))
+    ]
+    bound = 2 * (HEIGHT_CAP_FACTOR * n + 1)
+    identity = [[int(k == j) for k in range(n)] for j in range(n)]
+    p = [list(row) for row in identity]
+    traces = [n]
+    for k in range(1, bound + 1):
+        for i, diag, off in steps:
+            row = [diag * x for x in p[i]]
+            for j, a in off:
+                row = [x - a * y for x, y in zip(row, p[j])]
+            p[i] = row
+        if p == identity:
+            return k, tuple(traces)
+        traces.append(sum(p[j][j] for j in range(n)))
+    raise NumericInconsistencyError(f"matrix order not found within {bound}")
+
+
+def _exact_div(a: int, b: int, what: str) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise NumericInconsistencyError(f"{what}: {a} is not divisible by {b}")
+    return q
+
+
 def coxeter_exponents(
     c: CartanMatrix, order: Sequence[int] | None = None
 ) -> ExponentReport:
-    """Exponents from the eigenvalue angles of a Coxeter element.
+    """Exponents from the eigenvalues exp(2 pi i m / h) of a Coxeter element.
 
-    The Coxeter number is found first by exact integer matrix powering;
-    floating point enters only when assigning each eigenvalue angle to a
-    multiple of 2*pi/h, and the rounding residual must stay below
-    ANGLE_TOLERANCE * h.
+    Since c^h = 1, the eigenvalues are h-th roots of unity, and for d | h
+    F(d) = (d/h) * sum_{j < h/d} tr(c^{dj}) counts those with lambda^d = 1.
+    Subtracting F over the proper divisors leaves mu_e, the number of
+    primitive e-th roots of unity among the eigenvalues.  The characteristic
+    polynomial is integral, so each of the phi(e) primitive e-th roots has
+    multiplicity mu_e / phi(e), and m in 1..h-1 is an exponent with the
+    multiplicity of its order e = h / gcd(m, h).  Every division must be
+    exact, the eigenvalue 1 must not occur, and the multiplicities must sum
+    to the rank; otherwise NumericInconsistencyError is raised.
     """
-    m = coxeter_matrix(c, order)
-    h = coxeter_order(m, 2 * (HEIGHT_CAP_FACTOR * c.rank + 1))
-    eigenvalues = np.linalg.eigvals(np.array(m, dtype=float))
-    tol = ANGLE_TOLERANCE * h
+    h, traces = coxeter_traces(c, order)
+    orders = [h // gcd(m, h) for m in range(h)]
+    phi = Counter(orders)  # phi[e] = number of primitive e-th roots of unity
+    mu: dict[int, int] = {}
+    for d in sorted(phi):
+        fixed = _exact_div(d * sum(traces[::d]), h, f"eigenvalue count F({d})")
+        mu[d] = fixed - sum(mu[e] for e in mu if d % e == 0)
+        if mu[d] < 0:
+            raise NumericInconsistencyError(f"negative eigenvalue count mu_{d} = {mu[d]}")
+    if mu[1]:
+        raise NumericInconsistencyError(f"eigenvalue 1 occurs {mu[1]} time(s)")
     exps: list[int] = []
-    max_residual = 0.0
-    for lam in eigenvalues:
-        value = h * cmath.phase(complex(lam)) / (2 * cmath.pi)
-        if value <= 0:
-            value += h
-        k = round(value)
-        residual = abs(value - k)
-        if residual > tol:
-            raise NumericInconsistencyError(
-                f"eigen-angle {value} is {residual} away from an integer (tol {tol})"
-            )
-        max_residual = max(max_residual, residual)
-        if not 0 < k < h:
-            raise NumericInconsistencyError(f"eigenvalue exponent {k} outside (0, {h})")
-        exps.append(k)
-    return ExponentReport(tuple(sorted(exps)), h, COXETER_EIGENVALUES, max_residual)
+    for m in range(1, h):
+        e = orders[m]
+        exps.extend([m] * _exact_div(mu[e], phi[e], f"multiplicity of order {e}"))
+    if len(exps) != c.rank:
+        raise NumericInconsistencyError(
+            f"{len(exps)} exponents found for rank {c.rank}"
+        )
+    return ExponentReport(tuple(exps), h, COXETER_EIGENVALUES)
 
 
 @dataclass(frozen=True)

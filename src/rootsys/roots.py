@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add, ge
 from typing import Iterator, Sequence
 
 from .cartan import (
@@ -36,7 +37,7 @@ class Root:
     height: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.coeffs or any(c < 0 for c in self.coeffs):
+        if not self.coeffs or min(self.coeffs) < 0:
             raise InvalidArgumentError("root coefficients must be nonnegative")
         if not any(self.coeffs):
             raise InvalidArgumentError("the zero vector is not a root")
@@ -213,42 +214,46 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     For a root beta of height r and a simple root alpha_i, let p be the
     largest k with beta - k*alpha_i already found; beta + alpha_i is a root
     exactly when p - <beta, alpha_i> > 0, because root strings are unbroken.
+    Each root carries its pairings <beta, alpha_i> for all i, updated by
+    one column of the Cartan matrix per step up.
     """
     n = cartan.rank
     form = symmetrizer(cartan)
-    rows = cartan.rows
+    columns = list(zip(*cartan.rows))
     cap = HEIGHT_CAP_FACTOR * n
 
     members: set[tuple[int, ...]] = set()
-    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    layer = sorted(simple)
+    layer = {
+        tuple(1 if k == i else 0 for k in range(n)): columns[i] for i in range(n)
+    }
     members.update(layer)
-    layers: list[list[tuple[int, ...]]] = [[], layer]
+    layers: list[list[tuple[int, ...]]] = [[], sorted(layer)]
 
-    while layers[-1]:
+    while True:
         if len(layers) > cap:
             raise InternalInconsistencyError(
                 f"enumeration exceeded height {cap}; the matrix cannot be finite type"
             )
-        nxt: set[tuple[int, ...]] = set()
-        for beta in layers[-1]:
-            for i in range(n):
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for beta, pair in layer.items():
+            for i, (b, pi) in enumerate(zip(beta, pair)):
+                # beta - k*alpha_i stays nonnegative only for k <= b, so p <= b
+                # and only p > pi matters: walk at most pi + 1 steps down.
+                if pi >= b:
+                    continue
+                head, tail = beta[:i], beta[i + 1 :]
                 p = 0
-                while True:
-                    down = tuple(
-                        c - (p + 1) if j == i else c for j, c in enumerate(beta)
-                    )
-                    if down in members:
-                        p += 1
-                    else:
-                        break
-                pair = sum(r * b for r, b in zip(rows[i], beta))
-                if p - pair > 0:
-                    nxt.add(tuple(c + 1 if j == i else c for j, c in enumerate(beta)))
+                while p <= pi and head + (b - p - 1,) + tail in members:
+                    p += 1
+                if p > pi:
+                    up = head + (b + 1,) + tail
+                    if up not in nxt:
+                        nxt[up] = tuple(map(add, pair, columns[i]))
         if not nxt:
             break
         layers.append(sorted(nxt))
         members.update(nxt)
+        layer = nxt
 
     root_layers = tuple(tuple(Root(c) for c in layer) for layer in layers)
     rs = RootSystem(cartan, form, root_layers, label)
@@ -257,12 +262,10 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
         raise InternalInconsistencyError(
             f"top height layer has {len(top)} roots; expected exactly one"
         )
-    theta = top[0]
-    for r in rs.positive_roots():
-        if not rs.dominates(theta, r):
-            raise InternalInconsistencyError(
-                f"{theta.coeffs} does not dominate {r.coeffs}"
-            )
+    theta = top[0].coeffs
+    for r in members:
+        if not all(map(ge, theta, r)):
+            raise InternalInconsistencyError(f"{theta} does not dominate {r}")
     return rs
 
 

@@ -20,22 +20,32 @@ from oracles import cartan_from_geometry
 # -- type bounds -------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "text", ["A1", "B2", "C2", "D4", "E6", "E7", "E8", "F4", "G2", "A12", "D12"]
+    "text",
+    ["A1", "B2", "C2", "D4", "E6", "E7", "E8", "F4", "G2", "A12", "D12", f"C{R.MAX_RANK}"],
 )
 def test_rank_bounds_accept(text):
     assert str(R.RankedType.parse(text)) == text
 
 
 @pytest.mark.parametrize(
-    "text", ["A0", "B1", "C1", "D3", "D2", "E5", "E9", "F3", "F5", "G1", "G3", "H3"]
+    "text",
+    ["A0", "B1", "C1", "D3", "D2", "E5", "E9", "F3", "F5", "G1", "G3", "H3",
+     f"A{R.MAX_RANK + 1}", "D100000"],
 )
 def test_rank_bounds_reject(text):
     with pytest.raises(InvalidTypeError):
         R.RankedType.parse(text)
 
 
+def test_all_types_rank_ceiling():
+    assert R.RankedType("D", R.MAX_RANK) in R.all_types(R.MAX_RANK)
+    for bad in (0, R.MAX_RANK + 1):
+        with pytest.raises(InvalidArgumentError):
+            R.all_types(bad)
+
+
 def test_parse_rejects_garbage():
-    for text in ["", "A", "7", "Axx", "G"]:
+    for text in ["", "A", "7", "Axx", "G", "A\u00b2", "A" + "9" * 5000]:
         with pytest.raises(InvalidTypeError):
             R.RankedType.parse(text)
 

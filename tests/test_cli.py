@@ -1,6 +1,10 @@
 """Command-line behaviour: selectors, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,48 @@ def test_invalid_type_exit_two(capsys):
 def test_bad_max_rank(capsys):
     code, _, err = run_cli(capsys, "verify", "--all", "--max-rank", "0")
     assert code == 2 and "--max-rank" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--type", "A100000"),
+        ("verify", "--all", "--max-rank", "1000000"),
+        ("exponents", "--all", "--max-rank", str(R.MAX_RANK + 1)),
+    ],
+)
+def test_rank_ceiling_rejects_before_building(capsys, monkeypatch, argv):
+    import rootsys.cli as cli
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a system above MAX_RANK was built")
+
+    monkeypatch.setattr(cli, "build_cartan", refuse)
+    monkeypatch.setattr(cli, "enumerate_roots", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rank_ceiling_cartan_file(capsys, tmp_path):
+    n = R.MAX_RANK + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([[2 * (i == j) for j in range(n)] for i in range(n)]))
+    code, out, err = run_cli(capsys, "gen", "--cartan", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: rank {n} exceeds MAX_RANK = {R.MAX_RANK}\n"
+
+
+def test_import_does_not_load_numpy():
+    # numpy would be most of the start-up time, and nothing in the package needs it
+    src = str(Path(R.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, rootsys; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_out_file(capsys, tmp_path):

@@ -1,11 +1,13 @@
 """Exponents by dual partition and by Coxeter eigenvalues."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 import rootsys as R
-from rootsys.errors import InvalidArgumentError
+from rootsys.errors import InvalidArgumentError, NumericInconsistencyError
+from rootsys.exponents import coxeter_traces
 
 from conftest import sweep_labels
 from oracles import exact_det
@@ -56,6 +58,32 @@ def test_coxeter_matrix_rejects_bad_order():
         R.coxeter_matrix(c, order=[1, 2, 2])
 
 
+def test_coxeter_traces_match_dense_powers():
+    # the dense coxeter_matrix / coxeter_order route is the oracle for the
+    # reflection-chain helper, under three random reflection orders per type
+    rng = random.Random(3)
+    for t in R.all_types(12):
+        c = R.build_cartan(t)
+        for _ in range(3):
+            perm = rng.sample(range(1, c.rank + 1), c.rank)
+            m = R.coxeter_matrix(c, perm)
+            h = R.coxeter_order(m, 2 * (10 * c.rank + 1))
+            p = [[int(i == j) for j in range(c.rank)] for i in range(c.rank)]
+            traces = []
+            for _ in range(h):
+                traces.append(sum(p[i][i] for i in range(c.rank)))
+                p = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in p]
+            assert coxeter_traces(c, perm) == (h, tuple(traces)), (str(t), perm)
+
+
+def test_coxeter_exponents_rejects_affine_matrix():
+    # the affine A2 matrix (a 3-cycle) is not of finite type: its Coxeter
+    # element has infinite order, so no exponents may come back
+    affine = R.CartanMatrix(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
+    with pytest.raises(NumericInconsistencyError):
+        R.coxeter_exponents(affine)
+
+
 def test_coxeter_exponents_pins():
     rep = R.coxeter_exponents(R.build_cartan("A1"))
     assert (rep.exponents, rep.coxeter_number) == ((1,), 2)
@@ -74,7 +102,7 @@ def test_methods_agree_up_to_rank_twelve(system):
         cox = R.coxeter_exponents(rs.cartan)
         assert dual.exponents == cox.exponents, str(t)
         assert dual.coxeter_number == cox.coxeter_number, str(t)
-        assert cox.max_residual < 1e-9 * cox.coxeter_number
+        assert cox == replace(dual, method=cox.method), str(t)
 
 
 def test_order_equals_top_height_plus_one(system):

@@ -1,6 +1,7 @@
 """Enumeration, pairings, strings, lengths, and the dominance order."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,53 @@ def test_enumeration_is_a_fixed_point(system):
                     c + 1 if k == i - 1 else c for k, c in enumerate(beta.coeffs)
                 )
                 assert (q > 0) == (up in members)
+
+
+# highest roots and positive-root counts of the exceptional types (Bourbaki)
+EXCEPTIONAL = {
+    "E6": (36, (1, 2, 2, 3, 2, 1)),
+    "E7": (63, (2, 2, 3, 4, 3, 2, 1)),
+    "E8": (120, (2, 3, 4, 6, 5, 4, 3, 2)),
+    "F4": (24, (2, 3, 4, 2)),
+    "G2": (6, (3, 2)),
+}
+
+
+def closed_form(t: R.RankedType) -> tuple[int, tuple[int, ...]]:
+    """Number of positive roots and highest root of a classical type."""
+    n = t.rank
+    if t.family == "A":
+        return n * (n + 1) // 2, (1,) * n
+    if t.family == "B":
+        return n * n, (1,) + (2,) * (n - 1)
+    if t.family == "C":
+        return n * n, (2,) * (n - 1) + (1,)
+    if t.family == "D":
+        return n * (n - 1), (1,) + (2,) * (n - 3) + (1, 1)
+    return EXCEPTIONAL[str(t)]
+
+
+def test_counts_and_highest_roots_up_to_rank_24(system):
+    for t in R.all_types(24):
+        rs = system(str(t))
+        assert (rs.num_positive, rs.highest_root().coeffs) == closed_form(t), str(t)
+
+
+@pytest.mark.parametrize("label", ["E6", "F4", "G2", "D8"])
+def test_permuted_cartan_enumerates_permuted_roots(system, label):
+    rs = system(label)
+    rows = rs.cartan.rows
+    rng = random.Random(label)
+    for _ in range(3):
+        perm = rng.sample(range(rs.rank), rs.rank)
+        permuted = R.enumerate_roots(
+            R.validate_cartan([[rows[a][b] for b in perm] for a in perm])
+        )
+        assert {r.coeffs for r in permuted.positive_roots()} == {
+            tuple(r.coeffs[a] for a in perm) for r in rs.positive_roots()
+        }, perm
+        theta = rs.highest_root().coeffs
+        assert permuted.highest_root().coeffs == tuple(theta[a] for a in perm)
 
 
 # -- dominance ------------------------------------------------------------------
