@@ -8,8 +8,11 @@ Exit codes: 0 all good, 1 verification failure or method disagreement,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .cartan import (
     MAX_RANK,
@@ -73,7 +76,9 @@ def _load_cartan_file(path: str) -> CartanMatrix:
             raw = json.load(fh)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bytes that are not UTF-8, nesting too deep for the parser,
+        # or an integer literal past int()'s digit limit
         raise _CliError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise _CliError(f"{path} must hold a 2-D integer array")
@@ -107,37 +112,90 @@ def _targets(args) -> list[tuple[str, CartanMatrix]]:
     return [(str(t), build_cartan(t)) for t in all_types(args.max_rank)]
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The handle every command writes to: the --out file, opened before any
+    root system is built, or stdout, flushed here so that a closed pipe
+    raises inside main and not at interpreter exit."""
+    if not path:
+        out = sys.stdout
+        yield out
+        out.flush()
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with fh:
+        yield fh
 
 
-def _dump(payload) -> str:
-    return json.dumps(payload, indent=2)
+def _key(key) -> str:
+    """A dict key as json.dumps writes it: a quoted string, with the JSON
+    text of an int, float, bool or None key inside the quotes."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+def _render(obj, nl: str = "\n") -> str:
+    """The text json.dumps(obj, indent=2) gives for obj, for obj nested where
+    nl (a line break and the indentation of obj's own level) precedes its
+    closing bracket; the items inside go two spaces deeper."""
+    if type(obj) is int:
+        return str(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if all(type(x) is int for x in obj):
+            items = map(str, obj)
+        else:
+            items = (_render(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = (_key(k) + ": " + _render(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(obj)
+
+
+def _emit(out, payload, k: int, n: int) -> None:
+    """Write payload k of n.  The n calls in order write what
+    json.dumps(payloads if n > 1 else payloads[0], indent=2) gives, plus a
+    newline, without holding more than one payload's text."""
+    if n == 1:
+        out.write(_render(payload) + "\n")
+        return
+    head = "[\n  " if k == 0 else ",\n  "
+    tail = "\n]\n" if k == n - 1 else ""
+    out.write(head + _render(payload, "\n  ") + tail)
 
 
 def _system(label: str, cartan: CartanMatrix) -> RootSystem:
     return enumerate_roots(cartan, None if label == "custom" else label)
 
 
-def cmd_gen(args) -> int:
-    targets = _targets(args)
-    payloads = [_system(label, c).to_json_dict() for label, c in targets]
+def cmd_gen(args, targets, out) -> int:
     if args.format == "table":
-        lines = ["type      rank  roots  c_max  highest_root"]
-        for p in payloads:
-            lines.append(
+        out.write("type      rank  roots  c_max  highest_root\n")
+    for k, (label, cartan) in enumerate(targets):
+        p = _system(label, cartan).to_json_dict()
+        if args.format == "table":
+            out.write(
                 f"{str(p['type'] or 'custom'):<8}  {p['rank']:>4}  {len(p['roots']):>5}"
-                f"  {p['c_max']:>5}  {p['highest_root']}"
+                f"  {p['c_max']:>5}  {p['highest_root']}\n"
             )
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, _dump(payloads if len(payloads) > 1 else payloads[0]))
+        else:
+            _emit(out, p, k, len(targets))
     return 0
 
 
@@ -157,30 +215,28 @@ def _reports_agree(a: dict, b: dict) -> bool:
     return a["exponents"] == b["exponents"] and a["h"] == b["h"]
 
 
-def cmd_exponents(args) -> int:
-    entries = [
-        _exponent_entry(label, c, args.method) for label, c in _targets(args)
-    ]
-    disagree = [e for e in entries if args.method == "both" and not e["agree"]]
+def cmd_exponents(args, targets, out) -> int:
+    disagree = False
     if args.format == "table":
-        lines = ["type      method                h  exponents"]
-        for e in entries:
+        out.write("type      method                h  exponents\n")
+    for k, (label, cartan) in enumerate(targets):
+        e = _exponent_entry(label, cartan, args.method)
+        disagree |= args.method == "both" and not e["agree"]
+        if args.format == "json":
+            _emit(out, e, k, len(targets))
+        else:
             for key in (DUAL_PARTITION, COXETER_EIGENVALUES):
                 short = key.split("-")[0]
                 if short in e:
                     rep = e[short]
-                    lines.append(
+                    out.write(
                         f"{e['type']:<8}  {rep['method']:<19}  {rep['h']:>2}"
-                        f"  {rep['exponents']}"
+                        f"  {rep['exponents']}\n"
                     )
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, _dump(entries if len(entries) > 1 else entries[0]))
     return 1 if disagree else 0
 
 
-def cmd_verify(args) -> int:
-    targets = _targets(args)
+def cmd_verify(args, targets, out) -> int:
     ledgers = []
     skipped = []
     for label, cartan in targets:
@@ -217,21 +273,40 @@ def cmd_verify(args) -> int:
         for s in skipped:
             lines.append(f"{s['type']:<8}  skipped: {s['skipped']}")
         lines.append(summary)
-        _emit(args, "\n".join(lines))
+        out.write("\n".join(lines) + "\n")
     else:
-        _emit(args, _dump(payload))
+        _emit(out, payload, 0, 1)
     return 0 if all_pass else 1
+
+
+COMMANDS = {"gen": cmd_gen, "exponents": cmd_exponents, "verify": cmd_verify}
+
+
+def _detach_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so the interpreter's
+    final flush of whatever a closed pipe refused writes nowhere instead of
+    printing "Exception ignored"."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "exponents":
-            return cmd_exponents(args)
-        return cmd_verify(args)
+        targets = _targets(args)
+        with _output(args.out) as out:
+            return COMMANDS[args.command](args, targets, out)
+    except BrokenPipeError:
+        _detach_stdout()
+        with contextlib.suppress(BrokenPipeError):  # stderr may be the same pipe
+            print("error: output closed before everything was written", file=sys.stderr)
+        return 2
     except (_CliError, InvalidTypeError, InvalidArgumentError, InvalidCartanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,6 +64,23 @@ def test_gen_rejects_bad_json(capsys, tmp_path):
     assert code == 2 and "JSON" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe[[2]]",  # not UTF-8
+        b"[" * 100000 + b"]" * 100000,  # nested past the parser's recursion limit
+        b"[[2, 1" + b"0" * 5000 + b"], [-1, 2]]",  # past int()'s digit limit
+    ],
+    ids=["not-utf8", "too-deep", "too-many-digits"],
+)
+def test_cartan_file_undecodable(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "gen", "--cartan", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+
 def test_gen_requires_selector(capsys):
     code, _, err = run_cli(capsys, "gen")
     assert code == 2

@@ -1,0 +1,208 @@
+"""Streamed JSON output: the renderer against json.dumps, byte-identical
+command output, --out validation and a closed stdout."""
+
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rootsys as R
+import rootsys.cli as cli
+from rootsys.cli import _emit, _render, main
+
+# sha256 of stdout, pinned when the JSON was still written by one
+# json.dumps(..., indent=2) call; a deliberate output change updates a
+# digest here and says so in CHANGES.md.
+GOLDEN = {
+    ("gen", "--all", "--max-rank", "24"):
+        "e423cb5807dbfe5d84db062e7ab2a09ca390665ee0ad09cb3f8133319b101250",
+    ("exponents", "--all", "--max-rank", "24", "--method", "both"):
+        "073477731f5076f42d75fb4b785a859d588dcd48c77f182c33ca6e5866a3d5f0",
+    ("verify", "--all", "--max-rank", "12"):
+        "03bbd5a4189360e1b48e856d759499d0ab42753fc972dfff9458d5550abca6be",
+}
+
+awkward_text = st.text(
+    alphabet=st.sampled_from('"\\/\n\t\r\b\f\x00\x1f\x7fé €\U0001f600\ud800a ')
+    | st.characters(),
+    max_size=12,
+)
+ints = st.integers() | st.integers(min_value=-(10**40), max_value=10**40)
+leaves = (
+    st.none()
+    | st.booleans()
+    | ints
+    | st.floats()
+    | awkward_text
+    | st.lists(ints, max_size=6)
+    | st.lists(ints | st.booleans(), max_size=6)
+)
+keys = awkward_text | ints | st.booleans() | st.none() | st.floats()
+json_values = st.recursive(
+    leaves,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(keys, children, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_render_matches_json_dumps(value):
+    assert _render(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(json_values, min_size=1, max_size=4))
+def test_emit_streams_json_dumps(payloads):
+    out = io.StringIO()
+    for k, p in enumerate(payloads):
+        _emit(out, p, k, len(payloads))
+    whole = payloads if len(payloads) > 1 else payloads[0]
+    assert out.getvalue() == json.dumps(whole, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 0}, {"a": [object()]}, {1j: 0}, b"x"])
+def test_render_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError) as ours:
+        _render(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2)
+    assert str(ours.value) == str(theirs.value)
+
+
+def _run(capsys, tmp_path, to_file, *argv):
+    if to_file:
+        path = tmp_path / "out.json"
+        code = main([*argv, "--out", str(path)])
+        assert capsys.readouterr().out == ""
+        return code, path.read_text(encoding="utf-8")
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def _expected(payloads) -> str:
+    return json.dumps(payloads if len(payloads) > 1 else payloads[0], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("max_rank", [None, 4])
+def test_gen_output_is_json_dumps(capsys, tmp_path, to_file, max_rank):
+    if max_rank is None:
+        argv, labels = ("gen", "--type", "G2"), ["G2"]
+    else:
+        argv = ("gen", "--all", "--max-rank", str(max_rank))
+        labels = [str(t) for t in R.all_types(max_rank)]
+    code, text = _run(capsys, tmp_path, to_file, *argv)
+    assert code == 0
+    assert text == _expected([R.build_system(l).to_json_dict() for l in labels])
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("max_rank", [None, 5])
+def test_exponents_output_is_json_dumps(capsys, tmp_path, to_file, max_rank):
+    if max_rank is None:
+        argv, types = ("exponents", "--type", "E7"), [R.RankedType.parse("E7")]
+    else:
+        argv = ("exponents", "--all", "--max-rank", str(max_rank))
+        types = R.all_types(max_rank)
+    code, text = _run(capsys, tmp_path, to_file, *argv)
+    assert code == 0
+    entries = [cli._exponent_entry(str(t), R.build_cartan(t), "both") for t in types]
+    assert text == _expected(entries)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_failing_verify_output_is_json_dumps(capsys, monkeypatch, tmp_path, to_file):
+    from rootsys.verify import CheckResult, VerificationLedger
+
+    odd = [{"root": [1, -2, 0], "why": 'quote " slash \\ tab \t é'}, {"none": None}]
+
+    def fake_ledger(rs, **kwargs):
+        return VerificationLedger(
+            rs.label or "custom", rs.rank, 1, 2, 2, None,
+            {"main_relation": CheckResult("main_relation", False, odd, note="planted")},
+        )
+
+    monkeypatch.setattr(cli, "build_ledger", fake_ledger)
+    code, text = _run(capsys, tmp_path, to_file, "verify", "--all", "--max-rank", "3")
+    assert code == 1
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    checks = [l["checks"]["main_relation"] for l in payload["ledgers"]]
+    assert checks and all(c["counterexamples"] == odd and not c["pass"] for c in checks)
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_golden_stdout_digest(capsys, argv):
+    main(list(argv))
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("where", ["missing-dir/x.json", "."])
+def test_bad_out_path_exits_two_before_building(capsys, monkeypatch, tmp_path, where):
+    def refuse(*args, **kwargs):
+        pytest.fail("a root system was built before --out was opened")
+
+    monkeypatch.setattr(cli, "enumerate_roots", refuse)
+    target = tmp_path / where
+    code = main(["gen", "--all", "--max-rank", "24", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["gen", "--all", "--max-rank", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_pipe_stdout_is_detached(capsys, monkeypatch):
+    # after the error, stdout's descriptor points at os.devnull, so the flush
+    # the interpreter makes at exit cannot raise BrokenPipeError again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["gen", "--type", "G2"]) == 2
+        pipe.write("left in the buffer")
+        pipe.flush()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("shared_stderr", [False, True])
+def test_closed_pipe_subprocess(shared_stderr):
+    # the real case: a reader that stops early, as in `rootsys gen ... | head -1`,
+    # or `... 2>&1 | head -1`, where the error line itself cannot be written
+    env = dict(os.environ, PYTHONPATH=str(Path(R.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rootsys.cli", "gen", "--all", "--max-rank", "12"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT if shared_stderr else subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    if not shared_stderr:
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert proc.wait(timeout=60) == 2
