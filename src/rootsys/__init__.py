@@ -25,7 +25,6 @@ from .errors import (
 from .exponents import (
     ExponentReport,
     HeightDistribution,
-    check_duality,
     coxeter_exponents,
     coxeter_matrix,
     coxeter_order,
@@ -40,6 +39,7 @@ from .verify import (
     TopChain,
     VerificationLedger,
     build_ledger,
+    check_duality,
     classify_case,
     g2_criterion_report,
     mark_chain,

@@ -31,7 +31,7 @@ from .exponents import (
     height_distribution,
 )
 from .roots import RootSystem, enumerate_roots
-from .verify import build_ledger, g2_criterion_report
+from .verify import build_ledger, check_exponents_agree, g2_criterion_report
 
 SKIP_RANK_ONE = "m2 undefined (rank >= 2 required)"
 
@@ -202,17 +202,14 @@ def cmd_gen(args, targets, out) -> int:
 def _exponent_entry(label: str, cartan: CartanMatrix, method: str) -> dict:
     entry: dict = {"type": label}
     if method in ("dual", "both"):
-        rs = _system(label, cartan)
-        entry["dual"] = dual_partition(height_distribution(rs)).to_json_dict()
+        dual = dual_partition(height_distribution(_system(label, cartan)))
+        entry["dual"] = dual.to_json_dict()
     if method in ("coxeter", "both"):
-        entry["coxeter"] = coxeter_exponents(cartan).to_json_dict()
+        coxeter = coxeter_exponents(cartan)
+        entry["coxeter"] = coxeter.to_json_dict()
     if method == "both":
-        entry["agree"] = _reports_agree(entry["dual"], entry["coxeter"])
+        entry["agree"] = check_exponents_agree(dual, coxeter).passed
     return entry
-
-
-def _reports_agree(a: dict, b: dict) -> bool:
-    return a["exponents"] == b["exponents"] and a["h"] == b["h"]
 
 
 def cmd_exponents(args, targets, out) -> int:

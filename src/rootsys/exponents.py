@@ -30,10 +30,6 @@ class HeightDistribution:
     counts: tuple[int, ...]
     rank: int
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 @dataclass(frozen=True)
 class ExponentReport:
@@ -221,63 +217,3 @@ def coxeter_exponents(
             f"{len(exps)} exponents found for rank {c.rank}"
         )
     return ExponentReport(tuple(exps), h, COXETER_EIGENVALUES)
-
-
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def check_duality(rep: ExponentReport, rs: RootSystem) -> list[IdentityResult]:
-    """Evaluate the classical exponent identities against an enumerated system.
-
-    Failures are reported, never raised: (i) opposite exponents sum to h,
-    (ii) the chain 1 = m_1 < m_2 <= ... < m_l, (iii) h = ht(theta) + 1,
-    (iv) m_l equals the coefficient sum of the highest root, (v) the
-    exponents sum to the number of positive roots.
-    """
-    ms = rep.exponents
-    h = rep.coxeter_number
-    ell = len(ms)
-    results = []
-
-    pairs_ok = all(ms[j] + ms[ell - 1 - j] == h for j in range(ell))
-    results.append(
-        IdentityResult("pair-sums", pairs_ok, f"m_j + m_(l+1-j) vs h = {h}")
-    )
-
-    chain_ok = ms[0] == 1 and ms[-1] == h - 1
-    if ell >= 2:
-        chain_ok = (
-            chain_ok
-            and ms[0] < ms[1]
-            and all(ms[j] <= ms[j + 1] for j in range(1, ell - 1))
-            and ms[-2] < ms[-1]
-        )
-    results.append(IdentityResult("chain", chain_ok, f"exponents {ms}"))
-
-    theta = rs.highest_root()
-    results.append(
-        IdentityResult(
-            "coxeter-height",
-            h == theta.height + 1,
-            f"h = {h}, ht(theta) + 1 = {theta.height + 1}",
-        )
-    )
-    results.append(
-        IdentityResult(
-            "top-exponent-sum",
-            ms[-1] == sum(theta.coeffs),
-            f"m_l = {ms[-1]}, coefficient sum = {sum(theta.coeffs)}",
-        )
-    )
-    results.append(
-        IdentityResult(
-            "exponent-count",
-            sum(ms) == rs.num_positive,
-            f"sum = {sum(ms)}, positive roots = {rs.num_positive}",
-        )
-    )
-    return results

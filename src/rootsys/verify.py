@@ -13,8 +13,17 @@ for G2.
 Every check returns a CheckResult instead of raising, so a batch run over
 many systems always completes and reports failures as data.  The chain
 constructors do raise when a structural invariant that no valid system can
-break turns out broken; the ledger builder converts that into a failed
-result.
+break turns out broken.
+
+The ledger builds each structure the checks share once per system: the
+dual exponents, the top chain, its case split, the mark chain and the
+Weyl orbits.  Its checks come from one ordered registry of
+(name, needs, fn) rows, where needs names the structures fn takes, in
+order.  A check that raises is reported as an error.  A structure whose
+builder raised is reported as an error by the first check that needs
+it.  Every other check that needs a missing structure is reported as
+blocked, naming that structure if its builder raised, else the missing
+input that kept it from being built.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ from typing import Iterable
 from .errors import InternalInconsistencyError, InvalidArgumentError
 from .exponents import (
     ExponentReport,
-    check_duality,
     coxeter_exponents,
     dual_partition,
     height_distribution,
@@ -47,7 +55,6 @@ class MarkChain:
 
     simple_indices: tuple[int, ...]
     marks: tuple[int, ...]
-    neg_highest: tuple[int, ...]
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -70,9 +77,8 @@ def mark_chain(rs: RootSystem) -> MarkChain:
     theta = rs.highest_root()
     c = theta.coeffs
     cmax = max(c)
-    neg = tuple(-x for x in c)
     if cmax == 1:
-        return MarkChain((), (1,), neg)
+        return MarkChain((), (1,))
 
     ext = rs.extended_graph
     dist = {0: 0}
@@ -135,7 +141,7 @@ def mark_chain(rs: RootSystem) -> MarkChain:
         raise InternalInconsistencyError(
             f"mark chain ends with pairing {end_pairing} at a non-ramification point"
         )
-    return MarkChain(indices, marks, neg)
+    return MarkChain(indices, marks)
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,6 @@ class TopChain:
 
     roots: tuple[Root, ...]
     step_indices: tuple[int, ...]
-    neg_highest: tuple[int, ...]
     non_simple: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
@@ -194,22 +199,25 @@ def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
             steps.append(diff.index(1) + 1)
         else:
             non_simple.append((t + 1, diff))
-    neg = tuple(-x for x in rs.highest_root().coeffs)
-    return TopChain(tuple(roots), tuple(steps), neg, tuple(non_simple))
+    return TopChain(tuple(roots), tuple(steps), tuple(non_simple))
 
 
 @dataclass(frozen=True)
 class CaseSplit:
+    """A top chain whose steps are all simple roots, with its case."""
+
+    top: TopChain
     case: int
     witness: int | None
-    pairings: tuple[int, ...]
 
 
 def classify_case(top: TopChain, rs: RootSystem) -> CaseSplit:
     """Case 1 iff some top-chain root pairs to 3 against its step.
 
-    The witness, when present, must be unique and sit at position m - 2;
-    anything else is raised as an internal inconsistency.
+    A top chain with a non-simple step is rejected, so every CaseSplit
+    carries one whose steps are all simple.  The witness, when present,
+    must be unique and sit at position m - 2; anything else is raised as
+    an internal inconsistency.
     """
     if top.non_simple:
         raise InternalInconsistencyError(
@@ -227,8 +235,8 @@ def classify_case(top: TopChain, rs: RootSystem) -> CaseSplit:
             raise InternalInconsistencyError(
                 f"pairing-3 witness at t = {t}, expected m - 2 = {top.m - 2}"
             )
-        return CaseSplit(1, t, pairings)
-    return CaseSplit(2, None, pairings)
+        return CaseSplit(top, 1, t)
+    return CaseSplit(top, 2, None)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +265,10 @@ def _vacuous(name: str, why: str) -> CheckResult:
 # chain and relation checks
 # ---------------------------------------------------------------------------
 
-def check_mark_chain(rs: RootSystem) -> CheckResult:
-    """Mark-chain shape; for c_max = 1 additionally the chain form of the
-    whole graph with the affine vertex on its terminals."""
-    chain = mark_chain(rs)
+def check_mark_chain(rs: RootSystem, chain: MarkChain) -> CheckResult:
+    """Mark-chain shape (mark_chain verifies it while building); for
+    c_max = 1 additionally the chain form of the whole graph with the
+    affine vertex on its terminals."""
     cx: list = []
     if rs.c_max() == 1 and rs.rank >= 2:
         g = rs.graph
@@ -283,7 +291,18 @@ def check_mark_chain(rs: RootSystem) -> CheckResult:
     )
 
 
-def check_main_relation(rs: RootSystem, rep: ExponentReport, split: CaseSplit) -> CheckResult:
+def check_top_chain(top: TopChain) -> CheckResult:
+    steps = [list(d) for _, d in top.non_simple]
+    cx = [{"non_simple_steps": steps}] if steps else []
+    return CheckResult("top_chain", not cx, cx, f"m = {top.m}, steps {top.step_indices}")
+
+
+def check_case_witness(split: CaseSplit) -> CheckResult:
+    witness = "" if split.witness is None else f", witness t = {split.witness}"
+    return CheckResult("case_witness", True, [], f"case {split.case}{witness}")
+
+
+def check_main_relation(rs: RootSystem, split: CaseSplit, rep: ExponentReport) -> CheckResult:
     cmax = rs.c_max()
     m2 = rep.exponents[1]
     expected = m2 - 2 if split.case == 1 else m2 - 1
@@ -294,12 +313,10 @@ def check_main_relation(rs: RootSystem, rep: ExponentReport, split: CaseSplit) -
     )
 
 
-def check_chains_coincide(rs: RootSystem, rep: ExponentReport) -> CheckResult:
+def check_chains_coincide(rs: RootSystem, chain: MarkChain, top: TopChain) -> CheckResult:
     """The step set of the top chain equals the vertex set of the mark
     chain, and peeling the mark chain off the highest root walks through
     uniquely-occupied height layers."""
-    chain = mark_chain(rs)
-    top = top_chain(rs, rep)
     cx: list = []
     if top.non_simple:
         cx.append({"non_simple_steps": [list(d) for _, d in top.non_simple]})
@@ -334,18 +351,13 @@ def check_chains_coincide(rs: RootSystem, rep: ExponentReport) -> CheckResult:
     )
 
 
-def check_step_multiset(rs: RootSystem, top: TopChain, split: CaseSplit) -> CheckResult:
+def check_step_multiset(rs: RootSystem, split: CaseSplit) -> CheckResult:
     """Multiset shape of the steps: in case 1 the last two coincide and the
     rest are distinct, with a single-edge prefix and a -3 pairing at the
     turn; in case 2 all steps are distinct, with the prefix chain when the
     first pairing is 1."""
+    top = split.top
     m = top.m
-    if top.non_simple:
-        return CheckResult(
-            "step_multiset",
-            False,
-            [{"non_simple_steps": [list(d) for _, d in top.non_simple]}],
-        )
     if m < 2:
         return _vacuous("step_multiset", "no steps when m = 1")
     cx: list = []
@@ -390,18 +402,13 @@ def check_step_multiset(rs: RootSystem, top: TopChain, split: CaseSplit) -> Chec
     return CheckResult("step_multiset", not cx, cx, note)
 
 
-def check_step_nonramification(rs: RootSystem, top: TopChain) -> CheckResult:
+def check_step_nonramification(rs: RootSystem, split: CaseSplit) -> CheckResult:
     """Every step before the last, together with the affine vertex, avoids
     ramification points of the extended graph."""
+    top = split.top
     m = top.m
     if m < 2:
         return _vacuous("step_nonramification", "m < 2")
-    if top.non_simple:
-        return CheckResult(
-            "step_nonramification",
-            False,
-            [{"non_simple_steps": [list(d) for _, d in top.non_simple]}],
-        )
     ext = rs.extended_graph
     vertices = [0] + list(top.step_indices[: m - 2])
     cx = [
@@ -410,9 +417,10 @@ def check_step_nonramification(rs: RootSystem, top: TopChain) -> CheckResult:
     return CheckResult("step_nonramification", not cx, cx, f"vertices {vertices}")
 
 
-def check_differences(rs: RootSystem, top: TopChain, split: CaseSplit) -> CheckResult:
+def check_differences(rs: RootSystem, split: CaseSplit) -> CheckResult:
     """Pairwise differences along the top chain are positive roots, except
     the (m-2, m) pair in case 1, which must be twice a simple root."""
+    top = split.top
     m = top.m
     if m < 2:
         return _vacuous("differences", "m < 2")
@@ -431,18 +439,13 @@ def check_differences(rs: RootSystem, top: TopChain, split: CaseSplit) -> CheckR
     return CheckResult("differences", not cx, cx)
 
 
-def check_lengths(rs: RootSystem, top: TopChain, split: CaseSplit) -> CheckResult:
+def check_lengths(rs: RootSystem, split: CaseSplit) -> CheckResult:
     """Length equalities along the top chain: through theta_{m-2} and the
     steps before the turn in case 1, one farther in case 2."""
+    top = split.top
     m = top.m
     if m < 3:
         return _vacuous("lengths", "m < 3")
-    if top.non_simple:
-        return CheckResult(
-            "lengths",
-            False,
-            [{"non_simple_steps": [list(d) for _, d in top.non_simple]}],
-        )
     cx: list = []
     if split.case == 1 and m < 4:
         cx.append({"reason": "case 1 forces m >= 4", "m": m})
@@ -582,14 +585,13 @@ def _orbit_count(count: int, kind: str) -> str:
     return f"{count} {kind}Weyl orbit{'' if count == 1 else 's'}"
 
 
-def check_long_pair_positive(rs: RootSystem) -> CheckResult:
+def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     """Signed root pairs whose difference is a root and which contain a long
     root have strictly positive inner product.
 
     Both conditions are Weyl-invariant, so the long root is fixed to one
     representative of each long orbit and only its partner is scanned.
     """
-    orbits = weyl_orbits(rs)
     if orbits.escapes:
         return _not_weyl_stable("long_pair_positive", orbits)
     member = set(orbits.signed)
@@ -612,7 +614,7 @@ def check_long_pair_positive(rs: RootSystem) -> CheckResult:
     return CheckResult("long_pair_positive", not cx, cx, note)
 
 
-def check_two_of_three_sums(rs: RootSystem) -> CheckResult:
+def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     """For signed root triples with nonzero pairwise sums whose total is a
     root, at least two of the pairwise sums are roots.
 
@@ -622,7 +624,6 @@ def check_two_of_three_sums(rs: RootSystem) -> CheckResult:
     coefficients, with a base wide enough that sums of three roots never
     collide, so vector sums become integer sums.
     """
-    orbits = weyl_orbits(rs)
     if orbits.escapes:
         return _not_weyl_stable("two_of_three_sums", orbits)
     vs = orbits.signed
@@ -687,15 +688,69 @@ def check_exponents_agree(rep_a: ExponentReport, rep_b: ExponentReport) -> Check
     return CheckResult("exponents_agree", ok, cx, f"h = {rep_a.coxeter_number}")
 
 
+def check_duality(rep: ExponentReport, rs: RootSystem) -> list[CheckResult]:
+    """Evaluate the classical exponent identities against an enumerated system.
+
+    Failures are reported, never raised: (i) opposite exponents sum to h,
+    (ii) the chain 1 = m_1 < m_2 <= ... < m_l, (iii) h = ht(theta) + 1,
+    (iv) m_l equals the coefficient sum of the highest root, (v) the
+    exponents sum to the number of positive roots.
+    """
+    ms = rep.exponents
+    h = rep.coxeter_number
+    ell = len(ms)
+    results = []
+
+    pairs_ok = all(ms[j] + ms[ell - 1 - j] == h for j in range(ell))
+    results.append(
+        CheckResult("pair-sums", pairs_ok, note=f"m_j + m_(l+1-j) vs h = {h}")
+    )
+
+    chain_ok = ms[0] == 1 and ms[-1] == h - 1
+    if ell >= 2:
+        chain_ok = (
+            chain_ok
+            and ms[0] < ms[1]
+            and all(ms[j] <= ms[j + 1] for j in range(1, ell - 1))
+            and ms[-2] < ms[-1]
+        )
+    results.append(CheckResult("chain", chain_ok, note=f"exponents {ms}"))
+
+    theta = rs.highest_root()
+    results.append(
+        CheckResult(
+            "coxeter-height",
+            h == theta.height + 1,
+            note=f"h = {h}, ht(theta) + 1 = {theta.height + 1}",
+        )
+    )
+    results.append(
+        CheckResult(
+            "top-exponent-sum",
+            ms[-1] == sum(theta.coeffs),
+            note=f"m_l = {ms[-1]}, coefficient sum = {sum(theta.coeffs)}",
+        )
+    )
+    results.append(
+        CheckResult(
+            "exponent-count",
+            sum(ms) == rs.num_positive,
+            note=f"sum = {sum(ms)}, positive roots = {rs.num_positive}",
+        )
+    )
+    return results
+
+
 def check_exponent_duality(rep: ExponentReport, rs: RootSystem) -> CheckResult:
     results = check_duality(rep, rs)
-    cx = [{"identity": r.name, "detail": r.detail} for r in results if not r.passed]
+    cx = [{"identity": r.name, "detail": r.note} for r in results if not r.passed]
     return CheckResult("exponent_duality", not cx, cx, f"{len(results)} identities")
 
 
-def check_single_mark_iff_single_top(rs: RootSystem, top: TopChain) -> CheckResult:
-    ok = (rs.c_max() == 1) == (top.m == 1)
-    cx = [] if ok else [{"c_max": rs.c_max(), "m": top.m}]
+def check_single_mark_iff_single_top(rs: RootSystem, split: CaseSplit) -> CheckResult:
+    m = split.top.m
+    ok = (rs.c_max() == 1) == (m == 1)
+    cx = [] if ok else [{"c_max": rs.c_max(), "m": m}]
     return CheckResult("mark_one_iff_top_one", ok, cx)
 
 
@@ -726,81 +781,81 @@ class VerificationLedger:
         }
 
 
+def _shared_structures(rs: RootSystem) -> tuple[dict, dict, dict]:
+    """Build each structure the checks share, once, by name.
+
+    Returns the built structures, the exception of each builder that
+    raised, and for each missing structure the name of what it lacks:
+    itself if its builder raised, else the first of its inputs missing.
+    """
+    have: dict = {"system": rs}
+    raised: dict[str, Exception] = {}
+    lacks: dict[str, str] = {}
+    for name, inputs, build in (
+        ("height distribution", ("system",), height_distribution),
+        ("dual exponents", ("height distribution",), dual_partition),
+        ("top chain", ("system", "dual exponents"), top_chain),
+        ("case split", ("top chain", "system"), classify_case),
+        ("mark chain", ("system",), mark_chain),
+        ("Weyl orbits", ("system",), weyl_orbits),
+    ):
+        gone = next((n for n in inputs if n not in have), None)
+        if gone is not None:
+            lacks[name] = gone
+            continue
+        try:
+            have[name] = build(*(have[n] for n in inputs))
+        except Exception as exc:  # findings, not crashes
+            raised[name] = exc
+            lacks[name] = name
+    return have, raised, lacks
+
+
 def build_ledger(rs: RootSystem) -> VerificationLedger:
     """Run every check on one system, converting raised inconsistencies into
     failed results so batch runs always complete.
 
-    A check whose input (the dual exponents, the top chain) could not be
-    built is reported as blocked.  The headline m2 comes from the Coxeter
-    route, which needs only the Cartan matrix.
+    The headline m2 comes from the Coxeter route, which needs only the
+    Cartan matrix.
     """
     if rs.rank < 2:
         raise InvalidArgumentError("rank >= 2 required; m2 is undefined at rank 1")
     rep_c = coxeter_exponents(rs.cartan)
-
+    have, raised, lacks = _shared_structures(rs)
+    have["coxeter exponents"] = rep_c
     checks: dict[str, CheckResult] = {}
+    for name, needs, check in (
+        ("exponents_agree", ("dual exponents", "coxeter exponents"), check_exponents_agree),
+        ("exponent_duality", ("dual exponents", "system"), check_exponent_duality),
+        ("top_chain", ("top chain",), check_top_chain),
+        ("case_witness", ("case split",), check_case_witness),
+        ("main_relation", ("system", "case split", "dual exponents"), check_main_relation),
+        ("mark_chain", ("system", "mark chain"), check_mark_chain),
+        ("chains_coincide", ("system", "mark chain", "top chain"), check_chains_coincide),
+        ("step_multiset", ("system", "case split"), check_step_multiset),
+        ("step_nonramification", ("system", "case split"), check_step_nonramification),
+        ("differences", ("system", "case split"), check_differences),
+        ("lengths", ("system", "case split"), check_lengths),
+        ("mark_one_iff_top_one", ("system", "case split"), check_single_mark_iff_single_top),
+        ("string_descent", ("system",), check_string_descent),
+        ("two_of_three_sums", ("system", "Weyl orbits"), check_two_of_three_sums),
+        ("long_pair_positive", ("system", "Weyl orbits"), check_long_pair_positive),
+        ("no_detour", ("system",), check_no_detour),
+    ):
+        gone = next((n for n in needs if n not in have), None)
+        if gone in raised:
+            note = f"error: {raised.pop(gone)}"
+        elif gone is not None:
+            note = f"blocked: {lacks[gone]} unavailable"
+        else:
+            try:
+                checks[name] = check(*(have[n] for n in needs))
+                continue
+            except Exception as exc:  # findings, not crashes
+                note = f"error: {exc}"
+        checks[name] = CheckResult(name, False, [], note)
 
-    def run(name, fn, blocked_by: str | None = None) -> None:
-        if blocked_by:
-            note = f"blocked: {blocked_by} unavailable"
-            checks[name] = CheckResult(name, False, [], note)
-            return
-        try:
-            checks[name] = fn()
-        except Exception as exc:  # findings, not crashes
-            checks[name] = CheckResult(name, False, [], f"error: {exc}")
-
-    rep_d: ExponentReport | None = None
-    top: TopChain | None = None
-    split: CaseSplit | None = None
-
-    def _agree() -> CheckResult:
-        nonlocal rep_d
-        rep_d = dual_partition(height_distribution(rs))
-        return check_exponents_agree(rep_d, rep_c)
-
-    def _build_top() -> CheckResult:
-        nonlocal top
-        top = top_chain(rs, rep_d)
-        note = f"m = {top.m}, steps {top.step_indices}"
-        if top.non_simple:
-            return CheckResult(
-                "top_chain",
-                False,
-                [{"non_simple_steps": [list(d) for _, d in top.non_simple]}],
-                note,
-            )
-        return CheckResult("top_chain", True, [], note)
-
-    def _split() -> CheckResult:
-        nonlocal split
-        split = classify_case(top, rs)
-        witness = "" if split.witness is None else f", witness t = {split.witness}"
-        return CheckResult("case_witness", True, [], f"case {split.case}{witness}")
-
-    run("exponents_agree", _agree)
-    no_dual = "dual exponents" if rep_d is None else None
-    run("exponent_duality", lambda: check_exponent_duality(rep_d, rs), no_dual)
-    run("top_chain", _build_top, no_dual)
-    run("case_witness", _split, "top chain" if top is None or top.non_simple else None)
-    no_split = "top chain" if split is None else None
-    run("main_relation", lambda: check_main_relation(rs, rep_d, split), no_split)
-    run("mark_chain", lambda: check_mark_chain(rs))
-    run("chains_coincide", lambda: check_chains_coincide(rs, rep_d), no_dual)
-    run("step_multiset", lambda: check_step_multiset(rs, top, split), no_split)
-    run("step_nonramification", lambda: check_step_nonramification(rs, top), no_split)
-    run("differences", lambda: check_differences(rs, top, split), no_split)
-    run("lengths", lambda: check_lengths(rs, top, split), no_split)
-    run(
-        "mark_one_iff_top_one",
-        lambda: check_single_mark_iff_single_top(rs, top),
-        no_split,
-    )
-    run("string_descent", lambda: check_string_descent(rs))
-    run("two_of_three_sums", lambda: check_two_of_three_sums(rs))
-    run("long_pair_positive", lambda: check_long_pair_positive(rs))
-    run("no_detour", lambda: check_no_detour(rs))
-
+    split = have.get("case split")
     return VerificationLedger(
         label=rs.label or "custom",
         rank=rs.rank,

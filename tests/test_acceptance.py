@@ -20,6 +20,7 @@ from rootsys.verify import (
     check_step_nonramification,
     check_string_descent,
     check_two_of_three_sums,
+    weyl_orbits,
 )
 
 from conftest import built, small_labels, sweep_labels
@@ -109,11 +110,11 @@ def test_criterion_5_structure_theorems(sweep_data):
         chain = R.mark_chain(rs)
         assert chain.size == rs.c_max(), label
         assert chain.marks == tuple(range(1, rs.c_max() + 1)), label
-        res = check_chains_coincide(rs, rep_d)
+        res = check_chains_coincide(rs, chain, top)
         assert res.passed, (label, res.counterexamples)
-        res = check_step_multiset(rs, top, split)
+        res = check_step_multiset(rs, split)
         assert res.passed, (label, res.counterexamples)
-        res = check_differences(rs, top, split)
+        res = check_differences(rs, split)
         assert res.passed, (label, res.counterexamples)
     # G2 specifics: doubled final step, -3 turn pairing, difference in 2*simple
     rs, _, _, top, split = sweep_data["G2"]
@@ -127,13 +128,14 @@ def test_criterion_5_structure_theorems(sweep_data):
 
 def test_criterion_6_lemma_suites(sweep_data):
     for label, (rs, _, _, top, split) in sweep_data.items():
+        orbits = weyl_orbits(rs)
         for res in (
             check_string_descent(rs),
-            check_two_of_three_sums(rs),
-            check_long_pair_positive(rs),
+            check_two_of_three_sums(rs, orbits),
+            check_long_pair_positive(rs, orbits),
             check_no_detour(rs),
-            check_step_nonramification(rs, top),
-            check_lengths(rs, top, split),
+            check_step_nonramification(rs, split),
+            check_lengths(rs, split),
         ):
             assert res.passed, (label, res.name, res.counterexamples)
             if res.name in ("two_of_three_sums", "long_pair_positive"):

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import rootsys as R
-from rootsys.cli import _reports_agree, main
+from rootsys.cli import main
+from rootsys.exponents import COXETER_EIGENVALUES, DUAL_PARTITION
+from rootsys.verify import check_exponents_agree
 
 
 def run_cli(capsys, *argv):
@@ -115,10 +117,12 @@ def test_exponents_dual_g2(capsys):
 
 
 def test_reports_agree_helper():
-    a = {"exponents": [1, 3], "h": 4}
-    assert _reports_agree(a, {"exponents": [1, 3], "h": 4})
-    assert not _reports_agree(a, {"exponents": [1, 2], "h": 4})
-    assert not _reports_agree(a, {"exponents": [1, 3], "h": 6})
+    # an ExponentReport's top exponent is h - 1, so a second h needs a
+    # second exponent list
+    a = R.ExponentReport((1, 3), 4, DUAL_PARTITION)
+    for exps, h, agree in (((1, 3), 4, True), ((1, 1, 3), 4, False), ((1, 5), 6, False)):
+        b = R.ExponentReport(exps, h, COXETER_EIGENVALUES)
+        assert check_exponents_agree(a, b).passed is agree
 
 
 def test_verify_g2(capsys):

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 import rootsys as R
+import rootsys.verify as V
 from rootsys.errors import InvalidArgumentError
 from rootsys.verify import (
     COUNTEREXAMPLE_CAP,
@@ -130,12 +131,13 @@ def test_chains_coincide_pins(system):
         top = _top(rs)
         assert set(chain.simple_indices) == expected, label
         assert set(top.step_indices) == expected, label
-        assert check_chains_coincide(rs, _rep(rs)).passed
+        assert check_chains_coincide(rs, chain, top).passed
 
 
 def test_chains_coincide_everywhere(system):
     for label in sweep_labels(12):
-        res = check_chains_coincide(system(label), _rep(system(label)))
+        rs = system(label)
+        res = check_chains_coincide(rs, R.mark_chain(rs), _top(rs))
         assert res.passed, (label, res.counterexamples)
 
 
@@ -145,7 +147,7 @@ def test_step_multiset_g2(system):
     rs = system("G2")
     top = _top(rs)
     split = R.classify_case(top, rs)
-    res = check_step_multiset(rs, top, split)
+    res = check_step_multiset(rs, split)
     assert res.passed, res.counterexamples
     assert top.step(top.m - 1) == top.step(top.m - 2)  # doubled final step
     assert rs.cartan.a(top.step(2), top.step(1)) == -3
@@ -156,7 +158,7 @@ def test_step_multiset_case_two(system):
         rs = system(label)
         top = _top(rs)
         split = R.classify_case(top, rs)
-        res = check_step_multiset(rs, top, split)
+        res = check_step_multiset(rs, split)
         assert res.passed, (label, res.counterexamples)
         assert len(set(top.step_indices)) == len(top.step_indices)
     # C3: first pairing is 2, so the chain stops at m = 2
@@ -169,7 +171,7 @@ def test_differences_g2(system):
     rs = system("G2")
     top = _top(rs)
     split = R.classify_case(top, rs)
-    res = check_differences(rs, top, split)
+    res = check_differences(rs, split)
     assert res.passed, res.counterexamples
     diff = tuple(
         a - b for a, b in zip(top.roots[1].coeffs, top.roots[3].coeffs)
@@ -182,7 +184,7 @@ def test_differences_case_two(system):
         rs = system(label)
         top = _top(rs)
         split = R.classify_case(top, rs)
-        res = check_differences(rs, top, split)
+        res = check_differences(rs, split)
         assert res.passed, (label, res.counterexamples)
         # adjacent differences are the steps themselves
         for t in range(1, top.m):
@@ -197,7 +199,7 @@ def test_lengths(system):
         rs = system(label)
         top = _top(rs)
         split = R.classify_case(top, rs)
-        res = check_lengths(rs, top, split)
+        res = check_lengths(rs, split)
         assert res.passed, (label, res.counterexamples)
     g2 = system("G2")
     top = _top(g2)
@@ -208,7 +210,7 @@ def test_lengths(system):
 def test_step_nonramification(system):
     for label in ("G2", "D5", "E8", "B6"):
         rs = system(label)
-        res = check_step_nonramification(rs, _top(rs))
+        res = check_step_nonramification(rs, R.classify_case(_top(rs), rs))
         assert res.passed, (label, res.counterexamples)
 
 
@@ -230,7 +232,8 @@ def test_string_descent_small(system):
 
 def test_two_of_three_small(system):
     for label in ("A2", "B2", "G2", "A3", "C3"):
-        res = check_two_of_three_sums(system(label))
+        rs = system(label)
+        res = check_two_of_three_sums(rs, weyl_orbits(rs))
         assert res.passed, (label, res.counterexamples)
         assert res.note.startswith("exhaustive")
 
@@ -274,8 +277,8 @@ def _scan_both(rs):
     through each representative, summed: such a triple is scanned once, as
     (r, b, c) with b <= c."""
     triples = two_of_three_triples(rs)
-    res = check_two_of_three_sums(rs)
     orbits = weyl_orbits(rs)
+    res = check_two_of_three_sums(rs, orbits)
     if not orbits.escapes:
         count = sum(r in t[:3] for r in orbits.representatives for t in triples)
         assert f", {count} qualifying triples" in res.note, res.note
@@ -310,7 +313,7 @@ def test_scans_fail_on_swapped_root(system):
     escapes = orbits.escapes
     assert escapes
     for check in (check_two_of_three_sums, check_long_pair_positive):
-        res = check(bad)
+        res = check(bad, orbits)
         assert not res.passed
         assert res.note.startswith("not Weyl-stable")
         assert len(res.counterexamples) == min(len(escapes), COUNTEREXAMPLE_CAP)
@@ -321,7 +324,8 @@ def test_scans_fail_on_swapped_root(system):
 
 def test_long_pair_positive(system):
     for label in ("A3", "B3", "G2", "C4"):
-        res = check_long_pair_positive(system(label))
+        rs = system(label)
+        res = check_long_pair_positive(rs, weyl_orbits(rs))
         assert res.passed, (label, res.counterexamples)
 
 
@@ -359,6 +363,49 @@ def test_ledger_reports_dropped_root(system):
         assert led.checks[name].note == "blocked: dual exponents unavailable", name
     assert led.checks["lengths"].note == "blocked: top chain unavailable"
     assert list(led.checks) == list(R.build_ledger(e6).checks)
+
+
+def test_ledger_reports_missing_mark_chain(system):
+    # C3 with its top root swapped: the mark chain cannot be built
+    led = R.build_ledger(_swap_one_root(system("C3"), 5))
+    assert not led.passed
+    assert list(led.checks) == list(R.build_ledger(system("C3")).checks)
+    assert (
+        led.checks["mark_chain"].note
+        == "error: mark chain coefficients (1, 3) are not 1..q+1"
+    )
+    assert led.checks["chains_coincide"].note == "blocked: mark chain unavailable"
+
+
+def test_ledger_reports_non_simple_step(system):
+    # C3 with a height-4 root swapped: the top chain steps by (2, -1, 0),
+    # which the top_chain and chains_coincide checks report
+    led = R.build_ledger(_swap_one_root(system("C3"), 4))
+    assert not led.passed and led.case is None
+    non_simple = {"non_simple_steps": [[2, -1, 0]]}
+    assert led.checks["top_chain"].counterexamples == [non_simple]
+    assert non_simple in led.checks["chains_coincide"].counterexamples
+    assert led.checks["case_witness"].note == (
+        "error: top-chain differences are not all simple: ((1, (2, -1, 0)),)"
+    )
+    for name in ("main_relation", "step_multiset", "lengths", "mark_one_iff_top_one"):
+        assert led.checks[name].note == "blocked: case split unavailable", name
+
+
+def test_ledger_builds_each_structure_once(system, monkeypatch):
+    calls = collections.Counter()
+    shared = ("dual_partition", "top_chain", "classify_case", "mark_chain", "weyl_orbits")
+    for name in shared:
+
+        def counted(*args, _name=name, _build=getattr(V, name)):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(V, name, counted)
+    for label in sweep_labels(8):
+        calls.clear()
+        assert R.build_ledger(system(label)).passed, label
+        assert calls == dict.fromkeys(shared, 1), (label, calls)
 
 
 def test_ledger_rejects_rank_one(system):
