@@ -5,7 +5,6 @@ from .cartan import (
     MAX_RANK,
     CartanMatrix,
     DynkinGraph,
-    ExtendedDynkinGraph,
     RankedType,
     SymmetrizedForm,
     all_types,
@@ -26,8 +25,6 @@ from .exponents import (
     ExponentReport,
     HeightDistribution,
     coxeter_exponents,
-    coxeter_matrix,
-    coxeter_order,
     dual_partition,
     height_distribution,
 )

@@ -11,12 +11,11 @@ Conventions, fixed here and relied on by every other module:
   simple roots when ``d_i`` is half the squared length of ``alpha_i``.
 * ``d`` is normalised so that ``min(d_i) = 1``: short roots get d = 1
   (squared length 2), long roots get the squared-length ratio (2 or 3).
-* On a multiple edge of a Dynkin graph the arrow points from the long
-  root to the short root.
 * Simple-root indices are 1-based throughout the public API.  The affine
   vertex of an extended graph is vertex 0.
 
-Everything is exact: form data is kept as rationals, never floats.
+Everything is exact: d is kept as rationals and the form as integers,
+never floats.
 """
 
 from __future__ import annotations
@@ -295,29 +294,21 @@ def build_cartan(t: RankedType | str) -> CartanMatrix:
 class SymmetrizedForm:
     """Rational d with diag(d)*A symmetric and min(d) = 1, plus the Gram data.
 
-    gram[i][j] = (alpha_i, alpha_j); int_gram is gram scaled by the lcm of
-    denominators so that hot paths can stay in plain integers.
+    int_gram[i][j] is (alpha_i, alpha_j) = d_i * a[i][j] scaled by the lcm
+    of its denominators, so that every form value is a plain integer.  For
+    a Cartan matrix of finite type d is integral and the scale is 1.
     """
 
     d: tuple[Fraction, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
     int_gram: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
         return len(self.d)
 
-    def inner(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        """(x, y) for coefficient vectors over the simple basis."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.gram[i]
-                total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-        return total
-
     def inner_int(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """Same bilinear form scaled to integers (positive global factor)."""
+        """(x, y) for coefficient vectors over the simple basis, scaled to
+        integers (positive global factor)."""
         total = 0
         for i, xi in enumerate(x):
             if xi:
@@ -345,25 +336,22 @@ def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
     )
     if int_gram != tuple(zip(*int_gram)):
         raise InternalInconsistencyError("symmetrization failed")
-    return SymmetrizedForm(d=d, gram=gram, int_gram=int_gram)
+    return SymmetrizedForm(d=d, int_gram=int_gram)
 
 
 class DynkinGraph:
-    """Tree on the simple roots with edge multiplicities 1, 2, 3.
+    """Simple roots joined by edges of multiplicity 1, 2, 3: a tree, except
+    that the extended graph of type A is a cycle.
 
-    Vertices are 1-based simple-root indices.  ``arrow(i, j)`` on a
-    multiple edge returns (long vertex, short vertex).
+    Vertices are 1-based simple-root indices; an extended graph adds the
+    affine vertex 0.
     """
 
     def __init__(
-        self,
-        vertices: tuple[int, ...],
-        multiplicity: dict[frozenset[int], int],
-        arrows: dict[frozenset[int], tuple[int, int]],
+        self, vertices: tuple[int, ...], multiplicity: dict[frozenset[int], int]
     ) -> None:
         self.vertices = vertices
         self._mult = multiplicity
-        self._arrows = arrows
         adj: dict[int, set[int]] = {v: set() for v in vertices}
         for pair in multiplicity:
             a, b = tuple(pair)
@@ -386,18 +374,6 @@ class DynkinGraph:
         self._require(i)
         self._require(j)
         return self._mult.get(frozenset((i, j)), 0)
-
-    def arrow(self, i: int, j: int) -> tuple[int, int] | None:
-        self._require(i)
-        self._require(j)
-        return self._arrows.get(frozenset((i, j)))
-
-    def edges(self) -> list[tuple[int, int, int]]:
-        out = []
-        for pair, m in self._mult.items():
-            a, b = sorted(pair)
-            out.append((a, b, m))
-        return sorted(out)
 
     def terminal_vertices(self) -> set[int]:
         return {v for v in self.vertices if self.degree(v) <= 1}
@@ -451,32 +427,16 @@ class DynkinGraph:
         return len(path) == len(self.vertices) and self.is_simple_chain(path)
 
 
-class ExtendedDynkinGraph(DynkinGraph):
-    """Dynkin graph plus the affine vertex 0 standing for minus the highest root."""
-
-    def __init__(self, base: DynkinGraph, multiplicity, arrows) -> None:
-        super().__init__((0,) + base.vertices, multiplicity, arrows)
-        self.base = base
-
-
-def dynkin_graph(c: CartanMatrix, form: SymmetrizedForm | None = None) -> DynkinGraph:
+def dynkin_graph(c: CartanMatrix) -> DynkinGraph:
     """Dynkin graph of a validated Cartan matrix."""
-    if form is None:
-        form = symmetrizer(c)
     n = c.rank
     mult: dict[frozenset[int], int] = {}
-    arrows: dict[frozenset[int], tuple[int, int]] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             m = c.a(i, j) * c.a(j, i)
-            if m == 0:
-                continue
-            pair = frozenset((i, j))
-            mult[pair] = m
-            if m > 1:
-                lo, sh = (i, j) if form.d[i - 1] > form.d[j - 1] else (j, i)
-                arrows[pair] = (lo, sh)
-    g = DynkinGraph(tuple(range(1, n + 1)), mult, arrows)
+            if m:
+                mult[frozenset((i, j))] = m
+    g = DynkinGraph(tuple(range(1, n + 1)), mult)
     if len(mult) != n - 1 or len(_connected_components(c.rows)) != 1:
         raise InternalInconsistencyError("Dynkin graph of a valid matrix must be a tree")
     return g
@@ -486,19 +446,19 @@ def extended_dynkin_graph(
     c: CartanMatrix,
     form: SymmetrizedForm,
     highest_coeffs: Sequence[int],
-) -> ExtendedDynkinGraph:
-    """Attach the affine vertex to every simple root not orthogonal to the
-    highest root; edge multiplicities come from the same pairing rule as
-    simple-root pairs.  Requires rank >= 2 (the rank-1 affine diagram has
-    no finite edge multiplicity).
+) -> DynkinGraph:
+    """Dynkin graph plus the affine vertex 0, standing for minus the highest
+    root, attached to every simple root not orthogonal to it; edge
+    multiplicities come from the same pairing rule as simple-root pairs.
+    Requires rank >= 2 (the rank-1 affine diagram has no finite edge
+    multiplicity).
     """
     if c.rank < 2:
         raise InvalidArgumentError("extended graph requires rank >= 2")
-    base = dynkin_graph(c, form)
+    base = dynkin_graph(c)
     theta = tuple(highest_coeffs)
     theta_norm = form.inner_int(theta, theta)
     mult = dict(base._mult)
-    arrows = dict(base._arrows)
     for i in range(1, c.rank + 1):
         # <theta, alpha_i> = integer dot of row i with theta's coefficients
         t_i = sum(c.rows[i - 1][j] * theta[j] for j in range(c.rank))
@@ -509,8 +469,5 @@ def extended_dynkin_graph(
         u_i, rem = divmod(num, theta_norm)
         if rem:
             raise InternalInconsistencyError("non-integral pairing against the highest root")
-        pair = frozenset((0, i))
-        mult[pair] = t_i * u_i
-        if mult[pair] > 1:
-            arrows[pair] = (0, i)  # the highest root is always long
-    return ExtendedDynkinGraph(base, mult, arrows)
+        mult[frozenset((0, i))] = t_i * u_i
+    return DynkinGraph((0,) + base.vertices, mult)

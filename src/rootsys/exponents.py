@@ -85,22 +85,6 @@ def dual_partition(hd: HeightDistribution) -> ExponentReport:
     return ExponentReport(tuple(exps), h, DUAL_PARTITION)
 
 
-def _reflection_matrix(c: CartanMatrix, i: int) -> list[list[int]]:
-    # s_i(alpha_j) = alpha_j - a[i][j] * alpha_i, so s_i is the identity
-    # with row i of the Cartan matrix subtracted from row i.
-    n = c.rank
-    m = [[1 if r == k else 0 for k in range(n)] for r in range(n)]
-    for j in range(n):
-        m[i - 1][j] -= c.rows[i - 1][j]
-    return m
-
-
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def _reflection_order(c: CartanMatrix, order: Sequence[int] | None) -> list[int]:
     n = c.rank
     order = list(range(1, n + 1) if order is None else order)
@@ -111,37 +95,13 @@ def _reflection_order(c: CartanMatrix, order: Sequence[int] | None) -> list[int]
     return order
 
 
-def coxeter_matrix(
-    c: CartanMatrix, order: Sequence[int] | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the Coxeter element s_{o1} o s_{o2} o ... acting on the
-    root space in simple-root coordinates.  ``order`` defaults to the
-    index-ascending product; any permutation of 1..rank is accepted.
-    """
-    order = _reflection_order(c, order)
-    m = _reflection_matrix(c, order[0])
-    for i in order[1:]:
-        m = _matmul(m, _reflection_matrix(c, i))
-    return tuple(tuple(row) for row in m)
-
-
-def coxeter_order(m: Sequence[Sequence[int]], bound: int) -> int:
-    """Multiplicative order of an integer matrix, by exact powering."""
-    n = len(m)
-    identity = [[1 if r == k else 0 for k in range(n)] for r in range(n)]
-    p = [list(row) for row in m]
-    for k in range(1, bound + 1):
-        if p == identity:
-            return k
-        p = _matmul(p, [list(row) for row in m])
-    raise NumericInconsistencyError(f"matrix order not found within {bound}")
-
-
 def coxeter_traces(
     c: CartanMatrix, order: Sequence[int] | None = None
 ) -> tuple[int, tuple[int, ...]]:
-    """Order h of the Coxeter element of ``coxeter_matrix(c, order)`` and
-    the traces tr(c^k) for 0 <= k < h.
+    """Order h of the Coxeter element s_{o1} o s_{o2} o ... acting on the
+    root space in simple-root coordinates, and the traces tr(c^k) for
+    0 <= k < h.  ``order`` defaults to the index-ascending product; any
+    permutation of 1..rank is accepted.
 
     Column j of the running power holds the image of the simple root e_j.
     The power is carried through the chain of simple reflections (the

@@ -1,5 +1,5 @@
-"""Positive-root enumeration by height layers, plus pairings, lengths,
-the dominance order, and the highest root.
+"""Positive-root enumeration by height layers, plus pairings, lengths and
+the highest root.
 
 Only positive roots are stored; a negative root is the negated coefficient
 tuple of a positive one.
@@ -8,7 +8,6 @@ tuple of a positive one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from operator import add, ge
 from typing import Iterator, Sequence
@@ -16,7 +15,6 @@ from typing import Iterator, Sequence
 from .cartan import (
     CartanMatrix,
     DynkinGraph,
-    ExtendedDynkinGraph,
     SymmetrizedForm,
     dynkin_graph,
     extended_dynkin_graph,
@@ -51,6 +49,9 @@ class RootSystem:
     """All positive roots of a Cartan matrix, organised by height.
 
     Immutable after construction; build via :func:`enumerate_roots`.
+    Hand-built layers must form a root poset's height grading: layer 0
+    empty, each root filed under its own height, and exactly one root in
+    the top layer; anything else raises InvalidArgumentError.
     """
 
     def __init__(
@@ -60,6 +61,18 @@ class RootSystem:
         layers: tuple[tuple[Root, ...], ...],
         label: str | None,
     ) -> None:
+        if not layers or layers[0]:
+            raise InvalidArgumentError("layer 0 must exist and be empty")
+        for h, layer in enumerate(layers):
+            for r in layer:
+                if r.height != h:
+                    raise InvalidArgumentError(
+                        f"{r.coeffs} has height {r.height} but is filed under {h}"
+                    )
+        if len(layers[-1]) != 1:
+            raise InvalidArgumentError(
+                f"top height layer has {len(layers[-1])} roots; expected exactly one"
+            )
         self.cartan = cartan
         self.form = form
         self.label = label
@@ -106,7 +119,7 @@ class RootSystem:
             return self.layers[height]
         return ()
 
-    # -- highest root and dominance ---------------------------------------
+    # -- highest root --------------------------------------------------------
 
     def highest_root(self) -> Root:
         return self.layers[-1][0]
@@ -114,82 +127,35 @@ class RootSystem:
     def c_max(self) -> int:
         return max(self.highest_root().coeffs)
 
-    def dominates(self, alpha: Root, beta: Root) -> bool:
-        """Whether alpha - beta has only nonnegative coordinates."""
-        if len(alpha.coeffs) != len(beta.coeffs):
-            raise InvalidArgumentError("rank mismatch")
-        return all(a >= b for a, b in zip(alpha.coeffs, beta.coeffs))
+    # -- pairings and lengths ------------------------------------------------
 
-    # -- pairings, strings, lengths ----------------------------------------
-
-    def pairing(self, beta: Root, other: Root | int) -> int:
-        """<beta, gamma> = 2(beta, gamma)/(gamma, gamma), always an integer.
-
-        ``other`` is either a Root or a 1-based simple index.
-        """
-        if isinstance(other, int):
-            if not 1 <= other <= self.rank:
-                raise InvalidArgumentError(
-                    f"simple index {other} out of range 1..{self.rank}"
-                )
-            row = self.cartan.rows[other - 1]
-            return sum(r * b for r, b in zip(row, beta.coeffs))
-        if not any(other.coeffs):
-            raise InvalidArgumentError("pairing against the zero vector")
-        num = 2 * self.form.inner_int(beta.coeffs, other.coeffs)
-        den = self.form.inner_int(other.coeffs, other.coeffs)
-        q, rem = divmod(num, den)
-        if rem:
-            raise InternalInconsistencyError("pairing of roots must be integral")
-        return q
-
-    def root_string(self, beta: Root, i: int) -> tuple[int, int]:
-        """(p, q) with p = max k >= 0 such that beta - k*alpha_i is a root
-        (negatives included) and q = max k >= 0 with beta + k*alpha_i a root.
-        """
-        if beta.coeffs not in self._members:
-            raise InvalidArgumentError(f"{beta.coeffs} is not a positive root here")
+    def pairing(self, beta: Root, i: int) -> int:
+        """<beta, alpha_i> = 2(beta, alpha_i)/(alpha_i, alpha_i) for a 1-based
+        simple index i: row i of the Cartan matrix against beta."""
         if not 1 <= i <= self.rank:
             raise InvalidArgumentError(f"simple index {i} out of range 1..{self.rank}")
-        idx = i - 1
-        p = 0
-        for k in range(1, beta.height + 2):
-            down = tuple(
-                c - k if j == idx else c for j, c in enumerate(beta.coeffs)
-            )
-            if down in self._members or tuple(-c for c in down) in self._members:
-                p = k
-        q = 0
-        for k in range(1, self.max_height - beta.height + 1):
-            up = tuple(c + k if j == idx else c for j, c in enumerate(beta.coeffs))
-            if up in self._members:
-                q = k
-        if p - q != self.pairing(beta, i):
-            raise InternalInconsistencyError(
-                f"string through {beta.coeffs} along alpha_{i} violates p - q = pairing"
-            )
-        return p, q
+        row = self.cartan.rows[i - 1]
+        return sum(r * b for r, b in zip(row, beta.coeffs))
 
-    def norm_sq(self, beta: Root) -> Fraction:
-        return self.form.inner(beta.coeffs, beta.coeffs)
+    def norm_sq(self, beta: Root) -> int:
+        """(beta, beta) from ``form.int_gram``: 2 for a short root."""
+        return self.form.inner_int(beta.coeffs, beta.coeffs)
 
     @cached_property
-    def _max_norm_int(self) -> int:
-        return max(
-            self.form.inner_int(r.coeffs, r.coeffs) for r in self.positive_roots()
-        )
+    def _max_norm(self) -> int:
+        return max(self.norm_sq(r) for r in self.positive_roots())
 
     def is_long(self, beta: Root) -> bool:
-        return self.form.inner_int(beta.coeffs, beta.coeffs) == self._max_norm_int
+        return self.norm_sq(beta) == self._max_norm
 
     # -- graphs -------------------------------------------------------------
 
     @cached_property
     def graph(self) -> DynkinGraph:
-        return dynkin_graph(self.cartan, self.form)
+        return dynkin_graph(self.cartan)
 
     @cached_property
-    def extended_graph(self) -> ExtendedDynkinGraph:
+    def extended_graph(self) -> DynkinGraph:
         return extended_dynkin_graph(
             self.cartan, self.form, self.highest_root().coeffs
         )
@@ -257,12 +223,7 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
 
     root_layers = tuple(tuple(Root(c) for c in layer) for layer in layers)
     rs = RootSystem(cartan, form, root_layers, label)
-    top = root_layers[-1]
-    if len(top) != 1:
-        raise InternalInconsistencyError(
-            f"top height layer has {len(top)} roots; expected exactly one"
-        )
-    theta = top[0].coeffs
+    theta = rs.highest_root().coeffs
     for r in members:
         if not all(map(ge, theta, r)):
             raise InternalInconsistencyError(f"{theta} does not dominate {r}")

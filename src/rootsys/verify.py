@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .cartan import DynkinGraph
 from .errors import InternalInconsistencyError, InvalidArgumentError
 from .exponents import (
     ExponentReport,
@@ -60,9 +61,21 @@ class MarkChain:
     def vertices(self) -> tuple[int, ...]:
         return (0,) + self.simple_indices
 
-    @property
-    def size(self) -> int:
-        return len(self.marks)
+
+def _distances(graph: DynkinGraph, start: int) -> dict[int, int]:
+    """Edge count of a shortest path from start to every vertex, by
+    breadth-first search."""
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in graph.neighbors(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def mark_chain(rs: RootSystem) -> MarkChain:
@@ -81,29 +94,10 @@ def mark_chain(rs: RootSystem) -> MarkChain:
         return MarkChain((), (1,))
 
     ext = rs.extended_graph
-    dist = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in ext.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
+    dist = _distances(ext, 0)
     targets = [i for i in range(1, rs.rank + 1) if c[i - 1] == cmax]
     goal = min(targets, key=lambda i: (dist[i], i))
-
-    back = {goal: 0}
-    frontier = [goal]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in ext.neighbors(v):
-                if w not in back:
-                    back[w] = back[v] + 1
-                    nxt.append(w)
-        frontier = nxt
+    back = _distances(ext, goal)
 
     path = [0]
     while path[-1] != goal:
@@ -759,7 +753,6 @@ class VerificationLedger:
     """Per-system record: headline numbers plus one result per check."""
 
     label: str
-    rank: int
     c_max: int
     m2: int
     case: int | None
@@ -858,7 +851,6 @@ def build_ledger(rs: RootSystem) -> VerificationLedger:
     split = have.get("case split")
     return VerificationLedger(
         label=rs.label or "custom",
-        rank=rs.rank,
         c_max=rs.c_max(),
         m2=rep_c.exponents[1],
         case=split.case if split else None,

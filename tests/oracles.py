@@ -1,8 +1,9 @@
 """Independent oracles used only by the tests.
 
 These deliberately avoid the package's layer-by-layer enumeration and
-tabulated matrices: roots are produced by reflection closure, and small
-Cartan matrices are recomputed from exact simple-root geometry.
+tabulated matrices: roots are produced by reflection closure, small
+Cartan matrices are recomputed from exact simple-root geometry, and the
+Coxeter element is a dense product of reflection matrices.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from rootsys import CartanMatrix, symmetrizer
+from rootsys import CartanMatrix, InvalidArgumentError, symmetrizer
 
 
 def reflection_closure(cartan: CartanMatrix) -> frozenset[tuple[int, ...]]:
@@ -124,3 +125,69 @@ def two_of_three_triples(rs) -> list[tuple[tuple, tuple, tuple, bool]]:
                 roots = (ab in member) + (ac in member) + (bc in member)
                 out.append((a, b, c, roots >= 2))
     return out
+
+
+def _reflection_matrix(c: CartanMatrix, i: int) -> list[list[int]]:
+    # s_i(alpha_j) = alpha_j - a[i][j] * alpha_i, so s_i is the identity
+    # with row i of the Cartan matrix subtracted from row i.
+    n = c.rank
+    m = [[1 if r == k else 0 for k in range(n)] for r in range(n)]
+    for j in range(n):
+        m[i - 1][j] -= c.rows[i - 1][j]
+    return m
+
+
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def coxeter_matrix(c: CartanMatrix, order=None) -> tuple[tuple[int, ...], ...]:
+    """Dense matrix of the Coxeter element s_{o1} o s_{o2} o ... acting on
+    the root space in simple-root coordinates; ``order`` defaults to the
+    index-ascending product."""
+    order = list(range(1, c.rank + 1) if order is None else order)
+    m = _reflection_matrix(c, order[0])
+    for i in order[1:]:
+        m = _matmul(m, _reflection_matrix(c, i))
+    return tuple(tuple(row) for row in m)
+
+
+def coxeter_order(m, bound: int) -> int:
+    """Multiplicative order of an integer matrix, by exact powering."""
+    n = len(m)
+    identity = [[1 if r == k else 0 for k in range(n)] for r in range(n)]
+    p = [list(row) for row in m]
+    for k in range(1, bound + 1):
+        if p == identity:
+            return k
+        p = _matmul(p, [list(row) for row in m])
+    raise AssertionError(f"matrix order not found within {bound}")
+
+
+def pairing(rs, beta, gamma) -> int:
+    """<beta, gamma> = 2(beta, gamma)/(gamma, gamma) for two roots, from the
+    integer form; it must be an integer."""
+    num = 2 * rs.form.inner_int(beta.coeffs, gamma.coeffs)
+    q, rem = divmod(num, rs.form.inner_int(gamma.coeffs, gamma.coeffs))
+    assert rem == 0, "pairing of roots must be integral"
+    return q
+
+
+def root_string(rs, beta, i: int) -> tuple[int, int]:
+    """(p, q) with p = max k >= 0 such that beta - k*alpha_i is a root
+    (negatives included) and q = max k >= 0 with beta + k*alpha_i a root."""
+    if beta.coeffs not in rs:
+        raise InvalidArgumentError(f"{beta.coeffs} is not a positive root here")
+    idx = i - 1
+    p = 0
+    for k in range(1, beta.height + 2):
+        down = tuple(c - k if j == idx else c for j, c in enumerate(beta.coeffs))
+        if down in rs or tuple(-c for c in down) in rs:
+            p = k
+    q = 0
+    for k in range(1, rs.max_height - beta.height + 1):
+        up = tuple(c + k if j == idx else c for j, c in enumerate(beta.coeffs))
+        if up in rs:
+            q = k
+    return p, q

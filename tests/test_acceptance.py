@@ -75,7 +75,7 @@ def test_criterion_2_g2_criterion(sweep_data):
     g2, rep_d = sweep_data["G2"][0], sweep_data["G2"][1]
     assert g2.c_max() == 3 and rep_d.exponents[1] == 5
     ledgers = [
-        R.VerificationLedger(label, rs.rank, rs.c_max(), rep.exponents[1],
+        R.VerificationLedger(label, rs.c_max(), rep.exponents[1],
                              split.case, split.witness, {})
         for label, (rs, rep, _, _, split) in sweep_data.items()
     ]
@@ -108,7 +108,7 @@ def test_criterion_4_duality_identities(sweep_data):
 def test_criterion_5_structure_theorems(sweep_data):
     for label, (rs, rep_d, _, top, split) in sweep_data.items():
         chain = R.mark_chain(rs)
-        assert chain.size == rs.c_max(), label
+        assert len(chain.marks) == rs.c_max(), label
         assert chain.marks == tuple(range(1, rs.c_max() + 1)), label
         res = check_chains_coincide(rs, chain, top)
         assert res.passed, (label, res.counterexamples)

@@ -268,7 +268,7 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
 
     def fake_ledger(rs, **kwargs):
         return VerificationLedger(
-            rs.label or "custom", rs.rank, 1, 2, 2, None,
+            rs.label or "custom", 1, 2, 2, None,
             {"main_relation": CheckResult("main_relation", False, [{"boom": 1}])},
         )
 

@@ -1,0 +1,81 @@
+"""Dead-name guard: every function, method and class defined in the package
+is used by the package itself.
+
+A name counts as used when some ``Name`` or attribute access with that
+name appears in ``src/rootsys`` outside the name's own definition.  Names
+that ``rootsys/__init__.py`` exports, dunders and the ``run`` console
+entry point are the package's surface and are exempt.  Code kept only for
+the tests belongs in ``tests/``.
+"""
+
+import ast
+from pathlib import Path
+
+import rootsys
+
+PACKAGE = Path(rootsys.__file__).resolve().parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def _exported(init: ast.Module) -> set[str]:
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _used_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def dead_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Definitions no code in the package refers to, as ``file:line name``."""
+    exempt = _exported(trees["__init__.py"]) | {"run"}
+    uses: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = _used_name(node)
+            if name is not None:
+                uses.setdefault(name, []).append(node)
+    dead = []
+    for filename, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFINITIONS):
+                continue
+            name = node.name
+            if name in exempt or (name.startswith("__") and name.endswith("__")):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if all(id(use) in inside for use in uses.get(name, ())):
+                dead.append(f"{filename}:{node.lineno} {name}")
+    return dead
+
+
+def test_no_dead_names():
+    assert dead_names(_trees()) == []
+
+
+def test_guard_flags_an_unused_method():
+    # the guard itself must fail on a name used only inside its own body
+    source = (
+        "class Graph:\n"
+        "    def walk(self):\n"
+        "        return self.walk()\n"
+        "def build():\n"
+        "    return Graph()\n"
+    )
+    trees = {"__init__.py": ast.parse("from .g import build\n"), "g.py": ast.parse(source)}
+    assert dead_names(trees) == ["g.py:2 walk"]

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import random
 
 import pytest
 
@@ -53,7 +54,7 @@ def test_mark_chain_sizes(system):
     for label in sweep_labels(12):
         rs = system(label)
         chain = R.mark_chain(rs)
-        assert chain.size == rs.c_max(), label
+        assert len(chain.marks) == rs.c_max(), label
         assert chain.marks == tuple(range(1, rs.c_max() + 1))
 
 
@@ -406,6 +407,49 @@ def test_ledger_builds_each_structure_once(system, monkeypatch):
         calls.clear()
         assert R.build_ledger(system(label)).passed, label
         assert calls == dict.fromkeys(shared, 1), (label, calls)
+
+
+def test_constructor_rejects_malformed_layers(system):
+    # each type of rank 2-9 with its only top root dropped: such a system
+    # used to reach build_ledger and raise IndexError from highest_root
+    labels = sweep_labels(9)
+    assert len(labels) == 35
+    for label in labels:
+        rs = system(label)
+        with pytest.raises(InvalidArgumentError, match="top height layer has 0 roots"):
+            R.RootSystem(rs.cartan, rs.form, rs.layers[:-1] + ((),), None)
+    b3 = system("B3")
+    theta = b3.highest_root()
+    for layers, why in (
+        (b3.layers[:3], "top height layer has 2 roots"),
+        (((theta,),) + b3.layers[1:], "layer 0"),
+        (b3.layers[:2] + (b3.layers[2] + (theta,),) + b3.layers[3:], "filed under 2"),
+        ((), "layer 0"),
+        (((),), "top height layer has 0 roots"),
+    ):
+        with pytest.raises(InvalidArgumentError, match=why):
+            R.RootSystem(b3.cartan, b3.form, layers, None)
+
+
+def test_relabeled_ledgers_pass(system):
+    # the checks must not lean on the Bourbaki labeling: permuting the
+    # simple roots keeps every ledger passing with the same headline
+    rng = random.Random(2017)
+    for label in sweep_labels(9):
+        rs = system(label)
+        canonical = R.build_ledger(rs)
+        rows = rs.cartan.rows
+        for _ in range(4):
+            perm = rng.sample(range(rs.rank), rs.rank)
+            c = R.validate_cartan([[rows[a][b] for b in perm] for a in perm])
+            led = R.build_ledger(R.enumerate_roots(c))
+            failed = [n for n, r in led.checks.items() if not r.passed]
+            assert not failed, (label, perm, failed)
+            assert (led.c_max, led.m2, led.case) == (
+                canonical.c_max,
+                canonical.m2,
+                canonical.case,
+            ), (label, perm)
 
 
 def test_ledger_rejects_rank_one(system):
