@@ -14,8 +14,7 @@ Conventions, fixed here and relied on by every other module:
 * Simple-root indices are 1-based throughout the public API.  The affine
   vertex of an extended graph is vertex 0.
 
-Everything is exact: d is kept as rationals and the form as integers,
-never floats.
+Everything is exact: d and the form are integers, never floats.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -292,14 +290,13 @@ def build_cartan(t: RankedType | str) -> CartanMatrix:
 
 @dataclass(frozen=True)
 class SymmetrizedForm:
-    """Rational d with diag(d)*A symmetric and min(d) = 1, plus the Gram data.
+    """Integer d with diag(d)*A symmetric and min(d) = 1, plus the Gram data.
 
-    int_gram[i][j] is (alpha_i, alpha_j) = d_i * a[i][j] scaled by the lcm
-    of its denominators, so that every form value is a plain integer.  For
-    a Cartan matrix of finite type d is integral and the scale is 1.
+    int_gram[i][j] is (alpha_i, alpha_j) = d_i * a[i][j], so that every
+    form value is a plain integer.
     """
 
-    d: tuple[Fraction, ...]
+    d: tuple[int, ...]
     int_gram: tuple[tuple[int, ...], ...]
 
     @property
@@ -307,8 +304,7 @@ class SymmetrizedForm:
         return len(self.d)
 
     def inner_int(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """(x, y) for coefficient vectors over the simple basis, scaled to
-        integers (positive global factor)."""
+        """(x, y) for coefficient vectors over the simple basis."""
         total = 0
         for i, xi in enumerate(x):
             if xi:
@@ -318,22 +314,18 @@ class SymmetrizedForm:
 
 
 def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
-    """The unique min-normalised d making diag(d)*A symmetric."""
+    """The unique min-normalised d making diag(d)*A symmetric; for a Cartan
+    matrix of finite type every d_i is an integer."""
     rows = c.rows
-    n = c.rank
-    d = _propagate_d(rows)
-    if d is None:  # unreachable for validated matrices
+    ratios = _propagate_d(rows)
+    if ratios is None:  # unreachable for validated matrices
         raise InternalInconsistencyError("validated matrix is not symmetrizable")
-    low = min(d)
-    d = tuple(x / low for x in d)
-    zero = Fraction(0)
-    gram = tuple(
-        tuple(d[i] * a if a else zero for a in rows[i]) for i in range(n)
-    )
-    scale = lcm(*(x.denominator for row in gram for x in row))
-    int_gram = tuple(
-        tuple(x.numerator * (scale // x.denominator) for x in row) for row in gram
-    )
+    low = min(ratios)
+    scaled = [x / low for x in ratios]
+    if any(x.denominator != 1 for x in scaled):
+        raise InternalInconsistencyError("symmetrizer is not integral")
+    d = tuple(x.numerator for x in scaled)
+    int_gram = tuple(tuple(di * a for a in row) for di, row in zip(d, rows))
     if int_gram != tuple(zip(*int_gram)):
         raise InternalInconsistencyError("symmetrization failed")
     return SymmetrizedForm(d=d, int_gram=int_gram)

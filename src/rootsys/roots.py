@@ -2,7 +2,11 @@
 the highest root.
 
 Only positive roots are stored; a negative root is the negated coefficient
-tuple of a positive one.
+tuple of a positive one.  ``RootSystem.pairings`` is the one table of
+coroot pairings: each signed root's coefficient tuple maps to its vector
+(<beta, alpha_1>, ..., <beta, alpha_l>), positives first in
+``positive_roots()`` order, then their negatives.  It is built lazily, on
+first use, from the Cartan rows and the system's own layers.
 """
 
 from __future__ import annotations
@@ -129,24 +133,38 @@ class RootSystem:
 
     # -- pairings and lengths ------------------------------------------------
 
+    @cached_property
+    def pairings(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Signed root -> its pairings against every simple coroot: row i of
+        the Cartan matrix against beta, over the row's nonzero entries."""
+        rows = [[(j, a) for j, a in enumerate(row) if a] for row in self.cartan.rows]
+        pos = {
+            r.coeffs: tuple(sum(a * r.coeffs[j] for j, a in row) for row in rows)
+            for r in self.positive_roots()
+        }
+        neg = {
+            tuple(-c for c in v): tuple(-p for p in pv) for v, pv in pos.items()
+        }
+        return pos | neg
+
     def pairing(self, beta: Root, i: int) -> int:
-        """<beta, alpha_i> = 2(beta, alpha_i)/(alpha_i, alpha_i) for a 1-based
-        simple index i: row i of the Cartan matrix against beta."""
+        """<beta, alpha_i> = 2(beta, alpha_i)/(alpha_i, alpha_i) for a root
+        of this system and a 1-based simple index i."""
         if not 1 <= i <= self.rank:
             raise InvalidArgumentError(f"simple index {i} out of range 1..{self.rank}")
-        row = self.cartan.rows[i - 1]
-        return sum(r * b for r, b in zip(row, beta.coeffs))
+        self.root(beta.coeffs)  # raises for a root not in this system
+        return self.pairings[beta.coeffs][i - 1]
 
     def norm_sq(self, beta: Root) -> int:
         """(beta, beta) from ``form.int_gram``: 2 for a short root."""
         return self.form.inner_int(beta.coeffs, beta.coeffs)
 
     @cached_property
-    def _max_norm(self) -> int:
+    def max_norm(self) -> int:
         return max(self.norm_sq(r) for r in self.positive_roots())
 
     def is_long(self, beta: Root) -> bool:
-        return self.norm_sq(beta) == self._max_norm
+        return self.norm_sq(beta) == self.max_norm
 
     # -- graphs -------------------------------------------------------------
 

@@ -39,7 +39,7 @@ from .exponents import (
     dual_partition,
     height_distribution,
 )
-from .roots import Root, RootSystem
+from .roots import Root, RootSystem, build_system
 
 COUNTEREXAMPLE_CAP = 8
 
@@ -458,6 +458,11 @@ def check_lengths(rs: RootSystem, split: CaseSplit) -> CheckResult:
 # exhaustive root-poset scans
 # ---------------------------------------------------------------------------
 
+def _down(v: tuple[int, ...], i: int, k: int = 1) -> tuple[int, ...]:
+    """v - k*alpha_i for a 1-based simple index i."""
+    return v[: i - 1] + (v[i - 1] - k,) + v[i:]
+
+
 def check_string_descent(rs: RootSystem) -> CheckResult:
     """Whenever a positive root pairs to k in {2, 3} against a simple root
     other than itself, some other simple root can be subtracted after
@@ -466,26 +471,14 @@ def check_string_descent(rs: RootSystem) -> CheckResult:
     cx: list = []
     checked = 0
     for beta in rs.positive_roots():
-        for i in range(1, n + 1):
-            k = rs.pairing(beta, i)
+        if beta.height == 1:  # beta == alpha_i is the only height-1 hit
+            continue
+        for i, k in enumerate(rs.pairings[beta.coeffs], start=1):
             if k not in (2, 3):
                 continue
-            if beta.height == 1:  # beta == alpha_i is the only height-1 hit
-                continue
             checked += 1
-            base = list(beta.coeffs)
-            base[i - 1] -= k - 1
-            found = False
-            for j in range(1, n + 1):
-                if j == i:
-                    continue
-                cand = tuple(
-                    b - (1 if idx == j - 1 else 0) for idx, b in enumerate(base)
-                )
-                if cand in rs:
-                    found = True
-                    break
-            if not found:
+            base = _down(beta.coeffs, i, k - 1)
+            if not any(_down(base, j) in rs for j in range(1, n + 1) if j != i):
                 cx.append({"beta": list(beta.coeffs), "alpha": i, "k": k})
     return CheckResult("string_descent", not cx, cx, f"{checked} applicable pairs")
 
@@ -494,43 +487,36 @@ def check_no_detour(rs: RootSystem) -> CheckResult:
     """When a root pairs to 3 against the only simple root it can step down
     by, there is no second simple root to step down through."""
     n = rs.rank
+    table = rs.pairings
     cx: list = []
     checked = 0
     for beta in rs.positive_roots():
-        droppable = [
-            j
-            for j in range(1, n + 1)
-            if tuple(
-                b - (1 if idx == j - 1 else 0) for idx, b in enumerate(beta.coeffs)
-            )
-            in rs
-        ]
-        for i in range(1, n + 1):
-            if rs.pairing(beta, i) != 3 or droppable != [i]:
+        c = beta.coeffs
+        pv = table[c]
+        if 3 not in pv:
+            continue
+        droppable = [j for j in range(1, n + 1) if _down(c, j) in rs]
+        for i, p in enumerate(pv, start=1):
+            if p != 3 or droppable != [i]:
                 continue
             checked += 1
             for j in range(1, n + 1):
-                if j == i:
-                    continue
-                down = tuple(
-                    b - (1 if idx == i - 1 else 0) - (1 if idx == j - 1 else 0)
-                    for idx, b in enumerate(beta.coeffs)
-                )
-                if down in rs or tuple(-x for x in down) in rs:
+                # beta - alpha_i - alpha_j, as a positive or a negative root
+                if j != i and _down(_down(c, i), j) in table:
                     cx.append({"beta": list(beta.coeffs), "alpha": i, "detour": j})
     return CheckResult("no_detour", not cx, cx, f"{checked} applicable pairs")
 
 
 @dataclass(frozen=True)
 class WeylOrbits:
-    """The signed roots split into orbits under the simple reflections.
+    """The signed roots (the keys of ``RootSystem.pairings``) split into
+    orbits under the simple reflections.
 
     ``escapes`` lists every (root, i, image) whose image under s_i is not
     a signed root; when it is empty the set is Weyl-stable and each orbit
     is a W-orbit, since the simple reflections generate W.
     """
 
-    signed: tuple[tuple[int, ...], ...]
     representatives: tuple[tuple[int, ...], ...]
     escapes: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
 
@@ -538,13 +524,11 @@ class WeylOrbits:
 def weyl_orbits(rs: RootSystem) -> WeylOrbits:
     """Close the signed roots under s_i(v) = v - <v, alpha_i> alpha_i,
     keeping the first root met in each orbit as its representative."""
-    pos = [r.coeffs for r in rs.positive_roots()]
-    signed = pos + [tuple(-c for c in v) for v in pos]
-    member = set(signed)
+    table = rs.pairings
     seen: set[tuple[int, ...]] = set()
     reps = []
     escapes = []
-    for start in signed:
+    for start in table:
         if start in seen:
             continue
         reps.append(start)
@@ -552,17 +536,16 @@ def weyl_orbits(rs: RootSystem) -> WeylOrbits:
         stack = [start]
         while stack:
             v = stack.pop()
-            for i, row in enumerate(rs.cartan.rows):
-                p = sum(a * x for a, x in zip(row, v))
+            for i, p in enumerate(table[v]):
                 if not p:
                     continue
                 w = v[:i] + (v[i] - p,) + v[i + 1 :]
-                if w not in member:
+                if w not in table:
                     escapes.append((v, i + 1, w))
                 elif w not in seen:
                     seen.add(w)
                     stack.append(w)
-    return WeylOrbits(tuple(signed), tuple(reps), tuple(escapes))
+    return WeylOrbits(tuple(reps), tuple(escapes))
 
 
 def _not_weyl_stable(name: str, orbits: WeylOrbits) -> CheckResult:
@@ -588,22 +571,23 @@ def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     """
     if orbits.escapes:
         return _not_weyl_stable("long_pair_positive", orbits)
-    member = set(orbits.signed)
+    table = rs.pairings
     form = rs.form
-    max_norm = max(form.inner_int(v, v) for v in orbits.signed)
-    long_reps = [r for r in orbits.representatives if form.inner_int(r, r) == max_norm]
+    long_reps = [
+        r for r in orbits.representatives if form.inner_int(r, r) == rs.max_norm
+    ]
     cx: list = []
     checked = 0
     for r in long_reps:
-        for b in orbits.signed:
-            if tuple(x - y for x, y in zip(r, b)) not in member:
+        for b in table:
+            if tuple(x - y for x, y in zip(r, b)) not in table:
                 continue
             checked += 1
             if form.inner_int(r, b) <= 0 and len(cx) < COUNTEREXAMPLE_CAP:
                 cx.append({"beta1": list(r), "beta2": list(b)})
     note = (
         f"exhaustive over {_orbit_count(len(long_reps), 'long ')}: "
-        f"{len(orbits.signed)} signed roots, {checked} qualifying pairs"
+        f"{len(table)} signed roots, {checked} qualifying pairs"
     )
     return CheckResult("long_pair_positive", not cx, cx, note)
 
@@ -620,7 +604,7 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     """
     if orbits.escapes:
         return _not_weyl_stable("two_of_three_sums", orbits)
-    vs = orbits.signed
+    vs = list(rs.pairings)
     base = 6 * max(abs(c) for v in vs for c in v) + 1
     powers = [base**k for k in range(rs.rank)]
 
@@ -880,8 +864,6 @@ def g2_criterion_report(ledgers: Iterable[VerificationLedger]) -> dict:
     has_g2 = any(l.label == "G2" for l in ledgers)
     graph = None
     if has_g2:
-        from .roots import build_system
-
         graph = g2_graph_report(build_system("G2"))
     ok = (
         has_g2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import rootsys as R
 from rootsys.errors import (
+    InternalInconsistencyError,
     InvalidArgumentError,
     InvalidCartanError,
     InvalidTypeError,
@@ -100,11 +101,18 @@ def test_symmetrizer_exactly_symmetric_everywhere():
         form = R.symmetrizer(c)
         n = c.rank
         assert min(form.d) == 1
+        assert all(type(x) is int for x in form.d)
         for i in range(n):
             for j in range(n):
                 assert form.d[i] * c.rows[i][j] == form.d[j] * c.rows[j][i]
                 assert form.int_gram[i][j] == form.int_gram[j][i]
                 assert form.int_gram[i][j] == form.d[i] * c.rows[i][j]
+
+
+def test_symmetrizer_rejects_non_integral_d():
+    # d = (3/2, 1) symmetrizes this matrix, which is not of finite type
+    with pytest.raises(InternalInconsistencyError, match="not integral"):
+        R.symmetrizer(R.CartanMatrix(((2, -2), (-3, 2))))
 
 
 # -- validation rejections -------------------------------------------------------

@@ -27,6 +27,8 @@ GOLDEN = {
         "073477731f5076f42d75fb4b785a859d588dcd48c77f182c33ca6e5866a3d5f0",
     ("verify", "--all", "--max-rank", "12"):
         "03bbd5a4189360e1b48e856d759499d0ab42753fc972dfff9458d5550abca6be",
+    ("verify", "--all", "--max-rank", "20"):
+        "c3e93c2bb08a77869773397b6a0b0cc92b97a23420b8cdbcd6aad592b1147766",
 }
 
 awkward_text = st.text(

@@ -165,6 +165,8 @@ def test_pairing_bad_index(system):
         rs.pairing(rs.root((1, 0)), 3)
     with pytest.raises(InvalidArgumentError):
         rs.pairing(rs.root((1, 0)), 0)
+    with pytest.raises(InvalidArgumentError, match="not a positive root"):
+        rs.pairing(R.Root((2, 0)), 1)
 
 
 # -- strings --------------------------------------------------------------------

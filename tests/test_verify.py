@@ -1,6 +1,7 @@
 """Chain structures, the case split, and the structural checks."""
 
 import collections
+import functools
 import itertools
 import random
 
@@ -8,6 +9,7 @@ import pytest
 
 import rootsys as R
 import rootsys.verify as V
+from rootsys.cli import main
 from rootsys.errors import InvalidArgumentError
 from rootsys.verify import (
     COUNTEREXAMPLE_CAP,
@@ -299,13 +301,34 @@ def test_two_of_three_differential_oracle(system):
         assert _scan_both(_with_doubles(system(label))) == (False, False), label
 
 
+def test_pairing_table(system):
+    # keys: the signed roots, positives in positive_roots() order, then
+    # their negatives; values: 2(beta, alpha_i)/(alpha_i, alpha_i) from the
+    # integer form, for valid and hand-built systems alike
+    systems = [system(str(t)) for t in R.all_types(6)]
+    systems += [_swap_one_root(rs, 2) for rs in systems if rs.max_height > 2]
+    systems += [_with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
+    for rs in systems:
+        pos = [r.coeffs for r in rs.positive_roots()]
+        assert list(rs.pairings) == pos + [tuple(-c for c in v) for v in pos]
+        gram = rs.form.int_gram
+        for v, pv in rs.pairings.items():
+            oracle = []
+            for i in range(rs.rank):
+                num = 2 * sum(c * gram[j][i] for j, c in enumerate(v))
+                q, rem = divmod(num, gram[i][i])
+                assert rem == 0
+                oracle.append(q)
+            assert pv == tuple(oracle), (rs.label, v)
+
+
 def test_weyl_orbits(system):
     # W is transitive on the roots of each length
     for label, root_lengths in (("A4", 1), ("G2", 2), ("F4", 2), ("E6", 1)):
         rs = system(label)
         orbits = weyl_orbits(rs)
         assert len(orbits.representatives) == root_lengths, label
-        assert orbits.escapes == () and len(orbits.signed) == 2 * rs.num_positive
+        assert orbits.escapes == () and len(rs.pairings) == 2 * rs.num_positive
 
 
 def test_scans_fail_on_swapped_root(system):
@@ -319,8 +342,8 @@ def test_scans_fail_on_swapped_root(system):
         assert res.note.startswith("not Weyl-stable")
         assert len(res.counterexamples) == min(len(escapes), COUNTEREXAMPLE_CAP)
         cx = res.counterexamples[0]
-        assert tuple(cx["root"]) in orbits.signed
-        assert tuple(cx["image"]) not in orbits.signed
+        assert tuple(cx["root"]) in bad.pairings
+        assert tuple(cx["image"]) not in bad.pairings
 
 
 def test_long_pair_positive(system):
@@ -393,7 +416,7 @@ def test_ledger_reports_non_simple_step(system):
         assert led.checks[name].note == "blocked: case split unavailable", name
 
 
-def test_ledger_builds_each_structure_once(system, monkeypatch):
+def test_ledger_builds_each_structure_once(monkeypatch, capsys):
     calls = collections.Counter()
     shared = ("dual_partition", "top_chain", "classify_case", "mark_chain", "weyl_orbits")
     for name in shared:
@@ -403,10 +426,25 @@ def test_ledger_builds_each_structure_once(system, monkeypatch):
             return _build(*args)
 
         monkeypatch.setattr(V, name, counted)
+    build_table = R.RootSystem.pairings.func
+
+    def counted_table(rs):
+        calls["pairings"] += 1
+        return build_table(rs)
+
+    table = functools.cached_property(counted_table)
+    table.__set_name__(R.RootSystem, "pairings")
+    monkeypatch.setattr(R.RootSystem, "pairings", table)
     for label in sweep_labels(8):
         calls.clear()
-        assert R.build_ledger(system(label)).passed, label
-        assert calls == dict.fromkeys(shared, 1), (label, calls)
+        assert R.build_ledger(R.build_system(label)).passed, label
+        assert calls == dict.fromkeys(shared + ("pairings",), 1), (label, calls)
+    # gen and exponents never need the pairing table
+    calls.clear()
+    assert main(["gen", "--all", "--max-rank", "8"]) == 0
+    assert main(["exponents", "--all", "--max-rank", "8", "--method", "both"]) == 0
+    capsys.readouterr()
+    assert calls["pairings"] == 0
 
 
 def test_constructor_rejects_malformed_layers(system):
