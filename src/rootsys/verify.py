@@ -17,18 +17,24 @@ break turns out broken.
 
 The ledger builds each structure the checks share once per system: the
 dual exponents, the top chain, its case split, the mark chain and the
-Weyl orbits.  Its checks come from one ordered registry of
-(name, needs, fn) rows, where needs names the structures fn takes, in
-order.  A check that raises is reported as an error.  A structure whose
-builder raised is reported as an error by the first check that needs
-it.  Every other check that needs a missing structure is reported as
-blocked, naming that structure if its builder raised, else the missing
-input that kept it from being built.
+Weyl orbits.  On a Weyl-stable set the orbits carry each orbit's dominant
+member lambda and the orbits of its stabilizer W_J (Humphreys, Reflection
+Groups and Coxeter Groups, 1.12), so the two lemma scans fix their first
+root to lambda and their second to one member per W_J-orbit.  The
+ledger's checks come from one ordered registry of (name, needs, fn)
+rows, where needs names the structures fn takes, in order.  A check that
+raises is reported as an error.  A structure whose builder raised is
+reported as an error by the first check that needs it.  Every other
+check that needs a missing structure is reported as blocked, naming that
+structure if its builder raised, else the missing input that kept it
+from being built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import mul
 from typing import Iterable
 
 from .cartan import DynkinGraph
@@ -501,8 +507,7 @@ def check_no_detour(rs: RootSystem) -> CheckResult:
                 continue
             checked += 1
             for j in range(1, n + 1):
-                # beta - alpha_i - alpha_j, as a positive or a negative root
-                if j != i and _down(_down(c, i), j) in table:
+                if j != i and _down(_down(c, i), j) in rs:
                     cx.append({"beta": list(beta.coeffs), "alpha": i, "detour": j})
     return CheckResult("no_detour", not cx, cx, f"{checked} applicable pairs")
 
@@ -514,38 +519,84 @@ class WeylOrbits:
 
     ``escapes`` lists every (root, i, image) whose image under s_i is not
     a signed root; when it is empty the set is Weyl-stable and each orbit
-    is a W-orbit, since the simple reflections generate W.
+    is a W-orbit, since the simple reflections generate W.  Each
+    representative is then the orbit's dominant member lambda, with every
+    pairing <lambda, alpha_i> >= 0, and ``stabilizer_orbits`` holds, per
+    representative, the orbits of all signed roots under its stabilizer
+    W_J, J = {i : <lambda, alpha_i> = 0}, as (member, size) pairs.  With
+    escapes the representatives are the first roots met and
+    ``stabilizer_orbits`` is empty.
     """
 
     representatives: tuple[tuple[int, ...], ...]
     escapes: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
+    stabilizer_orbits: tuple[tuple[tuple[tuple[int, ...], int], ...], ...] = ()
+
+
+def _close(moves: list, gens: set[int]) -> tuple[list, list]:
+    """Close the signed roots, numbered in table order, under the simple
+    reflections s_i with 0-based i in gens.  moves[k] lists (i, p, j) for
+    each i with p = <v, alpha_i> nonzero, where v is root k and j is the
+    number of s_i(v) = v - p alpha_i, or -1 if that is not a signed root.
+    Returns each orbit as (first root number met, size) and every (k, i, p)
+    whose image escapes."""
+    seen = [False] * len(moves)
+    orbits = []
+    escapes = []
+    for start in range(len(moves)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        size = 0
+        while stack:
+            k = stack.pop()
+            size += 1
+            for i, p, j in moves[k]:
+                if i not in gens:
+                    continue
+                if j < 0:
+                    escapes.append((k, i, p))
+                elif not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        orbits.append((start, size))
+    return orbits, escapes
 
 
 def weyl_orbits(rs: RootSystem) -> WeylOrbits:
-    """Close the signed roots under s_i(v) = v - <v, alpha_i> alpha_i,
-    keeping the first root met in each orbit as its representative."""
+    """Close the signed roots under the simple reflections.  On a
+    Weyl-stable set, walk each orbit's first root up to its dominant
+    member, reflecting while some pairing is negative (each step raises
+    the height, and each W-orbit meets the dominant chamber once), and
+    close the signed roots again under that member's stabilizer."""
+    n = rs.rank
     table = rs.pairings
-    seen: set[tuple[int, ...]] = set()
+    vs = list(table)
+    number = {v: k for k, v in enumerate(vs)}
+    # each root's nonzero reflections, built once for every closure below
+    moves = []
+    for v, pv in table.items():
+        row = []
+        for i in compress(range(n), pv):
+            p = pv[i]
+            row.append((i, p, number.get(v[:i] + (v[i] - p,) + v[i + 1 :], -1)))
+        moves.append(row)
+    orbits, escapes = _close(moves, set(range(n)))
+    if escapes:
+        return WeylOrbits(
+            tuple(vs[k] for k, _ in orbits),
+            tuple((vs[k], i + 1, _down(vs[k], i + 1, p)) for k, i, p in escapes),
+        )
     reps = []
-    escapes = []
-    for start in table:
-        if start in seen:
-            continue
-        reps.append(start)
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for i, p in enumerate(table[v]):
-                if not p:
-                    continue
-                w = v[:i] + (v[i] - p,) + v[i + 1 :]
-                if w not in table:
-                    escapes.append((v, i + 1, w))
-                elif w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return WeylOrbits(tuple(reps), tuple(escapes))
+    stabilizer_orbits = []
+    for k, _ in orbits:
+        while up := [j for _, p, j in moves[k] if p < 0]:
+            k = up[0]
+        J = set(range(n)).difference(i for i, _, _ in moves[k])
+        reps.append(vs[k])
+        stabilizer_orbits.append(tuple((vs[b], size) for b, size in _close(moves, J)[0]))
+    return WeylOrbits(tuple(reps), (), tuple(stabilizer_orbits))
 
 
 def _not_weyl_stable(name: str, orbits: WeylOrbits) -> CheckResult:
@@ -566,27 +617,34 @@ def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     """Signed root pairs whose difference is a root and which contain a long
     root have strictly positive inner product.
 
-    Both conditions are Weyl-invariant, so the long root is fixed to one
-    representative of each long orbit and only its partner is scanned.
+    Both conditions are Weyl-invariant, so the long root is fixed to the
+    dominant member lambda of each long orbit, and its partner to one
+    member of each orbit of lambda's stabilizer, counted with the orbit's
+    size: O(orbits * stabilizer orbits) pairs instead of O(N^2).  The
+    inner product is (lambda, b) = sum_i lambda_i d_i <b, alpha_i>.
     """
     if orbits.escapes:
         return _not_weyl_stable("long_pair_positive", orbits)
     table = rs.pairings
-    form = rs.form
-    long_reps = [
-        r for r in orbits.representatives if form.inner_int(r, r) == rs.max_norm
-    ]
+    scaled = {r: [x * d for x, d in zip(r, rs.form.d)] for r in orbits.representatives}
+    norm = {r: sum(map(mul, rd, table[r])) for r, rd in scaled.items()}
+    top = max(norm.values())  # every root lies in some orbit
+    long_reps = 0
     cx: list = []
     checked = 0
-    for r in long_reps:
-        for b in table:
+    for r, partners in zip(orbits.representatives, orbits.stabilizer_orbits):
+        if norm[r] != top:
+            continue
+        long_reps += 1
+        rd = scaled[r]
+        for b, size in partners:
             if tuple(x - y for x, y in zip(r, b)) not in table:
                 continue
-            checked += 1
-            if form.inner_int(r, b) <= 0 and len(cx) < COUNTEREXAMPLE_CAP:
+            checked += size
+            if sum(map(mul, rd, table[b])) <= 0 and len(cx) < COUNTEREXAMPLE_CAP:
                 cx.append({"beta1": list(r), "beta2": list(b)})
     note = (
-        f"exhaustive over {_orbit_count(len(long_reps), 'long ')}: "
+        f"exhaustive over {_orbit_count(long_reps, 'long ')}: "
         f"{len(table)} signed roots, {checked} qualifying pairs"
     )
     return CheckResult("long_pair_positive", not cx, cx, note)
@@ -596,50 +654,54 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     """For signed root triples with nonzero pairwise sums whose total is a
     root, at least two of the pairwise sums are roots.
 
-    Both conditions are Weyl-invariant, so the first root is fixed to one
-    representative per orbit and every pair b <= c is scanned: O(orbits * N^2)
-    instead of O(N^3).  Roots are encoded as integers linear in their
-    coefficients, with a base wide enough that sums of three roots never
-    collide, so vector sums become integer sums.
+    Both conditions are Weyl-invariant, so the first root is fixed to the
+    dominant member lambda of each orbit, and the second to one member of
+    each orbit of lambda's stabilizer, counted with the orbit's size, while
+    the third runs over every signed root: O(orbits * stabilizer orbits * N)
+    instead of O(N^3).  The ordered pairs (b, c) so counted, plus the
+    diagonal ones (b, b), make twice the number of pairs b <= c.  Roots
+    are encoded as integers linear in their coefficients, with a base wide
+    enough that sums of three roots never collide, so vector sums become
+    integer sums.
     """
     if orbits.escapes:
         return _not_weyl_stable("two_of_three_sums", orbits)
     vs = list(rs.pairings)
-    base = 6 * max(abs(c) for v in vs for c in v) + 1
+    base = 6 * max(map(max, vs)) + 1  # the largest |coefficient|, on a positive root
     powers = [base**k for k in range(rs.rank)]
 
     def key(v: tuple[int, ...]) -> int:
-        return sum(c * p for c, p in zip(v, powers))
+        return sum(map(mul, v, powers))
 
     keys = [key(v) for v in vs]
     member = set(keys)
-    n = len(vs)
     checked = 0
     cx: list = []
-    for r in orbits.representatives:
+    for r, partners in zip(orbits.representatives, orbits.stabilizer_orbits):
         kr = key(r)
         with_r = [kr + k for k in keys]
-        for b in range(n):
-            rb = with_r[b]
+        ordered = diagonal = 0
+        for b, size in partners:
+            kb = key(b)
+            rb = kr + kb
             if not rb:
                 continue
-            kb = keys[b]
             rb_root = rb in member
-            for c in range(b, n):
-                kc = keys[c]
-                rc = with_r[c]
+            diagonal += size * (rb + kb in member)
+            hits = 0
+            for kc, rc, c in zip(keys, with_r, vs):
                 bc = kb + kc
                 if not rc or not bc or rb + kc not in member:
                     continue
-                checked += 1
+                hits += 1
                 roots = rb_root + (rc in member) + (bc in member)
                 if roots < 2 and len(cx) < COUNTEREXAMPLE_CAP:
-                    cx.append(
-                        {"beta1": list(r), "beta2": list(vs[b]), "beta3": list(vs[c])}
-                    )
+                    cx.append({"beta1": list(r), "beta2": list(b), "beta3": list(c)})
+            ordered += size * hits
+        checked += (ordered + diagonal) // 2
     note = (
         f"exhaustive over {_orbit_count(len(orbits.representatives), '')}: "
-        f"{n} signed roots, {checked} qualifying triples"
+        f"{len(vs)} signed roots, {checked} qualifying triples"
     )
     return CheckResult("two_of_three_sums", not cx, cx, note)
 

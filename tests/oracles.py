@@ -191,3 +191,54 @@ def root_string(rs, beta, i: int) -> tuple[int, int]:
         if up in rs:
             q = k
     return p, q
+
+
+def _form_pairing(gram, v, i: int) -> int:
+    """<v, alpha_i> = 2(v, alpha_i)/(alpha_i, alpha_i) from the integer Gram
+    matrix, for a 0-based index i; it must be an integer."""
+    q, rem = divmod(2 * sum(c * gram[j][i] for j, c in enumerate(v)), gram[i][i])
+    assert rem == 0, "pairing against a simple root must be integral"
+    return q
+
+
+def form_pairings(rs, v) -> tuple[int, ...]:
+    """(<v, alpha_1>, ..., <v, alpha_l>) from the integer form, without the
+    system's pairing table."""
+    gram = rs.form.int_gram
+    return tuple(_form_pairing(gram, v, i) for i in range(rs.rank))
+
+
+def reflection_orbit(rs, v, gens) -> frozenset[tuple[int, ...]]:
+    """The orbit of v under the simple reflections s_i, i in gens (1-based),
+    by breadth-first search with reflections taken from the integer form."""
+    gram = rs.form.int_gram
+    seen = {tuple(v)}
+    frontier = [tuple(v)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in gens:
+                p = _form_pairing(gram, w, i - 1)
+                u = tuple(c - p if k == i - 1 else c for k, c in enumerate(w))
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def long_pairs(rs) -> list[tuple[tuple, tuple, bool]]:
+    """Every ordered pair (a, b) of signed roots with a long and a - b a
+    signed root, by the plain O(N^2) scan, each with whether (a, b) > 0."""
+    pos = [r.coeffs for r in rs.positive_roots()]
+    vs = pos + [tuple(-x for x in v) for v in pos]
+    member = set(vs)
+    inner = rs.form.inner_int
+    top = max(inner(v, v) for v in vs)
+    return [
+        (a, b, inner(a, b) > 0)
+        for a in vs
+        if inner(a, a) == top
+        for b in vs
+        if tuple(x - y for x, y in zip(a, b)) in member
+    ]

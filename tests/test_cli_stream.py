@@ -29,6 +29,8 @@ GOLDEN = {
         "03bbd5a4189360e1b48e856d759499d0ab42753fc972dfff9458d5550abca6be",
     ("verify", "--all", "--max-rank", "20"):
         "c3e93c2bb08a77869773397b6a0b0cc92b97a23420b8cdbcd6aad592b1147766",
+    ("verify", "--all", "--max-rank", "32"):
+        "35ae8b71a2961bf7b766f64bed5f6107fd53d019451ecb58b2787e8b34ba3907",
 }
 
 awkward_text = st.text(

@@ -26,7 +26,7 @@ from rootsys.verify import (
 )
 
 from conftest import small_labels, sweep_labels
-from oracles import two_of_three_triples
+from oracles import form_pairings, long_pairs, reflection_orbit, two_of_three_triples
 
 
 def _rep(rs):
@@ -274,6 +274,12 @@ def _with_doubles(rs):
     return R.RootSystem(rs.cartan, rs.form, layers, None)
 
 
+def _relabel(rs, perm):
+    """The system enumerated afresh with its simple roots permuted."""
+    rows = rs.cartan.rows
+    return R.enumerate_roots(R.validate_cartan([[rows[a][b] for b in perm] for a in perm]))
+
+
 def _scan_both(rs):
     """(orbit scan passed, brute-force oracle passed).  On a Weyl-stable set
     the orbit scan's qualifying count must be the oracle's counts of triples
@@ -311,15 +317,8 @@ def test_pairing_table(system):
     for rs in systems:
         pos = [r.coeffs for r in rs.positive_roots()]
         assert list(rs.pairings) == pos + [tuple(-c for c in v) for v in pos]
-        gram = rs.form.int_gram
         for v, pv in rs.pairings.items():
-            oracle = []
-            for i in range(rs.rank):
-                num = 2 * sum(c * gram[j][i] for j, c in enumerate(v))
-                q, rem = divmod(num, gram[i][i])
-                assert rem == 0
-                oracle.append(q)
-            assert pv == tuple(oracle), (rs.label, v)
+            assert pv == form_pairings(rs, v), (rs.label, v)
 
 
 def test_weyl_orbits(system):
@@ -353,6 +352,39 @@ def test_long_pair_positive(system):
         assert res.passed, (label, res.counterexamples)
 
 
+def test_stabilizer_reduction(system):
+    # every type of rank <= 6, a seeded relabeling of each, and four
+    # Weyl-stable sets on which the lemmas fail
+    rng = random.Random(8)
+    systems = []
+    for t in R.all_types(6):
+        rs = system(str(t))
+        systems += [rs, _relabel(rs, rng.sample(range(rs.rank), rs.rank))]
+    systems += [_with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
+    for rs in systems:
+        orbits = weyl_orbits(rs)
+        assert not orbits.escapes
+        reps = orbits.representatives
+        assert len(orbits.stabilizer_orbits) == len(reps)
+        for lam, partners in zip(reps, orbits.stabilizer_orbits):
+            pv = form_pairings(rs, lam)
+            assert min(pv) >= 0, (rs.cartan.rows, lam)
+            J = [i for i, p in enumerate(pv, start=1) if p == 0]
+            assert sum(size for _, size in partners) == len(rs.pairings)
+            covered: set = set()
+            for b, size in partners:
+                orbit = reflection_orbit(rs, b, J)
+                assert len(orbit) == size and not orbit & covered, (lam, b)
+                covered |= orbit
+        # the reduced long-pair scan counts what the plain scan counts
+        # through each representative
+        pairs = long_pairs(rs)
+        res = check_long_pair_positive(rs, orbits)
+        count = sum(a == r for r in reps for a, _, _ in pairs)
+        assert f", {count} qualifying pairs" in res.note, res.note
+        assert res.passed == all(ok for *_, ok in pairs)
+
+
 def test_no_detour(system):
     g2 = system("G2")
     res = check_no_detour(g2)
@@ -360,6 +392,14 @@ def test_no_detour(system):
     for label in ("A4", "F4", "B3"):
         res = check_no_detour(system(label))
         assert res.passed, (label, res.counterexamples)
+    # G2 with 2*alpha_1 added at height 2: (3, 1) pairs to 3 against alpha_1,
+    # the only simple root it can step down by, and (3, 1) - alpha_1 - alpha_2
+    # = (2, 0) is now there
+    layers = list(g2.layers)
+    layers[2] = tuple(sorted(layers[2] + (R.Root((2, 0)),), key=lambda r: r.coeffs))
+    res = check_no_detour(R.RootSystem(g2.cartan, g2.form, tuple(layers), None))
+    assert not res.passed
+    assert res.counterexamples == [{"beta": [3, 1], "alpha": 1, "detour": 2}]
 
 
 # -- ledger ---------------------------------------------------------------------------
@@ -418,12 +458,14 @@ def test_ledger_reports_non_simple_step(system):
 
 def test_ledger_builds_each_structure_once(monkeypatch, capsys):
     calls = collections.Counter()
+    built = {}
     shared = ("dual_partition", "top_chain", "classify_case", "mark_chain", "weyl_orbits")
-    for name in shared:
+    for name in shared + ("_close",):
 
         def counted(*args, _name=name, _build=getattr(V, name)):
             calls[_name] += 1
-            return _build(*args)
+            built[_name] = _build(*args)
+            return built[_name]
 
         monkeypatch.setattr(V, name, counted)
     build_table = R.RootSystem.pairings.func
@@ -438,7 +480,17 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
     for label in sweep_labels(8):
         calls.clear()
         assert R.build_ledger(R.build_system(label)).passed, label
-        assert calls == dict.fromkeys(shared + ("pairings",), 1), (label, calls)
+        # one closure under W, then one per representative's stabilizer,
+        # which both scans share
+        closures = 1 + len(built["weyl_orbits"].representatives)
+        expected = dict.fromkeys(shared + ("pairings",), 1) | {"_close": closures}
+        assert calls == expected, (label, calls)
+    # a set that is not Weyl-stable is closed once, with no stabilizer orbits
+    for label in ("B3", "F4", "E6"):
+        calls.clear()
+        assert not R.build_ledger(_swap_one_root(R.build_system(label), 2)).passed
+        assert built["weyl_orbits"].escapes and not built["weyl_orbits"].stabilizer_orbits
+        assert calls["_close"] == 1, (label, calls)
     # gen and exponents never need the pairing table
     calls.clear()
     assert main(["gen", "--all", "--max-rank", "8"]) == 0
@@ -476,11 +528,9 @@ def test_relabeled_ledgers_pass(system):
     for label in sweep_labels(9):
         rs = system(label)
         canonical = R.build_ledger(rs)
-        rows = rs.cartan.rows
         for _ in range(4):
             perm = rng.sample(range(rs.rank), rs.rank)
-            c = R.validate_cartan([[rows[a][b] for b in perm] for a in perm])
-            led = R.build_ledger(R.enumerate_roots(c))
+            led = R.build_ledger(_relabel(rs, perm))
             failed = [n for n, r in led.checks.items() if not r.passed]
             assert not failed, (label, perm, failed)
             assert (led.c_max, led.m2, led.case) == (
