@@ -88,6 +88,8 @@ def dual_partition(hd: HeightDistribution) -> ExponentReport:
 def _reflection_order(c: CartanMatrix, order: Sequence[int] | None) -> list[int]:
     n = c.rank
     order = list(range(1, n + 1) if order is None else order)
+    if any(isinstance(i, bool) or not isinstance(i, int) for i in order):
+        raise InvalidArgumentError(f"order must hold integer entries, got {order}")
     if sorted(order) != list(range(1, n + 1)):
         raise InvalidArgumentError(
             f"order must be a permutation of 1..{n}, got {order}"
@@ -109,6 +111,17 @@ def coxeter_traces(
     column, v_i -= sum_j a_ij v_j, so it rewrites row i of the power from
     the rows j with a_ij != 0.  One power costs O(rank^2) on a Dynkin tree
     instead of a dense O(rank^3) matrix product.
+
+    Row i is one int sum_j p_ij * 2^(w*j), a signed w-bit field per entry;
+    packing is linear, so a reflection is ``diag * p[i] - sum_j a_ij * p[j]``
+    on ints.  A finite-type power's entries are root coordinates, so
+    |p_ij| <= cap = HEIGHT_CAP_FACTOR * rank < L, the next power of two.
+    From rows in [-L, L) a reflection gives entries at most s * L in size,
+    s the largest absolute row sum of its coefficients, so 2^w > (s + 1) * L
+    keeps the new row decodable.  One mask test on the row biased by L per
+    field proves its entries are back in [-L, L); else the matrix is not of
+    finite type and NumericInconsistencyError is raised.  The traces are
+    read off the biased rows by shift and mask.
     """
     n = c.rank
     steps = [
@@ -119,19 +132,34 @@ def coxeter_traces(
         )
         for i in reversed(_reflection_order(c, order))
     ]
-    bound = 2 * (HEIGHT_CAP_FACTOR * n + 1)
-    identity = [[int(k == j) for k in range(n)] for j in range(n)]
-    p = [list(row) for row in identity]
+    cap = HEIGHT_CAP_FACTOR * n
+    bound = 2 * (cap + 1)
+    half = 1 << cap.bit_length()  # L: guard range is [-half, half)
+    spread = max(abs(diag) + sum(abs(a) for _, a in off) for _, diag, off in steps)
+    width = ((spread + 1) * half).bit_length()
+    digit = 2 * half - 1  # a biased in-range entry's bits
+    bias = sum(half << (width * j) for j in range(n))
+    outside = ~sum(digit << (width * j) for j in range(n))
+    identity = [1 << (width * j) for j in range(n)]
+    p = list(identity)
     traces = [n]
     for k in range(1, bound + 1):
+        trace = -n * half
         for i, diag, off in steps:
-            row = [diag * x for x in p[i]]
+            row = diag * p[i]
             for j, a in off:
-                row = [x - a * y for x, y in zip(row, p[j])]
+                row -= a * p[j]
+            biased = row + bias
+            if biased & outside:
+                raise NumericInconsistencyError(
+                    f"Coxeter power entry outside [-{half}, {half}); "
+                    "the matrix cannot be finite type"
+                )
             p[i] = row
+            trace += (biased >> (width * i)) & digit
         if p == identity:
             return k, tuple(traces)
-        traces.append(sum(p[j][j] for j in range(n)))
+        traces.append(trace)
     raise NumericInconsistencyError(f"matrix order not found within {bound}")
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, ge
+from itertools import compress
+from operator import add, ge, gt
 from typing import Iterator, Sequence
 
 from .cartan import (
@@ -110,9 +111,14 @@ class RootSystem:
 
     def simple_root(self, i: int) -> Root:
         """Simple root alpha_i, 1-based."""
+        self._check_index(i)
+        return self.root(tuple(1 if k == i - 1 else 0 for k in range(self.rank)))
+
+    def _check_index(self, i: int) -> None:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise InvalidArgumentError(f"simple index {i!r} is not an integer")
         if not 1 <= i <= self.rank:
             raise InvalidArgumentError(f"simple index {i} out of range 1..{self.rank}")
-        return self.root(tuple(1 if k == i - 1 else 0 for k in range(self.rank)))
 
     def positive_roots(self) -> Iterator[Root]:
         for layer in self.layers:
@@ -150,8 +156,7 @@ class RootSystem:
     def pairing(self, beta: Root, i: int) -> int:
         """<beta, alpha_i> = 2(beta, alpha_i)/(alpha_i, alpha_i) for a root
         of this system and a 1-based simple index i."""
-        if not 1 <= i <= self.rank:
-            raise InvalidArgumentError(f"simple index {i} out of range 1..{self.rank}")
+        self._check_index(i)
         self.root(beta.coeffs)  # raises for a root not in this system
         return self.pairings[beta.coeffs][i - 1]
 
@@ -200,51 +205,57 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     exactly when p - <beta, alpha_i> > 0, because root strings are unbroken.
     Each root carries its pairings <beta, alpha_i> for all i, updated by
     one column of the Cartan matrix per step up.
+
+    Keys are ints with a w-bit field per coordinate, coordinate 0 most
+    significant: sorting keys sorts vectors lexicographically, and
+    beta +- alpha_i is ``key +- unit[i]``.  Every key stored or looked up
+    has coefficients in 0..cap, cap = HEIGHT_CAP_FACTOR * rank (heights stop
+    at cap, and a walk down stops at b_i), and w = cap.bit_length() holds
+    that range, so no field carries or borrows.
     """
     n = cartan.rank
     form = symmetrizer(cartan)
     columns = list(zip(*cartan.rows))
     cap = HEIGHT_CAP_FACTOR * n
+    width = cap.bit_length()
+    unit = [1 << (width * (n - 1 - i)) for i in range(n)]
 
-    members: set[tuple[int, ...]] = set()
-    layer = {
-        tuple(1 if k == i else 0 for k in range(n)): columns[i] for i in range(n)
+    # key -> (coefficient tuple, pairing vector) of the roots one layer up
+    found = {
+        unit[i]: (tuple(int(k == i) for k in range(n)), columns[i]) for i in range(n)
     }
-    members.update(layer)
-    layers: list[list[tuple[int, ...]]] = [[], sorted(layer)]
-
-    while True:
-        if len(layers) > cap:
+    layers: list[list[tuple[int, ...]]] = [[]]
+    members: set[int] = set()
+    while found:
+        if len(layers) >= cap:
             raise InternalInconsistencyError(
                 f"enumeration exceeded height {cap}; the matrix cannot be finite type"
             )
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for beta, pair in layer.items():
-            for i, (b, pi) in enumerate(zip(beta, pair)):
-                # beta - k*alpha_i stays nonnegative only for k <= b, so p <= b
-                # and only p > pi matters: walk at most pi + 1 steps down.
-                if pi >= b:
+        layer = dict(sorted(found.items()))
+        layers.append([beta for beta, _ in layer.values()])
+        members.update(layer)
+        found = {}
+        for key, (beta, pair) in layer.items():
+            # p <= b_i, as beta - k*alpha_i must stay nonnegative, and only
+            # p > pi matters: probe the i with pi < b_i, at most pi + 1 steps.
+            for i, u in compress(enumerate(unit), map(gt, beta, pair)):
+                up = key + u
+                if up in found:
                     continue
-                head, tail = beta[:i], beta[i + 1 :]
-                p = 0
-                while p <= pi and head + (b - p - 1,) + tail in members:
+                pi, p, down = pair[i], 0, key - u
+                while p <= pi and down in members:
                     p += 1
-                if p > pi:
-                    up = head + (b + 1,) + tail
-                    if up not in nxt:
-                        nxt[up] = tuple(map(add, pair, columns[i]))
-        if not nxt:
-            break
-        layers.append(sorted(nxt))
-        members.update(nxt)
-        layer = nxt
+                    down -= u
+                if p > pi:  # a new root: build its tuple and pairings once
+                    up_beta = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                    found[up] = (up_beta, tuple(map(add, pair, columns[i])))
 
     root_layers = tuple(tuple(Root(c) for c in layer) for layer in layers)
     rs = RootSystem(cartan, form, root_layers, label)
     theta = rs.highest_root().coeffs
-    for r in members:
-        if not all(map(ge, theta, r)):
-            raise InternalInconsistencyError(f"{theta} does not dominate {r}")
+    for r in rs.positive_roots():
+        if not all(map(ge, theta, r.coeffs)):
+            raise InternalInconsistencyError(f"{theta} does not dominate {r.coeffs}")
     return rs
 
 

@@ -1,9 +1,10 @@
 """Independent oracles used only by the tests.
 
-These deliberately avoid the package's layer-by-layer enumeration and
-tabulated matrices: roots are produced by reflection closure, small
-Cartan matrices are recomputed from exact simple-root geometry, and the
-Coxeter element is a dense product of reflection matrices.
+These deliberately avoid the package's packed enumeration and tabulated
+matrices: roots are produced by reflection closure or by the successor
+rule on plain tuples, small Cartan matrices are recomputed from exact
+simple-root geometry, and the Coxeter element is a dense product of
+reflection matrices.
 """
 
 from __future__ import annotations
@@ -52,6 +53,36 @@ def reflection_closure(cartan: CartanMatrix) -> frozenset[tuple[int, ...]]:
                 add(tuple(a - k2 * b for a, b in zip(w, v)))
         i += 1
     return frozenset(v for v, _, _ in entries if all(c >= 0 for c in v))
+
+
+def tuple_scan_layers(cartan: CartanMatrix) -> list[list[tuple[int, ...]]]:
+    """Positive roots by height, each layer sorted, from the successor rule
+    on plain coefficient tuples: beta + alpha_i is a root exactly when the
+    alpha_i-string below beta is longer than <beta, alpha_i>.  Layer 0 is
+    empty."""
+    n = cartan.rank
+    columns = list(zip(*cartan.rows))
+    layer = {tuple(int(k == i) for k in range(n)): columns[i] for i in range(n)}
+    members = set(layer)
+    layers = [[], sorted(layer)]
+    while layer:
+        assert len(layers) <= 10 * n, "height cap exceeded"
+        nxt = {}
+        for beta, pair in layer.items():
+            for i, (b, pi) in enumerate(zip(beta, pair)):
+                head, tail = beta[:i], beta[i + 1 :]
+                p = 0
+                while p < b and head + (b - p - 1,) + tail in members:
+                    p += 1
+                if p > pi:
+                    nxt[head + (b + 1,) + tail] = tuple(
+                        x + y for x, y in zip(pair, columns[i])
+                    )
+        members.update(nxt)
+        layer = nxt
+        if nxt:
+            layers.append(sorted(nxt))
+    return layers
 
 
 def cartan_from_geometry(

@@ -31,6 +31,10 @@ GOLDEN = {
         "c3e93c2bb08a77869773397b6a0b0cc92b97a23420b8cdbcd6aad592b1147766",
     ("verify", "--all", "--max-rank", "32"):
         "35ae8b71a2961bf7b766f64bed5f6107fd53d019451ecb58b2787e8b34ba3907",
+    ("gen", "--all", "--max-rank", "32"):
+        "3d35e55a99e230d98b60e25c86f2b43a8a940b7900d36a8ccf7a3a0e38f5b818",
+    ("exponents", "--all", "--max-rank", "32", "--method", "both"):
+        "df895d834431fe1adf24e781e3d96d5bfc51b7e7503e8e29084b69698e3da837",
 }
 
 awkward_text = st.text(

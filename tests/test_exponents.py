@@ -56,32 +56,57 @@ def test_coxeter_exponents_rejects_bad_order():
         R.coxeter_exponents(c, order=[1, 2])
     with pytest.raises(InvalidArgumentError):
         R.coxeter_exponents(c, order=[1, 2, 2])
+    for order in ([1.0, 2.0, 3.0], ["1", 2, 3], [True, 2, 3]):
+        with pytest.raises(InvalidArgumentError, match="integer entries"):
+            R.coxeter_exponents(c, order=order)
+
+
+def _dense_traces(c, perm) -> tuple[int, tuple[int, ...]]:
+    m = coxeter_matrix(c, perm)
+    h = coxeter_order(m, 2 * (10 * c.rank + 1))
+    p = [[int(i == j) for j in range(c.rank)] for i in range(c.rank)]
+    traces = []
+    for _ in range(h):
+        traces.append(sum(p[i][i] for i in range(c.rank)))
+        p = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in p]
+    return h, tuple(traces)
 
 
 def test_coxeter_traces_match_dense_powers():
     # the dense coxeter_matrix / coxeter_order route is the oracle for the
-    # reflection-chain helper, under three random reflection orders per type
+    # packed reflection chain: three random reflection orders per type of
+    # rank <= 12, and one on each classical type at the rank ceiling
     rng = random.Random(3)
-    for t in R.all_types(12):
+    cases = [(t, 3) for t in R.all_types(12)]
+    cases += [(f"{f}{R.MAX_RANK}", 1) for f in "ABCD"]
+    for t, draws in cases:
         c = R.build_cartan(t)
-        for _ in range(3):
+        for _ in range(draws):
             perm = rng.sample(range(1, c.rank + 1), c.rank)
-            m = coxeter_matrix(c, perm)
-            h = coxeter_order(m, 2 * (10 * c.rank + 1))
-            p = [[int(i == j) for j in range(c.rank)] for i in range(c.rank)]
-            traces = []
-            for _ in range(h):
-                traces.append(sum(p[i][i] for i in range(c.rank)))
-                p = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in p]
-            assert coxeter_traces(c, perm) == (h, tuple(traces)), (str(t), perm)
+            assert coxeter_traces(c, perm) == _dense_traces(c, perm), (str(t), perm)
+
+
+# Matrices that validate_cartan refuses, built directly: their Coxeter
+# elements have infinite order.
+INFINITE_TYPE = [
+    ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # affine A2, a 3-cycle
+    # affine D4: a node with four neighbours
+    ((2, 0, 0, 0, -1), (0, 2, 0, 0, -1), (0, 0, 2, 0, -1), (0, 0, 0, 2, -1),
+     (-1, -1, -1, -1, 2)),
+    ((2, -3, 0), (-3, 2, -3), (0, -3, 2)),  # hyperbolic
+    ((2, -1000), (-1, 2)),
+    # entries grow by one per power, so a field too narrow for one
+    # reflection would wrap back into range and pass the guard
+    ((2, 0), (-1, 2)),
+]
 
 
 def test_coxeter_exponents_rejects_affine_matrix():
-    # the affine A2 matrix (a 3-cycle) is not of finite type: its Coxeter
-    # element has infinite order, so no exponents may come back
-    affine = R.CartanMatrix(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
-    with pytest.raises(NumericInconsistencyError):
-        R.coxeter_exponents(affine)
+    # the powers grow past every root bound: the packed rows' range guard
+    # must stop them, so no exponents come back from a wrapped field
+    for rows in INFINITE_TYPE:
+        with pytest.raises(NumericInconsistencyError, match="cannot be finite type"):
+            R.coxeter_exponents(R.CartanMatrix(rows))
 
 
 def test_coxeter_exponents_pins():

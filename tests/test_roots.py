@@ -6,10 +6,10 @@ import random
 import pytest
 
 import rootsys as R
-from rootsys.errors import InvalidArgumentError
+from rootsys.errors import InternalInconsistencyError, InvalidArgumentError
 
 from conftest import small_labels, sweep_labels
-from oracles import pairing, reflection_closure, root_string
+from oracles import pairing, reflection_closure, root_string, tuple_scan_layers
 
 G2_POSITIVE = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
@@ -51,7 +51,7 @@ def test_a_family_highest(system):
 
 
 def test_enumeration_matches_reflection_closure(system):
-    for label in small_labels():
+    for label in map(str, R.all_types(8)):
         rs = system(label)
         assert {r.coeffs for r in rs.positive_roots()} == set(
             reflection_closure(rs.cartan)
@@ -96,10 +96,37 @@ def closed_form(t: R.RankedType) -> tuple[int, tuple[int, ...]]:
     return EXCEPTIONAL[str(t)]
 
 
-def test_counts_and_highest_roots_up_to_rank_24(system):
-    for t in R.all_types(24):
+def test_counts_and_highest_roots_up_to_max_rank(system):
+    for t in R.all_types(R.MAX_RANK):
         rs = system(str(t))
         assert (rs.num_positive, rs.highest_root().coeffs) == closed_form(t), str(t)
+
+
+def _layers(rs) -> list[list[tuple[int, ...]]]:
+    return [[r.coeffs for r in layer] for layer in rs.layers]
+
+
+def test_layers_match_tuple_scan_up_to_max_rank(system):
+    # the packed-key enumeration files the same roots, in the same order,
+    # as the successor rule run on plain tuples
+    for t in R.all_types(R.MAX_RANK):
+        rs = system(str(t))
+        assert _layers(rs) == tuple_scan_layers(rs.cartan), str(t)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # affine A2
+        ((2, -3), (-3, 2)),
+        ((2, -4), (-1, 2)),  # affine A2, twisted
+    ],
+)
+def test_enumeration_stops_at_height_cap(rows):
+    # matrices that validate_cartan refuses, built directly: their roots
+    # never run out, so the height cap must stop the enumeration
+    with pytest.raises(InternalInconsistencyError, match="exceeded height"):
+        R.enumerate_roots(R.CartanMatrix(rows))
 
 
 @pytest.mark.parametrize("label", ["E6", "F4", "G2", "D8"])
@@ -112,6 +139,7 @@ def test_permuted_cartan_enumerates_permuted_roots(system, label):
         permuted = R.enumerate_roots(
             R.validate_cartan([[rows[a][b] for b in perm] for a in perm])
         )
+        assert _layers(permuted) == tuple_scan_layers(permuted.cartan), perm
         assert {r.coeffs for r in permuted.positive_roots()} == {
             tuple(r.coeffs[a] for a in perm) for r in rs.positive_roots()
         }, perm
@@ -167,6 +195,11 @@ def test_pairing_bad_index(system):
         rs.pairing(rs.root((1, 0)), 0)
     with pytest.raises(InvalidArgumentError, match="not a positive root"):
         rs.pairing(R.Root((2, 0)), 1)
+    for bad in (1.0, True, "1"):
+        with pytest.raises(InvalidArgumentError, match="not an integer"):
+            rs.pairing(rs.root((1, 0)), bad)
+        with pytest.raises(InvalidArgumentError, match="not an integer"):
+            rs.simple_root(bad)
 
 
 # -- strings --------------------------------------------------------------------
