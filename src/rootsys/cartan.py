@@ -8,7 +8,8 @@ Conventions, fixed here and relied on by every other module:
 * Matrix entries are ``a[i][j] = 2(alpha_i, alpha_j) / (alpha_i, alpha_i)``,
   i.e. row i is the coroot of alpha_i paired against every simple root.
   Under this convention ``diag(d) . A`` is exactly the Gram matrix of the
-  simple roots when ``d_i`` is half the squared length of ``alpha_i``.
+  simple roots when ``d_i`` is half the squared length of ``alpha_i``, so
+  every inner product is ``(beta, gamma) = sum_i beta_i d_i <gamma, alpha_i>``.
 * ``d`` is normalised so that ``min(d_i) = 1``: short roots get d = 1
   (squared length 2), long roots get the squared-length ratio (2 or 3).
 * Simple-root indices are 1-based throughout the public API.  The affine
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -35,9 +37,10 @@ FAMILIES = "ABCDEFG"
 
 # Largest rank accepted anywhere: named types, validated matrices and the
 # ``--max-rank`` sweep bound.  A type of rank l has up to l^2 positive roots
-# and the verify scans grow about as l^4 (B32 takes about 2 s), so this is
-# the explicit resource bound; inputs above it are rejected before anything
-# is built.
+# and the verify scans grow about as l^4 (the B32 ledger takes about 0.1 s
+# on a 2-vCPU host, and ``verify --all --max-rank 32`` 3-4 s), so this
+# is the explicit resource bound; inputs above it are rejected before
+# anything is built.
 MAX_RANK = 32
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "F": 4, "G": 2}
@@ -290,27 +293,10 @@ def build_cartan(t: RankedType | str) -> CartanMatrix:
 
 @dataclass(frozen=True)
 class SymmetrizedForm:
-    """Integer d with diag(d)*A symmetric and min(d) = 1, plus the Gram data.
-
-    int_gram[i][j] is (alpha_i, alpha_j) = d_i * a[i][j], so that every
-    form value is a plain integer.
-    """
+    """Integer d with diag(d)*A symmetric and min(d) = 1; with the pairing
+    table it gives (beta, gamma) = sum_i beta_i d_i <gamma, alpha_i>."""
 
     d: tuple[int, ...]
-    int_gram: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.d)
-
-    def inner_int(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """(x, y) for coefficient vectors over the simple basis."""
-        total = 0
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.int_gram[i]
-                total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-        return total
 
 
 def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
@@ -325,10 +311,10 @@ def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
     if any(x.denominator != 1 for x in scaled):
         raise InternalInconsistencyError("symmetrizer is not integral")
     d = tuple(x.numerator for x in scaled)
-    int_gram = tuple(tuple(di * a for a in row) for di, row in zip(d, rows))
-    if int_gram != tuple(zip(*int_gram)):
+    pairs = ((i, j) for i in range(len(d)) for j in range(i))
+    if any(d[i] * rows[i][j] != d[j] * rows[j][i] for i, j in pairs):
         raise InternalInconsistencyError("symmetrization failed")
-    return SymmetrizedForm(d=d, int_gram=int_gram)
+    return SymmetrizedForm(d=d)
 
 
 class DynkinGraph:
@@ -449,16 +435,15 @@ def extended_dynkin_graph(
         raise InvalidArgumentError("extended graph requires rank >= 2")
     base = dynkin_graph(c)
     theta = tuple(highest_coeffs)
-    theta_norm = form.inner_int(theta, theta)
+    # <theta, alpha_i> = integer dot of row i with theta's coefficients, and
+    # (alpha_i, theta) = d_i <theta, alpha_i>
+    t = [sum(map(mul, row, theta)) for row in c.rows]
+    theta_norm = sum(map(mul, theta, map(mul, form.d, t)))
     mult = dict(base._mult)
-    for i in range(1, c.rank + 1):
-        # <theta, alpha_i> = integer dot of row i with theta's coefficients
-        t_i = sum(c.rows[i - 1][j] * theta[j] for j in range(c.rank))
+    for i, (d_i, t_i) in enumerate(zip(form.d, t), start=1):
         if t_i <= 0:
             continue
-        alpha = tuple(1 if j == i - 1 else 0 for j in range(c.rank))
-        num = 2 * form.inner_int(alpha, theta)
-        u_i, rem = divmod(num, theta_norm)
+        u_i, rem = divmod(2 * d_i * t_i, theta_norm)
         if rem:
             raise InternalInconsistencyError("non-integral pairing against the highest root")
         mult[frozenset((0, i))] = t_i * u_i

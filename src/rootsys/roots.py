@@ -14,13 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import add, ge, gt
+from operator import add, ge, gt, mul
 from typing import Iterator, Sequence
 
 from .cartan import (
     CartanMatrix,
     DynkinGraph,
+    RankedType,
     SymmetrizedForm,
+    build_cartan,
     dynkin_graph,
     extended_dynkin_graph,
     symmetrizer,
@@ -161,8 +163,10 @@ class RootSystem:
         return self.pairings[beta.coeffs][i - 1]
 
     def norm_sq(self, beta: Root) -> int:
-        """(beta, beta) from ``form.int_gram``: 2 for a short root."""
-        return self.form.inner_int(beta.coeffs, beta.coeffs)
+        """(beta, beta) = sum_i beta_i d_i <beta, alpha_i>: 2 for a short root."""
+        self.root(beta.coeffs)  # raises for a root not in this system
+        pv = self.pairings[beta.coeffs]
+        return sum(map(mul, beta.coeffs, map(mul, self.form.d, pv)))
 
     @cached_property
     def max_norm(self) -> int:
@@ -261,8 +265,6 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
 
 def build_system(t) -> RootSystem:
     """Convenience: enumerate the root system of a named type."""
-    from .cartan import RankedType, build_cartan
-
     if isinstance(t, str):
         t = RankedType.parse(t)
     return enumerate_roots(build_cartan(t), str(t))

@@ -456,7 +456,7 @@ def check_lengths(rs: RootSystem, split: CaseSplit) -> CheckResult:
         rs.norm_sq(rs.simple_root(top.step(t))) for t in range(1, hi)
     ]
     if len(set(values)) > 1:
-        cx.append({"norms": [str(v) for v in values]})
+        cx.append({"norms": values})
     return CheckResult("lengths", not cx, cx, f"{len(values)} norms compared")
 
 

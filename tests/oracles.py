@@ -3,23 +3,34 @@
 These deliberately avoid the package's packed enumeration and tabulated
 matrices: roots are produced by reflection closure or by the successor
 rule on plain tuples, small Cartan matrices are recomputed from exact
-simple-root geometry, and the Coxeter element is a dense product of
-reflection matrices.
+simple-root geometry, inner products come from a Gram matrix built here
+rather than from the pairing table, and the Coxeter element is a dense
+product of reflection matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from rootsys import CartanMatrix, InvalidArgumentError, symmetrizer
+
+
+def gram(cartan: CartanMatrix, d) -> list[list[int]]:
+    """Gram matrix of the simple roots, (alpha_i, alpha_j) = d_i * a[i][j]."""
+    return [[di * a for a in row] for di, row in zip(d, cartan.rows)]
+
+
+def inner(g, x, y) -> int:
+    """(x, y) = sum_ij x_i g[i][j] y_j for coefficient vectors x, y."""
+    return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, g) if xi)
 
 
 def reflection_closure(cartan: CartanMatrix) -> frozenset[tuple[int, ...]]:
     """Close the signed simple roots under all root reflections; return the
     positive half as coefficient tuples."""
-    form = symmetrizer(cartan)
-    B = form.int_gram
+    B = gram(cartan, symmetrizer(cartan).d)
     n = cartan.rank
 
     entries: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
@@ -198,9 +209,10 @@ def coxeter_order(m, bound: int) -> int:
 
 def pairing(rs, beta, gamma) -> int:
     """<beta, gamma> = 2(beta, gamma)/(gamma, gamma) for two roots, from the
-    integer form; it must be an integer."""
-    num = 2 * rs.form.inner_int(beta.coeffs, gamma.coeffs)
-    q, rem = divmod(num, rs.form.inner_int(gamma.coeffs, gamma.coeffs))
+    Gram matrix; it must be an integer."""
+    g = gram(rs.cartan, rs.form.d)
+    num = 2 * inner(g, beta.coeffs, gamma.coeffs)
+    q, rem = divmod(num, inner(g, gamma.coeffs, gamma.coeffs))
     assert rem == 0, "pairing of roots must be integral"
     return q
 
@@ -224,32 +236,32 @@ def root_string(rs, beta, i: int) -> tuple[int, int]:
     return p, q
 
 
-def _form_pairing(gram, v, i: int) -> int:
+def _form_pairing(g, v, i: int) -> int:
     """<v, alpha_i> = 2(v, alpha_i)/(alpha_i, alpha_i) from the integer Gram
     matrix, for a 0-based index i; it must be an integer."""
-    q, rem = divmod(2 * sum(c * gram[j][i] for j, c in enumerate(v)), gram[i][i])
+    q, rem = divmod(2 * sum(c * g[j][i] for j, c in enumerate(v)), g[i][i])
     assert rem == 0, "pairing against a simple root must be integral"
     return q
 
 
 def form_pairings(rs, v) -> tuple[int, ...]:
-    """(<v, alpha_1>, ..., <v, alpha_l>) from the integer form, without the
+    """(<v, alpha_1>, ..., <v, alpha_l>) from the Gram matrix, without the
     system's pairing table."""
-    gram = rs.form.int_gram
-    return tuple(_form_pairing(gram, v, i) for i in range(rs.rank))
+    g = gram(rs.cartan, rs.form.d)
+    return tuple(_form_pairing(g, v, i) for i in range(rs.rank))
 
 
 def reflection_orbit(rs, v, gens) -> frozenset[tuple[int, ...]]:
     """The orbit of v under the simple reflections s_i, i in gens (1-based),
-    by breadth-first search with reflections taken from the integer form."""
-    gram = rs.form.int_gram
+    by breadth-first search with reflections taken from the Gram matrix."""
+    g = gram(rs.cartan, rs.form.d)
     seen = {tuple(v)}
     frontier = [tuple(v)]
     while frontier:
         nxt = []
         for w in frontier:
             for i in gens:
-                p = _form_pairing(gram, w, i - 1)
+                p = _form_pairing(g, w, i - 1)
                 u = tuple(c - p if k == i - 1 else c for k, c in enumerate(w))
                 if u not in seen:
                     seen.add(u)
@@ -264,12 +276,12 @@ def long_pairs(rs) -> list[tuple[tuple, tuple, bool]]:
     pos = [r.coeffs for r in rs.positive_roots()]
     vs = pos + [tuple(-x for x in v) for v in pos]
     member = set(vs)
-    inner = rs.form.inner_int
-    top = max(inner(v, v) for v in vs)
+    g = gram(rs.cartan, rs.form.d)
+    top = max(inner(g, v, v) for v in vs)
     return [
-        (a, b, inner(a, b) > 0)
+        (a, b, inner(g, a, b) > 0)
         for a in vs
-        if inner(a, a) == top
+        if inner(g, a, a) == top
         for b in vs
         if tuple(x - y for x, y in zip(a, b)) in member
     ]

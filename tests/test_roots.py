@@ -9,7 +9,14 @@ import rootsys as R
 from rootsys.errors import InternalInconsistencyError, InvalidArgumentError
 
 from conftest import small_labels, sweep_labels
-from oracles import pairing, reflection_closure, root_string, tuple_scan_layers
+from oracles import (
+    gram,
+    inner,
+    pairing,
+    reflection_closure,
+    root_string,
+    tuple_scan_layers,
+)
 
 G2_POSITIVE = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
@@ -250,9 +257,18 @@ def test_lengths_pins(system):
 def test_at_most_two_lengths(system):
     for label in sweep_labels(8):
         rs = system(label)
+        g = gram(rs.cartan, rs.form.d)
         norms = {rs.norm_sq(r) for r in rs.positive_roots()}
         assert len(norms) <= 2, label
         assert min(norms) == 2  # short roots normalised to squared length 2
+        for r in rs.positive_roots():
+            assert rs.norm_sq(r) == inner(g, r.coeffs, r.coeffs), (label, r)
+
+
+def test_norm_sq_rejects_nonroot(system):
+    g2 = system("G2")
+    with pytest.raises(InvalidArgumentError):
+        g2.norm_sq(R.Root((2, 0)))
 
 
 # -- layer structure ---------------------------------------------------------------

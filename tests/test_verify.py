@@ -26,7 +26,14 @@ from rootsys.verify import (
 )
 
 from conftest import small_labels, sweep_labels
-from oracles import form_pairings, long_pairs, reflection_orbit, two_of_three_triples
+from oracles import (
+    form_pairings,
+    gram,
+    inner,
+    long_pairs,
+    reflection_orbit,
+    two_of_three_triples,
+)
 
 
 def _rep(rs):
@@ -210,6 +217,13 @@ def test_lengths(system):
     assert g2.is_long(g2.simple_root(top.step(1)))
 
 
+def test_lengths_fails_on_wrong_d(system):
+    g2 = _wrong_d(system("G2"), (1, 1))
+    res = check_lengths(g2, R.classify_case(_top(g2), g2))
+    assert not res.passed
+    assert res.counterexamples == [{"norms": [2, 8, 2]}]
+
+
 def test_step_nonramification(system):
     for label in ("G2", "D5", "E8", "B6"):
         rs = system(label)
@@ -272,6 +286,13 @@ def _with_doubles(rs):
         for h in range(1, max(by_height) + 1)
     )
     return R.RootSystem(rs.cartan, rs.form, layers, None)
+
+
+def _wrong_d(rs, d):
+    """The same roots read with a wrong symmetrizer d: still Weyl-stable,
+    since the pairing table comes from the Cartan rows alone, but every
+    length and inner product is that of another bilinear form."""
+    return R.RootSystem(rs.cartan, R.SymmetrizedForm(d=d), rs.layers, None)
 
 
 def _relabel(rs, perm):
@@ -350,6 +371,23 @@ def test_long_pair_positive(system):
         rs = system(label)
         res = check_long_pair_positive(rs, weyl_orbits(rs))
         assert res.passed, (label, res.counterexamples)
+
+
+def test_long_pair_positive_fails_on_wrong_d(system):
+    # A2 read with d = (1, 2): the one long pair fails with (lambda, b) = 0,
+    # so a strict "< 0" test would pass this set
+    a2 = _wrong_d(system("A2"), (1, 2))
+    res = check_long_pair_positive(a2, weyl_orbits(a2))
+    assert not res.passed
+    assert res.counterexamples == [{"beta1": [1, 1], "beta2": [1, 0]}]
+    assert inner(gram(a2.cartan, a2.form.d), (1, 1), (1, 0)) == 0
+    # G2 read with d = (1, 1): the failing pairs have negative products
+    g2 = _wrong_d(system("G2"), (1, 1))
+    res = check_long_pair_positive(g2, weyl_orbits(g2))
+    assert not res.passed
+    assert res.counterexamples[0] == {"beta1": [3, 2], "beta2": [0, 1]}
+    g = gram(g2.cartan, g2.form.d)
+    assert all(inner(g, c["beta1"], c["beta2"]) < 0 for c in res.counterexamples)
 
 
 def test_stabilizer_reduction(system):
