@@ -36,7 +36,6 @@ from .verify import (
     TopChain,
     VerificationLedger,
     build_ledger,
-    check_duality,
     classify_case,
     g2_criterion_report,
     mark_chain,

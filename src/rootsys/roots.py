@@ -57,8 +57,9 @@ class RootSystem:
 
     Immutable after construction; build via :func:`enumerate_roots`.
     Hand-built layers must form a root poset's height grading: layer 0
-    empty, each root filed under its own height, and exactly one root in
-    the top layer; anything else raises InvalidArgumentError.
+    empty, each root filed under its own height, no root listed twice, and
+    exactly one root in the top layer; anything else raises
+    InvalidArgumentError.
     """
 
     def __init__(
@@ -87,6 +88,8 @@ class RootSystem:
         self._members: dict[tuple[int, ...], Root] = {
             r.coeffs: r for layer in layers for r in layer
         }
+        if self.num_positive != sum(map(len, layers)):
+            raise InvalidArgumentError("a root is listed twice")
 
     # -- basic queries ----------------------------------------------------
 

@@ -285,3 +285,19 @@ def long_pairs(rs) -> list[tuple[tuple, tuple, bool]]:
         for b in vs
         if tuple(x - y for x, y in zip(a, b)) in member
     ]
+
+
+def duality_identities(rep, rs) -> dict[str, bool]:
+    """The five classical exponent identities for one system's report:
+    opposite exponents sum to h, 1 = m_1 < m_2 <= ... < m_l, h = ht(theta)
+    + 1, m_l = ht(theta), and the exponents sum to the number of positive
+    roots."""
+    ms, h = rep.exponents, rep.coxeter_number
+    ht = rs.highest_root().height
+    return {
+        "pair-sums": all(a + b == h for a, b in zip(ms, reversed(ms))),
+        "chain": ms == tuple(sorted(ms)) and ms[0] == 1 < ms[1] and ms[-2] < ms[-1],
+        "coxeter-height": h == ht + 1,
+        "top-exponent": ms[-1] == ht,
+        "exponent-count": sum(ms) == rs.num_positive,
+    }

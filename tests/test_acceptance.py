@@ -24,7 +24,7 @@ from rootsys.verify import (
 )
 
 from conftest import built, small_labels, sweep_labels
-from oracles import reflection_closure
+from oracles import duality_identities, reflection_closure
 
 SWEEP = sweep_labels(12)
 
@@ -99,9 +99,8 @@ def test_criterion_3_exponent_cross_validation(sweep_data):
 
 def test_criterion_4_duality_identities(sweep_data):
     for label, (rs, rep_d, _, _, _) in sweep_data.items():
-        results = R.check_duality(rep_d, rs)
-        bad = [r for r in results if not r.passed]
-        assert not bad, (label, bad)
+        identities = duality_identities(rep_d, rs)
+        assert all(identities.values()), (label, identities)
     _verdict(4, "exponent duality identities on all swept types")
 
 

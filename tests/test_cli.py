@@ -228,6 +228,26 @@ def test_import_does_not_load_numpy():
     assert done.stdout.strip() == "False"
 
 
+def test_python_dash_m_runs_the_cli():
+    # ``python -m rootsys`` must reach cli.run: a missing module would exit
+    # 1, the code for a failed check
+    src = str(Path(R.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "rootsys", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = python_m("verify", "--type", "G2")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ledgers"][0]["type"] == "G2"
+    done = python_m("verify", "--type", "X9")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "gen", "--type", "A2", "--out", str(path))

@@ -26,11 +26,11 @@ GOLDEN = {
     ("exponents", "--all", "--max-rank", "24", "--method", "both"):
         "073477731f5076f42d75fb4b785a859d588dcd48c77f182c33ca6e5866a3d5f0",
     ("verify", "--all", "--max-rank", "12"):
-        "03bbd5a4189360e1b48e856d759499d0ab42753fc972dfff9458d5550abca6be",
+        "4e3505f67aa376fedc08834992dcaeb56797519960fdfed7febe784bc2800aaa",
     ("verify", "--all", "--max-rank", "20"):
-        "c3e93c2bb08a77869773397b6a0b0cc92b97a23420b8cdbcd6aad592b1147766",
+        "67f71f1f03f882a7724b5ec712f67a56b3b90161d31db8410a563c93089e8576",
     ("verify", "--all", "--max-rank", "32"):
-        "35ae8b71a2961bf7b766f64bed5f6107fd53d019451ecb58b2787e8b34ba3907",
+        "a291dcd492319673d0fc0b1e677be72975ee65e5fe07ad98837e4c38252d98aa",
     ("gen", "--all", "--max-rank", "32"):
         "3d35e55a99e230d98b60e25c86f2b43a8a940b7900d36a8ccf7a3a0e38f5b818",
     ("exponents", "--all", "--max-rank", "32", "--method", "both"):

@@ -10,7 +10,7 @@ from rootsys.errors import InvalidArgumentError, NumericInconsistencyError
 from rootsys.exponents import coxeter_traces
 
 from conftest import sweep_labels
-from oracles import coxeter_matrix, coxeter_order, exact_det
+from oracles import coxeter_matrix, coxeter_order, duality_identities, exact_det
 
 
 def test_height_distribution_pins(system):
@@ -142,9 +142,9 @@ def test_duality_identities(system):
     for label in sweep_labels(12):
         rs = system(label)
         rep = R.dual_partition(R.height_distribution(rs))
-        results = R.check_duality(rep, rs)
-        assert len(results) == 5
-        assert all(r.passed for r in results), (label, results)
+        identities = duality_identities(rep, rs)
+        assert len(identities) == 5
+        assert all(identities.values()), (label, identities)
 
 
 def test_duality_pins(system):

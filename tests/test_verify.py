@@ -255,23 +255,35 @@ def test_two_of_three_small(system):
         assert res.note.startswith("exhaustive")
 
 
+def _edited(rs, drop=(), add=()):
+    """The system with the roots in drop removed and the vectors in add
+    filed under their heights, each layer sorted."""
+    layers = [list(layer) for layer in rs.layers]
+    for c in drop:
+        layers[sum(c)].remove(rs.root(c))
+    for c in add:
+        layers[sum(c)].append(R.Root(c))
+    layers = tuple(tuple(sorted(layer, key=lambda r: r.coeffs)) for layer in layers)
+    return R.RootSystem(rs.cartan, rs.form, layers, None)
+
+
 def _swap_one_root(rs, height):
     """Replace the first root of the given height that has a non-root one
     unit away (one unit moved between two coordinates) by that non-root,
     keeping every layer's size."""
-    layer = rs.layer(height)
-    for root in layer:
+    for root in rs.layer(height):
         c = root.coeffs
         for i, j in itertools.permutations(range(len(c)), 2):
             fake = tuple(x - (k == i) + (k == j) for k, x in enumerate(c))
             if c[i] > 0 and fake not in rs:
-                kept = sorted(
-                    [r for r in layer if r is not root] + [R.Root(fake)],
-                    key=lambda r: r.coeffs,
-                )
-                layers = rs.layers[:height] + (tuple(kept),) + rs.layers[height + 1 :]
-                return R.RootSystem(rs.cartan, rs.form, layers, None)
+                return _edited(rs, drop=[c], add=[fake])
     raise AssertionError(f"no non-root of height {height} is one move away")
+
+
+def _truncated(rs, height):
+    """The roots of height at most the given one, whose layer must hold a
+    single root."""
+    return R.RootSystem(rs.cartan, rs.form, rs.layers[: height + 1], None)
 
 
 def _with_doubles(rs):
@@ -433,9 +445,7 @@ def test_no_detour(system):
     # G2 with 2*alpha_1 added at height 2: (3, 1) pairs to 3 against alpha_1,
     # the only simple root it can step down by, and (3, 1) - alpha_1 - alpha_2
     # = (2, 0) is now there
-    layers = list(g2.layers)
-    layers[2] = tuple(sorted(layers[2] + (R.Root((2, 0)),), key=lambda r: r.coeffs))
-    res = check_no_detour(R.RootSystem(g2.cartan, g2.form, tuple(layers), None))
+    res = check_no_detour(_edited(g2, add=[(2, 0)]))
     assert not res.passed
     assert res.counterexamples == [{"beta": [3, 1], "alpha": 1, "detour": 2}]
 
@@ -461,7 +471,7 @@ def test_ledger_reports_dropped_root(system):
     led = R.build_ledger(R.RootSystem(e6.cartan, e6.form, tuple(layers), None))
     assert not led.passed and led.m2 == 4 and led.case is None
     assert led.checks["exponents_agree"].note.startswith("error: ")
-    for name in ("exponent_duality", "top_chain", "chains_coincide"):
+    for name in ("exponent_duality", "chains_coincide"):
         assert led.checks[name].note == "blocked: dual exponents unavailable", name
     assert led.checks["lengths"].note == "blocked: top chain unavailable"
     assert list(led.checks) == list(R.build_ledger(e6).checks)
@@ -481,17 +491,93 @@ def test_ledger_reports_missing_mark_chain(system):
 
 def test_ledger_reports_non_simple_step(system):
     # C3 with a height-4 root swapped: the top chain steps by (2, -1, 0),
-    # which the top_chain and chains_coincide checks report
+    # which chains_coincide reports and the case split rejects
     led = R.build_ledger(_swap_one_root(system("C3"), 4))
     assert not led.passed and led.case is None
-    non_simple = {"non_simple_steps": [[2, -1, 0]]}
-    assert led.checks["top_chain"].counterexamples == [non_simple]
-    assert non_simple in led.checks["chains_coincide"].counterexamples
-    assert led.checks["case_witness"].note == (
+    assert {"non_simple_steps": [[2, -1, 0]]} in led.checks["chains_coincide"].counterexamples
+    assert led.checks["main_relation"].note == (
         "error: top-chain differences are not all simple: ((1, (2, -1, 0)),)"
     )
-    for name in ("main_relation", "step_multiset", "lengths", "mark_one_iff_top_one"):
+    for name in ("step_multiset", "lengths"):
         assert led.checks[name].note == "blocked: case split unavailable", name
+
+
+def _failing_systems(system):
+    """One corrupted system per ledger row, in registry order, on which
+    that row fails with counterexamples of its own."""
+    e6 = system("E6")
+    g2_unit_d = _wrong_d(system("G2"), (1, 1))
+    return {
+        # top root (1, 1): dual exponents (1, 2), Coxeter exponents (1, 3)
+        "exponents_agree": _truncated(system("B2"), 2),
+        # height distribution (3, 1, 1): exponents (1, 1, 3)
+        "exponent_duality": _edited(system("A3"), drop=[(1, 1, 0)]),
+        "main_relation": g2_unit_d,
+        # c_max = 1 on a graph with a branch point
+        "mark_chain": _truncated(system("D4"), 4),
+        "chains_coincide": _swap_one_root(system("C3"), 4),
+        "step_multiset": _edited(system("F4"), drop=[(1, 2, 3, 2)], add=[(1, 1, 4, 2)]),
+        "step_nonramification": _edited(
+            e6, drop=[(1, 1, 2, 3, 2, 1)], add=[(1, 2, 2, 2, 2, 1)]
+        ),
+        "differences": _edited(e6, drop=[(0, 1, 0, 1, 0, 0)], add=[(0, 0, 0, 2, 0, 0)]),
+        "lengths": g2_unit_d,
+        "string_descent": _swap_one_root(system("A3"), 2),
+        "two_of_three_sums": _with_doubles(system("A2")),
+        "long_pair_positive": _wrong_d(system("A2"), (1, 2)),
+        "no_detour": _edited(system("G2"), add=[(2, 0)]),
+    }
+
+
+def test_every_row_can_fail(system):
+    # a new row without a failing case here breaks this test
+    cases = _failing_systems(system)
+    assert list(cases) == list(R.build_ledger(system("G2")).checks)
+    for name, rs in cases.items():
+        res = R.build_ledger(rs).checks[name]
+        assert not res.passed and res.counterexamples, (name, res.note)
+
+
+def test_exponent_duality_identities_fail(system):
+    # B3 cut at height 4: exponents (1, 3, 4) with h = 5; A3 less a
+    # height-2 root: exponents (1, 1, 3) with h = 4
+    res = V.check_exponent_duality(_rep(_truncated(system("B3"), 4)))
+    assert res.counterexamples == [
+        {"identity": "pair-sums", "detail": "m_j + m_(l+1-j) vs h = 5"}
+    ]
+    res = V.check_exponent_duality(_rep(_edited(system("A3"), drop=[(1, 1, 0)])))
+    assert [c["identity"] for c in res.counterexamples] == ["pair-sums", "m1-below-m2"]
+
+
+def test_main_relation_length_condition(system):
+    # case 1, a long/short squared-length ratio of 3 and c_max = m2 - 2
+    # coincide on every type, and only G2 has them; the ratio is max(d)
+    for label in sweep_labels(R.MAX_RANK):
+        rs = system(label)
+        rep = _rep(rs)
+        split = R.classify_case(_top(rs), rs)
+        res = V.check_main_relation(rs, split, rep)
+        assert res.passed, (label, res.counterexamples)
+        g2 = label == "G2"
+        assert (split.case == 1, max(rs.form.d) == 3, rs.c_max() == rep.exponents[1] - 2) == (
+            g2, g2, g2
+        ), label
+    for label in sweep_labels(12):
+        rs = system(label)
+        assert rs.max_norm == 2 * max(rs.form.d), label
+    g2 = system("G2")
+    assert V.check_main_relation(g2, R.classify_case(_top(g2), g2), _rep(g2)).note == (
+        "case 1: c_max = 3, m2 = 5, long/short ratio 3"
+    )
+    # a wrong d breaks only the length condition; A2 with its top root
+    # swapped for (2, 0) breaks only the relation
+    for rs, cx in (
+        (_wrong_d(system("G2"), (1, 1)), {"c_max": 3, "m2": 5, "case": 1, "ratio": 1}),
+        (_wrong_d(system("A2"), (1, 3)), {"c_max": 1, "m2": 2, "case": 2, "ratio": 3}),
+        (_swap_one_root(system("A2"), 2), {"c_max": 2, "m2": 2, "case": 2, "ratio": 1}),
+    ):
+        res = V.check_main_relation(rs, R.classify_case(_top(rs), rs), _rep(rs))
+        assert not res.passed and res.counterexamples == [cx], cx
 
 
 def test_ledger_builds_each_structure_once(monkeypatch, capsys):
@@ -553,6 +639,7 @@ def test_constructor_rejects_malformed_layers(system):
         (((theta,),) + b3.layers[1:], "layer 0"),
         (b3.layers[:2] + (b3.layers[2] + (theta,),) + b3.layers[3:], "filed under 2"),
         ((), "layer 0"),
+        (b3.layers[:2] + (b3.layers[2] * 2,) + b3.layers[3:], "listed twice"),
         (((),), "top height layer has 0 roots"),
     ):
         with pytest.raises(InvalidArgumentError, match=why):
