@@ -15,12 +15,15 @@ Conventions, fixed here and relied on by every other module:
 * Simple-root indices are 1-based throughout the public API.  The affine
   vertex of an extended graph is vertex 0.
 
-Everything is exact: d and the form are integers, never floats.
+A finite-type Dynkin graph is a tree (Humphreys, Lie Algebras, 11.4), so
+one breadth-first walk of it gives connectivity, d along its edges and, in
+reverse, a leaf-first pivot order; all three graph readers use it.
+
+Everything is exact: d and the form are integers, the pivots Fractions.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -126,69 +129,20 @@ class CartanMatrix:
         return [list(r) for r in self.rows]
 
 
-def _connected_components(rows: Sequence[Sequence[int]]) -> list[set[int]]:
+def _walk(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Breadth-first walk from vertex 0, taking an edge wherever an entry is
+    nonzero in either direction, so malformed sign patterns still get a
+    sensible connectivity verdict.  Returns the vertices reached, in walk
+    order, and each vertex's parent (-1 for vertex 0 and unreached ones)."""
     n = len(rows)
-    seen: set[int] = set()
-    comps = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in range(n):
-                # either direction counts, so malformed sign patterns still
-                # get a sensible connectivity verdict
-                if w != v and w not in comp and (rows[v][w] != 0 or rows[w][v] != 0):
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def _propagate_d(rows: Sequence[Sequence[int]]) -> tuple[Fraction, ...] | None:
-    # Walks the adjacency graph fixing d up to scale; returns None when two
-    # walks disagree (only possible around a cycle).
-    n = len(rows)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in range(n):
-            if j == i or rows[i][j] == 0:
-                continue
-            want = d[i] * Fraction(rows[i][j], rows[j][i])
-            if d[j] is None:
-                d[j] = want
-                queue.append(j)
-            elif d[j] != want:
-                return None
-    assert all(x is not None for x in d)
-    return tuple(d)  # type: ignore[arg-type]
-
-
-def _leading_minors_positive(sym: Sequence[Sequence[Fraction]]) -> bool:
-    # Fraction-exact Gaussian elimination without pivoting: the pivots are
-    # the ratios of consecutive leading principal minors, so the matrix is
-    # positive definite iff every pivot stays positive.  Rows with a zero
-    # below the pivot, and zero entries of the pivot row, change nothing and
-    # are skipped; on a Dynkin tree few entries are nonzero.
-    n = len(sym)
-    m = [list(row) for row in sym]
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot <= 0:
-            return False
-        support = [j for j in range(k, n) if m[k][j]]
-        for i in range(k + 1, n):
-            if m[i][k]:
-                factor = m[i][k] / pivot
-                for j in support:
-                    m[i][j] -= factor * m[k][j]
-    return True
+    parent = [-1] * n
+    order = [0]
+    for v in order:  # order grows as the walk reaches new vertices
+        for w in range(1, n):
+            if parent[w] < 0 and (rows[v][w] or rows[w][v]):
+                parent[w] = v
+                order.append(w)
+    return order, parent
 
 
 def validate_cartan(raw: Sequence[Sequence[int]]) -> CartanMatrix:
@@ -197,6 +151,16 @@ def validate_cartan(raw: Sequence[Sequence[int]]) -> CartanMatrix:
     Every violated invariant is reported by name in the raised
     InvalidCartanError: diagonal, sign, product-bound, decomposable,
     not-positive-definite.
+
+    One walk of the graph decides the last two.  The matrix is decomposable
+    when the walk misses a vertex.  A connected graph with a cycle contains
+    an affine subdiagram, which already kills positive definiteness.  On a
+    sign-consistent tree the leaves are eliminated first, in reversed walk
+    order: each vertex's pivot is final once its children are gone, and
+    eliminating it lowers only its parent's pivot, by a_pv * a_vp / pivot_v.
+    These are the pivots of A; those of the symmetric diag(d) * A are d_v
+    times them, and d > 0, so diag(d) * A is positive definite iff every
+    pivot stays positive.  Neither d nor diag(d) * A is needed.
     """
     n = len(raw)
     if n == 0 or any(len(row) != n for row in raw):
@@ -210,40 +174,26 @@ def validate_cartan(raw: Sequence[Sequence[int]]) -> CartanMatrix:
     violations: list[str] = []
     if any(rows[i][i] != 2 for i in range(n)):
         violations.append("diagonal")
-    sign_ok = True
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if rows[i][j] > 0 or (rows[i][j] == 0) != (rows[j][i] == 0):
-                sign_ok = False
+    pairs = [(rows[i][j], rows[j][i]) for i in range(n) for j in range(i)]
+    sign_ok = not any(a > 0 or b > 0 or (a == 0) != (b == 0) for a, b in pairs)
     if not sign_ok:
         violations.append("sign")
-    if any(
-        rows[i][j] * rows[j][i] not in (0, 1, 2, 3)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    ):
+    if any(a * b not in (0, 1, 2, 3) for a, b in pairs):
         violations.append("product-bound")
-    comps = _connected_components(rows)
-    if len(comps) > 1:
+    order, parent = _walk(rows)
+    if len(order) < n:
         violations.append("decomposable")
-
-    if sign_ok and len(comps) == 1:
-        edges = sum(
-            1 for i in range(n) for j in range(i + 1, n) if rows[i][j] != 0
-        )
-        if edges != n - 1:
-            # A connected graph with a cycle contains an affine subdiagram,
-            # which already kills positive definiteness.
+    elif sign_ok and sum(1 for a, _ in pairs if a) != n - 1:
+        violations.append("not-positive-definite")
+    elif sign_ok:
+        pivot = [Fraction(rows[v][v]) for v in range(n)]
+        for v in reversed(order[1:]):
+            if pivot[v] <= 0:
+                break
+            p = parent[v]
+            pivot[p] -= rows[p][v] * rows[v][p] / pivot[v]
+        if min(pivot) <= 0:
             violations.append("not-positive-definite")
-        else:
-            d = _propagate_d(rows)
-            assert d is not None  # trees cannot conflict
-            sym = [[d[i] * a if a else 0 for a in rows[i]] for i in range(n)]
-            if not _leading_minors_positive(sym):
-                violations.append("not-positive-definite")
 
     if violations:
         raise InvalidCartanError(violations)
@@ -301,17 +251,24 @@ class SymmetrizedForm:
 
 def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
     """The unique min-normalised d making diag(d)*A symmetric; for a Cartan
-    matrix of finite type every d_i is an integer."""
+    matrix of finite type every d_i is an integer.
+
+    d is fixed up to scale along the walk of the Dynkin tree, by
+    d_v = d_parent * a_pv / a_vp, then divided by its minimum.
+    """
     rows = c.rows
-    ratios = _propagate_d(rows)
-    if ratios is None:  # unreachable for validated matrices
-        raise InternalInconsistencyError("validated matrix is not symmetrizable")
+    order, parent = _walk(rows)
+    ratios = [Fraction(1)] * len(rows)
+    for v in order[1:]:
+        p = parent[v]
+        ratios[v] = ratios[p] * Fraction(rows[p][v], rows[v][p])
     low = min(ratios)
     scaled = [x / low for x in ratios]
     if any(x.denominator != 1 for x in scaled):
         raise InternalInconsistencyError("symmetrizer is not integral")
     d = tuple(x.numerator for x in scaled)
     pairs = ((i, j) for i in range(len(d)) for j in range(i))
+    # only a matrix that was never validated can fail here, around a cycle
     if any(d[i] * rows[i][j] != d[j] * rows[j][i] for i, j in pairs):
         raise InternalInconsistencyError("symmetrization failed")
     return SymmetrizedForm(d=d)
@@ -415,7 +372,7 @@ def dynkin_graph(c: CartanMatrix) -> DynkinGraph:
             if m:
                 mult[frozenset((i, j))] = m
     g = DynkinGraph(tuple(range(1, n + 1)), mult)
-    if len(mult) != n - 1 or len(_connected_components(c.rows)) != 1:
+    if len(mult) != n - 1 or len(_walk(c.rows)[0]) != n:
         raise InternalInconsistencyError("Dynkin graph of a valid matrix must be a tree")
     return g
 

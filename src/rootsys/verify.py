@@ -18,12 +18,12 @@ constructors do raise when a structural invariant that no valid system can
 break turns out broken.
 
 The ledger builds each structure the checks share once per system: the
-dual exponents, the top chain, its case split, the mark chain and the
-Weyl orbits.  On a Weyl-stable set the orbits carry each orbit's dominant
-member lambda and the orbits of its stabilizer W_J (Humphreys, Reflection
-Groups and Coxeter Groups, 1.12), so the two lemma scans fix their first
-root to lambda and their second to one member per W_J-orbit.  The
-ledger's checks come from one ordered registry of (name, needs, fn)
+Coxeter and dual exponents, the top chain, its case split, the mark chain
+and the Weyl orbits.  On a Weyl-stable set the orbits carry each orbit's
+dominant member lambda and the orbits of its stabilizer W_J (Humphreys,
+Reflection Groups and Coxeter Groups, 1.12), so the two lemma scans fix
+their first root to lambda and their second to one member per W_J-orbit.
+The ledger's checks come from one ordered registry of (name, needs, fn)
 rows, where needs names the structures fn takes, in order.  Each row can
 fail with counterexamples of its own; a condition that the structure
 builders or another row already enforce is not given a row.  A check that
@@ -743,7 +743,7 @@ class VerificationLedger:
 
     label: str
     c_max: int
-    m2: int
+    m2: int | None
     case: int | None
     witness_t: int | None
     checks: dict[str, CheckResult]
@@ -770,10 +770,11 @@ def _shared_structures(rs: RootSystem) -> tuple[dict, dict, dict]:
     raised, and for each missing structure the name of what it lacks:
     itself if its builder raised, else the first of its inputs missing.
     """
-    have: dict = {"system": rs}
+    have: dict = {"system": rs, "Cartan matrix": rs.cartan}
     raised: dict[str, Exception] = {}
     lacks: dict[str, str] = {}
     for name, inputs, build in (
+        ("coxeter exponents", ("Cartan matrix",), coxeter_exponents),
         ("height distribution", ("system",), height_distribution),
         ("dual exponents", ("height distribution",), dual_partition),
         ("top chain", ("system", "dual exponents"), top_chain),
@@ -798,13 +799,12 @@ def build_ledger(rs: RootSystem) -> VerificationLedger:
     failed results so batch runs always complete.
 
     The headline m2 comes from the Coxeter route, which needs only the
-    Cartan matrix.
+    Cartan matrix; it is None when that route raised, as for a hand-built
+    matrix that is not of finite type.
     """
     if rs.rank < 2:
         raise InvalidArgumentError("rank >= 2 required; m2 is undefined at rank 1")
-    rep_c = coxeter_exponents(rs.cartan)
     have, raised, lacks = _shared_structures(rs)
-    have["coxeter exponents"] = rep_c
     checks: dict[str, CheckResult] = {}
     for name, needs, check in (
         ("exponents_agree", ("dual exponents", "coxeter exponents"), check_exponents_agree),
@@ -835,10 +835,11 @@ def build_ledger(rs: RootSystem) -> VerificationLedger:
         checks[name] = CheckResult(name, False, [], note)
 
     split = have.get("case split")
+    rep_c = have.get("coxeter exponents")
     return VerificationLedger(
         label=rs.label or "custom",
         c_max=rs.c_max(),
-        m2=rep_c.exponents[1],
+        m2=rep_c.exponents[1] if rep_c else None,
         case=split.case if split else None,
         witness_t=split.witness if split else None,
         checks=checks,
@@ -862,7 +863,7 @@ def g2_criterion_report(ledgers: Iterable[VerificationLedger]) -> dict:
     graph forms are checked alongside."""
     ledgers = list(ledgers)
     case1 = sorted(l.label for l in ledgers if l.case == 1)
-    rel = sorted(l.label for l in ledgers if l.c_max == l.m2 - 2)
+    rel = sorted(l.label for l in ledgers if l.c_max + 2 == l.m2)
     has_g2 = any(l.label == "G2" for l in ledgers)
     graph = None
     if has_g2:

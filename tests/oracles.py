@@ -14,7 +14,13 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from rootsys import CartanMatrix, InvalidArgumentError, symmetrizer
+from rootsys import (
+    CartanMatrix,
+    InvalidArgumentError,
+    InvalidCartanError,
+    symmetrizer,
+    validate_cartan,
+)
 
 
 def gram(cartan: CartanMatrix, d) -> list[list[int]]:
@@ -136,6 +142,82 @@ def exact_det(m) -> Fraction:
             for c in range(k, n):
                 mat[r][c] -= f * mat[k][c]
     return det
+
+
+def cartan_violations(m) -> tuple[str, ...]:
+    """The invariants a square integer matrix breaks, named and ordered as
+    InvalidCartanError names them, straight from the definitions:
+    connectivity by closing the edge relation, and positive definiteness by
+    Sylvester's criterion on the leading principal minors of A, whose signs
+    are those of diag(d) A for any d > 0.  Only a sign-consistent connected
+    matrix is tested for definiteness, and one with a cycle fails it."""
+    n = len(m)
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    sign_ok = all(m[i][j] <= 0 and (m[i][j] == 0) == (m[j][i] == 0) for i, j in off)
+    reached = {0}
+    while True:
+        more = {j for i, j in off if i in reached and (m[i][j] or m[j][i])}
+        if more <= reached:
+            break
+        reached |= more
+    edges = sum(1 for i, j in off if i < j and m[i][j])
+    definite = edges == n - 1 and all(
+        exact_det([row[:k] for row in m[:k]]) > 0 for k in range(1, n + 1)
+    )
+    found = {
+        "diagonal": any(m[i][i] != 2 for i in range(n)),
+        "sign": not sign_ok,
+        "product-bound": any(not 0 <= m[i][j] * m[j][i] <= 3 for i, j in off),
+        "decomposable": len(reached) < n,
+        "not-positive-definite": sign_ok and len(reached) == n and not definite,
+    }
+    return tuple(name for name, broken in found.items() if broken)
+
+
+_LEAF_EDGES = ((-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1))
+
+
+def tree_canon(rows) -> str:
+    """Canonical string of a Cartan matrix whose graph is a tree: the
+    Aho-Hopcroft-Ullman encoding of the tree hung from each vertex, every
+    child prefixed by its edge (a_pc, a_cp), minimised over the root."""
+    n = len(rows)
+
+    def hung(v: int, parent: int) -> str:
+        kids = sorted(
+            f"{rows[v][w]},{rows[w][v]}{hung(w, v)}"
+            for w in range(n)
+            if w not in (v, parent) and rows[v][w]
+        )
+        return "(" + "".join(kids) + ")"
+
+    return min(hung(root, -1) for root in range(n))
+
+
+def finite_type_classes(max_rank: int) -> list[CartanMatrix]:
+    """One Cartan matrix per isomorphism class of connected finite type, of
+    rank 1 to max_rank, found without any table of types.  A finite-type
+    graph is a tree and a principal submatrix of a positive definite matrix
+    is positive definite, so every class of rank n arises from one of rank
+    n - 1 by attaching a leaf to some vertex by one of the five edges in
+    _LEAF_EDGES; validate_cartan filters, tree_canon dedupes."""
+    level = {"()": CartanMatrix(((2,),))}
+    out = list(level.values())
+    for n in range(2, max_rank + 1):
+        grown: dict[str, CartanMatrix] = {}
+        for c in level.values():
+            for v in range(n - 1):
+                for a_vl, a_lv in _LEAF_EDGES:
+                    m = [list(row) + [0] for row in c.rows] + [[0] * (n - 1) + [2]]
+                    m[v][n - 1], m[n - 1][v] = a_vl, a_lv
+                    try:
+                        leafed = validate_cartan(m)
+                    except InvalidCartanError:
+                        continue
+                    grown.setdefault(tree_canon(leafed.rows), leafed)
+        level = grown
+        out.extend(level.values())
+    return out
 
 
 def two_of_three_triples(rs) -> list[tuple[tuple, tuple, tuple, bool]]:

@@ -1,5 +1,6 @@
 """Cartan matrices, symmetrizer, and graph predicates."""
 
+import collections
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from rootsys.errors import (
 )
 
 from conftest import sweep_labels
-from oracles import cartan_from_geometry
+from oracles import cartan_from_geometry, cartan_violations, finite_type_classes, tree_canon
 
 
 # -- type bounds -------------------------------------------------------------
@@ -113,6 +114,13 @@ def test_symmetrizer_rejects_non_integral_d():
         R.symmetrizer(R.CartanMatrix(((2, -2), (-3, 2))))
 
 
+def test_symmetrizer_rejects_unsymmetrizable_cycle():
+    # the walk's tree edges give d = (2, 1, 2), which the closing edge
+    # between vertices 2 and 3 breaks: d_2 * a_23 = -1, d_3 * a_32 = -2
+    with pytest.raises(InternalInconsistencyError, match="symmetrization failed"):
+        R.symmetrizer(R.CartanMatrix(((2, -1, -1), (-2, 2, -1), (-1, -1, 2))))
+
+
 # -- validation rejections -------------------------------------------------------
 
 def test_validate_accepts_simply_laced():
@@ -167,6 +175,16 @@ def test_dynkin_tree_everywhere():
         for i, j in pairs:
             assert g.edge_multiplicity(i, j) == c.a(i, j) * c.a(j, i)
         assert sum(1 for i, j in pairs if g.edge_multiplicity(i, j)) == c.rank - 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((2, 0), (0, 2)), ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))],
+    ids=["disconnected", "affine-A2"],
+)
+def test_dynkin_graph_rejects_non_tree(rows):
+    with pytest.raises(InternalInconsistencyError, match="must be a tree"):
+        R.dynkin_graph(R.CartanMatrix(rows))
 
 
 def test_d4_ramification():
@@ -273,3 +291,54 @@ def test_validate_fuzz_never_crashes(m):
         R.validate_cartan(m)
     except (InvalidCartanError, InvalidArgumentError):
         pass
+
+
+@st.composite
+def relabelled_gcm(draw):
+    """A tree over the pair kinds above (a (0, 0) pair splits it), maybe
+    closed into a cycle and maybe with a bad diagonal entry, relabelled."""
+    n = draw(st.integers(1, 7))
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        m[u][v], m[v][u] = draw(st.sampled_from(_PAIR_OPTIONS))
+    if n >= 3 and draw(st.booleans()):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        m[u][v], m[v][u] = draw(st.sampled_from(_PAIR_OPTIONS[1:]))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        m[i][i] = draw(st.sampled_from([0, 1, 3, -2]))
+    perm = draw(st.permutations(range(n)))
+    return [[m[p][q] for q in perm] for p in perm]
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_gcm())
+def test_validate_matches_definitions(m):
+    try:
+        R.validate_cartan(m)
+        violations = ()
+    except InvalidCartanError as err:
+        violations = err.violations
+    assert violations == cartan_violations(m)
+
+
+# -- finite-type classes by search ------------------------------------------------
+
+def test_leaf_search_finds_every_type():
+    classes = finite_type_classes(12)
+    by_rank = collections.Counter(c.rank for c in classes)
+    assert [by_rank[r] for r in range(1, 13)] == [1, 3, 3, 5, 4, 5, 5, 5, 4, 4, 4, 4]
+    found = {tree_canon(c.rows) for c in classes}
+    assert len(found) == len(classes)
+    labels = collections.defaultdict(list)
+    for t in R.all_types(12):
+        labels[tree_canon(R.build_cartan(t).rows)].append(str(t))
+    assert set(labels) == found
+    assert [names for names in labels.values() if len(names) > 1] == [["B2", "C2"]]
+    for c in classes:
+        if c.rank >= 2:
+            led = R.build_ledger(R.enumerate_roots(c))
+            assert led.passed, [n for n, r in led.checks.items() if not r.passed]
+    ratio_three = [c.rank for c in classes if max(R.symmetrizer(c).d) == 3]
+    assert ratio_three == [2]

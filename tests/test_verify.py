@@ -477,6 +477,21 @@ def test_ledger_reports_dropped_root(system):
     assert list(led.checks) == list(R.build_ledger(e6).checks)
 
 
+def test_ledger_reports_non_finite_cartan(system):
+    # A3's roots over a hand-built matrix that is not of finite type (a
+    # double edge with a_ij * a_ji = 4): the Coxeter route raises, and the
+    # ledger still completes, with no headline m2
+    c = R.CartanMatrix(((2, -1, 0), (-1, 2, -2), (0, -2, 2)))
+    led = R.build_ledger(R.RootSystem(c, R.symmetrizer(c), system("A3").layers, None))
+    assert not led.passed and led.m2 is None
+    assert led.to_json_dict()["m2"] is None
+    assert led.checks["exponents_agree"].note.startswith(
+        "error: Coxeter power entry outside"
+    )
+    assert list(led.checks) == list(R.build_ledger(system("A3")).checks)
+    assert R.g2_criterion_report([led])["m2_minus_2_types"] == []
+
+
 def test_ledger_reports_missing_mark_chain(system):
     # C3 with its top root swapped: the mark chain cannot be built
     led = R.build_ledger(_swap_one_root(system("C3"), 5))
@@ -583,7 +598,10 @@ def test_main_relation_length_condition(system):
 def test_ledger_builds_each_structure_once(monkeypatch, capsys):
     calls = collections.Counter()
     built = {}
-    shared = ("dual_partition", "top_chain", "classify_case", "mark_chain", "weyl_orbits")
+    shared = (
+        "coxeter_exponents", "dual_partition", "top_chain", "classify_case",
+        "mark_chain", "weyl_orbits",
+    )
     for name in shared + ("_close",):
 
         def counted(*args, _name=name, _build=getattr(V, name)):
