@@ -10,7 +10,6 @@ from .cartan import (
     all_types,
     build_cartan,
     dynkin_graph,
-    extended_dynkin_graph,
     symmetrizer,
     validate_cartan,
 )

@@ -13,7 +13,9 @@ Conventions, fixed here and relied on by every other module:
 * ``d`` is normalised so that ``min(d_i) = 1``: short roots get d = 1
   (squared length 2), long roots get the squared-length ratio (2 or 3).
 * Simple-root indices are 1-based throughout the public API.  The affine
-  vertex of an extended graph is vertex 0.
+  vertex of an extended graph is vertex 0.  Its edges need the highest
+  root, so ``RootSystem.extended_graph`` works them out and this module
+  only assembles the graph.
 
 A finite-type Dynkin graph is a tree (Humphreys, Lie Algebras, 11.4), so
 one breadth-first walk of it gives connectivity, d along its edges and, in
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -261,6 +262,10 @@ def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
     ratios = [Fraction(1)] * len(rows)
     for v in order[1:]:
         p = parent[v]
+        # only a matrix that was never validated can fail here: the walk
+        # takes an edge that is nonzero in one direction only
+        if not rows[p][v] * rows[v][p]:
+            raise InternalInconsistencyError("symmetrization failed: one-sided zero")
         ratios[v] = ratios[p] * Fraction(rows[p][v], rows[v][p])
     low = min(ratios)
     scaled = [x / low for x in ratios]
@@ -293,6 +298,12 @@ class DynkinGraph:
             adj[a].add(b)
             adj[b].add(a)
         self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
+
+    def with_affine_vertex(self, edges: dict[int, int]) -> "DynkinGraph":
+        """This graph plus vertex 0, joined to each vertex i in edges by an
+        edge of multiplicity edges[i]."""
+        mult = self._mult | {frozenset((0, i)): m for i, m in edges.items()}
+        return DynkinGraph((0,) + self.vertices, mult)
 
     def _require(self, v: int) -> None:
         if v not in self._adj:
@@ -376,32 +387,3 @@ def dynkin_graph(c: CartanMatrix) -> DynkinGraph:
         raise InternalInconsistencyError("Dynkin graph of a valid matrix must be a tree")
     return g
 
-
-def extended_dynkin_graph(
-    c: CartanMatrix,
-    form: SymmetrizedForm,
-    highest_coeffs: Sequence[int],
-) -> DynkinGraph:
-    """Dynkin graph plus the affine vertex 0, standing for minus the highest
-    root, attached to every simple root not orthogonal to it; edge
-    multiplicities come from the same pairing rule as simple-root pairs.
-    Requires rank >= 2 (the rank-1 affine diagram has no finite edge
-    multiplicity).
-    """
-    if c.rank < 2:
-        raise InvalidArgumentError("extended graph requires rank >= 2")
-    base = dynkin_graph(c)
-    theta = tuple(highest_coeffs)
-    # <theta, alpha_i> = integer dot of row i with theta's coefficients, and
-    # (alpha_i, theta) = d_i <theta, alpha_i>
-    t = [sum(map(mul, row, theta)) for row in c.rows]
-    theta_norm = sum(map(mul, theta, map(mul, form.d, t)))
-    mult = dict(base._mult)
-    for i, (d_i, t_i) in enumerate(zip(form.d, t), start=1):
-        if t_i <= 0:
-            continue
-        u_i, rem = divmod(2 * d_i * t_i, theta_norm)
-        if rem:
-            raise InternalInconsistencyError("non-integral pairing against the highest root")
-        mult[frozenset((0, i))] = t_i * u_i
-    return DynkinGraph((0,) + base.vertices, mult)

@@ -9,7 +9,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
 
 from .cartan import CartanMatrix
 from .errors import (
@@ -85,25 +84,12 @@ def dual_partition(hd: HeightDistribution) -> ExponentReport:
     return ExponentReport(tuple(exps), h, DUAL_PARTITION)
 
 
-def _reflection_order(c: CartanMatrix, order: Sequence[int] | None) -> list[int]:
-    n = c.rank
-    order = list(range(1, n + 1) if order is None else order)
-    if any(isinstance(i, bool) or not isinstance(i, int) for i in order):
-        raise InvalidArgumentError(f"order must hold integer entries, got {order}")
-    if sorted(order) != list(range(1, n + 1)):
-        raise InvalidArgumentError(
-            f"order must be a permutation of 1..{n}, got {order}"
-        )
-    return order
-
-
-def coxeter_traces(
-    c: CartanMatrix, order: Sequence[int] | None = None
-) -> tuple[int, tuple[int, ...]]:
-    """Order h of the Coxeter element s_{o1} o s_{o2} o ... acting on the
+def coxeter_traces(c: CartanMatrix) -> tuple[int, tuple[int, ...]]:
+    """Order h of the Coxeter element s_1 o s_2 o ... o s_l acting on the
     root space in simple-root coordinates, and the traces tr(c^k) for
-    0 <= k < h.  ``order`` defaults to the index-ascending product; any
-    permutation of 1..rank is accepted.
+    0 <= k < h.  On a Dynkin tree all Coxeter elements are conjugate
+    (Humphreys, Reflection Groups and Coxeter Groups, 3.16), so relabelling
+    the simple roots gives the same traces.
 
     Column j of the running power holds the image of the simple root e_j.
     The power is carried through the chain of simple reflections (the
@@ -125,12 +111,8 @@ def coxeter_traces(
     """
     n = c.rank
     steps = [
-        (
-            i - 1,
-            1 - c.rows[i - 1][i - 1],
-            [(j, a) for j, a in enumerate(c.rows[i - 1]) if a and j != i - 1],
-        )
-        for i in reversed(_reflection_order(c, order))
+        (i, 1 - c.rows[i][i], [(j, a) for j, a in enumerate(c.rows[i]) if a and j != i])
+        for i in reversed(range(n))
     ]
     cap = HEIGHT_CAP_FACTOR * n
     bound = 2 * (cap + 1)
@@ -170,9 +152,7 @@ def _exact_div(a: int, b: int, what: str) -> int:
     return q
 
 
-def coxeter_exponents(
-    c: CartanMatrix, order: Sequence[int] | None = None
-) -> ExponentReport:
+def coxeter_exponents(c: CartanMatrix) -> ExponentReport:
     """Exponents from the eigenvalues exp(2 pi i m / h) of a Coxeter element.
 
     Since c^h = 1, the eigenvalues are h-th roots of unity, and for d | h
@@ -185,7 +165,7 @@ def coxeter_exponents(
     exact, the eigenvalue 1 must not occur, and the multiplicities must sum
     to the rank; otherwise NumericInconsistencyError is raised.
     """
-    h, traces = coxeter_traces(c, order)
+    h, traces = coxeter_traces(c)
     orders = [h // gcd(m, h) for m in range(h)]
     phi = Counter(orders)  # phi[e] = number of primitive e-th roots of unity
     mu: dict[int, int] = {}

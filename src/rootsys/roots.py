@@ -1,12 +1,14 @@
-"""Positive-root enumeration by height layers, plus pairings, lengths and
-the highest root.
+"""Positive-root enumeration by height layers, plus pairings, lengths, the
+highest root and the Dynkin graphs.
 
 Only positive roots are stored; a negative root is the negated coefficient
 tuple of a positive one.  ``RootSystem.pairings`` is the one table of
 coroot pairings: each signed root's coefficient tuple maps to its vector
 (<beta, alpha_1>, ..., <beta, alpha_l>), positives first in
 ``positive_roots()`` order, then their negatives.  It is built lazily, on
-first use, from the Cartan rows and the system's own layers.
+first use, from the Cartan rows and the system's own layers.  Every
+length, and the affine edges of the extended Dynkin graph, are read from
+this table and ``form.d``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .cartan import (
     SymmetrizedForm,
     build_cartan,
     dynkin_graph,
-    extended_dynkin_graph,
     symmetrizer,
 )
 from .errors import InternalInconsistencyError, InvalidArgumentError
@@ -171,13 +172,6 @@ class RootSystem:
         pv = self.pairings[beta.coeffs]
         return sum(map(mul, beta.coeffs, map(mul, self.form.d, pv)))
 
-    @cached_property
-    def max_norm(self) -> int:
-        return max(self.norm_sq(r) for r in self.positive_roots())
-
-    def is_long(self, beta: Root) -> bool:
-        return self.norm_sq(beta) == self.max_norm
-
     # -- graphs -------------------------------------------------------------
 
     @cached_property
@@ -186,9 +180,26 @@ class RootSystem:
 
     @cached_property
     def extended_graph(self) -> DynkinGraph:
-        return extended_dynkin_graph(
-            self.cartan, self.form, self.highest_root().coeffs
-        )
+        """The Dynkin graph plus the affine vertex 0, standing for minus the
+        highest root theta, joined to each alpha_i with t_i = <theta, alpha_i>
+        > 0 by t_i * <alpha_i, theta> edges, where <alpha_i, theta> =
+        2 d_i t_i / (theta, theta): the rule for simple-root pairs.  Requires
+        rank >= 2 (the rank-1 affine diagram has no finite edge
+        multiplicity)."""
+        if self.rank < 2:
+            raise InvalidArgumentError("extended graph requires rank >= 2")
+        theta = self.highest_root()
+        norm = self.norm_sq(theta)
+        edges = {}
+        for i, (d_i, t_i) in enumerate(zip(self.form.d, self.pairings[theta.coeffs]), 1):
+            if t_i > 0:
+                u_i, rem = divmod(2 * d_i * t_i, norm)
+                if rem:
+                    raise InternalInconsistencyError(
+                        "non-integral pairing against the highest root"
+                    )
+                edges[i] = t_i * u_i
+        return self.graph.with_affine_vertex(edges)
 
     # -- serialization -------------------------------------------------------
 

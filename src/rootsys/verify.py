@@ -8,9 +8,11 @@ the top chain (the roots living above height m_{l-1}, one per height,
 together with their consecutive differences).  The case split asks whether
 some root of the top chain pairs to 3 against its step; case 1 forces
 c_max = m2 - 2, case 2 forces c_max = m2 - 1.  The main relation also
-states the root-length condition: case 1 holds iff the ratio of long to
-short squared lengths is 3, which in an irreducible system happens only
-for G2.
+states the root-length condition and the corollary that c_max = m2 - 2
+characterises G2, on each system: case 1 holds iff the ratio of long to
+short squared lengths is 3, iff the Dynkin graph has a triple edge.  The
+sweep's G2 criterion only compares the case-1 types with the types where
+c_max = m2 - 2, so no label is consulted.
 
 Every check returns a CheckResult instead of raising, so a batch run over
 many systems always completes and reports failures as data.  The chain
@@ -49,7 +51,7 @@ from .exponents import (
     dual_partition,
     height_distribution,
 )
-from .roots import Root, RootSystem, build_system
+from .roots import Root, RootSystem
 
 COUNTEREXAMPLE_CAP = 8
 
@@ -297,14 +299,20 @@ def check_mark_chain(rs: RootSystem, chain: MarkChain) -> CheckResult:
 
 def check_main_relation(rs: RootSystem, split: CaseSplit, rep: ExponentReport) -> CheckResult:
     """c_max = m2 - 2 in case 1 and m2 - 1 in case 2, and case 1 holds iff
-    the long/short squared-length ratio is 3.  The ratio is max(d), since
-    min(d) = 1; all three come from the system, never from its label."""
+    the long/short squared-length ratio is 3, iff the Dynkin graph has a
+    triple edge (some a_ij * a_ji = 3), which is what type G2 means.  The
+    ratio is max(d), since min(d) = 1; all of it comes from the system,
+    never from its label."""
     cmax = rs.c_max()
     m2 = rep.exponents[1]
     ratio = max(rs.form.d)
+    rows = rs.cartan.rows
+    triple = any(a * b == 3 for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col))
     expected = m2 - 2 if split.case == 1 else m2 - 1
-    ok = cmax == expected and (split.case == 1) == (ratio == 3)
-    cx = [] if ok else [{"c_max": cmax, "m2": m2, "case": split.case, "ratio": ratio}]
+    ok = cmax == expected and (split.case == 1) == (ratio == 3) == triple
+    cx = [] if ok else [
+        {"c_max": cmax, "m2": m2, "case": split.case, "ratio": ratio, "triple_edge": triple}
+    ]
     note = f"case {split.case}: c_max = {cmax}, m2 = {m2}, long/short ratio {ratio}"
     return CheckResult("main_relation", ok, cx, note)
 
@@ -721,22 +729,6 @@ def check_exponents_agree(rep_a: ExponentReport, rep_b: ExponentReport) -> Check
     return CheckResult("exponents_agree", ok, cx, f"h = {rep_a.coxeter_number}")
 
 
-def check_exponent_duality(rep: ExponentReport) -> CheckResult:
-    """The exponent identities that can fail for a dual report: opposite
-    exponents sum to h, and m_1 < m_2.  The others hold by construction:
-    ExponentReport enforces 1 = m_1 <= ... <= m_l = h - 1, and
-    dual_partition sets h = ht(theta) + 1, since the top layer holds only
-    theta, with exponents that sum to the number of positive roots."""
-    ms = rep.exponents
-    h = rep.coxeter_number
-    cx = []
-    if any(a + b != h for a, b in zip(ms, reversed(ms))):
-        cx.append({"identity": "pair-sums", "detail": f"m_j + m_(l+1-j) vs h = {h}"})
-    if not ms[0] < ms[1]:
-        cx.append({"identity": "m1-below-m2", "detail": f"exponents {ms}"})
-    return CheckResult("exponent_duality", not cx, cx, "2 identities")
-
-
 @dataclass
 class VerificationLedger:
     """Per-system record: headline numbers plus one result per check."""
@@ -808,7 +800,6 @@ def build_ledger(rs: RootSystem) -> VerificationLedger:
     checks: dict[str, CheckResult] = {}
     for name, needs, check in (
         ("exponents_agree", ("dual exponents", "coxeter exponents"), check_exponents_agree),
-        ("exponent_duality", ("dual exponents",), check_exponent_duality),
         ("main_relation", ("system", "case split", "dual exponents"), check_main_relation),
         ("mark_chain", ("system", "mark chain"), check_mark_chain),
         ("chains_coincide", ("system", "mark chain", "top chain"), check_chains_coincide),
@@ -846,38 +837,11 @@ def build_ledger(rs: RootSystem) -> VerificationLedger:
     )
 
 
-def g2_graph_report(rs: RootSystem) -> dict:
-    """The two graph forms characterising G2: a single triple edge, and the
-    affine vertex hanging by a single edge off the long simple root."""
-    triple = rs.rank == 2 and rs.graph.edge_multiplicity(1, 2) == 3
-    ok = False
-    if rs.rank == 2:
-        ext = rs.extended_graph
-        long_idx = 1 if rs.is_long(rs.simple_root(1)) else 2
-        ok = ext.neighbors(0) == (long_idx,) and ext.edge_multiplicity(0, long_idx) == 1
-    return {"dynkin_triple_edge": triple, "affine_single_edge_to_long_root": ok}
-
-
 def g2_criterion_report(ledgers: Iterable[VerificationLedger]) -> dict:
-    """c_max = m2 - 2 must hold for G2 and fail everywhere else; the G2
-    graph forms are checked alongside."""
+    """The corollary over a sweep: the types in case 1 and the types with
+    c_max = m2 - 2 must be the same.  Each ledger's main_relation already
+    ties case 1 to a triple edge of that system's own Dynkin graph."""
     ledgers = list(ledgers)
     case1 = sorted(l.label for l in ledgers if l.case == 1)
     rel = sorted(l.label for l in ledgers if l.c_max + 2 == l.m2)
-    has_g2 = any(l.label == "G2" for l in ledgers)
-    graph = None
-    if has_g2:
-        graph = g2_graph_report(build_system("G2"))
-    ok = (
-        has_g2
-        and case1 == ["G2"]
-        and rel == ["G2"]
-        and graph is not None
-        and all(graph.values())
-    )
-    return {
-        "pass": bool(ok),
-        "case1_types": case1,
-        "m2_minus_2_types": rel,
-        "g2_graph": graph,
-    }
+    return {"pass": case1 == rel, "case1_types": case1, "m2_minus_2_types": rel}

@@ -71,7 +71,9 @@ def test_criterion_1_main_relation_sweep():
 def test_criterion_2_g2_criterion(sweep_data):
     for label, (rs, rep_d, _, _, _) in sweep_data.items():
         holds = rs.c_max() == rep_d.exponents[1] - 2
-        assert holds == (label == "G2"), label
+        c = rs.cartan
+        triple = any(c.a(i, j) * c.a(j, i) == 3 for i in range(1, c.rank + 1) for j in range(1, i))
+        assert holds == triple == (label == "G2"), label
     g2, rep_d = sweep_data["G2"][0], sweep_data["G2"][1]
     assert g2.c_max() == 3 and rep_d.exponents[1] == 5
     ledgers = [
@@ -80,8 +82,7 @@ def test_criterion_2_g2_criterion(sweep_data):
         for label, (rs, rep, _, _, split) in sweep_data.items()
     ]
     report = R.g2_criterion_report(ledgers)
-    assert report["pass"] and report["m2_minus_2_types"] == ["G2"]
-    assert all(report["g2_graph"].values())
+    assert report == {"pass": True, "case1_types": ["G2"], "m2_minus_2_types": ["G2"]}
     _verdict(2, "c_max = m2 - 2 exactly for G2")
 
 
@@ -160,8 +161,9 @@ def test_criterion_8_conjugacy_invariance(sweep_data):
         for _ in range(3):
             perm = list(range(1, rs.rank + 1))
             rng.shuffle(perm)
-            rep = R.coxeter_exponents(rs.cartan, order=perm)
+            c = rs.cartan
+            rep = R.coxeter_exponents(R.validate_cartan([[c.a(p, q) for q in perm] for p in perm]))
             assert rep.coxeter_number == rep_c.coxeter_number, (label, perm)
             assert rep.exponents == rep_c.exponents, (label, perm)
             assert rep == rep_c, (label, perm)
-    _verdict(8, "Coxeter exponents invariant under 3 random reflection orders per type")
+    _verdict(8, "Coxeter exponents invariant under 3 random relabellings per type")

@@ -16,7 +16,14 @@ from rootsys.errors import (
 )
 
 from conftest import sweep_labels
-from oracles import cartan_from_geometry, cartan_violations, finite_type_classes, tree_canon
+from oracles import (
+    cartan_from_geometry,
+    cartan_violations,
+    finite_type_classes,
+    gram,
+    inner,
+    tree_canon,
+)
 
 
 # -- type bounds -------------------------------------------------------------
@@ -119,6 +126,13 @@ def test_symmetrizer_rejects_unsymmetrizable_cycle():
     # between vertices 2 and 3 breaks: d_2 * a_23 = -1, d_3 * a_32 = -2
     with pytest.raises(InternalInconsistencyError, match="symmetrization failed"):
         R.symmetrizer(R.CartanMatrix(((2, -1, -1), (-2, 2, -1), (-1, -1, 2))))
+
+
+@pytest.mark.parametrize("rows", [((2, -1), (0, 2)), ((2, 0), (-1, 2))])
+def test_symmetrizer_rejects_one_sided_zero(rows):
+    # the walk takes the edge, but no d can balance a zero against a nonzero
+    with pytest.raises(InternalInconsistencyError, match="one-sided zero"):
+        R.symmetrizer(R.CartanMatrix(rows))
 
 
 # -- validation rejections -------------------------------------------------------
@@ -227,11 +241,29 @@ def test_simple_chain_interior_attachment(system):
     assert not g.is_simple_chain([3, 2, 1])
 
 
-def test_extended_requires_rank_two():
-    c = R.build_cartan("A1")
-    form = R.symmetrizer(c)
-    with pytest.raises(InvalidArgumentError):
-        R.extended_dynkin_graph(c, form, (1,))
+def test_extended_requires_rank_two(system):
+    with pytest.raises(InvalidArgumentError, match="rank >= 2"):
+        system("A1").extended_graph
+
+
+def test_extended_graph_matches_gram_oracle(system):
+    # the edge from -theta to alpha_i has multiplicity
+    # 4 (theta, alpha_i)^2 / ((alpha_i, alpha_i)(theta, theta)) when
+    # (theta, alpha_i) > 0, here from the Gram matrix rather than the
+    # pairing table
+    for label in sweep_labels(12):
+        rs = system(label)
+        g = gram(rs.cartan, rs.form.d)
+        theta = rs.highest_root().coeffs
+        ext = rs.extended_graph
+        assert ext.vertices == (0,) + rs.graph.vertices
+        for i in rs.graph.vertices:
+            alpha = tuple(int(k == i - 1) for k in range(rs.rank))
+            t = inner(g, theta, alpha)
+            mult = 4 * t * t // (inner(g, alpha, alpha) * inner(g, theta, theta))
+            assert ext.edge_multiplicity(0, i) == (mult if t > 0 else 0), (label, i)
+            for j in rs.graph.vertices:
+                assert ext.edge_multiplicity(i, j) == rs.graph.edge_multiplicity(i, j)
 
 
 def test_bc_extended_multiplicity(system):
@@ -326,19 +358,29 @@ def test_validate_matches_definitions(m):
 # -- finite-type classes by search ------------------------------------------------
 
 def test_leaf_search_finds_every_type():
-    classes = finite_type_classes(12)
+    classes = finite_type_classes(20)
     by_rank = collections.Counter(c.rank for c in classes)
-    assert [by_rank[r] for r in range(1, 13)] == [1, 3, 3, 5, 4, 5, 5, 5, 4, 4, 4, 4]
+    assert [by_rank[r] for r in range(1, 21)] == [1, 3, 3, 5, 4, 5, 5, 5] + [4] * 12
+    assert len(classes) == 79
     found = {tree_canon(c.rows) for c in classes}
     assert len(found) == len(classes)
     labels = collections.defaultdict(list)
-    for t in R.all_types(12):
+    for t in R.all_types(20):
         labels[tree_canon(R.build_cartan(t).rows)].append(str(t))
     assert set(labels) == found
     assert [names for names in labels.values() if len(names) > 1] == [["B2", "C2"]]
-    for c in classes:
+    # the corollary without labels: exactly one class has a triple edge,
+    # and its ledger alone is in case 1 and alone has c_max = m2 - 2
+    triple, case1, relation = [], [], []
+    for k, c in enumerate(classes):
+        if any(c.a(i, j) * c.a(j, i) == 3 for i in range(1, c.rank + 1) for j in range(1, i)):
+            triple.append(k)
         if c.rank >= 2:
             led = R.build_ledger(R.enumerate_roots(c))
             assert led.passed, [n for n, r in led.checks.items() if not r.passed]
+            case1 += [k] * (led.case == 1)
+            relation += [k] * (led.c_max == led.m2 - 2)
+    assert len(triple) == 1 and triple == case1 == relation
+    assert classes[triple[0]].rank == 2
     ratio_three = [c.rank for c in classes if max(R.symmetrizer(c).d) == 3]
     assert ratio_three == [2]

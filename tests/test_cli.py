@@ -142,6 +142,16 @@ def test_verify_a1_skipped(capsys):
     assert "m2 undefined" in data["skipped"][0]["skipped"]
 
 
+def test_verify_all_rank_one_passes(capsys):
+    # A1 is skipped, so no ledger is in case 1 and none has c_max = m2 - 2:
+    # the G2 criterion holds on an empty sweep, and nothing failed
+    code, out, _ = run_cli(capsys, "verify", "--all", "--max-rank", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ledgers"] == [] and len(data["skipped"]) == 1
+    assert data["g2_criterion"] == {"pass": True, "case1_types": [], "m2_minus_2_types": []}
+
+
 def test_verify_all_rank_eight(capsys):
     code, out, _ = run_cli(capsys, "verify", "--all", "--max-rank", "8")
     assert code == 0

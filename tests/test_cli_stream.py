@@ -26,11 +26,11 @@ GOLDEN = {
     ("exponents", "--all", "--max-rank", "24", "--method", "both"):
         "073477731f5076f42d75fb4b785a859d588dcd48c77f182c33ca6e5866a3d5f0",
     ("verify", "--all", "--max-rank", "12"):
-        "4e3505f67aa376fedc08834992dcaeb56797519960fdfed7febe784bc2800aaa",
+        "4e33b5e7c60add2da0fa26e49c1d001284980dbee32b004b196126b100805001",
     ("verify", "--all", "--max-rank", "20"):
-        "67f71f1f03f882a7724b5ec712f67a56b3b90161d31db8410a563c93089e8576",
+        "433f6ef220736b2a367416a6d959cd912c6500eb5100bc7dd2a2539a8db80108",
     ("verify", "--all", "--max-rank", "32"):
-        "a291dcd492319673d0fc0b1e677be72975ee65e5fe07ad98837e4c38252d98aa",
+        "c8687914c0a2ca403b79008196e2a4bafeb3634a7e10381818adb080f1c317bf",
     ("gen", "--all", "--max-rank", "32"):
         "3d35e55a99e230d98b60e25c86f2b43a8a940b7900d36a8ccf7a3a0e38f5b818",
     ("exponents", "--all", "--max-rank", "32", "--method", "both"):

@@ -246,12 +246,13 @@ def test_root_string_rejects_nonroot(system):
 
 def test_lengths_pins(system):
     a4 = system("A4")
-    assert all(a4.is_long(r) for r in a4.positive_roots())
+    assert {a4.norm_sq(r) for r in a4.positive_roots()} == {2}
     g2 = system("G2")
     assert g2.norm_sq(g2.simple_root(2)) == 3 * g2.norm_sq(g2.simple_root(1)) == 6
     b3 = system("B3")
-    assert not b3.is_long(b3.simple_root(3))
-    assert b3.is_long(b3.simple_root(1))
+    # long roots have squared length 2 * max(d), short ones 2
+    assert b3.norm_sq(b3.simple_root(3)) == 2
+    assert b3.norm_sq(b3.simple_root(1)) == 2 * max(b3.form.d) == 4
 
 
 def test_at_most_two_lengths(system):

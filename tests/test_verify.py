@@ -213,8 +213,9 @@ def test_lengths(system):
         assert res.passed, (label, res.counterexamples)
     g2 = system("G2")
     top = _top(g2)
-    assert g2.is_long(top.roots[0]) and g2.is_long(top.roots[1])
-    assert g2.is_long(g2.simple_root(top.step(1)))
+    long_sq = 2 * max(g2.form.d)
+    assert g2.norm_sq(top.roots[0]) == g2.norm_sq(top.roots[1]) == long_sq
+    assert g2.norm_sq(g2.simple_root(top.step(1))) == long_sq
 
 
 def test_lengths_fails_on_wrong_d(system):
@@ -471,8 +472,7 @@ def test_ledger_reports_dropped_root(system):
     led = R.build_ledger(R.RootSystem(e6.cartan, e6.form, tuple(layers), None))
     assert not led.passed and led.m2 == 4 and led.case is None
     assert led.checks["exponents_agree"].note.startswith("error: ")
-    for name in ("exponent_duality", "chains_coincide"):
-        assert led.checks[name].note == "blocked: dual exponents unavailable", name
+    assert led.checks["chains_coincide"].note == "blocked: dual exponents unavailable"
     assert led.checks["lengths"].note == "blocked: top chain unavailable"
     assert list(led.checks) == list(R.build_ledger(e6).checks)
 
@@ -525,8 +525,6 @@ def _failing_systems(system):
     return {
         # top root (1, 1): dual exponents (1, 2), Coxeter exponents (1, 3)
         "exponents_agree": _truncated(system("B2"), 2),
-        # height distribution (3, 1, 1): exponents (1, 1, 3)
-        "exponent_duality": _edited(system("A3"), drop=[(1, 1, 0)]),
         "main_relation": g2_unit_d,
         # c_max = 1 on a graph with a branch point
         "mark_chain": _truncated(system("D4"), 4),
@@ -553,20 +551,10 @@ def test_every_row_can_fail(system):
         assert not res.passed and res.counterexamples, (name, res.note)
 
 
-def test_exponent_duality_identities_fail(system):
-    # B3 cut at height 4: exponents (1, 3, 4) with h = 5; A3 less a
-    # height-2 root: exponents (1, 1, 3) with h = 4
-    res = V.check_exponent_duality(_rep(_truncated(system("B3"), 4)))
-    assert res.counterexamples == [
-        {"identity": "pair-sums", "detail": "m_j + m_(l+1-j) vs h = 5"}
-    ]
-    res = V.check_exponent_duality(_rep(_edited(system("A3"), drop=[(1, 1, 0)])))
-    assert [c["identity"] for c in res.counterexamples] == ["pair-sums", "m1-below-m2"]
-
-
 def test_main_relation_length_condition(system):
-    # case 1, a long/short squared-length ratio of 3 and c_max = m2 - 2
-    # coincide on every type, and only G2 has them; the ratio is max(d)
+    # case 1, a long/short squared-length ratio of 3, c_max = m2 - 2 and a
+    # triple edge coincide on every type, and only G2 has them; the ratio
+    # is max(d)
     for label in sweep_labels(R.MAX_RANK):
         rs = system(label)
         rep = _rep(rs)
@@ -574,22 +562,38 @@ def test_main_relation_length_condition(system):
         res = V.check_main_relation(rs, split, rep)
         assert res.passed, (label, res.counterexamples)
         g2 = label == "G2"
-        assert (split.case == 1, max(rs.form.d) == 3, rs.c_max() == rep.exponents[1] - 2) == (
-            g2, g2, g2
-        ), label
+        g = rs.graph
+        triple = any(
+            g.edge_multiplicity(i, j) == 3 for i, j in itertools.combinations(g.vertices, 2)
+        )
+        assert (
+            split.case == 1, max(rs.form.d) == 3, rs.c_max() == rep.exponents[1] - 2, triple
+        ) == (g2, g2, g2, g2), label
     for label in sweep_labels(12):
         rs = system(label)
-        assert rs.max_norm == 2 * max(rs.form.d), label
+        assert max(map(rs.norm_sq, rs.positive_roots())) == 2 * max(rs.form.d), label
     g2 = system("G2")
     assert V.check_main_relation(g2, R.classify_case(_top(g2), g2), _rep(g2)).note == (
         "case 1: c_max = 3, m2 = 5, long/short ratio 3"
     )
     # a wrong d breaks only the length condition; A2 with its top root
-    # swapped for (2, 0) breaks only the relation
+    # swapped for (2, 0) breaks only the relation; A2's roots read with
+    # G2's Cartan matrix and d = (1, 1) break only the triple-edge condition
+    g2_rows = R.RootSystem(g2.cartan, R.SymmetrizedForm((1, 1)), system("A2").layers, None)
     for rs, cx in (
-        (_wrong_d(system("G2"), (1, 1)), {"c_max": 3, "m2": 5, "case": 1, "ratio": 1}),
-        (_wrong_d(system("A2"), (1, 3)), {"c_max": 1, "m2": 2, "case": 2, "ratio": 3}),
-        (_swap_one_root(system("A2"), 2), {"c_max": 2, "m2": 2, "case": 2, "ratio": 1}),
+        (
+            _wrong_d(system("G2"), (1, 1)),
+            {"c_max": 3, "m2": 5, "case": 1, "ratio": 1, "triple_edge": True},
+        ),
+        (
+            _wrong_d(system("A2"), (1, 3)),
+            {"c_max": 1, "m2": 2, "case": 2, "ratio": 3, "triple_edge": False},
+        ),
+        (
+            _swap_one_root(system("A2"), 2),
+            {"c_max": 2, "m2": 2, "case": 2, "ratio": 1, "triple_edge": False},
+        ),
+        (g2_rows, {"c_max": 1, "m2": 2, "case": 2, "ratio": 1, "triple_edge": True}),
     ):
         res = V.check_main_relation(rs, R.classify_case(_top(rs), rs), _rep(rs))
         assert not res.passed and res.counterexamples == [cx], cx
@@ -619,13 +623,23 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
     table = functools.cached_property(counted_table)
     table.__set_name__(R.RootSystem, "pairings")
     monkeypatch.setattr(R.RootSystem, "pairings", table)
+    build_graph = R.cartan.dynkin_graph
+
+    def counted_graph(c):
+        calls["dynkin_graph"] += 1
+        return build_graph(c)
+
+    for module in (R.cartan, R.roots):
+        monkeypatch.setattr(module, "dynkin_graph", counted_graph)
     for label in sweep_labels(8):
         calls.clear()
         assert R.build_ledger(R.build_system(label)).passed, label
         # one closure under W, then one per representative's stabilizer,
-        # which both scans share
+        # which both scans share; the extended graph builds on the graph
         closures = 1 + len(built["weyl_orbits"].representatives)
-        expected = dict.fromkeys(shared + ("pairings",), 1) | {"_close": closures}
+        expected = dict.fromkeys(shared + ("pairings", "dynkin_graph"), 1) | {
+            "_close": closures
+        }
         assert calls == expected, (label, calls)
     # a set that is not Weyl-stable is closed once, with no stabilizer orbits
     for label in ("B3", "F4", "E6"):
@@ -638,7 +652,7 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
     assert main(["gen", "--all", "--max-rank", "8"]) == 0
     assert main(["exponents", "--all", "--max-rank", "8", "--method", "both"]) == 0
     capsys.readouterr()
-    assert calls["pairings"] == 0
+    assert calls["pairings"] == calls["dynkin_graph"] == 0
 
 
 def test_constructor_rejects_malformed_layers(system):
@@ -690,11 +704,19 @@ def test_ledger_rejects_rank_one(system):
 
 def test_g2_criterion_report(system):
     ledgers = [R.build_ledger(system(label)) for label in sweep_labels(8)]
-    report = R.g2_criterion_report(ledgers)
-    assert report["pass"]
-    assert report["case1_types"] == ["G2"]
-    assert report["m2_minus_2_types"] == ["G2"]
-    assert report["g2_graph"] == {
-        "dynkin_triple_edge": True,
-        "affine_single_edge_to_long_root": True,
+    assert R.g2_criterion_report(ledgers) == {
+        "pass": True, "case1_types": ["G2"], "m2_minus_2_types": ["G2"]
+    }
+    # the report reads the ledgers, not their labels: G2 under another name
+    # still passes, and no G2 at all is an empty sweep, not a failure
+    g2 = R.build_ledger(system("G2"))
+    g2.label = "custom"
+    assert R.g2_criterion_report([g2])["pass"]
+    assert R.g2_criterion_report([]) == {
+        "pass": True, "case1_types": [], "m2_minus_2_types": []
+    }
+    # a case-1 ledger whose headline misses c_max = m2 - 2 fails it
+    g2.m2 = 6
+    assert R.g2_criterion_report([g2]) == {
+        "pass": False, "case1_types": ["custom"], "m2_minus_2_types": []
     }
