@@ -263,9 +263,12 @@ def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
     for v in order[1:]:
         p = parent[v]
         # only a matrix that was never validated can fail here: the walk
-        # takes an edge that is nonzero in one direction only
-        if not rows[p][v] * rows[v][p]:
-            raise InternalInconsistencyError("symmetrization failed: one-sided zero")
+        # takes an edge that is nonzero in one direction only, or whose two
+        # entries have opposite signs, so d_v would not be positive
+        if rows[p][v] * rows[v][p] <= 0:
+            raise InternalInconsistencyError(
+                "symmetrization failed: a one-sided zero or opposite signs"
+            )
         ratios[v] = ratios[p] * Fraction(rows[p][v], rows[v][p])
     low = min(ratios)
     scaled = [x / low for x in ratios]

@@ -32,6 +32,8 @@ from .errors import InternalInconsistencyError, InvalidArgumentError
 
 # Safety net against hand-entered matrices that somehow slip past
 # validation: no finite system of rank l has a root of height > 10*l.
+# enumerate_roots also caps heights at 255, its key fields' range; a finite
+# type of rank <= MAX_RANK = 32 has height at most 63.
 HEIGHT_CAP_FACTOR = 10
 
 
@@ -218,55 +220,46 @@ class RootSystem:
 def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSystem:
     """Build all positive roots layer by layer.
 
-    For a root beta of height r and a simple root alpha_i, let p be the
-    largest k with beta - k*alpha_i already found; beta + alpha_i is a root
-    exactly when p - <beta, alpha_i> > 0, because root strings are unbroken.
-    Each root carries its pairings <beta, alpha_i> for all i, updated by
-    one column of the Cartan matrix per step up.
+    Each root beta carries its pairings <beta, alpha_i> and its string
+    lengths p, where p[i] is the largest k with beta - k*alpha_i a root.
+    beta + alpha_i is a root exactly when p[i] > <beta, alpha_i>, because
+    root strings are unbroken; it then gets p[i] + 1 in entry i and its
+    pairings plus column i of the Cartan matrix.  An entry no edge sets
+    stays 0.  Every edge into a root of height r + 1 leaves a root of
+    height r, so p is complete before the root's own layer is scanned.
 
-    Keys are ints with a w-bit field per coordinate, coordinate 0 most
-    significant: sorting keys sorts vectors lexicographically, and
-    beta +- alpha_i is ``key +- unit[i]``.  Every key stored or looked up
-    has coefficients in 0..cap, cap = HEIGHT_CAP_FACTOR * rank (heights stop
-    at cap, and a walk down stops at b_i), and w = cap.bit_length() holds
-    that range, so no field carries or borrows.
+    Keys are ints with an 8-bit field per coordinate, coordinate 0 most
+    significant: sorting keys sorts vectors lexicographically, beta +
+    alpha_i is ``key + unit[i]``, and ``key.to_bytes(rank, "big")`` is the
+    coefficient tuple.  A coefficient never exceeds its root's height, and
+    heights stop at cap <= 255, so no field carries.
     """
     n = cartan.rank
     form = symmetrizer(cartan)
     columns = list(zip(*cartan.rows))
-    cap = HEIGHT_CAP_FACTOR * n
-    width = cap.bit_length()
-    unit = [1 << (width * (n - 1 - i)) for i in range(n)]
+    cap = min(HEIGHT_CAP_FACTOR * n, 255)
+    unit = [1 << (8 * (n - 1 - i)) for i in range(n)]
 
-    # key -> (coefficient tuple, pairing vector) of the roots one layer up
-    found = {
-        unit[i]: (tuple(int(k == i) for k in range(n)), columns[i]) for i in range(n)
-    }
+    # key -> (pairing vector, string lengths p) of the roots one layer up
+    found = {unit[i]: (columns[i], [0] * n) for i in range(n)}
     layers: list[list[tuple[int, ...]]] = [[]]
-    members: set[int] = set()
     while found:
         if len(layers) >= cap:
             raise InternalInconsistencyError(
                 f"enumeration exceeded height {cap}; the matrix cannot be finite type"
             )
-        layer = dict(sorted(found.items()))
-        layers.append([beta for beta, _ in layer.values()])
-        members.update(layer)
+        layer = sorted(found.items())
+        layers.append([tuple(key.to_bytes(n, "big")) for key, _ in layer])
         found = {}
-        for key, (beta, pair) in layer.items():
-            # p <= b_i, as beta - k*alpha_i must stay nonnegative, and only
-            # p > pi matters: probe the i with pi < b_i, at most pi + 1 steps.
-            for i, u in compress(enumerate(unit), map(gt, beta, pair)):
+        for key, (pair, p) in layer:
+            for i, u in compress(enumerate(unit), map(gt, p, pair)):
                 up = key + u
-                if up in found:
-                    continue
-                pi, p, down = pair[i], 0, key - u
-                while p <= pi and down in members:
-                    p += 1
-                    down -= u
-                if p > pi:  # a new root: build its tuple and pairings once
-                    up_beta = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                    found[up] = (up_beta, tuple(map(add, pair, columns[i])))
+                if up in found:  # another edge into the same root
+                    found[up][1][i] = p[i] + 1
+                else:  # a new root: build its pairings once
+                    q = [0] * n
+                    q[i] = p[i] + 1
+                    found[up] = (tuple(map(add, pair, columns[i])), q)
 
     root_layers = tuple(tuple(Root(c) for c in layer) for layer in layers)
     rs = RootSystem(cartan, form, root_layers, label)

@@ -135,6 +135,16 @@ def test_symmetrizer_rejects_one_sided_zero(rows):
         R.symmetrizer(R.CartanMatrix(rows))
 
 
+@pytest.mark.parametrize("rows", [((2, 1), (-1, 2)), ((2, -1), (1, 2))])
+def test_symmetrizer_rejects_opposite_signs(rows):
+    # d_2 = d_1 * a_12 / a_21 would be negative, breaking min(d) = 1; the
+    # enumeration, which starts from symmetrizer, must not build a system
+    with pytest.raises(InternalInconsistencyError, match="opposite signs"):
+        R.symmetrizer(R.CartanMatrix(rows))
+    with pytest.raises(InternalInconsistencyError, match="opposite signs"):
+        R.enumerate_roots(R.CartanMatrix(rows))
+
+
 # -- validation rejections -------------------------------------------------------
 
 def test_validate_accepts_simply_laced():

@@ -10,6 +10,7 @@ from rootsys.errors import InternalInconsistencyError, InvalidArgumentError
 
 from conftest import small_labels, sweep_labels
 from oracles import (
+    finite_type_classes,
     gram,
     inner,
     pairing,
@@ -121,18 +122,31 @@ def test_layers_match_tuple_scan_up_to_max_rank(system):
         assert _layers(rs) == tuple_scan_layers(rs.cartan), str(t)
 
 
+def _with_identity_block(rows, rank):
+    """rows, then 2 on the diagonal up to the given rank, 0 elsewhere."""
+    n = len(rows)
+    return tuple(
+        tuple(rows[i][j] if max(i, j) < n else 2 * (i == j) for j in range(rank))
+        for i in range(rank)
+    )
+
+
 @pytest.mark.parametrize(
     "rows",
     [
         ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # affine A2
         ((2, -3), (-3, 2)),
         ((2, -4), (-1, 2)),  # affine A2, twisted
+        # past rank 25 the cap is 255, the range of a key field, not 10 * rank
+        _with_identity_block(((2, -300), (-1, 2)), 26),
+        _with_identity_block(((2, -300), (-1, 2)), 32),
     ],
 )
 def test_enumeration_stops_at_height_cap(rows):
     # matrices that validate_cartan refuses, built directly: their roots
     # never run out, so the height cap must stop the enumeration
-    with pytest.raises(InternalInconsistencyError, match="exceeded height"):
+    cap = min(10 * len(rows), 255)
+    with pytest.raises(InternalInconsistencyError, match=f"exceeded height {cap};"):
         R.enumerate_roots(R.CartanMatrix(rows))
 
 
@@ -152,6 +166,19 @@ def test_permuted_cartan_enumerates_permuted_roots(system, label):
         }, perm
         theta = rs.highest_root().coeffs
         assert permuted.highest_root().coeffs == tuple(theta[a] for a in perm)
+
+
+def test_relabelled_classes_enumerate_like_tuple_scan():
+    # every connected finite type to rank 20, found by leaf search rather
+    # than the type table, under a seeded relabelling the table never
+    # produces: the carried string lengths must give the layers that the
+    # membership walk of the tuple oracle gives
+    rng = random.Random(20)
+    for c in finite_type_classes(20):
+        perm = rng.sample(range(c.rank), c.rank)
+        relabelled = R.validate_cartan([[c.rows[a][b] for b in perm] for a in perm])
+        rs = R.enumerate_roots(relabelled)
+        assert _layers(rs) == tuple_scan_layers(relabelled), (c.rows, perm)
 
 
 # -- dominance ------------------------------------------------------------------
