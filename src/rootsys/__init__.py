@@ -20,22 +20,14 @@ from .errors import (
     InvalidTypeError,
     NumericInconsistencyError,
 )
-from .exponents import (
-    ExponentReport,
-    HeightDistribution,
-    coxeter_exponents,
-    dual_partition,
-    height_distribution,
-)
+from .exponents import ExponentReport, coxeter_exponents, dual_partition
 from .roots import Root, RootSystem, build_system, enumerate_roots
 from .verify import (
-    CaseSplit,
     CheckResult,
     MarkChain,
     TopChain,
     VerificationLedger,
     build_ledger,
-    classify_case,
     g2_criterion_report,
     mark_chain,
     top_chain,

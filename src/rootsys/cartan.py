@@ -263,11 +263,12 @@ def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
     for v in order[1:]:
         p = parent[v]
         # only a matrix that was never validated can fail here: the walk
-        # takes an edge that is nonzero in one direction only, or whose two
-        # entries have opposite signs, so d_v would not be positive
-        if rows[p][v] * rows[v][p] <= 0:
+        # takes an edge with an entry that is not negative (a one-sided
+        # zero, opposite signs or two positive entries), which no Cartan
+        # matrix has
+        if rows[p][v] >= 0 or rows[v][p] >= 0:
             raise InternalInconsistencyError(
-                "symmetrization failed: a one-sided zero or opposite signs"
+                "symmetrization failed: a one-sided zero, opposite signs or a positive edge"
             )
         ratios[v] = ratios[p] * Fraction(rows[p][v], rows[v][p])
     low = min(ratios)

@@ -28,7 +28,6 @@ from .exponents import (
     DUAL_PARTITION,
     coxeter_exponents,
     dual_partition,
-    height_distribution,
 )
 from .roots import RootSystem, enumerate_roots
 from .verify import build_ledger, check_exponents_agree, g2_criterion_report
@@ -202,7 +201,7 @@ def cmd_gen(args, targets, out) -> int:
 def _exponent_entry(label: str, cartan: CartanMatrix, method: str) -> dict:
     entry: dict = {"type": label}
     if method in ("dual", "both"):
-        dual = dual_partition(height_distribution(_system(label, cartan)))
+        dual = dual_partition(_system(label, cartan))
         entry["dual"] = dual.to_json_dict()
     if method in ("coxeter", "both"):
         coxeter = coxeter_exponents(cartan)

@@ -1,5 +1,6 @@
 """Weyl-group exponents by two independent routes: the dual partition of
-the height distribution, and the eigenvalues of a Coxeter element.
+the height distribution (the sizes of a root system's height layers), and
+the eigenvalues of a Coxeter element.
 
 Both routes are exact integer arithmetic.
 """
@@ -20,14 +21,6 @@ from .roots import HEIGHT_CAP_FACTOR, RootSystem
 
 DUAL_PARTITION = "dual-partition"
 COXETER_EIGENVALUES = "coxeter-eigenvalues"
-
-
-@dataclass(frozen=True)
-class HeightDistribution:
-    """counts[r-1] = number of positive roots of height r."""
-
-    counts: tuple[int, ...]
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -56,25 +49,22 @@ class ExponentReport:
         }
 
 
-def height_distribution(rs: RootSystem) -> HeightDistribution:
-    counts = tuple(len(rs.layers[r]) for r in range(1, rs.max_height + 1))
-    return HeightDistribution(counts=counts, rank=rs.rank)
-
-
-def dual_partition(hd: HeightDistribution) -> ExponentReport:
-    """Read the exponents off the height distribution: the exponent a has
-    multiplicity t_a - t_{a+1} (with t_h = 0).
+def dual_partition(rs: RootSystem) -> ExponentReport:
+    """Read the exponents off the height distribution, t_r = the number of
+    positive roots of height r: the exponent a has multiplicity
+    t_a - t_{a+1} (with t_h = 0).
 
     A distribution that is not weakly decreasing, or whose first entry is
-    below the rank (which would create zero exponents), signals a broken
-    enumeration and is rejected.
+    not the rank (below it would create zero exponents), signals a broken
+    enumeration and is rejected.  RootSystem keeps its top layer nonempty,
+    so t has an entry.
     """
-    t = hd.counts
+    t = [len(layer) for layer in rs.layers[1:]]
     if any(a < b for a, b in zip(t, t[1:])):
         raise InvalidArgumentError("height distribution must be weakly decreasing")
-    if not t or t[0] != hd.rank:
+    if t[0] != rs.rank:
         raise InvalidArgumentError(
-            f"height distribution starts at {t[0] if t else 0}, expected rank {hd.rank}"
+            f"height distribution starts at {t[0]}, expected rank {rs.rank}"
         )
     h = len(t) + 1
     exps: list[int] = []

@@ -5,14 +5,15 @@ the second smallest exponent.
 Two chains are built per system: the mark chain (shortest extended-Dynkin
 path from the affine vertex to a simple root of maximal coefficient) and
 the top chain (the roots living above height m_{l-1}, one per height,
-together with their consecutive differences).  The case split asks whether
-some root of the top chain pairs to 3 against its step; case 1 forces
-c_max = m2 - 2, case 2 forces c_max = m2 - 1.  The main relation also
-states the root-length condition and the corollary that c_max = m2 - 2
-characterises G2, on each system: case 1 holds iff the ratio of long to
-short squared lengths is 3, iff the Dynkin graph has a triple edge.  The
-sweep's G2 criterion only compares the case-1 types with the types where
-c_max = m2 - 2, so no label is consulted.
+together with their consecutive differences, each a simple root).  The top
+chain carries its case: case 1 when some root of it pairs to 3 against its
+step, which forces c_max = m2 - 2; case 2 otherwise, which forces
+c_max = m2 - 1.  The main relation also states the root-length condition
+and the corollary that c_max = m2 - 2 characterises G2, on each system:
+case 1 holds iff the ratio of long to short squared lengths is 3, iff the
+Dynkin graph has a triple edge.  The sweep's G2 criterion only compares
+the case-1 types with the types where c_max = m2 - 2, so no label is
+consulted.
 
 Every check returns a CheckResult instead of raising, so a batch run over
 many systems always completes and reports failures as data.  The chain
@@ -20,7 +21,7 @@ constructors do raise when a structural invariant that no valid system can
 break turns out broken.
 
 The ledger builds each structure the checks share once per system: the
-Coxeter and dual exponents, the top chain, its case split, the mark chain
+Coxeter and dual exponents, the top chain with its case, the mark chain
 and the Weyl orbits.  On a Weyl-stable set the orbits carry each orbit's
 dominant member lambda and the orbits of its stabilizer W_J (Humphreys,
 Reflection Groups and Coxeter Groups, 1.12), so the two lemma scans fix
@@ -45,12 +46,7 @@ from typing import Iterable
 
 from .cartan import DynkinGraph
 from .errors import InternalInconsistencyError, InvalidArgumentError
-from .exponents import (
-    ExponentReport,
-    coxeter_exponents,
-    dual_partition,
-    height_distribution,
-)
+from .exponents import ExponentReport, coxeter_exponents, dual_partition
 from .roots import Root, RootSystem
 
 COUNTEREXAMPLE_CAP = 8
@@ -94,10 +90,11 @@ def mark_chain(rs: RootSystem) -> MarkChain:
     """Build and verify the mark chain.
 
     Raises InternalInconsistencyError when any of its defining properties
-    fails: marks must read 1..c_max, the chain must have c_max vertices,
-    all but the last vertex must form a single-edge chain attached only at
-    the second-to-last one, and the final step must either be a multiple
-    edge or land on a ramification point.
+    fails: marks must read 1..q+1 (the last is c[goal] = c_max, so the
+    chain has c_max vertices), all but the last vertex must form a
+    single-edge chain attached only at the second-to-last one, and the
+    final step must either be a multiple edge or land on a ramification
+    point.
     """
     theta = rs.highest_root()
     c = theta.coeffs
@@ -126,10 +123,6 @@ def mark_chain(rs: RootSystem) -> MarkChain:
 
     if marks != tuple(range(1, len(marks) + 1)):
         raise InternalInconsistencyError(f"mark chain coefficients {marks} are not 1..q+1")
-    if len(marks) != cmax:
-        raise InternalInconsistencyError(
-            f"mark chain has {len(marks)} vertices, expected c_max = {cmax}"
-        )
     if ext.degree(0) != 1:
         raise InternalInconsistencyError(
             "affine vertex must attach at exactly one vertex when c_max >= 2"
@@ -152,12 +145,14 @@ def mark_chain(rs: RootSystem) -> MarkChain:
 
 @dataclass(frozen=True)
 class TopChain:
-    """Roots of height above m_{l-1}, descending, with their consecutive
-    differences (each difference should be a simple root)."""
+    """Roots of height above m_{l-1}, descending; the simple index of each
+    consecutive difference; and the case: 1 when theta_t pairs to 3
+    against step t at the witness t = m - 2, else 2 with no witness."""
 
     roots: tuple[Root, ...]
     step_indices: tuple[int, ...]
-    non_simple: tuple[tuple[int, tuple[int, ...]], ...]
+    case: int
+    witness: int | None
 
     @property
     def m(self) -> int:
@@ -169,10 +164,12 @@ class TopChain:
 
 
 def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
-    """Collect the unique root of each height in (m_{l-1}, m_l].
+    """Collect the unique root of each height in (m_{l-1}, m_l] and split
+    the cases on it.
 
-    A non-simple consecutive difference is recorded as a finding in
-    ``non_simple`` rather than assumed away.
+    Raises InternalInconsistencyError when a difference is not a simple
+    root, or when a pairing-3 witness is not unique or does not sit at
+    position m - 2.
     """
     if rs.rank < 2:
         raise InvalidArgumentError(
@@ -192,57 +189,31 @@ def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
                 f"height {h} holds {len(layer)} roots; expected exactly one"
             )
         roots.append(layer[0])
-    m = len(roots)
-    if m != m_l - m_l1 or m != m2 - 1:
+    m = len(roots)  # m_l - m_(l-1): one root per height
+    if m != m2 - 1:
         raise InternalInconsistencyError(
-            f"|top chain| = {m}, expected m_l - m_(l-1) = {m_l - m_l1} = m2 - 1 = {m2 - 1}"
+            f"|top chain| = m_l - m_(l-1) = {m}, expected m2 - 1 = {m2 - 1}"
         )
     steps: list[int] = []
-    non_simple: list[tuple[int, tuple[int, ...]]] = []
-    for t in range(m - 1):
-        diff = tuple(a - b for a, b in zip(roots[t].coeffs, roots[t + 1].coeffs))
-        if sum(diff) == 1 and all(x in (0, 1) for x in diff):
-            steps.append(diff.index(1) + 1)
-        else:
-            non_simple.append((t + 1, diff))
-    return TopChain(tuple(roots), tuple(steps), tuple(non_simple))
-
-
-@dataclass(frozen=True)
-class CaseSplit:
-    """A top chain whose steps are all simple roots, with its case."""
-
-    top: TopChain
-    case: int
-    witness: int | None
-
-
-def classify_case(top: TopChain, rs: RootSystem) -> CaseSplit:
-    """Case 1 iff some top-chain root pairs to 3 against its step.
-
-    A top chain with a non-simple step is rejected, so every CaseSplit
-    carries one whose steps are all simple.  The witness, when present,
-    must be unique and sit at position m - 2; anything else is raised as
-    an internal inconsistency.
-    """
-    if top.non_simple:
-        raise InternalInconsistencyError(
-            f"top-chain differences are not all simple: {top.non_simple}"
-        )
-    pairings = tuple(
-        rs.pairing(top.roots[t - 1], top.step(t)) for t in range(1, top.m)
-    )
-    witnesses = [t for t, p in enumerate(pairings, start=1) if p == 3]
+    witnesses: list[int] = []
+    for t in range(1, m):
+        diff = tuple(a - b for a, b in zip(roots[t - 1].coeffs, roots[t].coeffs))
+        # the heights differ by one, so diff is simple iff no entry is negative
+        if min(diff) < 0:
+            raise InternalInconsistencyError(
+                f"top-chain step {t} is {diff}, not a simple root"
+            )
+        steps.append(diff.index(1) + 1)
+        if rs.pairing(roots[t - 1], steps[-1]) == 3:
+            witnesses.append(t)
     if len(witnesses) > 1:
         raise InternalInconsistencyError(f"multiple pairing-3 witnesses: {witnesses}")
-    if witnesses:
-        t = witnesses[0]
-        if t != top.m - 2:
-            raise InternalInconsistencyError(
-                f"pairing-3 witness at t = {t}, expected m - 2 = {top.m - 2}"
-            )
-        return CaseSplit(top, 1, t)
-    return CaseSplit(top, 2, None)
+    if witnesses and witnesses[0] != m - 2:
+        raise InternalInconsistencyError(
+            f"pairing-3 witness at t = {witnesses[0]}, expected m - 2 = {m - 2}"
+        )
+    witness = witnesses[0] if witnesses else None
+    return TopChain(tuple(roots), tuple(steps), 2 if witness is None else 1, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +222,6 @@ def classify_case(top: TopChain, rs: RootSystem) -> CaseSplit:
 
 @dataclass
 class CheckResult:
-    name: str
     passed: bool
     counterexamples: list = field(default_factory=list)
     note: str = ""
@@ -263,8 +233,8 @@ class CheckResult:
         return out
 
 
-def _vacuous(name: str, why: str) -> CheckResult:
-    return CheckResult(name, True, [], f"vacuous: {why}")
+def _vacuous(why: str) -> CheckResult:
+    return CheckResult(True, [], f"vacuous: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +244,8 @@ def _vacuous(name: str, why: str) -> CheckResult:
 def check_mark_chain(rs: RootSystem, chain: MarkChain) -> CheckResult:
     """Mark-chain shape (mark_chain verifies it while building); for
     c_max = 1 additionally the chain form of the whole graph with the
-    affine vertex on its terminals."""
+    affine vertex on its terminals.  A graph of rank >= 2 whose terminal
+    count is not 2 is not a chain, so that count needs no test of its own."""
     cx: list = []
     if rs.c_max() == 1 and rs.rank >= 2:
         g = rs.graph
@@ -290,14 +261,10 @@ def check_mark_chain(rs: RootSystem, chain: MarkChain) -> CheckResult:
                     "terminals": sorted(terminals),
                 }
             )
-        if len(terminals) != 2:
-            cx.append({"reason": "expected exactly two terminal vertices"})
-    return CheckResult(
-        "mark_chain", not cx, cx, f"vertices {chain.vertices}, marks {chain.marks}"
-    )
+    return CheckResult(not cx, cx, f"vertices {chain.vertices}, marks {chain.marks}")
 
 
-def check_main_relation(rs: RootSystem, split: CaseSplit, rep: ExponentReport) -> CheckResult:
+def check_main_relation(rs: RootSystem, top: TopChain, rep: ExponentReport) -> CheckResult:
     """c_max = m2 - 2 in case 1 and m2 - 1 in case 2, and case 1 holds iff
     the long/short squared-length ratio is 3, iff the Dynkin graph has a
     triple edge (some a_ij * a_ji = 3), which is what type G2 means.  The
@@ -308,13 +275,13 @@ def check_main_relation(rs: RootSystem, split: CaseSplit, rep: ExponentReport) -
     ratio = max(rs.form.d)
     rows = rs.cartan.rows
     triple = any(a * b == 3 for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col))
-    expected = m2 - 2 if split.case == 1 else m2 - 1
-    ok = cmax == expected and (split.case == 1) == (ratio == 3) == triple
+    expected = m2 - 2 if top.case == 1 else m2 - 1
+    ok = cmax == expected and (top.case == 1) == (ratio == 3) == triple
     cx = [] if ok else [
-        {"c_max": cmax, "m2": m2, "case": split.case, "ratio": ratio, "triple_edge": triple}
+        {"c_max": cmax, "m2": m2, "case": top.case, "ratio": ratio, "triple_edge": triple}
     ]
-    note = f"case {split.case}: c_max = {cmax}, m2 = {m2}, long/short ratio {ratio}"
-    return CheckResult("main_relation", ok, cx, note)
+    note = f"case {top.case}: c_max = {cmax}, m2 = {m2}, long/short ratio {ratio}"
+    return CheckResult(ok, cx, note)
 
 
 def check_chains_coincide(rs: RootSystem, chain: MarkChain, top: TopChain) -> CheckResult:
@@ -322,8 +289,6 @@ def check_chains_coincide(rs: RootSystem, chain: MarkChain, top: TopChain) -> Ch
     chain, and peeling the mark chain off the highest root walks through
     uniquely-occupied height layers."""
     cx: list = []
-    if top.non_simple:
-        cx.append({"non_simple_steps": [list(d) for _, d in top.non_simple]})
     if set(top.step_indices) != set(chain.simple_indices):
         cx.append(
             {
@@ -347,28 +312,23 @@ def check_chains_coincide(rs: RootSystem, chain: MarkChain, top: TopChain) -> Ch
             )
         if p <= q:
             eta[chain.simple_indices[p - 1] - 1] -= 1
-    return CheckResult(
-        "chains_coincide",
-        not cx,
-        cx,
-        f"common set size {len(set(chain.simple_indices)) + 1}",
-    )
+    return CheckResult(not cx, cx, f"common set size {len(set(chain.simple_indices)) + 1}")
 
 
-def check_step_multiset(rs: RootSystem, split: CaseSplit) -> CheckResult:
+def check_step_multiset(rs: RootSystem, top: TopChain) -> CheckResult:
     """Multiset shape of the steps: in case 1 the last two coincide and the
     rest are distinct, with a single-edge prefix and a -3 pairing at the
     turn; in case 2 all steps are distinct, with the prefix chain when the
-    first pairing is 1."""
-    top = split.top
+    first pairing is 1.  In case 1 the base set (the distinct steps and
+    -theta) then has m - 1 members, so its size needs no test of its own."""
     m = top.m
     if m < 2:
-        return _vacuous("step_multiset", "no steps when m = 1")
+        return _vacuous("no steps when m = 1")
     cx: list = []
     note = ""
     steps = top.step_indices
     ext = rs.extended_graph
-    if split.case == 1:
+    if top.case == 1:
         if m < 4:
             cx.append({"reason": "a pairing-3 witness forces m >= 4", "m": m})
         else:
@@ -385,9 +345,6 @@ def check_step_multiset(rs: RootSystem, split: CaseSplit) -> CheckResult:
             turn = rs.cartan.a(top.step(m - 2), top.step(m - 3))
             if turn != -3:
                 cx.append({"reason": "turn pairing must be -3", "pairing": turn})
-            base_size = len(set(steps)) + 1  # distinct steps plus -theta
-            if base_size != m - 1:
-                cx.append({"reason": "base set size must be m - 1", "size": base_size})
     else:
         if len(set(steps)) != len(steps):
             cx.append({"reason": "steps must be distinct", "steps": list(steps)})
@@ -403,62 +360,59 @@ def check_step_multiset(rs: RootSystem, split: CaseSplit) -> CheckResult:
             path = [0] + list(steps[: m - 2])
             if not ext.is_simple_chain(path):
                 cx.append({"reason": "prefix is not a simple chain", "path": path})
-    return CheckResult("step_multiset", not cx, cx, note)
+    return CheckResult(not cx, cx, note)
 
 
-def check_step_nonramification(rs: RootSystem, split: CaseSplit) -> CheckResult:
+def check_step_nonramification(rs: RootSystem, top: TopChain) -> CheckResult:
     """Every step before the last, together with the affine vertex, avoids
     ramification points of the extended graph."""
-    top = split.top
     m = top.m
     if m < 2:
-        return _vacuous("step_nonramification", "m < 2")
+        return _vacuous("m < 2")
     ext = rs.extended_graph
     vertices = [0] + list(top.step_indices[: m - 2])
     cx = [
         {"vertex": v, "degree": ext.degree(v)} for v in vertices if ext.degree(v) > 2
     ]
-    return CheckResult("step_nonramification", not cx, cx, f"vertices {vertices}")
+    return CheckResult(not cx, cx, f"vertices {vertices}")
 
 
-def check_differences(rs: RootSystem, split: CaseSplit) -> CheckResult:
+def check_differences(rs: RootSystem, top: TopChain) -> CheckResult:
     """Pairwise differences along the top chain are positive roots, except
     the (m-2, m) pair in case 1, which must be twice a simple root."""
-    top = split.top
     m = top.m
     if m < 2:
-        return _vacuous("differences", "m < 2")
+        return _vacuous("m < 2")
     cx: list = []
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             diff = tuple(
                 a - b for a, b in zip(top.roots[i - 1].coeffs, top.roots[j - 1].coeffs)
             )
-            if split.case == 1 and {i, j} == {m - 2, m}:
+            if top.case == 1 and {i, j} == {m - 2, m}:
                 ok = sorted(diff) == [0] * (len(diff) - 1) + [2]
             else:
                 ok = diff in rs
             if not ok:
                 cx.append({"i": i, "j": j, "difference": list(diff)})
-    return CheckResult("differences", not cx, cx)
+    return CheckResult(not cx, cx)
 
 
-def check_lengths(rs: RootSystem, split: CaseSplit) -> CheckResult:
+def check_lengths(rs: RootSystem, top: TopChain) -> CheckResult:
     """Length equalities along the top chain: through theta_{m-2} and the
     steps before the turn in case 1, one farther in case 2."""
-    top = split.top
     m = top.m
     if m < 3:
-        return _vacuous("lengths", "m < 3")
+        return _vacuous("m < 3")
     cx: list = []
-    hi = m - 2 if split.case == 1 else m - 1
+    hi = m - 2 if top.case == 1 else m - 1
     values = [rs.norm_sq(top.roots[t - 1]) for t in range(1, hi + 1)]
     values += [
         rs.norm_sq(rs.simple_root(top.step(t))) for t in range(1, hi)
     ]
     if len(set(values)) > 1:
         cx.append({"norms": values})
-    return CheckResult("lengths", not cx, cx, f"{len(values)} norms compared")
+    return CheckResult(not cx, cx, f"{len(values)} norms compared")
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +441,7 @@ def check_string_descent(rs: RootSystem) -> CheckResult:
             base = _down(beta.coeffs, i, k - 1)
             if not any(_down(base, j) in rs for j in range(1, n + 1) if j != i):
                 cx.append({"beta": list(beta.coeffs), "alpha": i, "k": k})
-    return CheckResult("string_descent", not cx, cx, f"{checked} applicable pairs")
+    return CheckResult(not cx, cx, f"{checked} applicable pairs")
 
 
 def check_no_detour(rs: RootSystem) -> CheckResult:
@@ -510,7 +464,7 @@ def check_no_detour(rs: RootSystem) -> CheckResult:
             for j in range(1, n + 1):
                 if j != i and _down(_down(c, i), j) in rs:
                     cx.append({"beta": list(beta.coeffs), "alpha": i, "detour": j})
-    return CheckResult("no_detour", not cx, cx, f"{checked} applicable pairs")
+    return CheckResult(not cx, cx, f"{checked} applicable pairs")
 
 
 @dataclass(frozen=True)
@@ -600,13 +554,13 @@ def weyl_orbits(rs: RootSystem) -> WeylOrbits:
     return WeylOrbits(tuple(reps), (), tuple(stabilizer_orbits))
 
 
-def _not_weyl_stable(name: str, orbits: WeylOrbits) -> CheckResult:
+def _not_weyl_stable(orbits: WeylOrbits) -> CheckResult:
     cx = [
         {"root": list(v), "reflection": i, "image": list(w)}
         for v, i, w in orbits.escapes[:COUNTEREXAMPLE_CAP]
     ]
     return CheckResult(
-        name, False, cx, f"not Weyl-stable: {len(orbits.escapes)} reflected roots escape"
+        False, cx, f"not Weyl-stable: {len(orbits.escapes)} reflected roots escape"
     )
 
 
@@ -625,7 +579,7 @@ def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     inner product is (lambda, b) = sum_i lambda_i d_i <b, alpha_i>.
     """
     if orbits.escapes:
-        return _not_weyl_stable("long_pair_positive", orbits)
+        return _not_weyl_stable(orbits)
     table = rs.pairings
     scaled = {r: [x * d for x, d in zip(r, rs.form.d)] for r in orbits.representatives}
     norm = {r: sum(map(mul, rd, table[r])) for r, rd in scaled.items()}
@@ -648,7 +602,7 @@ def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
         f"exhaustive over {_orbit_count(long_reps, 'long ')}: "
         f"{len(table)} signed roots, {checked} qualifying pairs"
     )
-    return CheckResult("long_pair_positive", not cx, cx, note)
+    return CheckResult(not cx, cx, note)
 
 
 def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
@@ -666,7 +620,7 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     integer sums.
     """
     if orbits.escapes:
-        return _not_weyl_stable("two_of_three_sums", orbits)
+        return _not_weyl_stable(orbits)
     vs = list(rs.pairings)
     base = 6 * max(map(max, vs)) + 1  # the largest |coefficient|, on a positive root
     powers = [base**k for k in range(rs.rank)]
@@ -704,7 +658,7 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
         f"exhaustive over {_orbit_count(len(orbits.representatives), '')}: "
         f"{len(vs)} signed roots, {checked} qualifying triples"
     )
-    return CheckResult("two_of_three_sums", not cx, cx, note)
+    return CheckResult(not cx, cx, note)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +680,7 @@ def check_exponents_agree(rep_a: ExponentReport, rep_b: ExponentReport) -> Check
             }
         ]
     )
-    return CheckResult("exponents_agree", ok, cx, f"h = {rep_a.coxeter_number}")
+    return CheckResult(ok, cx, f"h = {rep_a.coxeter_number}")
 
 
 @dataclass
@@ -767,10 +721,8 @@ def _shared_structures(rs: RootSystem) -> tuple[dict, dict, dict]:
     lacks: dict[str, str] = {}
     for name, inputs, build in (
         ("coxeter exponents", ("Cartan matrix",), coxeter_exponents),
-        ("height distribution", ("system",), height_distribution),
-        ("dual exponents", ("height distribution",), dual_partition),
+        ("dual exponents", ("system",), dual_partition),
         ("top chain", ("system", "dual exponents"), top_chain),
-        ("case split", ("top chain", "system"), classify_case),
         ("mark chain", ("system",), mark_chain),
         ("Weyl orbits", ("system",), weyl_orbits),
     ):
@@ -800,13 +752,13 @@ def build_ledger(rs: RootSystem) -> VerificationLedger:
     checks: dict[str, CheckResult] = {}
     for name, needs, check in (
         ("exponents_agree", ("dual exponents", "coxeter exponents"), check_exponents_agree),
-        ("main_relation", ("system", "case split", "dual exponents"), check_main_relation),
+        ("main_relation", ("system", "top chain", "dual exponents"), check_main_relation),
         ("mark_chain", ("system", "mark chain"), check_mark_chain),
         ("chains_coincide", ("system", "mark chain", "top chain"), check_chains_coincide),
-        ("step_multiset", ("system", "case split"), check_step_multiset),
-        ("step_nonramification", ("system", "case split"), check_step_nonramification),
-        ("differences", ("system", "case split"), check_differences),
-        ("lengths", ("system", "case split"), check_lengths),
+        ("step_multiset", ("system", "top chain"), check_step_multiset),
+        ("step_nonramification", ("system", "top chain"), check_step_nonramification),
+        ("differences", ("system", "top chain"), check_differences),
+        ("lengths", ("system", "top chain"), check_lengths),
         ("string_descent", ("system",), check_string_descent),
         ("two_of_three_sums", ("system", "Weyl orbits"), check_two_of_three_sums),
         ("long_pair_positive", ("system", "Weyl orbits"), check_long_pair_positive),
@@ -823,16 +775,16 @@ def build_ledger(rs: RootSystem) -> VerificationLedger:
                 continue
             except Exception as exc:  # findings, not crashes
                 note = f"error: {exc}"
-        checks[name] = CheckResult(name, False, [], note)
+        checks[name] = CheckResult(False, [], note)
 
-    split = have.get("case split")
+    top = have.get("top chain")
     rep_c = have.get("coxeter exponents")
     return VerificationLedger(
         label=rs.label or "custom",
         c_max=rs.c_max(),
         m2=rep_c.exponents[1] if rep_c else None,
-        case=split.case if split else None,
-        witness_t=split.witness if split else None,
+        case=top.case if top else None,
+        witness_t=top.witness if top else None,
         checks=checks,
     )
 

@@ -31,15 +31,13 @@ SWEEP = sweep_labels(12)
 
 @pytest.fixture(scope="module")
 def sweep_data():
-    """label -> (system, dual report, coxeter report, top chain, case split)."""
+    """label -> (system, dual report, coxeter report, top chain with its case)."""
     data = {}
     for label in SWEEP:
         rs = built(label)
-        rep_d = R.dual_partition(R.height_distribution(rs))
+        rep_d = R.dual_partition(rs)
         rep_c = R.coxeter_exponents(rs.cartan)
-        top = R.top_chain(rs, rep_d)
-        split = R.classify_case(top, rs)
-        data[label] = (rs, rep_d, rep_c, top, split)
+        data[label] = (rs, rep_d, rep_c, R.top_chain(rs, rep_d))
     return data
 
 
@@ -53,11 +51,11 @@ def test_criterion_1_main_relation_sweep():
     failures = []
     for label in SWEEP:
         rs = R.build_system(label)  # fresh builds: the timing must be honest
-        rep = R.dual_partition(R.height_distribution(rs))
-        split = R.classify_case(R.top_chain(rs, rep), rs)
-        if split.case == 1:
+        rep = R.dual_partition(rs)
+        case = R.top_chain(rs, rep).case
+        if case == 1:
             case1.append(label)
-        expected = rep.exponents[1] - (2 if split.case == 1 else 1)
+        expected = rep.exponents[1] - (2 if case == 1 else 1)
         if rs.c_max() != expected:
             failures.append((label, rs.c_max(), expected))
     elapsed = time.perf_counter() - started
@@ -69,7 +67,7 @@ def test_criterion_1_main_relation_sweep():
 
 
 def test_criterion_2_g2_criterion(sweep_data):
-    for label, (rs, rep_d, _, _, _) in sweep_data.items():
+    for label, (rs, rep_d, _, _) in sweep_data.items():
         holds = rs.c_max() == rep_d.exponents[1] - 2
         c = rs.cartan
         triple = any(c.a(i, j) * c.a(j, i) == 3 for i in range(1, c.rank + 1) for j in range(1, i))
@@ -78,8 +76,8 @@ def test_criterion_2_g2_criterion(sweep_data):
     assert g2.c_max() == 3 and rep_d.exponents[1] == 5
     ledgers = [
         R.VerificationLedger(label, rs.c_max(), rep.exponents[1],
-                             split.case, split.witness, {})
-        for label, (rs, rep, _, _, split) in sweep_data.items()
+                             top.case, top.witness, {})
+        for label, (rs, rep, _, top) in sweep_data.items()
     ]
     report = R.g2_criterion_report(ledgers)
     assert report == {"pass": True, "case1_types": ["G2"], "m2_minus_2_types": ["G2"]}
@@ -87,7 +85,7 @@ def test_criterion_2_g2_criterion(sweep_data):
 
 
 def test_criterion_3_exponent_cross_validation(sweep_data):
-    for label, (_, rep_d, rep_c, _, _) in sweep_data.items():
+    for label, (_, rep_d, rep_c, _) in sweep_data.items():
         assert rep_d.exponents == rep_c.exponents, label
         assert rep_d.coxeter_number == rep_c.coxeter_number, label
         assert rep_c == replace(rep_d, method=rep_c.method), label
@@ -99,26 +97,26 @@ def test_criterion_3_exponent_cross_validation(sweep_data):
 
 
 def test_criterion_4_duality_identities(sweep_data):
-    for label, (rs, rep_d, _, _, _) in sweep_data.items():
+    for label, (rs, rep_d, _, _) in sweep_data.items():
         identities = duality_identities(rep_d, rs)
         assert all(identities.values()), (label, identities)
     _verdict(4, "exponent duality identities on all swept types")
 
 
 def test_criterion_5_structure_theorems(sweep_data):
-    for label, (rs, rep_d, _, top, split) in sweep_data.items():
+    for label, (rs, _, _, top) in sweep_data.items():
         chain = R.mark_chain(rs)
         assert len(chain.marks) == rs.c_max(), label
         assert chain.marks == tuple(range(1, rs.c_max() + 1)), label
         res = check_chains_coincide(rs, chain, top)
         assert res.passed, (label, res.counterexamples)
-        res = check_step_multiset(rs, split)
+        res = check_step_multiset(rs, top)
         assert res.passed, (label, res.counterexamples)
-        res = check_differences(rs, split)
+        res = check_differences(rs, top)
         assert res.passed, (label, res.counterexamples)
     # G2 specifics: doubled final step, -3 turn pairing, difference in 2*simple
-    rs, _, _, top, split = sweep_data["G2"]
-    assert split.case == 1 and top.m == 4
+    rs, _, _, top = sweep_data["G2"]
+    assert top.case == 1 and top.m == 4
     assert top.step(3) == top.step(2)
     assert rs.cartan.a(top.step(2), top.step(1)) == -3
     diff = tuple(a - b for a, b in zip(top.roots[1].coeffs, top.roots[3].coeffs))
@@ -127,18 +125,18 @@ def test_criterion_5_structure_theorems(sweep_data):
 
 
 def test_criterion_6_lemma_suites(sweep_data):
-    for label, (rs, _, _, top, split) in sweep_data.items():
+    for label, (rs, _, _, top) in sweep_data.items():
         orbits = weyl_orbits(rs)
-        for res in (
-            check_string_descent(rs),
-            check_two_of_three_sums(rs, orbits),
-            check_long_pair_positive(rs, orbits),
-            check_no_detour(rs),
-            check_step_nonramification(rs, split),
-            check_lengths(rs, split),
+        for name, res in (
+            ("string_descent", check_string_descent(rs)),
+            ("two_of_three_sums", check_two_of_three_sums(rs, orbits)),
+            ("long_pair_positive", check_long_pair_positive(rs, orbits)),
+            ("no_detour", check_no_detour(rs)),
+            ("step_nonramification", check_step_nonramification(rs, top)),
+            ("lengths", check_lengths(rs, top)),
         ):
-            assert res.passed, (label, res.name, res.counterexamples)
-            if res.name in ("two_of_three_sums", "long_pair_positive"):
+            assert res.passed, (label, name, res.counterexamples)
+            if name in ("two_of_three_sums", "long_pair_positive"):
                 assert res.note.startswith("exhaustive"), (label, res.note)
     n = len(sweep_data)
     _verdict(6, f"lemma scans with zero counterexamples, exhaustive on all {n} types")
@@ -157,7 +155,7 @@ def test_criterion_7_oracle_equivalence():
 
 def test_criterion_8_conjugacy_invariance(sweep_data):
     rng = random.Random(20240801)
-    for label, (rs, _, rep_c, _, _) in sweep_data.items():
+    for label, (rs, _, rep_c, _) in sweep_data.items():
         for _ in range(3):
             perm = list(range(1, rs.rank + 1))
             rng.shuffle(perm)

@@ -145,6 +145,17 @@ def test_symmetrizer_rejects_opposite_signs(rows):
         R.enumerate_roots(R.CartanMatrix(rows))
 
 
+@pytest.mark.parametrize("rows", [((2, 1), (1, 2)), ((2, 2), (1, 2))])
+def test_symmetrizer_rejects_positive_edge(rows):
+    # both entries positive: d = (1, 1) or (1, 2) would balance them, and
+    # the enumeration would stop at the simple roots and raise an input
+    # error from RootSystem; no Cartan matrix has such an edge
+    with pytest.raises(InternalInconsistencyError, match="positive edge"):
+        R.symmetrizer(R.CartanMatrix(rows))
+    with pytest.raises(InternalInconsistencyError, match="positive edge"):
+        R.enumerate_roots(R.CartanMatrix(rows))
+
+
 # -- validation rejections -------------------------------------------------------
 
 def test_validate_accepts_simply_laced():
@@ -314,7 +325,7 @@ def test_validate_fuzz_accept_or_named_reject(m):
     # accepted matrices must be fully usable: enumeration terminates and the
     # two exponent routes agree
     rs = R.enumerate_roots(c)
-    dual = R.dual_partition(R.height_distribution(rs))
+    dual = R.dual_partition(rs)
     cox = R.coxeter_exponents(c)
     assert dual.exponents == cox.exponents
     assert dual.coxeter_number == cox.coxeter_number

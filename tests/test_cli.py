@@ -299,7 +299,7 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
     def fake_ledger(rs, **kwargs):
         return VerificationLedger(
             rs.label or "custom", 1, 2, 2, None,
-            {"main_relation": CheckResult("main_relation", False, [{"boom": 1}])},
+            {"main_relation": CheckResult(False, [{"boom": 1}])},
         )
 
     monkeypatch.setattr(cli, "build_ledger", fake_ledger)

@@ -137,7 +137,7 @@ def test_failing_verify_output_is_json_dumps(capsys, monkeypatch, tmp_path, to_f
     def fake_ledger(rs, **kwargs):
         return VerificationLedger(
             rs.label or "custom", 1, 2, 2, None,
-            {"main_relation": CheckResult("main_relation", False, odd, note="planted")},
+            {"main_relation": CheckResult(False, odd, note="planted")},
         )
 
     monkeypatch.setattr(cli, "build_ledger", fake_ledger)

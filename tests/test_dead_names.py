@@ -1,11 +1,14 @@
 """Dead-name guard: every function, method and class defined in the package
-is used by the package itself.
+is used by the package itself, and every dataclass field is read by it.
 
 A name counts as used when some ``Name`` or attribute access with that
 name appears in ``src/rootsys`` outside the name's own definition.  Names
 that ``rootsys/__init__.py`` exports, dunders and the ``run`` console
-entry point are the package's surface and are exempt.  Code kept only for
-the tests belongs in ``tests/``.
+entry point are the package's surface and are exempt.  A field counts as
+read when some attribute load with its name appears anywhere in the
+package; passing it to the constructor does not count, and exported
+classes get no exemption.  Code kept only for the tests belongs in
+``tests/``.
 """
 
 import ast
@@ -41,8 +44,16 @@ def _used_name(node: ast.AST) -> str | None:
     return None
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        _used_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
 def dead_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Definitions no code in the package refers to, as ``file:line name``."""
+    """Definitions no code in the package refers to, as ``file:line name``,
+    and dataclass fields it never reads, as ``file:line Class.field``."""
     exempt = _exported(trees["__init__.py"]) | {"run"}
     uses: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
@@ -50,11 +61,25 @@ def dead_names(trees: dict[str, ast.Module]) -> list[str]:
             name = _used_name(node)
             if name is not None:
                 uses.setdefault(name, []).append(node)
+    read = {
+        node.attr
+        for nodes in uses.values()
+        for node in nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
     dead = []
     for filename, tree in trees.items():
         for node in ast.walk(tree):
             if not isinstance(node, DEFINITIONS):
                 continue
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                dead += [
+                    f"{filename}:{f.lineno} {node.name}.{f.target.id}"
+                    for f in node.body
+                    if isinstance(f, ast.AnnAssign)
+                    and isinstance(f.target, ast.Name)
+                    and f.target.id not in read
+                ]
             name = node.name
             if name in exempt or (name.startswith("__") and name.endswith("__")):
                 continue
@@ -79,3 +104,24 @@ def test_guard_flags_an_unused_method():
     )
     trees = {"__init__.py": ast.parse("from .g import build\n"), "g.py": ast.parse(source)}
     assert dead_names(trees) == ["g.py:2 walk"]
+
+
+def test_guard_flags_an_unread_field():
+    # a field that is only passed to the constructor, or only written, is
+    # flagged, even on an exported dataclass; a field read anywhere is not
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Edge:\n"
+        "    head: int\n"
+        "    weight: int\n"
+        "    label: str = ''\n"
+        "def build(edge):\n"
+        "    edge.label = 'x'\n"
+        "    return Edge(edge.head, 1)\n"
+    )
+    trees = {
+        "__init__.py": ast.parse("from .g import Edge, build\n"),
+        "g.py": ast.parse(source),
+    }
+    assert dead_names(trees) == ["g.py:5 Edge.weight", "g.py:6 Edge.label"]

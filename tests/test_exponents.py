@@ -14,26 +14,36 @@ from oracles import coxeter_matrix, coxeter_order, duality_identities, exact_det
 
 
 def test_height_distribution_pins(system):
-    assert R.height_distribution(system("A2")).counts == (2, 1)
-    assert R.height_distribution(system("G2")).counts == (2, 1, 1, 1, 1)
-    assert R.height_distribution(system("B2")).counts == (2, 1, 1)
+    # the layer sizes dual_partition reads
+    for label, counts in (("A2", (2, 1)), ("G2", (2, 1, 1, 1, 1)), ("B2", (2, 1, 1))):
+        assert tuple(map(len, system(label).layers[1:])) == counts, label
 
 
 def test_dual_partition_pins(system):
-    rep = R.dual_partition(R.height_distribution(system("A2")))
+    rep = R.dual_partition(system("A2"))
     assert (rep.exponents, rep.coxeter_number) == ((1, 2), 3)
-    rep = R.dual_partition(R.height_distribution(system("G2")))
+    rep = R.dual_partition(system("G2"))
     assert (rep.exponents, rep.coxeter_number) == ((1, 5), 6)
-    rep = R.dual_partition(R.height_distribution(system("B2")))
+    rep = R.dual_partition(system("B2"))
     assert (rep.exponents, rep.coxeter_number) == ((1, 3), 4)
 
 
+def _hand_built(*layers):
+    """Rank-2 roots filed by height, over A2's Cartan data."""
+    a2 = R.build_system("A2")
+    root_layers = tuple(tuple(R.Root(c) for c in layer) for layer in layers)
+    return R.RootSystem(a2.cartan, a2.form, ((),) + root_layers, None)
+
+
 def test_dual_partition_rejects_bad_distributions():
-    with pytest.raises(InvalidArgumentError):
-        R.dual_partition(R.HeightDistribution(counts=(2, 1, 2), rank=2))
-    with pytest.raises(InvalidArgumentError):
-        # first entry below the rank would create zero exponents
-        R.dual_partition(R.HeightDistribution(counts=(1, 1), rank=2))
+    # layer sizes (2, 1, 2, 1)
+    rs = _hand_built([(1, 0), (0, 1)], [(1, 1)], [(2, 1), (1, 2)], [(2, 2)])
+    with pytest.raises(InvalidArgumentError, match="must be weakly decreasing"):
+        R.dual_partition(rs)
+    # layer sizes (1, 1): a first entry below the rank would create zero exponents
+    rs = _hand_built([(1, 0)], [(1, 1)])
+    with pytest.raises(InvalidArgumentError, match="starts at 1, expected rank 2"):
+        R.dual_partition(rs)
 
 
 def test_coxeter_matrix_pins():
@@ -119,7 +129,7 @@ def test_coxeter_exponents_pins():
 def test_methods_agree_up_to_rank_twelve(system):
     for t in R.all_types(12):
         rs = system(str(t))
-        dual = R.dual_partition(R.height_distribution(rs))
+        dual = R.dual_partition(rs)
         cox = R.coxeter_exponents(rs.cartan)
         assert dual.exponents == cox.exponents, str(t)
         assert dual.coxeter_number == cox.coxeter_number, str(t)
@@ -137,7 +147,7 @@ def test_order_equals_top_height_plus_one(system):
 def test_duality_identities(system):
     for label in sweep_labels(12):
         rs = system(label)
-        rep = R.dual_partition(R.height_distribution(rs))
+        rep = R.dual_partition(rs)
         identities = duality_identities(rep, rs)
         assert len(identities) == 5
         assert all(identities.values()), (label, identities)
@@ -145,10 +155,10 @@ def test_duality_identities(system):
 
 def test_duality_pins(system):
     g2 = system("G2")
-    rep = R.dual_partition(R.height_distribution(g2))
+    rep = R.dual_partition(g2)
     assert rep.exponents[-1] == 5 == sum(g2.highest_root().coeffs)
     f4 = system("F4")
-    rep = R.dual_partition(R.height_distribution(f4))
+    rep = R.dual_partition(f4)
     assert sum(rep.exponents) == 24 == f4.num_positive
 
 

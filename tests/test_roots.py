@@ -313,7 +313,7 @@ def test_height_distribution_monotone(system):
 def test_unique_root_per_top_height(system):
     for label in sweep_labels(12):
         rs = system(label)
-        rep = R.dual_partition(R.height_distribution(rs))
+        rep = R.dual_partition(rs)
         m_l1 = rep.exponents[-2]
         for h in range(m_l1 + 1, rs.max_height + 1):
             assert len(rs.layer(h)) == 1, (label, h)

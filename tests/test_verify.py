@@ -37,7 +37,7 @@ from oracles import (
 
 
 def _rep(rs):
-    return R.dual_partition(R.height_distribution(rs))
+    return R.dual_partition(rs)
 
 
 def _top(rs):
@@ -88,34 +88,35 @@ def test_top_chain_pins(system):
 def test_top_chain_requires_rank_two(system):
     rs = system("A1")
     with pytest.raises(InvalidArgumentError):
-        R.top_chain(rs, R.dual_partition(R.height_distribution(rs)))
+        R.top_chain(rs, R.dual_partition(rs))
 
 
 def test_top_chain_steps_always_simple(system):
+    # top_chain raises on a step that is not a simple root; each step it
+    # records is the difference of its two roots
     for label in sweep_labels(12):
-        assert _top(system(label)).non_simple == (), label
+        top = _top(system(label))
+        assert len(top.step_indices) == top.m - 1, label
+        for t in range(1, top.m):
+            diff = tuple(a - b for a, b in zip(top.roots[t - 1].coeffs, top.roots[t].coeffs))
+            assert diff == tuple(int(k == top.step(t)) for k in range(1, len(diff) + 1)), label
 
 
 # -- case split ------------------------------------------------------------------
 
 def test_case_pins(system):
-    g2 = system("G2")
-    split = R.classify_case(_top(g2), g2)
-    assert (split.case, split.witness) == (1, 2)
-    assert split.witness == _top(g2).m - 2
-
-    a5 = system("A5")
-    assert R.classify_case(_top(a5), a5).case == 2
-
-    f4 = system("F4")
-    assert R.classify_case(_top(f4), f4).case == 2
+    g2 = _top(system("G2"))
+    assert (g2.case, g2.witness) == (1, 2)
+    assert g2.witness == g2.m - 2
+    for label in ("A5", "F4"):
+        top = _top(system(label))
+        assert (top.case, top.witness) == (2, None), label
 
 
 def test_case_one_only_for_g2(system):
     for label in sweep_labels(12):
         rs = system(label)
-        split = R.classify_case(_top(rs), rs)
-        assert (split.case == 1) == (label == "G2"), label
+        assert (_top(rs).case == 1) == (label == "G2"), label
 
 
 def test_main_relation_pins(system):
@@ -156,8 +157,7 @@ def test_chains_coincide_everywhere(system):
 def test_step_multiset_g2(system):
     rs = system("G2")
     top = _top(rs)
-    split = R.classify_case(top, rs)
-    res = check_step_multiset(rs, split)
+    res = check_step_multiset(rs, top)
     assert res.passed, res.counterexamples
     assert top.step(top.m - 1) == top.step(top.m - 2)  # doubled final step
     assert rs.cartan.a(top.step(2), top.step(1)) == -3
@@ -167,8 +167,7 @@ def test_step_multiset_case_two(system):
     for label in ("A4", "C3", "B2", "E6"):
         rs = system(label)
         top = _top(rs)
-        split = R.classify_case(top, rs)
-        res = check_step_multiset(rs, split)
+        res = check_step_multiset(rs, top)
         assert res.passed, (label, res.counterexamples)
         assert len(set(top.step_indices)) == len(top.step_indices)
     # C3: first pairing is 2, so the chain stops at m = 2
@@ -180,8 +179,7 @@ def test_step_multiset_case_two(system):
 def test_differences_g2(system):
     rs = system("G2")
     top = _top(rs)
-    split = R.classify_case(top, rs)
-    res = check_differences(rs, split)
+    res = check_differences(rs, top)
     assert res.passed, res.counterexamples
     diff = tuple(
         a - b for a, b in zip(top.roots[1].coeffs, top.roots[3].coeffs)
@@ -193,8 +191,7 @@ def test_differences_case_two(system):
     for label in ("E7", "F4", "B5", "A6"):
         rs = system(label)
         top = _top(rs)
-        split = R.classify_case(top, rs)
-        res = check_differences(rs, split)
+        res = check_differences(rs, top)
         assert res.passed, (label, res.counterexamples)
         # adjacent differences are the steps themselves
         for t in range(1, top.m):
@@ -208,8 +205,7 @@ def test_lengths(system):
     for label in ("G2", "F4", "A5", "E6", "E8"):
         rs = system(label)
         top = _top(rs)
-        split = R.classify_case(top, rs)
-        res = check_lengths(rs, split)
+        res = check_lengths(rs, top)
         assert res.passed, (label, res.counterexamples)
     g2 = system("G2")
     top = _top(g2)
@@ -220,7 +216,7 @@ def test_lengths(system):
 
 def test_lengths_fails_on_wrong_d(system):
     g2 = _wrong_d(system("G2"), (1, 1))
-    res = check_lengths(g2, R.classify_case(_top(g2), g2))
+    res = check_lengths(g2, _top(g2))
     assert not res.passed
     assert res.counterexamples == [{"norms": [2, 8, 2]}]
 
@@ -228,7 +224,7 @@ def test_lengths_fails_on_wrong_d(system):
 def test_step_nonramification(system):
     for label in ("G2", "D5", "E8", "B6"):
         rs = system(label)
-        res = check_step_nonramification(rs, R.classify_case(_top(rs), rs))
+        res = check_step_nonramification(rs, _top(rs))
         assert res.passed, (label, res.counterexamples)
 
 
@@ -473,7 +469,7 @@ def test_ledger_reports_dropped_root(system):
     assert not led.passed and led.m2 == 4 and led.case is None
     assert led.checks["exponents_agree"].note.startswith("error: ")
     assert led.checks["chains_coincide"].note == "blocked: dual exponents unavailable"
-    assert led.checks["lengths"].note == "blocked: top chain unavailable"
+    assert led.checks["lengths"].note == "blocked: dual exponents unavailable"
     assert list(led.checks) == list(R.build_ledger(e6).checks)
 
 
@@ -506,15 +502,14 @@ def test_ledger_reports_missing_mark_chain(system):
 
 def test_ledger_reports_non_simple_step(system):
     # C3 with a height-4 root swapped: the top chain steps by (2, -1, 0),
-    # which chains_coincide reports and the case split rejects
+    # so it is not built, and every check that needs it says so
     led = R.build_ledger(_swap_one_root(system("C3"), 4))
     assert not led.passed and led.case is None
-    assert {"non_simple_steps": [[2, -1, 0]]} in led.checks["chains_coincide"].counterexamples
     assert led.checks["main_relation"].note == (
-        "error: top-chain differences are not all simple: ((1, (2, -1, 0)),)"
+        "error: top-chain step 1 is (2, -1, 0), not a simple root"
     )
-    for name in ("step_multiset", "lengths"):
-        assert led.checks[name].note == "blocked: case split unavailable", name
+    for name in ("chains_coincide", "step_multiset", "lengths"):
+        assert led.checks[name].note == "blocked: top chain unavailable", name
 
 
 def _failing_systems(system):
@@ -528,7 +523,8 @@ def _failing_systems(system):
         "main_relation": g2_unit_d,
         # c_max = 1 on a graph with a branch point
         "mark_chain": _truncated(system("D4"), 4),
-        "chains_coincide": _swap_one_root(system("C3"), 4),
+        # step set {1} against mark set {2}
+        "chains_coincide": _swap_one_root(system("B2"), 2),
         "step_multiset": _edited(system("F4"), drop=[(1, 2, 3, 2)], add=[(1, 1, 4, 2)]),
         "step_nonramification": _edited(
             e6, drop=[(1, 1, 2, 3, 2, 1)], add=[(1, 2, 2, 2, 2, 1)]
@@ -558,8 +554,8 @@ def test_main_relation_length_condition(system):
     for label in sweep_labels(R.MAX_RANK):
         rs = system(label)
         rep = _rep(rs)
-        split = R.classify_case(_top(rs), rs)
-        res = V.check_main_relation(rs, split, rep)
+        top = _top(rs)
+        res = V.check_main_relation(rs, top, rep)
         assert res.passed, (label, res.counterexamples)
         g2 = label == "G2"
         g = rs.graph
@@ -567,13 +563,13 @@ def test_main_relation_length_condition(system):
             g.edge_multiplicity(i, j) == 3 for i, j in itertools.combinations(g.vertices, 2)
         )
         assert (
-            split.case == 1, max(rs.form.d) == 3, rs.c_max() == rep.exponents[1] - 2, triple
+            top.case == 1, max(rs.form.d) == 3, rs.c_max() == rep.exponents[1] - 2, triple
         ) == (g2, g2, g2, g2), label
     for label in sweep_labels(12):
         rs = system(label)
         assert max(map(rs.norm_sq, rs.positive_roots())) == 2 * max(rs.form.d), label
     g2 = system("G2")
-    assert V.check_main_relation(g2, R.classify_case(_top(g2), g2), _rep(g2)).note == (
+    assert V.check_main_relation(g2, _top(g2), _rep(g2)).note == (
         "case 1: c_max = 3, m2 = 5, long/short ratio 3"
     )
     # a wrong d breaks only the length condition; A2 with its top root
@@ -595,7 +591,7 @@ def test_main_relation_length_condition(system):
         ),
         (g2_rows, {"c_max": 1, "m2": 2, "case": 2, "ratio": 1, "triple_edge": True}),
     ):
-        res = V.check_main_relation(rs, R.classify_case(_top(rs), rs), _rep(rs))
+        res = V.check_main_relation(rs, _top(rs), _rep(rs))
         assert not res.passed and res.counterexamples == [cx], cx
 
 
@@ -603,8 +599,7 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
     calls = collections.Counter()
     built = {}
     shared = (
-        "coxeter_exponents", "dual_partition", "top_chain", "classify_case",
-        "mark_chain", "weyl_orbits",
+        "coxeter_exponents", "dual_partition", "top_chain", "mark_chain", "weyl_orbits",
     )
     for name in shared + ("_close",):
 
