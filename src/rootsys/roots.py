@@ -6,9 +6,12 @@ tuple of a positive one.  ``RootSystem.pairings`` is the one table of
 coroot pairings: each signed root's coefficient tuple maps to its vector
 (<beta, alpha_1>, ..., <beta, alpha_l>), positives first in
 ``positive_roots()`` order, then their negatives.  It is built lazily, on
-first use, from the Cartan rows and the system's own layers.  Every
-length, and the affine edges of the extended Dynkin graph, are read from
-this table and ``form.d``.
+first use: from the pairing vectors that ``enumerate_roots`` carried and
+handed over, or, for hand-built layers, from the Cartan rows.
+``RootSystem.keys`` numbers the signed roots in the same order by one
+packed integer each, built lazily like the table.  Every length, and the
+affine edges of the extended Dynkin graph, are read from the table and
+``form.d``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import add, ge, gt, mul
+from operator import add, gt, mul, neg
 from typing import Iterator, Sequence
 
 from .cartan import (
@@ -55,14 +58,34 @@ class Root:
         return f"Root{self.coeffs}"
 
 
+@dataclass(frozen=True)
+class SignedKeys:
+    """One packed integer per signed root, for scans that add and subtract
+    roots.
+
+    A vector v gets key(v) = sum_i v_i * unit[i], where unit[i] =
+    2**(w * (l - 1 - i)) is the key of alpha_(i+1): one w-bit field per
+    coordinate, coordinate 0 most significant.  The key is linear, so a
+    negative root's key is the negated key of its positive, and
+    v - p*alpha_i or a sum of roots has the matching sum of keys.  Two
+    vectors whose coordinates all differ by less than 2**w have equal keys
+    only when they are equal, since the lowest field where they differ
+    leaves a nonzero remainder.  ``number`` maps each signed root's key to
+    its position in ``RootSystem.pairings`` order.
+    """
+
+    number: dict[int, int]
+    unit: tuple[int, ...]
+
+
 class RootSystem:
     """All positive roots of a Cartan matrix, organised by height.
 
     Immutable after construction; build via :func:`enumerate_roots`.
     Hand-built layers must form a root poset's height grading: layer 0
-    empty, each root filed under its own height, no root listed twice, and
-    exactly one root in the top layer; anything else raises
-    InvalidArgumentError.
+    empty, each root filed under its own height with one coefficient per
+    simple root, no root listed twice, and exactly one root in the top
+    layer; anything else raises InvalidArgumentError.
     """
 
     def __init__(
@@ -74,8 +97,13 @@ class RootSystem:
     ) -> None:
         if not layers or layers[0]:
             raise InvalidArgumentError("layer 0 must exist and be empty")
+        n = cartan.rank
         for h, layer in enumerate(layers):
             for r in layer:
+                if len(r.coeffs) != n:
+                    raise InvalidArgumentError(
+                        f"{r.coeffs} has {len(r.coeffs)} coefficients; the rank is {n}"
+                    )
                 if r.height != h:
                     raise InvalidArgumentError(
                         f"{r.coeffs} has height {r.height} but is filed under {h}"
@@ -93,6 +121,9 @@ class RootSystem:
         }
         if self.num_positive != sum(map(len, layers)):
             raise InvalidArgumentError("a root is listed twice")
+        # the pairing vectors of positive_roots(), in order, when
+        # enumerate_roots hands them over; None for hand-built layers
+        self._pairs: list[tuple[int, ...]] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -149,17 +180,51 @@ class RootSystem:
 
     @cached_property
     def pairings(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Signed root -> its pairings against every simple coroot: row i of
-        the Cartan matrix against beta, over the row's nonzero entries."""
-        rows = [[(j, a) for j, a in enumerate(row) if a] for row in self.cartan.rows]
-        pos = {
-            r.coeffs: tuple(sum(a * r.coeffs[j] for j, a in row) for row in rows)
-            for r in self.positive_roots()
-        }
-        neg = {
-            tuple(-c for c in v): tuple(-p for p in pv) for v, pv in pos.items()
-        }
-        return pos | neg
+        """Signed root -> its pairings against every simple coroot, where
+        <beta, alpha_i> is row i of the Cartan matrix against beta.
+
+        An enumerated system reuses the vectors that enumerate_roots
+        carried.  Hand-built layers take row i against beta directly, over
+        the row's nonzero entries: they may hold a non-root that no
+        enumeration reached, so there is no carried vector to reuse."""
+        coeffs = [r.coeffs for r in self.positive_roots()]
+        vectors = self._pairs
+        if vectors is None:
+            rows = [[(j, a) for j, a in enumerate(row) if a] for row in self.cartan.rows]
+            vectors = [tuple(sum(a * c[j] for j, a in row) for row in rows) for c in coeffs]
+        table = dict(zip(coeffs, vectors))
+        table.update(
+            zip([tuple(map(neg, c)) for c in coeffs], [tuple(map(neg, pv)) for pv in vectors])
+        )
+        return table
+
+    @cached_property
+    def keys(self) -> SignedKeys:
+        """The signed roots' packed keys, numbered in ``pairings`` order.
+
+        The scans compare keys of v - p*alpha_i, for a signed root v with
+        p = <v, alpha_i>, and of sums of up to three signed roots, against
+        keys of signed roots or of 0.  With c the largest coefficient and R
+        the largest absolute row sum of the Cartan matrix, |p| <= R*c, so
+        those coordinates differ by at most max(4, 2 + R) * c, and the
+        field width w is the bit length of that bound, at least 8.  Every
+        finite type has c <= 6 and R <= 5, so w = 8 and a positive root's
+        key is its coefficient bytes, the packing of enumerate_roots."""
+        n = self.rank
+        coeffs = [r.coeffs for r in self.positive_roots()]
+        if self._pairs is None:
+            top = max(map(max, coeffs))
+        else:  # enumerate_roots found that theta dominates every root
+            top = self.c_max()
+        reach = max(4, 2 + max(sum(map(abs, row)) for row in self.cartan.rows))
+        width = max(8, (reach * top).bit_length())
+        unit = tuple(1 << width * (n - 1 - i) for i in range(n))
+        if width == 8:
+            pos = [int.from_bytes(bytes(c), "big") for c in coeffs]
+        else:
+            pos = [sum(map(mul, c, unit)) for c in coeffs]
+        signed = pos + [-k for k in pos]
+        return SignedKeys(dict(zip(signed, range(len(signed)))), unit)
 
     def pairing(self, beta: Root, i: int) -> int:
         """<beta, alpha_i> = 2(beta, alpha_i)/(alpha_i, alpha_i) for a root
@@ -233,6 +298,12 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     alpha_i is ``key + unit[i]``, and ``key.to_bytes(rank, "big")`` is the
     coefficient tuple.  A coefficient never exceeds its root's height, and
     heights stop at cap <= 255, so no field carries.
+
+    Every root but the single top root must have a root above it, or
+    InternalInconsistencyError is raised.  Following edges up from any root
+    then reaches the top root theta, with coefficients growing on the way,
+    so theta dominates every root.  The carried pairing vectors are handed
+    to the system, whose ``pairings`` table reuses them.
     """
     n = cartan.rank
     form = symmetrizer(cartan)
@@ -243,6 +314,8 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     # key -> (pairing vector, string lengths p) of the roots one layer up
     found = {unit[i]: (columns[i], [0] * n) for i in range(n)}
     layers: list[list[tuple[int, ...]]] = [[]]
+    pairs: list[tuple[int, ...]] = []  # in layer order, for the pairing table
+    maximal = []  # keys of the roots with no root above them
     while found:
         if len(layers) >= cap:
             raise InternalInconsistencyError(
@@ -250,8 +323,10 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
             )
         layer = sorted(found.items())
         layers.append([tuple(key.to_bytes(n, "big")) for key, _ in layer])
+        pairs += [pair for _, (pair, _) in layer]
         found = {}
         for key, (pair, p) in layer:
+            up = 0
             for i, u in compress(enumerate(unit), map(gt, p, pair)):
                 up = key + u
                 if up in found:  # another edge into the same root
@@ -260,13 +335,17 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
                     q = [0] * n
                     q[i] = p[i] + 1
                     found[up] = (tuple(map(add, pair, columns[i])), q)
+            if not up:
+                maximal.append(key)
+    if len(maximal) > 1:
+        raise InternalInconsistencyError(
+            f"{len(maximal)} roots have no root above them, among them "
+            f"{tuple(maximal[0].to_bytes(n, 'big'))}; expected only the top root"
+        )
 
     root_layers = tuple(tuple(Root(c) for c in layer) for layer in layers)
     rs = RootSystem(cartan, form, root_layers, label)
-    theta = rs.highest_root().coeffs
-    for r in rs.positive_roots():
-        if not all(map(ge, theta, r.coeffs)):
-            raise InternalInconsistencyError(f"{theta} does not dominate {r.coeffs}")
+    rs._pairs = pairs
     return rs
 
 

@@ -524,19 +524,19 @@ def weyl_orbits(rs: RootSystem) -> WeylOrbits:
     Weyl-stable set, walk each orbit's first root up to its dominant
     member, reflecting while some pairing is negative (each step raises
     the height, and each W-orbit meets the dominant chamber once), and
-    close the signed roots again under that member's stabilizer."""
+    close the signed roots again under that member's stabilizer.
+
+    s_i(v) = v - p*alpha_i is looked up by its key, key(v) - p*unit[i],
+    in ``rs.keys``, whose field width covers every such image."""
     n = rs.rank
     table = rs.pairings
+    number, unit = rs.keys.number, rs.keys.unit
     vs = list(table)
-    number = {v: k for k, v in enumerate(vs)}
     # each root's nonzero reflections, built once for every closure below
-    moves = []
-    for v, pv in table.items():
-        row = []
-        for i in compress(range(n), pv):
-            p = pv[i]
-            row.append((i, p, number.get(v[:i] + (v[i] - p,) + v[i + 1 :], -1)))
-        moves.append(row)
+    moves = [
+        [(i, pv[i], number.get(k - pv[i] * unit[i], -1)) for i in compress(range(n), pv)]
+        for k, pv in zip(number, table.values())
+    ]
     orbits, escapes = _close(moves, set(range(n)))
     if escapes:
         return WeylOrbits(
@@ -615,29 +615,24 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     the third runs over every signed root: O(orbits * stabilizer orbits * N)
     instead of O(N^3).  The ordered pairs (b, c) so counted, plus the
     diagonal ones (b, b), make twice the number of pairs b <= c.  Roots
-    are encoded as integers linear in their coefficients, with a base wide
-    enough that sums of three roots never collide, so vector sums become
-    integer sums.
+    are the packed keys of ``rs.keys``, linear in the coefficients, so
+    vector sums become integer sums; the keys' field width covers sums of
+    up to three signed roots, so those never collide.
     """
     if orbits.escapes:
         return _not_weyl_stable(orbits)
     vs = list(rs.pairings)
-    base = 6 * max(map(max, vs)) + 1  # the largest |coefficient|, on a positive root
-    powers = [base**k for k in range(rs.rank)]
-
-    def key(v: tuple[int, ...]) -> int:
-        return sum(map(mul, v, powers))
-
-    keys = [key(v) for v in vs]
-    member = set(keys)
+    member = rs.keys.number
+    keys = list(member)
+    key = dict(zip(vs, keys))
     checked = 0
     cx: list = []
     for r, partners in zip(orbits.representatives, orbits.stabilizer_orbits):
-        kr = key(r)
+        kr = key[r]
         with_r = [kr + k for k in keys]
         ordered = diagonal = 0
         for b, size in partners:
-            kb = key(b)
+            kb = key[b]
             rb = kr + kb
             if not rb:
                 continue

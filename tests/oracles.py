@@ -4,23 +4,28 @@ These deliberately avoid the package's packed enumeration and tabulated
 matrices: roots are produced by reflection closure or by the successor
 rule on plain tuples, small Cartan matrices are recomputed from exact
 simple-root geometry, inner products come from a Gram matrix built here
-rather than from the pairing table, and the Coxeter element is a dense
-product of reflection matrices.
+rather than from the pairing table, the Coxeter element is a dense
+product of reflection matrices, and the Weyl-orbit moves and the triple
+scan look roots up by coefficient tuple or by an encoding as wide as the
+roots at hand, never by the package's shared packed keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 from operator import mul
 
 from rootsys import (
     CartanMatrix,
+    CheckResult,
     InvalidArgumentError,
     InvalidCartanError,
     symmetrizer,
     validate_cartan,
 )
+from rootsys.verify import COUNTEREXAMPLE_CAP, WeylOrbits, _close, _down, _not_weyl_stable
 
 
 def gram(cartan: CartanMatrix, d) -> list[list[int]]:
@@ -383,3 +388,81 @@ def duality_identities(rep, rs) -> dict[str, bool]:
         "top-exponent": ms[-1] == ht,
         "exponent-count": sum(ms) == rs.num_positive,
     }
+
+
+def tuple_weyl_orbits(rs) -> WeylOrbits:
+    """``verify.weyl_orbits`` with each reflected image looked up by its
+    coefficient tuple: v[:i] + (v[i] - p,) + v[i + 1:]."""
+    n = rs.rank
+    table = rs.pairings
+    vs = list(table)
+    number = {v: k for k, v in enumerate(vs)}
+    moves = []
+    for v, pv in table.items():
+        row = []
+        for i in compress(range(n), pv):
+            p = pv[i]
+            row.append((i, p, number.get(v[:i] + (v[i] - p,) + v[i + 1 :], -1)))
+        moves.append(row)
+    orbits, escapes = _close(moves, set(range(n)))
+    if escapes:
+        return WeylOrbits(
+            tuple(vs[k] for k, _ in orbits),
+            tuple((vs[k], i + 1, _down(vs[k], i + 1, p)) for k, i, p in escapes),
+        )
+    reps = []
+    stabilizer_orbits = []
+    for k, _ in orbits:
+        while up := [j for _, p, j in moves[k] if p < 0]:
+            k = up[0]
+        J = set(range(n)).difference(i for i, _, _ in moves[k])
+        reps.append(vs[k])
+        stabilizer_orbits.append(tuple((vs[b], size) for b, size in _close(moves, J)[0]))
+    return WeylOrbits(tuple(reps), (), tuple(stabilizer_orbits))
+
+
+def based_two_of_three_sums(rs, orbits: WeylOrbits) -> CheckResult:
+    """``verify.check_two_of_three_sums`` with roots encoded in base
+    6 * (largest coefficient) + 1, wide enough that sums of three signed
+    roots never collide."""
+    if orbits.escapes:
+        return _not_weyl_stable(orbits)
+    vs = list(rs.pairings)
+    base = 6 * max(map(max, vs)) + 1
+    powers = [base**k for k in range(rs.rank)]
+
+    def key(v):
+        return sum(map(mul, v, powers))
+
+    keys = [key(v) for v in vs]
+    member = set(keys)
+    checked = 0
+    cx: list = []
+    for r, partners in zip(orbits.representatives, orbits.stabilizer_orbits):
+        kr = key(r)
+        with_r = [kr + k for k in keys]
+        ordered = diagonal = 0
+        for b, size in partners:
+            kb = key(b)
+            rb = kr + kb
+            if not rb:
+                continue
+            rb_root = rb in member
+            diagonal += size * (rb + kb in member)
+            hits = 0
+            for kc, rc, c in zip(keys, with_r, vs):
+                bc = kb + kc
+                if not rc or not bc or rb + kc not in member:
+                    continue
+                hits += 1
+                roots = rb_root + (rc in member) + (bc in member)
+                if roots < 2 and len(cx) < COUNTEREXAMPLE_CAP:
+                    cx.append({"beta1": list(r), "beta2": list(b), "beta3": list(c)})
+            ordered += size * hits
+        checked += (ordered + diagonal) // 2
+    n_orbits = len(orbits.representatives)
+    note = (
+        f"exhaustive over {n_orbits} Weyl orbit{'' if n_orbits == 1 else 's'}: "
+        f"{len(vs)} signed roots, {checked} qualifying triples"
+    )
+    return CheckResult(not cx, cx, note)

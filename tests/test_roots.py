@@ -181,6 +181,46 @@ def test_relabelled_classes_enumerate_like_tuple_scan():
         assert _layers(rs) == tuple_scan_layers(relabelled), (c.rows, perm)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # A2 + A2 and A1 + A2, built directly: each enumerates to the end
+        # with two maximal roots, an inconsistency rather than an input error
+        ((2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2)),
+        ((2, 0, 0), (0, 2, -1), (0, -1, 2)),
+    ],
+)
+def test_enumeration_rejects_a_second_maximal_root(rows):
+    with pytest.raises(InternalInconsistencyError, match="2 roots have no root above them"):
+        R.enumerate_roots(R.CartanMatrix(rows))
+
+
+def _rows_table(rs):
+    """The pairing table of the same layers, built by hand, so from the
+    Cartan rows rather than from enumerate_roots' carried vectors."""
+    return R.RootSystem(rs.cartan, rs.form, rs.layers, None).pairings
+
+
+def test_handed_over_table_matches_cartan_rows(system):
+    # every type to MAX_RANK and a seeded relabelling of every leaf-search
+    # class to rank 20: the same table, in the same order, and 8-bit keys
+    # equal to the enumeration's packing
+    systems = [system(str(t)) for t in R.all_types(R.MAX_RANK)]
+    rng = random.Random(16)
+    for c in finite_type_classes(20):
+        perm = rng.sample(range(c.rank), c.rank)
+        systems.append(R.enumerate_roots(R.CartanMatrix(
+            tuple(tuple(c.rows[a][b] for b in perm) for a in perm)
+        )))
+    for rs in systems:
+        assert list(rs.pairings.items()) == list(_rows_table(rs).items()), rs.cartan.rows
+        pos = [int.from_bytes(bytes(r.coeffs), "big") for r in rs.positive_roots()]
+        assert list(rs.keys.number.items()) == list(
+            zip(pos + [-k for k in pos], range(2 * len(pos)))
+        ), rs.cartan.rows
+        assert rs.keys.unit == tuple(1 << 8 * k for k in reversed(range(rs.rank)))
+
+
 # -- dominance ------------------------------------------------------------------
 
 def test_highest_root_dominates_everything(system):

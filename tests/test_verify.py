@@ -27,11 +27,13 @@ from rootsys.verify import (
 
 from conftest import small_labels, sweep_labels
 from oracles import (
+    based_two_of_three_sums,
     form_pairings,
     gram,
     inner,
     long_pairs,
     reflection_orbit,
+    tuple_weyl_orbits,
     two_of_three_triples,
 )
 
@@ -360,6 +362,46 @@ def test_weyl_orbits(system):
         assert orbits.escapes == () and len(rs.pairings) == 2 * rs.num_positive
 
 
+def _with_top(rs, coeffs):
+    """The system's roots under a hand-built top root of the given
+    coefficients, with empty layers up to its height."""
+    h = sum(coeffs)
+    layers = rs.layers + ((),) * (h - len(rs.layers)) + ((R.Root(coeffs),),)
+    return R.RootSystem(rs.cartan, rs.form, layers, None)
+
+
+def _every_triple(rs):
+    """Each signed root as its own representative and its own stabilizer
+    orbit: not the Weyl orbits, but an input without escapes on which the
+    triple scan sums every signed triple."""
+    vs = tuple(rs.pairings)
+    return V.WeylOrbits(vs, (), tuple(tuple((b, 1) for b in vs) for _ in vs))
+
+
+def test_wide_keys_match_tuple_oracles(system, monkeypatch):
+    # hand-built systems past the 8-bit key fields, each of which 8-bit
+    # fields would get wrong: a coefficient of 128, where sums of three
+    # roots carry into the next field; one of 256, where two roots share a
+    # key; and a pairing of 255, whose reflected image (1, -255) would
+    # share the key of (0, 1)
+    a2 = system("A2")
+    systems = [
+        _with_top(system("G2"), (1, 128)),
+        _with_top(system("G2"), (1, 256)),
+        R.RootSystem(R.CartanMatrix(((2, -1), (255, 2))), a2.form, a2.layers, None),
+    ]
+    for rs in systems:
+        assert rs.keys.unit[-2] > 1 << 8, rs.layers[-1]  # fields wider than 8 bits
+        assert weyl_orbits(rs) == tuple_weyl_orbits(rs), rs.layers[-1]
+        every = _every_triple(rs)
+        assert check_two_of_three_sums(rs, every) == based_two_of_three_sums(rs, every)
+        ledger = R.build_ledger(rs).to_json_dict()
+        with monkeypatch.context() as m:
+            m.setattr(V, "weyl_orbits", tuple_weyl_orbits)
+            m.setattr(V, "check_two_of_three_sums", based_two_of_three_sums)
+            assert R.build_ledger(rs).to_json_dict() == ledger, rs.layers[-1]
+
+
 def test_scans_fail_on_swapped_root(system):
     bad = _swap_one_root(system("F4"), 5)
     orbits = weyl_orbits(bad)
@@ -609,15 +651,16 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
             return built[_name]
 
         monkeypatch.setattr(V, name, counted)
-    build_table = R.RootSystem.pairings.func
+    for lazy in ("pairings", "keys"):
+        build_lazy = getattr(R.RootSystem, lazy).func
 
-    def counted_table(rs):
-        calls["pairings"] += 1
-        return build_table(rs)
+        def counted_lazy(rs, _name=lazy, _build=build_lazy):
+            calls[_name] += 1
+            return _build(rs)
 
-    table = functools.cached_property(counted_table)
-    table.__set_name__(R.RootSystem, "pairings")
-    monkeypatch.setattr(R.RootSystem, "pairings", table)
+        prop = functools.cached_property(counted_lazy)
+        prop.__set_name__(R.RootSystem, lazy)
+        monkeypatch.setattr(R.RootSystem, lazy, prop)
     build_graph = R.cartan.dynkin_graph
 
     def counted_graph(c):
@@ -632,7 +675,7 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
         # one closure under W, then one per representative's stabilizer,
         # which both scans share; the extended graph builds on the graph
         closures = 1 + len(built["weyl_orbits"].representatives)
-        expected = dict.fromkeys(shared + ("pairings", "dynkin_graph"), 1) | {
+        expected = dict.fromkeys(shared + ("pairings", "keys", "dynkin_graph"), 1) | {
             "_close": closures
         }
         assert calls == expected, (label, calls)
@@ -642,12 +685,12 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
         assert not R.build_ledger(_swap_one_root(R.build_system(label), 2)).passed
         assert built["weyl_orbits"].escapes and not built["weyl_orbits"].stabilizer_orbits
         assert calls["_close"] == 1, (label, calls)
-    # gen and exponents never need the pairing table
+    # gen and exponents never need the pairing table or the keys
     calls.clear()
     assert main(["gen", "--all", "--max-rank", "8"]) == 0
     assert main(["exponents", "--all", "--max-rank", "8", "--method", "both"]) == 0
     capsys.readouterr()
-    assert calls["pairings"] == calls["dynkin_graph"] == 0
+    assert calls["pairings"] == calls["keys"] == calls["dynkin_graph"] == 0
 
 
 def test_constructor_rejects_malformed_layers(system):
@@ -661,7 +704,10 @@ def test_constructor_rejects_malformed_layers(system):
             R.RootSystem(rs.cartan, rs.form, rs.layers[:-1] + ((),), None)
     b3 = system("B3")
     theta = b3.highest_root()
+    short, long = R.Root((1, 0)), R.Root((0, 1, 0, 0))
     for layers, why in (
+        (((), (short,) + b3.layers[1][1:]) + b3.layers[2:], r"\(1, 0\) has 2 coefficients"),
+        (((), (long,) + b3.layers[1][1:]) + b3.layers[2:], "has 4 coefficients; the rank is 3"),
         (b3.layers[:3], "top height layer has 2 roots"),
         (((theta,),) + b3.layers[1:], "layer 0"),
         (b3.layers[:2] + (b3.layers[2] + (theta,),) + b3.layers[3:], "filed under 2"),
@@ -671,6 +717,11 @@ def test_constructor_rejects_malformed_layers(system):
     ):
         with pytest.raises(InvalidArgumentError, match=why):
             R.RootSystem(b3.cartan, b3.form, layers, None)
+    # a coordinate too many would drop out of the pairing table unseen
+    a2 = system("A2")
+    with pytest.raises(InvalidArgumentError, match="has 3 coefficients; the rank is 2"):
+        layers = ((), (R.Root((0, 1, 0)), a2.layers[1][1]), a2.layers[2])
+        R.RootSystem(a2.cartan, a2.form, layers, None)
 
 
 def test_relabeled_ledgers_pass(system):
