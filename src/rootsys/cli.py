@@ -141,10 +141,35 @@ def _key(key) -> str:
     )
 
 
+class _RootRows:
+    """The "roots" value of a gen payload: one {"coeffs": [...], "height": h}
+    per positive root, by height and then coefficients, which is the order
+    enumerate_roots files each layer in.  render writes it through one row
+    template per system, with a %d field per coefficient and one for the
+    height, so no per-root dict or list is built."""
+
+    __slots__ = ("rs",)
+
+    def __init__(self, rs: RootSystem) -> None:
+        self.rs = rs
+
+    def render(self, nl: str) -> str:
+        inner = nl + "  "  # each root's own level
+        field = inner + "  "
+        row = (
+            "{" + field + '"coeffs": [' + field + "  "
+            + ("," + field + "  ").join(["%d"] * self.rs.rank)
+            + field + "]," + field + '"height": %d' + inner + "}"
+        )
+        rows = [row % (r.coeffs + (h,)) for h, layer in enumerate(self.rs.layers) for r in layer]
+        return "[" + inner + ("," + inner).join(rows) + nl + "]"
+
+
 def _render(obj, nl: str = "\n") -> str:
     """The text json.dumps(obj, indent=2) gives for obj, for obj nested where
     nl (a line break and the indentation of obj's own level) precedes its
-    closing bracket; the items inside go two spaces deeper."""
+    closing bracket; the items inside go two spaces deeper.  A _RootRows
+    leaf renders as json.dumps would render its plain list of root dicts."""
     if type(obj) is int:
         return str(obj)
     if isinstance(obj, str):
@@ -164,13 +189,16 @@ def _render(obj, nl: str = "\n") -> str:
         inner = nl + "  "
         items = (_key(k) + ": " + _render(v, inner) for k, v in obj.items())
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if type(obj) is _RootRows:
+        return obj.render(nl)
     return json.dumps(obj)
 
 
 def _emit(out, payload, k: int, n: int) -> None:
     """Write payload k of n.  The n calls in order write what
     json.dumps(payloads if n > 1 else payloads[0], indent=2) gives, plus a
-    newline, without holding more than one payload's text."""
+    newline, without holding more than one payload's text.  A gen payload's
+    roots are rendered here, from its _RootRows leaf."""
     if n == 1:
         out.write(_render(payload) + "\n")
         return
@@ -183,18 +211,30 @@ def _system(label: str, cartan: CartanMatrix) -> RootSystem:
     return enumerate_roots(cartan, None if label == "custom" else label)
 
 
+def _gen_payload(rs: RootSystem) -> dict:
+    """What gen writes for one system; _emit renders its roots."""
+    return {
+        "type": rs.label,
+        "rank": rs.rank,
+        "cartan": rs.cartan.to_lists(),
+        "roots": _RootRows(rs),
+        "highest_root": list(rs.highest_root().coeffs),
+        "c_max": rs.c_max(),
+    }
+
+
 def cmd_gen(args, targets, out) -> int:
     if args.format == "table":
         out.write("type      rank  roots  c_max  highest_root\n")
     for k, (label, cartan) in enumerate(targets):
-        p = _system(label, cartan).to_json_dict()
+        rs = _system(label, cartan)
         if args.format == "table":
             out.write(
-                f"{str(p['type'] or 'custom'):<8}  {p['rank']:>4}  {len(p['roots']):>5}"
-                f"  {p['c_max']:>5}  {p['highest_root']}\n"
+                f"{rs.label or 'custom':<8}  {rs.rank:>4}  {rs.num_positive:>5}"
+                f"  {rs.c_max():>5}  {list(rs.highest_root().coeffs)}\n"
             )
         else:
-            _emit(out, p, k, len(targets))
+            _emit(out, _gen_payload(rs), k, len(targets))
     return 0
 
 

@@ -268,19 +268,6 @@ class RootSystem:
                 edges[i] = t_i * u_i
         return self.graph.with_affine_vertex(edges)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        roots = sorted(self.positive_roots(), key=lambda r: (r.height, r.coeffs))
-        return {
-            "type": self.label,
-            "rank": self.rank,
-            "cartan": self.cartan.to_lists(),
-            "roots": [{"coeffs": list(r.coeffs), "height": r.height} for r in roots],
-            "highest_root": list(self.highest_root().coeffs),
-            "c_max": self.c_max(),
-        }
-
 
 def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSystem:
     """Build all positive roots layer by layer.

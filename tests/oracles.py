@@ -225,6 +225,22 @@ def finite_type_classes(max_rank: int) -> list[CartanMatrix]:
     return out
 
 
+def gen_payload(rs) -> dict:
+    """What ``gen`` writes for rs, as plain dicts and lists: one
+    {"coeffs", "height"} dict per positive root, sorted by height and then
+    coefficients, the height summed here."""
+    roots = sorted((r.coeffs for r in rs.positive_roots()), key=lambda c: (sum(c), c))
+    theta = list(rs.highest_root().coeffs)
+    return {
+        "type": rs.label,
+        "rank": rs.rank,
+        "cartan": [list(row) for row in rs.cartan.rows],
+        "roots": [{"coeffs": list(c), "height": sum(c)} for c in roots],
+        "highest_root": theta,
+        "c_max": max(theta),
+    }
+
+
 def two_of_three_triples(rs) -> list[tuple[tuple, tuple, tuple, bool]]:
     """Every qualifying multiset {a, b, c} of signed roots (nonzero pairwise
     sums, total a root), by the plain O(N^3) scan, each with whether at

@@ -272,6 +272,60 @@ def test_gen_all_emits_array(capsys):
     assert [d["type"] for d in data] == ["A1", "A2", "B2", "C2", "G2"]
 
 
+# Table text pinned from the JSON-payload implementation of both commands.
+GEN_TABLE_4 = """\
+type      rank  roots  c_max  highest_root
+A1           1      1      1  [1]
+A2           2      3      1  [1, 1]
+A3           3      6      1  [1, 1, 1]
+A4           4     10      1  [1, 1, 1, 1]
+B2           2      4      2  [1, 2]
+B3           3      9      2  [1, 2, 2]
+B4           4     16      2  [1, 2, 2, 2]
+C2           2      4      2  [2, 1]
+C3           3      9      2  [2, 2, 1]
+C4           4     16      2  [2, 2, 2, 1]
+D4           4     12      2  [1, 2, 1, 1]
+F4           4     24      4  [2, 3, 4, 2]
+G2           2      6      3  [3, 2]
+"""
+EXPONENTS_TABLE_4 = "type      method                h  exponents\n" + "".join(
+    f"{label:<8}  {method:<19}  {h:>2}  {exps}\n"
+    for label, h, exps in [
+        ("A1", 2, [1]),
+        ("A2", 3, [1, 2]),
+        ("A3", 4, [1, 2, 3]),
+        ("A4", 5, [1, 2, 3, 4]),
+        ("B2", 4, [1, 3]),
+        ("B3", 6, [1, 3, 5]),
+        ("B4", 8, [1, 3, 5, 7]),
+        ("C2", 4, [1, 3]),
+        ("C3", 6, [1, 3, 5]),
+        ("C4", 8, [1, 3, 5, 7]),
+        ("D4", 6, [1, 3, 3, 5]),
+        ("F4", 12, [1, 5, 7, 11]),
+        ("G2", 6, [1, 5]),
+    ]
+    for method in ("dual-partition", "coxeter-eigenvalues")
+)
+
+
+@pytest.mark.parametrize(
+    "command, expected", [("gen", GEN_TABLE_4), ("exponents", EXPONENTS_TABLE_4)]
+)
+def test_table_format_pinned(capsys, command, expected):
+    code, out, err = run_cli(capsys, command, "--all", "--max-rank", "4", "--format", "table")
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_gen_table_custom(capsys, tmp_path):
+    path = tmp_path / "g2.json"
+    path.write_text("[[2, -1], [-3, 2]]")
+    code, out, _ = run_cli(capsys, "gen", "--cartan", str(path), "--format", "table")
+    assert code == 0
+    assert out.splitlines()[1] == "custom       2      6      3  [2, 3]"
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--exhaustive-limit"])
 def test_verify_rejects_removed_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 import rootsys as R
 import rootsys.cli as cli
 from rootsys.cli import _emit, _render, main
+
+from oracles import finite_type_classes, gen_payload
 
 # sha256 of stdout, pinned when the JSON was still written by one
 # json.dumps(..., indent=2) call; a deliberate output change updates a
@@ -111,7 +114,65 @@ def test_gen_output_is_json_dumps(capsys, tmp_path, to_file, max_rank):
         labels = [str(t) for t in R.all_types(max_rank)]
     code, text = _run(capsys, tmp_path, to_file, *argv)
     assert code == 0
-    assert text == _expected([R.build_system(l).to_json_dict() for l in labels])
+    assert text == _expected([gen_payload(R.build_system(l)) for l in labels])
+
+
+@pytest.mark.parametrize("source", ["A1", "cartan"])
+def test_gen_single_payload_is_json_dumps(capsys, tmp_path, source):
+    # besides --type G2 above: one payload with the fewest %d fields (A1),
+    # and one with a null type (--cartan)
+    if source == "cartan":
+        path = tmp_path / "f4.json"
+        path.write_text(json.dumps(R.build_cartan("F4").to_lists()))
+        argv, rs = ("--cartan", str(path)), R.enumerate_roots(R.build_cartan("F4"))
+    else:
+        argv, rs = ("--type", source), R.build_system(source)
+    assert main(["gen", *argv]) == 0
+    assert capsys.readouterr().out == json.dumps(gen_payload(rs), indent=2) + "\n"
+
+
+def test_gen_template_on_relabelled_classes():
+    # every finite type to rank 20 from the leaf search, under a seeded
+    # relabelling, enumerated through validate_cartan: each payload alone
+    # and all of them as one array render as json.dumps renders the oracle
+    rng = random.Random(17)
+    systems = []
+    for c in finite_type_classes(20):
+        perm = rng.sample(range(c.rank), c.rank)
+        systems.append(
+            R.enumerate_roots(R.validate_cartan([[c.rows[a][b] for b in perm] for a in perm]))
+        )
+    for rs in systems:
+        out = io.StringIO()
+        _emit(out, cli._gen_payload(rs), 0, 1)
+        assert out.getvalue() == json.dumps(gen_payload(rs), indent=2) + "\n", rs.cartan.rows
+    out = io.StringIO()
+    for k, rs in enumerate(systems):
+        _emit(out, cli._gen_payload(rs), k, len(systems))
+    assert out.getvalue() == _expected([gen_payload(rs) for rs in systems])
+
+
+def test_gen_builds_no_per_root_dicts(capsys, monkeypatch):
+    # gen renders its roots from the layers through one row template: no
+    # RootSystem.to_json_dict, and no {"coeffs", "height"} dict reaching
+    # the generic renderer, which also renders its own nested values
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gen payload was built with one dict per root")
+
+    render = cli._render
+
+    def guarded(obj, nl="\n"):
+        if isinstance(obj, dict) and "coeffs" in obj:
+            refuse()
+        return render(obj, nl)
+
+    monkeypatch.setattr(R.RootSystem, "to_json_dict", refuse, raising=False)
+    monkeypatch.setattr(cli, "_render", guarded)
+    assert main(["gen", "--all", "--max-rank", "8"]) == 0
+    labels = [str(t) for t in R.all_types(8)]
+    assert capsys.readouterr().out == _expected(
+        [gen_payload(R.build_system(l)) for l in labels]
+    )
 
 
 @pytest.mark.parametrize("to_file", [False, True])

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import rootsys as R
+from rootsys.cli import main
 from rootsys.errors import InternalInconsistencyError, InvalidArgumentError
 
 from conftest import small_labels, sweep_labels
@@ -361,15 +362,32 @@ def test_unique_root_per_top_height(system):
 
 # -- serialization ------------------------------------------------------------------
 
-def test_json_schema(system):
-    d = system("G2").to_json_dict()
+def test_json_schema(capsys):
+    assert main(["gen", "--type", "G2"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert list(d.keys()) == ["type", "rank", "cartan", "roots", "highest_root", "c_max"]
     assert d["type"] == "G2"
     assert len(d["roots"]) == 6
     assert d["highest_root"] == [3, 2]
-    heights = [r["height"] for r in d["roots"]]
-    assert heights == sorted(heights)
-    assert json.dumps(d) == json.dumps(system("G2").to_json_dict())
+    assert [list(r) for r in d["roots"]] == [["coeffs", "height"]] * 6
+    keys = [(r["height"], r["coeffs"]) for r in d["roots"]]
+    assert keys == sorted(keys)
+
+
+def test_layers_ascend_by_coefficients():
+    # gen writes each layer in the order enumerate_roots files it, so that
+    # order must be the ascending coefficient order the JSON schema states:
+    # every named type to MAX_RANK, and the leaf-search classes to rank 20
+    # under a seeded relabelling
+    rng = random.Random(17)
+    matrices = [R.build_cartan(t) for t in R.all_types(R.MAX_RANK)]
+    for c in finite_type_classes(20):
+        perm = rng.sample(range(c.rank), c.rank)
+        matrices.append(R.validate_cartan([[c.rows[a][b] for b in perm] for a in perm]))
+    for c in matrices:
+        for layer in R.enumerate_roots(c).layers:
+            coeffs = [r.coeffs for r in layer]
+            assert coeffs == sorted(coeffs), c.rows
 
 
 def test_root_rejects_bad_coeffs():
