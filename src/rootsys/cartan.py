@@ -19,7 +19,8 @@ Conventions, fixed here and relied on by every other module:
 
 A finite-type Dynkin graph is a tree (Humphreys, Lie Algebras, 11.4), so
 one breadth-first walk of it gives connectivity, d along its edges and, in
-reverse, a leaf-first pivot order; all three graph readers use it.
+reverse, a leaf-first pivot order; the ``CartanMatrix`` gate and
+``symmetrizer`` share it.
 
 Everything is exact: d and the form are integers, the pivots Fractions.
 """
@@ -31,7 +32,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
-    InternalInconsistencyError,
     InvalidArgumentError,
     InvalidCartanError,
     InvalidTypeError,
@@ -114,9 +114,70 @@ def all_types(max_rank: int) -> list[RankedType]:
 
 @dataclass(frozen=True)
 class CartanMatrix:
-    """Validated integer Cartan matrix; construct via build_cartan or validate_cartan."""
+    """An integer Cartan matrix of finite type: ``__post_init__`` is the one
+    gate, run once by every way of making one (``CartanMatrix(rows)``,
+    ``dataclasses.replace``, ``validate_cartan``, ``build_cartan``), and it
+    stores ``rows`` as a tuple of tuples.  So every Dynkin graph here is a
+    tree with at most one multiple edge, and every root system is finite."""
 
     rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        """Accept the rows iff they form a Cartan matrix of finite type.
+
+        Malformed input (not a nonempty square of integers, or rank above
+        MAX_RANK) raises InvalidArgumentError.  Otherwise every violated
+        invariant is reported by name in the raised InvalidCartanError:
+        diagonal, sign, product-bound, decomposable, not-positive-definite.
+
+        One walk of the graph decides the last two.  The matrix is
+        decomposable when the walk misses a vertex.  A connected graph with
+        a cycle contains an affine subdiagram, which already kills positive
+        definiteness.  On a sign-consistent tree the leaves are eliminated
+        first, in reversed walk order: each vertex's pivot is final once its
+        children are gone, and eliminating it lowers only its parent's
+        pivot, by a_pv * a_vp / pivot_v.  These are the pivots of A; those
+        of the symmetric diag(d) * A are d_v times them, and d > 0, so
+        diag(d) * A is positive definite iff every pivot stays positive.
+        Neither d nor diag(d) * A is needed.
+        """
+        raw = self.rows
+        n = len(raw)
+        if n == 0 or any(len(row) != n for row in raw):
+            raise InvalidArgumentError("expected a nonempty square matrix")
+        if n > MAX_RANK:
+            raise InvalidArgumentError(f"rank {n} exceeds MAX_RANK = {MAX_RANK}")
+        if any(isinstance(x, bool) or not isinstance(x, int) for row in raw for x in row):
+            raise InvalidArgumentError("expected integer entries")
+        rows = tuple(tuple(row) for row in raw)
+
+        violations: list[str] = []
+        if any(rows[i][i] != 2 for i in range(n)):
+            violations.append("diagonal")
+        pairs = [(rows[i][j], rows[j][i]) for i in range(n) for j in range(i)]
+        sign_ok = not any(a > 0 or b > 0 or (a == 0) != (b == 0) for a, b in pairs)
+        if not sign_ok:
+            violations.append("sign")
+        if any(a * b not in (0, 1, 2, 3) for a, b in pairs):
+            violations.append("product-bound")
+        order, parent = _walk(rows)
+        if len(order) < n:
+            violations.append("decomposable")
+        elif sign_ok and sum(1 for a, _ in pairs if a) != n - 1:
+            violations.append("not-positive-definite")
+        elif sign_ok:
+            pivot = [Fraction(rows[v][v]) for v in range(n)]
+            for v in reversed(order[1:]):
+                if pivot[v] <= 0:
+                    break
+                p = parent[v]
+                pivot[p] -= rows[p][v] * rows[v][p] / pivot[v]
+            if min(pivot) <= 0:
+                violations.append("not-positive-definite")
+
+        if violations:
+            raise InvalidCartanError(violations)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def rank(self) -> int:
@@ -147,58 +208,9 @@ def _walk(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
 
 
 def validate_cartan(raw: Sequence[Sequence[int]]) -> CartanMatrix:
-    """Accept a raw integer matrix iff it is a Cartan matrix of finite type.
-
-    Every violated invariant is reported by name in the raised
-    InvalidCartanError: diagonal, sign, product-bound, decomposable,
-    not-positive-definite.
-
-    One walk of the graph decides the last two.  The matrix is decomposable
-    when the walk misses a vertex.  A connected graph with a cycle contains
-    an affine subdiagram, which already kills positive definiteness.  On a
-    sign-consistent tree the leaves are eliminated first, in reversed walk
-    order: each vertex's pivot is final once its children are gone, and
-    eliminating it lowers only its parent's pivot, by a_pv * a_vp / pivot_v.
-    These are the pivots of A; those of the symmetric diag(d) * A are d_v
-    times them, and d > 0, so diag(d) * A is positive definite iff every
-    pivot stays positive.  Neither d nor diag(d) * A is needed.
-    """
-    n = len(raw)
-    if n == 0 or any(len(row) != n for row in raw):
-        raise InvalidArgumentError("expected a nonempty square matrix")
-    if n > MAX_RANK:
-        raise InvalidArgumentError(f"rank {n} exceeds MAX_RANK = {MAX_RANK}")
-    if any(isinstance(x, bool) or not isinstance(x, int) for row in raw for x in row):
-        raise InvalidArgumentError("expected integer entries")
-    rows = tuple(tuple(row) for row in raw)
-
-    violations: list[str] = []
-    if any(rows[i][i] != 2 for i in range(n)):
-        violations.append("diagonal")
-    pairs = [(rows[i][j], rows[j][i]) for i in range(n) for j in range(i)]
-    sign_ok = not any(a > 0 or b > 0 or (a == 0) != (b == 0) for a, b in pairs)
-    if not sign_ok:
-        violations.append("sign")
-    if any(a * b not in (0, 1, 2, 3) for a, b in pairs):
-        violations.append("product-bound")
-    order, parent = _walk(rows)
-    if len(order) < n:
-        violations.append("decomposable")
-    elif sign_ok and sum(1 for a, _ in pairs if a) != n - 1:
-        violations.append("not-positive-definite")
-    elif sign_ok:
-        pivot = [Fraction(rows[v][v]) for v in range(n)]
-        for v in reversed(order[1:]):
-            if pivot[v] <= 0:
-                break
-            p = parent[v]
-            pivot[p] -= rows[p][v] * rows[v][p] / pivot[v]
-        if min(pivot) <= 0:
-            violations.append("not-positive-definite")
-
-    if violations:
-        raise InvalidCartanError(violations)
-    return CartanMatrix(rows)
+    """Accept a raw integer matrix iff it is a Cartan matrix of finite type:
+    the named entry for raw input, running the gate of ``CartanMatrix``."""
+    return CartanMatrix(raw)
 
 
 def build_cartan(t: RankedType | str) -> CartanMatrix:
@@ -251,36 +263,22 @@ class SymmetrizedForm:
 
 
 def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
-    """The unique min-normalised d making diag(d)*A symmetric; for a Cartan
-    matrix of finite type every d_i is an integer.
+    """The unique min-normalised d making diag(d)*A symmetric.
 
     d is fixed up to scale along the walk of the Dynkin tree, by
-    d_v = d_parent * a_pv / a_vp, then divided by its minimum.
+    d_v = d_parent * a_pv / a_vp, then divided by its minimum.  The walk
+    takes every edge of the tree, so diag(d)*A is symmetric.  Every d_i is
+    an integer: the tree has at most one multiple edge, whose entries stand
+    in ratio k = 2 or 3, so the scaled d takes only the values 1 and k.
     """
     rows = c.rows
     order, parent = _walk(rows)
     ratios = [Fraction(1)] * len(rows)
     for v in order[1:]:
         p = parent[v]
-        # only a matrix that was never validated can fail here: the walk
-        # takes an edge with an entry that is not negative (a one-sided
-        # zero, opposite signs or two positive entries), which no Cartan
-        # matrix has
-        if rows[p][v] >= 0 or rows[v][p] >= 0:
-            raise InternalInconsistencyError(
-                "symmetrization failed: a one-sided zero, opposite signs or a positive edge"
-            )
         ratios[v] = ratios[p] * Fraction(rows[p][v], rows[v][p])
     low = min(ratios)
-    scaled = [x / low for x in ratios]
-    if any(x.denominator != 1 for x in scaled):
-        raise InternalInconsistencyError("symmetrizer is not integral")
-    d = tuple(x.numerator for x in scaled)
-    pairs = ((i, j) for i in range(len(d)) for j in range(i))
-    # only a matrix that was never validated can fail here, around a cycle
-    if any(d[i] * rows[i][j] != d[j] * rows[j][i] for i, j in pairs):
-        raise InternalInconsistencyError("symmetrization failed")
-    return SymmetrizedForm(d=d)
+    return SymmetrizedForm(d=tuple((x / low).numerator for x in ratios))
 
 
 class DynkinGraph:
@@ -378,7 +376,8 @@ class DynkinGraph:
 
 
 def dynkin_graph(c: CartanMatrix) -> DynkinGraph:
-    """Dynkin graph of a validated Cartan matrix."""
+    """Dynkin graph of a Cartan matrix: a tree, since the matrix is of
+    finite type."""
     n = c.rank
     mult: dict[frozenset[int], int] = {}
     for i in range(1, n + 1):
@@ -386,8 +385,5 @@ def dynkin_graph(c: CartanMatrix) -> DynkinGraph:
             m = c.a(i, j) * c.a(j, i)
             if m:
                 mult[frozenset((i, j))] = m
-    g = DynkinGraph(tuple(range(1, n + 1)), mult)
-    if len(mult) != n - 1 or len(_walk(c.rows)[0]) != n:
-        raise InternalInconsistencyError("Dynkin graph of a valid matrix must be a tree")
-    return g
+    return DynkinGraph(tuple(range(1, n + 1)), mult)
 

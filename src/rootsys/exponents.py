@@ -17,7 +17,11 @@ from .errors import (
     InvalidArgumentError,
     NumericInconsistencyError,
 )
-from .roots import HEIGHT_CAP_FACTOR, RootSystem
+from .roots import RootSystem
+
+# Bounds the entries of a Coxeter power, which are root coordinates: no
+# finite system of rank l has a root of height above 10 * l.
+HEIGHT_CAP_FACTOR = 10
 
 DUAL_PARTITION = "dual-partition"
 COXETER_EIGENVALUES = "coxeter-eigenvalues"
@@ -90,14 +94,15 @@ def coxeter_traces(c: CartanMatrix) -> tuple[int, tuple[int, ...]]:
 
     Row i is one int sum_j p_ij * 2^(w*j), a signed w-bit field per entry;
     packing is linear, so a reflection is ``diag * p[i] - sum_j a_ij * p[j]``
-    on ints.  A finite-type power's entries are root coordinates, so
-    |p_ij| <= cap = HEIGHT_CAP_FACTOR * rank < L, the next power of two.
-    From rows in [-L, L) a reflection gives entries at most s * L in size,
-    s the largest absolute row sum of its coefficients, so 2^w > (s + 1) * L
-    keeps the new row decodable.  One mask test on the row biased by L per
-    field proves its entries are back in [-L, L); else the matrix is not of
-    finite type and NumericInconsistencyError is raised.  The traces are
-    read off the biased rows by shift and mask.
+    on ints.  A CartanMatrix is of finite type, so the power's entries are
+    root coordinates and |p_ij| <= cap = HEIGHT_CAP_FACTOR * rank < L, the
+    next power of two.  From rows in [-L, L) a reflection gives entries at
+    most s * L in size, s the largest absolute row sum of its coefficients,
+    so 2^w > (s + 1) * L keeps the new row decodable.  One mask test on the
+    row biased by L per field proves its entries are back in [-L, L).  It
+    guards the packing, not the input: rows whose powers leave the range
+    raise NumericInconsistencyError rather than decode a wrapped field.
+    The traces are read off the biased rows by shift and mask.
     """
     n = c.rank
     steps = [

@@ -33,12 +33,6 @@ from .cartan import (
 )
 from .errors import InternalInconsistencyError, InvalidArgumentError
 
-# Safety net against hand-entered matrices that somehow slip past
-# validation: no finite system of rank l has a root of height > 10*l.
-# enumerate_roots also caps heights at 255, its key fields' range; a finite
-# type of rank <= MAX_RANK = 32 has height at most 63.
-HEIGHT_CAP_FACTOR = 10
-
 
 @dataclass(frozen=True)
 class Root:
@@ -283,8 +277,10 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     Keys are ints with an 8-bit field per coordinate, coordinate 0 most
     significant: sorting keys sorts vectors lexicographically, beta +
     alpha_i is ``key + unit[i]``, and ``key.to_bytes(rank, "big")`` is the
-    coefficient tuple.  A coefficient never exceeds its root's height, and
-    heights stop at cap <= 255, so no field carries.
+    coefficient tuple.  A coefficient never exceeds its root's height, so
+    no field carries below height 255; a layer at that height raises
+    InternalInconsistencyError.  The matrix is of finite type, so its roots
+    run out far below: a type of rank <= MAX_RANK has height at most 63.
 
     Every root but the single top root must have a root above it, or
     InternalInconsistencyError is raised.  Following edges up from any root
@@ -295,7 +291,6 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     n = cartan.rank
     form = symmetrizer(cartan)
     columns = list(zip(*cartan.rows))
-    cap = min(HEIGHT_CAP_FACTOR * n, 255)
     unit = [1 << (8 * (n - 1 - i)) for i in range(n)]
 
     # key -> (pairing vector, string lengths p) of the roots one layer up
@@ -304,9 +299,9 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     pairs: list[tuple[int, ...]] = []  # in layer order, for the pairing table
     maximal = []  # keys of the roots with no root above them
     while found:
-        if len(layers) >= cap:
+        if len(layers) >= 255:
             raise InternalInconsistencyError(
-                f"enumeration exceeded height {cap}; the matrix cannot be finite type"
+                "enumeration reached height 255, the limit of its 8-bit key fields"
             )
         layer = sorted(found.items())
         layers.append([tuple(key.to_bytes(n, "big")) for key, _ in layer])

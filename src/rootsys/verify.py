@@ -738,8 +738,8 @@ def build_ledger(rs: RootSystem) -> VerificationLedger:
     failed results so batch runs always complete.
 
     The headline m2 comes from the Coxeter route, which needs only the
-    Cartan matrix; it is None when that route raised, as for a hand-built
-    matrix that is not of finite type.
+    Cartan matrix; it is None when that route raised a documented
+    NumericInconsistencyError, which the ledger reports as a failed row.
     """
     if rs.rank < 2:
         raise InvalidArgumentError("rank >= 2 required; m2 is undefined at rank 1")

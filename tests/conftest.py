@@ -1,4 +1,5 @@
 import functools
+import types
 
 import pytest
 
@@ -24,3 +25,19 @@ def sweep_labels(max_rank: int = 12) -> list[str]:
 def small_labels() -> list[str]:
     """All types of rank <= 4, the exhaustive-oracle domain."""
     return [str(t) for t in R.all_types(4)]
+
+
+def with_identity_block(rows, rank):
+    """rows, then 2 on the diagonal up to the given rank, 0 elsewhere."""
+    n = len(rows)
+    return tuple(
+        tuple(rows[i][j] if max(i, j) < n else 2 * (i == j) for j in range(rank))
+        for i in range(rank)
+    )
+
+
+def stand_in(rows):
+    """The two fields that enumerate_roots and the Coxeter functions read,
+    for rows that CartanMatrix refuses: how their guards are shown able to
+    fail."""
+    return types.SimpleNamespace(rows=rows, rank=len(rows))

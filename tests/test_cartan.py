@@ -1,21 +1,21 @@
 """Cartan matrices, symmetrizer, and graph predicates."""
 
 import collections
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rootsys as R
 from rootsys.errors import (
-    InternalInconsistencyError,
     InvalidArgumentError,
     InvalidCartanError,
     InvalidTypeError,
 )
 
-from conftest import sweep_labels
+from conftest import sweep_labels, with_identity_block
 from oracles import (
     cartan_from_geometry,
     cartan_violations,
@@ -104,7 +104,7 @@ def test_symmetrizer_pins():
 
 
 def test_symmetrizer_exactly_symmetric_everywhere():
-    for t in R.all_types(12):
+    for t in R.all_types(R.MAX_RANK):
         c = R.build_cartan(t)
         form = R.symmetrizer(c)
         n = c.rank
@@ -113,47 +113,6 @@ def test_symmetrizer_exactly_symmetric_everywhere():
         for i in range(n):
             for j in range(n):
                 assert form.d[i] * c.rows[i][j] == form.d[j] * c.rows[j][i]
-
-
-def test_symmetrizer_rejects_non_integral_d():
-    # d = (3/2, 1) symmetrizes this matrix, which is not of finite type
-    with pytest.raises(InternalInconsistencyError, match="not integral"):
-        R.symmetrizer(R.CartanMatrix(((2, -2), (-3, 2))))
-
-
-def test_symmetrizer_rejects_unsymmetrizable_cycle():
-    # the walk's tree edges give d = (2, 1, 2), which the closing edge
-    # between vertices 2 and 3 breaks: d_2 * a_23 = -1, d_3 * a_32 = -2
-    with pytest.raises(InternalInconsistencyError, match="symmetrization failed"):
-        R.symmetrizer(R.CartanMatrix(((2, -1, -1), (-2, 2, -1), (-1, -1, 2))))
-
-
-@pytest.mark.parametrize("rows", [((2, -1), (0, 2)), ((2, 0), (-1, 2))])
-def test_symmetrizer_rejects_one_sided_zero(rows):
-    # the walk takes the edge, but no d can balance a zero against a nonzero
-    with pytest.raises(InternalInconsistencyError, match="one-sided zero"):
-        R.symmetrizer(R.CartanMatrix(rows))
-
-
-@pytest.mark.parametrize("rows", [((2, 1), (-1, 2)), ((2, -1), (1, 2))])
-def test_symmetrizer_rejects_opposite_signs(rows):
-    # d_2 = d_1 * a_12 / a_21 would be negative, breaking min(d) = 1; the
-    # enumeration, which starts from symmetrizer, must not build a system
-    with pytest.raises(InternalInconsistencyError, match="opposite signs"):
-        R.symmetrizer(R.CartanMatrix(rows))
-    with pytest.raises(InternalInconsistencyError, match="opposite signs"):
-        R.enumerate_roots(R.CartanMatrix(rows))
-
-
-@pytest.mark.parametrize("rows", [((2, 1), (1, 2)), ((2, 2), (1, 2))])
-def test_symmetrizer_rejects_positive_edge(rows):
-    # both entries positive: d = (1, 1) or (1, 2) would balance them, and
-    # the enumeration would stop at the simple roots and raise an input
-    # error from RootSystem; no Cartan matrix has such an edge
-    with pytest.raises(InternalInconsistencyError, match="positive edge"):
-        R.symmetrizer(R.CartanMatrix(rows))
-    with pytest.raises(InternalInconsistencyError, match="positive edge"):
-        R.enumerate_roots(R.CartanMatrix(rows))
 
 
 # -- validation rejections -------------------------------------------------------
@@ -200,6 +159,18 @@ def test_validate_rejects_nonsquare():
         R.validate_cartan([])
 
 
+def test_every_construction_runs_the_gate():
+    b3 = R.build_cartan("B3")
+    bad = ((2, -1, 0), (-1, 2, -2), (0, -2, 2))  # a_23 * a_32 = 4
+    for make in (R.CartanMatrix, R.validate_cartan, lambda rows: replace(b3, rows=rows)):
+        with pytest.raises(InvalidCartanError) as err:
+            make(bad)
+        assert err.value.violations == ("product-bound", "not-positive-definite")
+        with pytest.raises(InvalidArgumentError):
+            make(((2, -1),))
+    assert replace(b3, rows=[list(row) for row in b3.rows]) == b3
+
+
 # -- graphs ------------------------------------------------------------------------
 
 def test_dynkin_tree_everywhere():
@@ -210,16 +181,6 @@ def test_dynkin_tree_everywhere():
         for i, j in pairs:
             assert g.edge_multiplicity(i, j) == c.a(i, j) * c.a(j, i)
         assert sum(1 for i, j in pairs if g.edge_multiplicity(i, j)) == c.rank - 1
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [((2, 0), (0, 2)), ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))],
-    ids=["disconnected", "affine-A2"],
-)
-def test_dynkin_graph_rejects_non_tree(rows):
-    with pytest.raises(InternalInconsistencyError, match="must be a tree"):
-        R.dynkin_graph(R.CartanMatrix(rows))
 
 
 def test_d4_ramification():
@@ -367,9 +328,31 @@ def relabelled_gcm(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(relabelled_gcm())
+# matrices that code past the gate was once tested on, built directly: a
+# d of (3/2, 1), a cycle that no d balances, one-sided zeros, opposite
+# signs, positive edges, roots that never run out, two maximal roots, a
+# row of 255 and a double edge with a_ij * a_ji = 4
+@example(((2, -2), (-3, 2)))
+@example(((2, -1, -1), (-2, 2, -1), (-1, -1, 2)))
+@example(((2, -1), (0, 2)))
+@example(((2, 0), (-1, 2)))
+@example(((2, 1), (-1, 2)))
+@example(((2, -1), (1, 2)))
+@example(((2, 1), (1, 2)))
+@example(((2, 2), (1, 2)))
+@example(((2, 0), (0, 2)))
+@example(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
+@example(((2, -3), (-3, 2)))
+@example(((2, -4), (-1, 2)))
+@example(with_identity_block(((2, -300), (-1, 2)), 26))
+@example(with_identity_block(((2, -300), (-1, 2)), R.MAX_RANK))
+@example(((2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2)))
+@example(((2, 0, 0), (0, 2, -1), (0, -1, 2)))
+@example(((2, -1), (255, 2)))
+@example(((2, -1, 0), (-1, 2, -2), (0, -2, 2)))
 def test_validate_matches_definitions(m):
     try:
-        R.validate_cartan(m)
+        R.CartanMatrix(m)
         violations = ()
     except InvalidCartanError as err:
         violations = err.violations

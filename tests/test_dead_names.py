@@ -8,7 +8,9 @@ entry point are the package's surface and are exempt.  A field counts as
 read when some attribute load with its name appears anywhere in the
 package; passing it to the constructor does not count, and exported
 classes get no exemption.  Code kept only for the tests belongs in
-``tests/``.
+``tests/``.  A module-level import counts as used when its own module
+names it; the re-exports of ``__init__.py`` and ``from __future__`` are
+exempt.
 """
 
 import ast
@@ -89,8 +91,32 @@ def dead_names(trees: dict[str, ast.Module]) -> list[str]:
     return dead
 
 
+def unused_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level imports that their own module never names, as
+    ``file:line name``."""
+    unused = []
+    for filename, tree in trees.items():
+        if filename == "__init__.py":
+            continue
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{filename}:{stmt.lineno} {bound}"
+                    for alias in stmt.names
+                    if (bound := alias.asname or alias.name.split(".")[0]) not in named
+                ]
+    return unused
+
+
 def test_no_dead_names():
     assert dead_names(_trees()) == []
+
+
+def test_no_unused_imports():
+    assert unused_imports(_trees()) == []
 
 
 def test_guard_flags_an_unused_method():
@@ -125,3 +151,18 @@ def test_guard_flags_an_unread_field():
         "g.py": ast.parse(source),
     }
     assert dead_names(trees) == ["g.py:5 Edge.weight", "g.py:6 Edge.label"]
+
+
+def test_guard_flags_an_unused_import():
+    # an import its module never names is flagged; __init__.py re-exports
+    # and from __future__ are not
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "from .errors import InternalInconsistencyError, InvalidArgumentError\n"
+        "def check(x):\n"
+        "    if not x:\n"
+        "        raise InvalidArgumentError(json.dumps(x))\n"
+    )
+    trees = {"__init__.py": ast.parse("from .g import check\n"), "g.py": ast.parse(source)}
+    assert unused_imports(trees) == ["g.py:3 InternalInconsistencyError"]

@@ -9,7 +9,7 @@ import rootsys as R
 from rootsys.errors import InvalidArgumentError, NumericInconsistencyError
 from rootsys.exponents import coxeter_traces
 
-from conftest import sweep_labels
+from conftest import stand_in, sweep_labels
 from oracles import coxeter_matrix, coxeter_order, duality_identities, exact_det
 
 
@@ -92,7 +92,7 @@ def test_coxeter_traces_match_dense_powers():
             assert coxeter_traces(_relabel(c, perm)) == _dense_traces(c, perm), (str(t), perm)
 
 
-# Matrices that validate_cartan refuses, built directly: their Coxeter
+# Matrices that CartanMatrix refuses, passed as stand-ins: their Coxeter
 # elements have infinite order.
 INFINITE_TYPE = [
     ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # affine A2, a 3-cycle
@@ -112,7 +112,7 @@ def test_coxeter_exponents_rejects_affine_matrix():
     # must stop them, so no exponents come back from a wrapped field
     for rows in INFINITE_TYPE:
         with pytest.raises(NumericInconsistencyError, match="cannot be finite type"):
-            R.coxeter_exponents(R.CartanMatrix(rows))
+            R.coxeter_exponents(stand_in(rows))
 
 
 def test_coxeter_exponents_pins():

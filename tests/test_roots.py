@@ -9,7 +9,7 @@ import rootsys as R
 from rootsys.cli import main
 from rootsys.errors import InternalInconsistencyError, InvalidArgumentError
 
-from conftest import small_labels, sweep_labels
+from conftest import small_labels, stand_in, sweep_labels, with_identity_block
 from oracles import (
     finite_type_classes,
     gram,
@@ -106,9 +106,13 @@ def closed_form(t: R.RankedType) -> tuple[int, tuple[int, ...]]:
 
 
 def test_counts_and_highest_roots_up_to_max_rank(system):
+    heights = []
     for t in R.all_types(R.MAX_RANK):
         rs = system(str(t))
         assert (rs.num_positive, rs.highest_root().coeffs) == closed_form(t), str(t)
+        heights.append(rs.max_height)
+    # the margin below enumerate_roots' 255 limit for its 8-bit key fields
+    assert max(heights) < 255
 
 
 def _layers(rs) -> list[list[tuple[int, ...]]]:
@@ -123,32 +127,21 @@ def test_layers_match_tuple_scan_up_to_max_rank(system):
         assert _layers(rs) == tuple_scan_layers(rs.cartan), str(t)
 
 
-def _with_identity_block(rows, rank):
-    """rows, then 2 on the diagonal up to the given rank, 0 elsewhere."""
-    n = len(rows)
-    return tuple(
-        tuple(rows[i][j] if max(i, j) < n else 2 * (i == j) for j in range(rank))
-        for i in range(rank)
-    )
-
-
 @pytest.mark.parametrize(
     "rows",
     [
         ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # affine A2
         ((2, -3), (-3, 2)),
         ((2, -4), (-1, 2)),  # affine A2, twisted
-        # past rank 25 the cap is 255, the range of a key field, not 10 * rank
-        _with_identity_block(((2, -300), (-1, 2)), 26),
-        _with_identity_block(((2, -300), (-1, 2)), 32),
+        with_identity_block(((2, -300), (-1, 2)), 26),
+        with_identity_block(((2, -300), (-1, 2)), 32),
     ],
 )
 def test_enumeration_stops_at_height_cap(rows):
-    # matrices that validate_cartan refuses, built directly: their roots
-    # never run out, so the height cap must stop the enumeration
-    cap = min(10 * len(rows), 255)
-    with pytest.raises(InternalInconsistencyError, match=f"exceeded height {cap};"):
-        R.enumerate_roots(R.CartanMatrix(rows))
+    # roots that never run out: the enumeration must stop at height 255,
+    # before a coefficient outgrows its 8-bit key field
+    with pytest.raises(InternalInconsistencyError, match="reached height 255,"):
+        R.enumerate_roots(stand_in(rows))
 
 
 @pytest.mark.parametrize("label", ["E6", "F4", "G2", "D8"])
@@ -185,15 +178,15 @@ def test_relabelled_classes_enumerate_like_tuple_scan():
 @pytest.mark.parametrize(
     "rows",
     [
-        # A2 + A2 and A1 + A2, built directly: each enumerates to the end
-        # with two maximal roots, an inconsistency rather than an input error
+        # A2 + A2 and A1 + A2: each enumerates to the end with two maximal
+        # roots, an inconsistency rather than an input error
         ((2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2)),
         ((2, 0, 0), (0, 2, -1), (0, -1, 2)),
     ],
 )
 def test_enumeration_rejects_a_second_maximal_root(rows):
     with pytest.raises(InternalInconsistencyError, match="2 roots have no root above them"):
-        R.enumerate_roots(R.CartanMatrix(rows))
+        R.enumerate_roots(stand_in(rows))
 
 
 def _rows_table(rs):

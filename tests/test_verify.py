@@ -10,7 +10,7 @@ import pytest
 import rootsys as R
 import rootsys.verify as V
 from rootsys.cli import main
-from rootsys.errors import InvalidArgumentError
+from rootsys.errors import InvalidArgumentError, NumericInconsistencyError
 from rootsys.verify import (
     COUNTEREXAMPLE_CAP,
     check_chains_coincide,
@@ -381,14 +381,11 @@ def _every_triple(rs):
 def test_wide_keys_match_tuple_oracles(system, monkeypatch):
     # hand-built systems past the 8-bit key fields, each of which 8-bit
     # fields would get wrong: a coefficient of 128, where sums of three
-    # roots carry into the next field; one of 256, where two roots share a
-    # key; and a pairing of 255, whose reflected image (1, -255) would
-    # share the key of (0, 1)
-    a2 = system("A2")
+    # roots carry into the next field; and one of 256, where two roots
+    # share a key
     systems = [
         _with_top(system("G2"), (1, 128)),
         _with_top(system("G2"), (1, 256)),
-        R.RootSystem(R.CartanMatrix(((2, -1), (255, 2))), a2.form, a2.layers, None),
     ]
     for rs in systems:
         assert rs.keys.unit[-2] > 1 << 8, rs.layers[-1]  # fields wider than 8 bits
@@ -515,18 +512,23 @@ def test_ledger_reports_dropped_root(system):
     assert list(led.checks) == list(R.build_ledger(e6).checks)
 
 
-def test_ledger_reports_non_finite_cartan(system):
-    # A3's roots over a hand-built matrix that is not of finite type (a
-    # double edge with a_ij * a_ji = 4): the Coxeter route raises, and the
-    # ledger still completes, with no headline m2
-    c = R.CartanMatrix(((2, -1, 0), (-1, 2, -2), (0, -2, 2)))
-    led = R.build_ledger(R.RootSystem(c, R.symmetrizer(c), system("A3").layers, None))
+def test_ledger_reports_non_finite_cartan(system, monkeypatch):
+    # the Coxeter route raises its documented NumericInconsistencyError on
+    # A3, as on a matrix of infinite type: the ledger still completes, with
+    # no headline m2
+    rows = list(R.build_ledger(system("A3")).checks)
+
+    def raising(c):
+        raise NumericInconsistencyError("Coxeter power entry outside [-64, 64)")
+
+    monkeypatch.setattr(V, "coxeter_exponents", raising)
+    led = R.build_ledger(system("A3"))
     assert not led.passed and led.m2 is None
     assert led.to_json_dict()["m2"] is None
     assert led.checks["exponents_agree"].note.startswith(
         "error: Coxeter power entry outside"
     )
-    assert list(led.checks) == list(R.build_ledger(system("A3")).checks)
+    assert list(led.checks) == rows
     assert R.g2_criterion_report([led])["m2_minus_2_types"] == []
 
 
