@@ -115,6 +115,55 @@ def test_symmetrizer_exactly_symmetric_everywhere():
                 assert form.d[i] * c.rows[i][j] == form.d[j] * c.rows[j][i]
 
 
+# Matrices that no symmetrizer d can serve never reach symmetrizer: the
+# CartanMatrix gate rejects each one, so no CartanMatrix holds them.
+
+def test_symmetrizer_rejects_non_integral_d():
+    # d = (3/2, 1) would symmetrize this matrix, which is not of finite type
+    with pytest.raises(InvalidCartanError) as err:
+        R.symmetrizer(R.CartanMatrix(((2, -2), (-3, 2))))
+    assert err.value.violations == ("product-bound", "not-positive-definite")
+
+
+def test_symmetrizer_rejects_unsymmetrizable_cycle():
+    # tree edges would give d = (2, 1, 2), which the closing edge between
+    # vertices 2 and 3 breaks: d_2 * a_23 = -1, d_3 * a_32 = -2
+    with pytest.raises(InvalidCartanError) as err:
+        R.symmetrizer(R.CartanMatrix(((2, -1, -1), (-2, 2, -1), (-1, -1, 2))))
+    assert err.value.violations == ("not-positive-definite",)
+
+
+@pytest.mark.parametrize("rows", [((2, -1), (0, 2)), ((2, 0), (-1, 2))])
+def test_symmetrizer_rejects_one_sided_zero(rows):
+    # no d can balance a zero against a nonzero
+    with pytest.raises(InvalidCartanError) as err:
+        R.symmetrizer(R.CartanMatrix(rows))
+    assert err.value.violations == ("sign",)
+
+
+@pytest.mark.parametrize("rows", [((2, 1), (-1, 2)), ((2, -1), (1, 2))])
+def test_symmetrizer_rejects_opposite_signs(rows):
+    # d_2 = d_1 * a_12 / a_21 would be negative, breaking min(d) = 1; the
+    # enumeration, which starts from symmetrizer, must not build a system
+    with pytest.raises(InvalidCartanError) as err:
+        R.symmetrizer(R.CartanMatrix(rows))
+    assert err.value.violations == ("sign", "product-bound")
+    with pytest.raises(InvalidCartanError):
+        R.enumerate_roots(R.CartanMatrix(rows))
+
+
+@pytest.mark.parametrize("rows", [((2, 1), (1, 2)), ((2, 2), (1, 2))])
+def test_symmetrizer_rejects_positive_edge(rows):
+    # both entries positive: d = (1, 1) or (1, 2) would balance them, and
+    # the enumeration would stop at the simple roots; no Cartan matrix has
+    # such an edge
+    with pytest.raises(InvalidCartanError) as err:
+        R.symmetrizer(R.CartanMatrix(rows))
+    assert err.value.violations == ("sign",)
+    with pytest.raises(InvalidCartanError):
+        R.enumerate_roots(R.CartanMatrix(rows))
+
+
 # -- validation rejections -------------------------------------------------------
 
 def test_validate_accepts_simply_laced():
@@ -181,6 +230,22 @@ def test_dynkin_tree_everywhere():
         for i, j in pairs:
             assert g.edge_multiplicity(i, j) == c.a(i, j) * c.a(j, i)
         assert sum(1 for i, j in pairs if g.edge_multiplicity(i, j)) == c.rank - 1
+
+
+@pytest.mark.parametrize(
+    "rows, violations",
+    [
+        (((2, 0), (0, 2)), ("decomposable",)),
+        (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), ("not-positive-definite",)),
+    ],
+    ids=["disconnected", "affine-A2"],
+)
+def test_dynkin_graph_rejects_non_tree(rows, violations):
+    # a graph that is not a tree never reaches dynkin_graph: the gate
+    # rejects its matrix, so no CartanMatrix holds it
+    with pytest.raises(InvalidCartanError) as err:
+        R.dynkin_graph(R.CartanMatrix(rows))
+    assert err.value.violations == violations
 
 
 def test_d4_ramification():
