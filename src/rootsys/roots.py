@@ -34,22 +34,34 @@ from .cartan import (
 from .errors import InternalInconsistencyError, InvalidArgumentError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Root:
-    """A positive root as its coefficient tuple over the simple basis."""
+    """A positive root as its coefficient tuple over the simple basis, checked
+    by ``Root(coeffs)``; ``enumerate_roots`` builds its own unchecked."""
 
     coeffs: tuple[int, ...]
     height: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.coeffs or min(self.coeffs) < 0:
+        coeffs = tuple(self.coeffs)
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in coeffs):
+            raise InvalidArgumentError(f"expected integer root coefficients, got {coeffs}")
+        if not coeffs or min(coeffs) < 0:
             raise InvalidArgumentError("root coefficients must be nonnegative")
-        if not any(self.coeffs):
+        if not any(coeffs):
             raise InvalidArgumentError("the zero vector is not a root")
-        object.__setattr__(self, "height", sum(self.coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "height", sum(coeffs))
 
     def __repr__(self) -> str:
         return f"Root{self.coeffs}"
+
+
+def _root(coeffs, height, set_coeffs=Root.coeffs.__set__, set_height=Root.height.__set__):
+    """A Root set through its slots, unchecked: the caller vouches for both."""
+    r = object.__new__(Root)
+    set_coeffs(r, coeffs), set_height(r, height)
+    return r
 
 
 @dataclass(frozen=True)
@@ -75,11 +87,11 @@ class SignedKeys:
 class RootSystem:
     """All positive roots of a Cartan matrix, organised by height.
 
-    Immutable after construction; build via :func:`enumerate_roots`.
-    Hand-built layers must form a root poset's height grading: layer 0
-    empty, each root filed under its own height with one coefficient per
-    simple root, no root listed twice, and exactly one root in the top
-    layer; anything else raises InvalidArgumentError.
+    Immutable; build via :func:`enumerate_roots`, which skips the checks
+    below as its loop implies them.  Hand-built layers are checked once: a
+    root poset's height grading, with layer 0 empty, each root filed under
+    its height with one coefficient per simple root, none listed twice, and
+    one root in the top layer; anything else raises InvalidArgumentError.
     """
 
     def __init__(
@@ -106,18 +118,24 @@ class RootSystem:
             raise InvalidArgumentError(
                 f"top height layer has {len(layers[-1])} roots; expected exactly one"
             )
+        self._fill(cartan, form, layers, label, None)
+        if self.num_positive != sum(map(len, layers)):
+            raise InvalidArgumentError("a root is listed twice")
+
+    @classmethod
+    def _enumerated(cls, cartan, form, layers, label, pairs) -> RootSystem:
+        """The system enumerate_roots built, taken without the checks above."""
+        return cls.__new__(cls)._fill(cartan, form, layers, label, pairs)
+
+    def _fill(self, cartan, form, layers, label, pairs) -> RootSystem:
         self.cartan = cartan
         self.form = form
         self.label = label
         self.layers = layers  # layers[r] = roots of height r; layers[0] empty
-        self._members: dict[tuple[int, ...], Root] = {
-            r.coeffs: r for layer in layers for r in layer
-        }
-        if self.num_positive != sum(map(len, layers)):
-            raise InvalidArgumentError("a root is listed twice")
-        # the pairing vectors of positive_roots(), in order, when
-        # enumerate_roots hands them over; None for hand-built layers
-        self._pairs: list[tuple[int, ...]] | None = None
+        self._members = {r.coeffs: r for layer in layers for r in layer}
+        # positive_roots()' pairing vectors from enumerate_roots; None if hand-built
+        self._pairs: list[tuple[int, ...]] | None = pairs
+        return self
 
     # -- basic queries ----------------------------------------------------
 
@@ -286,7 +304,11 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     InternalInconsistencyError is raised.  Following edges up from any root
     then reaches the top root theta, with coefficients growing on the way,
     so theta dominates every root.  The carried pairing vectors are handed
-    to the system, whose ``pairings`` table reuses them.
+    to the system, whose ``pairings`` table reuses them.  Roots and system
+    are built unchecked, as the loop implies the checks of ``Root`` and
+    ``RootSystem``: ``to_bytes`` gives rank nonnegative ints, a key never
+    drops to 0, height is the layer index, ``found`` holds each root once,
+    and one root is maximal.
     """
     n = cartan.rank
     form = symmetrizer(cartan)
@@ -295,7 +317,7 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
 
     # key -> (pairing vector, string lengths p) of the roots one layer up
     found = {unit[i]: (columns[i], [0] * n) for i in range(n)}
-    layers: list[list[tuple[int, ...]]] = [[]]
+    layers: list[tuple[Root, ...]] = [()]
     pairs: list[tuple[int, ...]] = []  # in layer order, for the pairing table
     maximal = []  # keys of the roots with no root above them
     while found:
@@ -304,7 +326,8 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
                 "enumeration reached height 255, the limit of its 8-bit key fields"
             )
         layer = sorted(found.items())
-        layers.append([tuple(key.to_bytes(n, "big")) for key, _ in layer])
+        h = len(layers)
+        layers.append(tuple([_root(tuple(key.to_bytes(n, "big")), h) for key, _ in layer]))
         pairs += [pair for _, (pair, _) in layer]
         found = {}
         for key, (pair, p) in layer:
@@ -325,10 +348,7 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
             f"{tuple(maximal[0].to_bytes(n, 'big'))}; expected only the top root"
         )
 
-    root_layers = tuple(tuple(Root(c) for c in layer) for layer in layers)
-    rs = RootSystem(cartan, form, root_layers, label)
-    rs._pairs = pairs
-    return rs
+    return RootSystem._enumerated(cartan, form, tuple(layers), label, pairs)
 
 
 def build_system(t) -> RootSystem:

@@ -195,10 +195,9 @@ def _rows_table(rs):
     return R.RootSystem(rs.cartan, rs.form, rs.layers, None).pairings
 
 
-def test_handed_over_table_matches_cartan_rows(system):
-    # every type to MAX_RANK and a seeded relabelling of every leaf-search
-    # class to rank 20: the same table, in the same order, and 8-bit keys
-    # equal to the enumeration's packing
+def _named_and_relabelled(system):
+    """Every type to MAX_RANK and a seeded relabelling of every leaf-search
+    class to rank 20, enumerated."""
     systems = [system(str(t)) for t in R.all_types(R.MAX_RANK)]
     rng = random.Random(16)
     for c in finite_type_classes(20):
@@ -206,13 +205,42 @@ def test_handed_over_table_matches_cartan_rows(system):
         systems.append(R.enumerate_roots(R.CartanMatrix(
             tuple(tuple(c.rows[a][b] for b in perm) for a in perm)
         )))
-    for rs in systems:
+    return systems
+
+
+def test_handed_over_table_matches_cartan_rows(system):
+    # the same table, in the same order, and 8-bit keys equal to the
+    # enumeration's packing
+    for rs in _named_and_relabelled(system):
         assert list(rs.pairings.items()) == list(_rows_table(rs).items()), rs.cartan.rows
         pos = [int.from_bytes(bytes(r.coeffs), "big") for r in rs.positive_roots()]
         assert list(rs.keys.number.items()) == list(
             zip(pos + [-k for k in pos], range(2 * len(pos)))
         ), rs.cartan.rows
         assert rs.keys.unit == tuple(1 << 8 * k for k in reversed(range(rs.rank)))
+
+
+def test_enumerated_roots_pass_the_checked_constructors(system):
+    # enumerate_roots builds its roots and system unchecked; the checked
+    # constructors must accept every one of them as they stand
+    for rs in _named_and_relabelled(system):
+        R.RootSystem(rs.cartan, rs.form, rs.layers, rs.label)
+        for r in rs.positive_roots():
+            checked = R.Root(r.coeffs)
+            assert checked == r and checked.height == r.height, (rs.cartan.rows, r)
+            assert type(r.coeffs) is tuple, (rs.cartan.rows, r)
+
+
+def test_enumeration_skips_the_root_checks(monkeypatch):
+    # enumerate_roots never runs Root.__post_init__, while Root(...) still does
+    def refuse(self):
+        raise AssertionError("an enumerated root was checked")
+
+    monkeypatch.setattr(R.Root, "__post_init__", refuse)
+    assert R.build_system("E8").num_positive == 120
+    assert main(["gen", "--type", "E8"]) == 0
+    with pytest.raises(AssertionError, match="was checked"):
+        R.Root((1, 0))
 
 
 # -- dominance ------------------------------------------------------------------
@@ -388,3 +416,21 @@ def test_root_rejects_bad_coeffs():
         R.Root((0, 0))
     with pytest.raises(InvalidArgumentError):
         R.Root((1, -1))
+
+
+@pytest.mark.parametrize("coeffs", [(1.5, 0), (True, 0), (1, 0.0), ("1", 0)])
+def test_root_rejects_non_integer_coeffs(coeffs):
+    # a float was reported as a wrong height, a bool or an integral float
+    # as a duplicate, once the layers reached RootSystem
+    with pytest.raises(InvalidArgumentError, match="expected integer root coefficients"):
+        R.Root(coeffs)
+
+
+def test_root_stores_a_tuple(system):
+    # a list used to be kept, and RootSystem then raised a raw TypeError
+    # when it hashed it
+    a2 = system("A2")
+    r = R.Root([1, 0])
+    assert type(r.coeffs) is tuple and r == a2.root((1, 0)) and r.height == 1
+    layers = ((), (r, R.Root([0, 1])), (R.Root([1, 1]),))
+    assert R.RootSystem(a2.cartan, a2.form, layers, None).pairings == a2.pairings
