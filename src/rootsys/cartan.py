@@ -142,8 +142,8 @@ class CartanMatrix:
         Neither d nor diag(d) * A is needed.
         """
         raw = self.rows
-        n = len(raw)
-        if n == 0 or any(len(row) != n for row in raw):
+        n = len(raw) if hasattr(raw, "__len__") else 0
+        if n == 0 or any(not hasattr(row, "__len__") or len(row) != n for row in raw):
             raise InvalidArgumentError("expected a nonempty square matrix")
         if n > MAX_RANK:
             raise InvalidArgumentError(f"rank {n} exceeds MAX_RANK = {MAX_RANK}")

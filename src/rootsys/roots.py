@@ -5,22 +5,21 @@ Only positive roots are stored; a negative root is the negated coefficient
 tuple of a positive one.  ``RootSystem.pairings`` is the one table of
 coroot pairings: each signed root's coefficient tuple maps to its vector
 (<beta, alpha_1>, ..., <beta, alpha_l>), positives first in
-``positive_roots()`` order, then their negatives.  It is built lazily, on
-first use: from the pairing vectors that ``enumerate_roots`` carried and
-handed over, or, for hand-built layers, from the Cartan rows.
-``RootSystem.keys`` numbers the signed roots in the same order by one
-packed integer each, built lazily like the table.  Every length, and the
-affine edges of the extended Dynkin graph, are read from the table and
-``form.d``.
+``positive_roots()`` order, then their negatives.  It is built on first
+use: decoded from the packed pairings ``enumerate_roots`` handed over, or,
+for hand-built layers, from the Cartan rows.  ``RootSystem.keys`` numbers
+the signed roots in the same order by one packed integer each, lazily too.
+Every length, and the affine edges of the extended Dynkin graph, are read
+from the table and ``form.d``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
-from operator import add, gt, mul, neg
-from typing import Iterator, Sequence
+from operator import mul, neg
+from struct import Struct
+from typing import Iterable, Iterator, Sequence
 
 from .cartan import (
     CartanMatrix,
@@ -43,6 +42,8 @@ class Root:
     height: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.coeffs, Iterable):
+            raise InvalidArgumentError(f"expected a sequence of coefficients, got {self.coeffs!r}")
         coeffs = tuple(self.coeffs)
         if any(isinstance(c, bool) or not isinstance(c, int) for c in coeffs):
             raise InvalidArgumentError(f"expected integer root coefficients, got {coeffs}")
@@ -106,6 +107,8 @@ class RootSystem:
         n = cartan.rank
         for h, layer in enumerate(layers):
             for r in layer:
+                if not isinstance(r, Root):
+                    raise InvalidArgumentError(f"expected a Root in layer {h}, got {r!r}")
                 if len(r.coeffs) != n:
                     raise InvalidArgumentError(
                         f"{r.coeffs} has {len(r.coeffs)} coefficients; the rank is {n}"
@@ -133,8 +136,8 @@ class RootSystem:
         self.label = label
         self.layers = layers  # layers[r] = roots of height r; layers[0] empty
         self._members = {r.coeffs: r for layer in layers for r in layer}
-        # positive_roots()' pairing vectors from enumerate_roots; None if hand-built
-        self._pairs: list[tuple[int, ...]] | None = pairs
+        # enumerate_roots' packed pairings and field bytes; None if hand-built
+        self._pairs: tuple[list[int], int] | None = pairs
         return self
 
     # -- basic queries ----------------------------------------------------
@@ -153,6 +156,12 @@ class RootSystem:
 
     def __contains__(self, coeffs: Sequence[int]) -> bool:
         return tuple(coeffs) in self._members
+
+    def _own(self, beta: Root) -> tuple[int, ...]:
+        """beta's coefficients; raises unless beta is a Root of this system."""
+        if not isinstance(beta, Root):
+            raise InvalidArgumentError(f"expected a Root, got {beta!r}")
+        return self.root(beta.coeffs).coeffs
 
     def root(self, coeffs: Sequence[int]) -> Root:
         key = tuple(coeffs)
@@ -195,20 +204,24 @@ class RootSystem:
         """Signed root -> its pairings against every simple coroot, where
         <beta, alpha_i> is row i of the Cartan matrix against beta.
 
-        An enumerated system reuses the vectors that enumerate_roots
-        carried.  Hand-built layers take row i against beta directly, over
-        the row's nonzero entries: they may hold a non-root that no
-        enumeration reached, so there is no carried vector to reuse."""
+        An enumerated system decodes the na ints of enumerate_roots one root
+        at a time: k-byte field i of na holds b - <beta, alpha_i>, b =
+        2**(8k-1) - 1, XOR with b makes it <beta, alpha_i> mod 2**(8k), and
+        one big-endian signed unpack reads every field; -beta's na is 2b - na
+        in each field.  Hand-built layers may hold a non-root that no
+        enumeration reached, so they take row i against beta directly."""
         coeffs = [r.coeffs for r in self.positive_roots()]
-        vectors = self._pairs
-        if vectors is None:
+        if self._pairs is None:
             rows = [[(j, a) for j, a in enumerate(row) if a] for row in self.cartan.rows]
             vectors = [tuple(sum(a * c[j] for j, a in row) for row in rows) for c in coeffs]
-        table = dict(zip(coeffs, vectors))
-        table.update(
-            zip([tuple(map(neg, c)) for c in coeffs], [tuple(map(neg, pv)) for pv in vectors])
-        )
-        return table
+            vectors += [tuple(map(neg, pv)) for pv in vectors]
+        else:
+            (packed, size), n = self._pairs, self.rank
+            unpack = Struct(">%d%s" % (n, {2: "h", 4: "i", 8: "q"}[size])).unpack
+            flip = int.from_bytes((b"\x7f" + b"\xff" * (size - 1)) * n, "big")
+            packed = packed + [2 * flip - na for na in packed]
+            vectors = [unpack((na ^ flip).to_bytes(size * n, "big")) for na in packed]
+        return dict(zip(coeffs + [tuple(map(neg, c)) for c in coeffs], vectors))
 
     @cached_property
     def keys(self) -> SignedKeys:
@@ -224,10 +237,8 @@ class RootSystem:
         key is its coefficient bytes, the packing of enumerate_roots."""
         n = self.rank
         coeffs = [r.coeffs for r in self.positive_roots()]
-        if self._pairs is None:
-            top = max(map(max, coeffs))
-        else:  # enumerate_roots found that theta dominates every root
-            top = self.c_max()
+        # an enumerated system's theta dominates every root
+        top = max(map(max, coeffs)) if self._pairs is None else self.c_max()
         reach = max(4, 2 + max(sum(map(abs, row)) for row in self.cartan.rows))
         width = max(8, (reach * top).bit_length())
         unit = tuple(1 << width * (n - 1 - i) for i in range(n))
@@ -242,14 +253,12 @@ class RootSystem:
         """<beta, alpha_i> = 2(beta, alpha_i)/(alpha_i, alpha_i) for a root
         of this system and a 1-based simple index i."""
         self._check_index(i)
-        self.root(beta.coeffs)  # raises for a root not in this system
-        return self.pairings[beta.coeffs][i - 1]
+        return self.pairings[self._own(beta)][i - 1]
 
     def norm_sq(self, beta: Root) -> int:
         """(beta, beta) = sum_i beta_i d_i <beta, alpha_i>: 2 for a short root."""
-        self.root(beta.coeffs)  # raises for a root not in this system
-        pv = self.pairings[beta.coeffs]
-        return sum(map(mul, beta.coeffs, map(mul, self.form.d, pv)))
+        coeffs = self._own(beta)
+        return sum(map(mul, coeffs, map(mul, self.form.d, self.pairings[coeffs])))
 
     # -- graphs -------------------------------------------------------------
 
@@ -285,40 +294,56 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     """Build all positive roots layer by layer.
 
     Each root beta carries its pairings <beta, alpha_i> and its string
-    lengths p, where p[i] is the largest k with beta - k*alpha_i a root.
-    beta + alpha_i is a root exactly when p[i] > <beta, alpha_i>, because
-    root strings are unbroken; it then gets p[i] + 1 in entry i and its
-    pairings plus column i of the Cartan matrix.  An entry no edge sets
-    stays 0.  Every edge into a root of height r + 1 leaves a root of
-    height r, so p is complete before the root's own layer is scanned.
+    lengths p_i, the largest k with beta - k*alpha_i a root.  beta + alpha_i
+    is a root exactly when p_i > <beta, alpha_i>, because root strings are
+    unbroken; it then gets p_i + 1 in entry i, 0 in entries no edge sets,
+    and beta's pairings plus column i of the Cartan matrix.  Every edge into
+    height r + 1 leaves height r, so p is complete before its layer is
+    scanned.
 
-    Keys are ints with an 8-bit field per coordinate, coordinate 0 most
-    significant: sorting keys sorts vectors lexicographically, beta +
-    alpha_i is ``key + unit[i]``, and ``key.to_bytes(rank, "big")`` is the
-    coefficient tuple.  A coefficient never exceeds its root's height, so
-    no field carries below height 255; a layer at that height raises
-    InternalInconsistencyError.  The matrix is of finite type, so its roots
-    run out far below: a type of rank <= MAX_RANK has height at most 63.
+    Both ride in w-bit fields, field i at F_i = 2**(w*(l-1-i)): na = sum_i
+    (b - <beta, alpha_i>) F_i with b = 2**(w-1) - 1, and p = sum_i p_i F_i.
+    Field i of na + p has its high bit set iff p_i > <beta, alpha_i>, so
+    ``(na + p) & high`` is the set of edges up, and beta + alpha_i has na
+    minus the packed column i.  w = 8k for the least k in 2, 4, 8 with
+    (R + 1) * 256 < 2**(w-1), R the largest absolute row sum: below height
+    256, |<beta, alpha_i>| <= 255 R and p_i <= 254, so no field wraps
+    before the height guard.  Every finite type has R <= 5, so w = 16.
+
+    Keys have an 8-bit field per coordinate, coordinate 0 most significant:
+    sorted keys sort vectors lexicographically, beta + alpha_i is ``key +
+    unit[i]``, and ``key.to_bytes(rank, "big")`` is the coefficient tuple.
+    A coefficient never exceeds its root's height, so no field carries
+    below height 255, where a layer raises InternalInconsistencyError.  A
+    finite type of rank <= MAX_RANK has height at most 63.
 
     Every root but the single top root must have a root above it, or
     InternalInconsistencyError is raised.  Following edges up from any root
-    then reaches the top root theta, with coefficients growing on the way,
-    so theta dominates every root.  The carried pairing vectors are handed
-    to the system, whose ``pairings`` table reuses them.  Roots and system
-    are built unchecked, as the loop implies the checks of ``Root`` and
-    ``RootSystem``: ``to_bytes`` gives rank nonnegative ints, a key never
-    drops to 0, height is the layer index, ``found`` holds each root once,
-    and one root is maximal.
+    then reaches theta, with coefficients growing, so theta dominates every
+    root.  The na ints and k are handed to the system, whose ``pairings``
+    decodes them.  Roots and system are built unchecked, as the loop implies
+    the checks of ``Root`` and ``RootSystem``: ``to_bytes`` gives rank
+    nonnegative ints, a key never drops to 0, height is the layer index,
+    ``found`` holds each root once, and one root is maximal.
     """
     n = cartan.rank
     form = symmetrizer(cartan)
-    columns = list(zip(*cartan.rows))
-    unit = [1 << (8 * (n - 1 - i)) for i in range(n)]
-
-    # key -> (pairing vector, string lengths p) of the roots one layer up
-    found = {unit[i]: (columns[i], [0] * n) for i in range(n)}
+    reach = max(sum(map(abs, row)) for row in cartan.rows)
+    w = next((w for w in (16, 32, 64) if (reach + 1) << 8 < 1 << w - 1), None)
+    if w is None:
+        raise InternalInconsistencyError(f"a row sum of {reach} outgrows 64-bit pairing fields")
+    fields = [1 << w * (n - 1 - i) for i in range(n)]
+    bias = ((1 << w - 1) - 1) * sum(fields)
+    # the high bit of field i -> (key unit, packed column, field mask, F_i)
+    edges = {
+        f << w - 1: (1 << 8 * (n - 1 - i), sum(map(mul, col, fields)), ((1 << w) - 1) * f, f)
+        for i, (f, col) in enumerate(zip(fields, zip(*cartan.rows)))
+    }
+    high = sum(edges)
+    # key -> [na, p] of the roots one layer up
+    found = {u: [bias - col, 0] for u, col, _, _ in edges.values()}
     layers: list[tuple[Root, ...]] = [()]
-    pairs: list[tuple[int, ...]] = []  # in layer order, for the pairing table
+    pairs: list[int] = []  # na in layer order, for the pairing table
     maximal = []  # keys of the roots with no root above them
     while found:
         if len(layers) >= 255:
@@ -328,27 +353,27 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
         layer = sorted(found.items())
         h = len(layers)
         layers.append(tuple([_root(tuple(key.to_bytes(n, "big")), h) for key, _ in layer]))
-        pairs += [pair for _, (pair, _) in layer]
+        pairs += [na for _, (na, _) in layer]
         found = {}
-        for key, (pair, p) in layer:
-            up = 0
-            for i, u in compress(enumerate(unit), map(gt, p, pair)):
-                up = key + u
-                if up in found:  # another edge into the same root
-                    found[up][1][i] = p[i] + 1
-                else:  # a new root: build its pairings once
-                    q = [0] * n
-                    q[i] = p[i] + 1
-                    found[up] = (tuple(map(add, pair, columns[i])), q)
-            if not up:
+        for key, (na, p) in layer:
+            m = (na + p) & high
+            if not m:
                 maximal.append(key)
+            while m:
+                low = m & -m
+                m ^= low
+                u, col, mask, f = edges[low]
+                if (up := key + u) in found:  # another edge into the same root
+                    found[up][1] += (p & mask) + f
+                else:
+                    found[up] = [na - col, (p & mask) + f]
     if len(maximal) > 1:
         raise InternalInconsistencyError(
             f"{len(maximal)} roots have no root above them, among them "
             f"{tuple(maximal[0].to_bytes(n, 'big'))}; expected only the top root"
         )
 
-    return RootSystem._enumerated(cartan, form, tuple(layers), label, pairs)
+    return RootSystem._enumerated(cartan, form, tuple(layers), label, (pairs, w // 8))
 
 
 def build_system(t) -> RootSystem:

@@ -40,7 +40,7 @@ from being built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 from operator import mul
 from typing import Iterable
 
@@ -532,11 +532,15 @@ def weyl_orbits(rs: RootSystem) -> WeylOrbits:
     table = rs.pairings
     number, unit = rs.keys.number, rs.keys.unit
     vs = list(table)
-    # each root's nonzero reflections, built once for every closure below
+    half = len(vs) // 2
+    # each root's nonzero reflections, built once for every closure below; as
+    # s_i(-v) = -s_i(v), root k + half has root k's with -p and j flipped
     moves = [
         [(i, pv[i], number.get(k - pv[i] * unit[i], -1)) for i in compress(range(n), pv)]
-        for k, pv in zip(number, table.values())
+        for k, pv in zip(number, islice(table.values(), half))
     ]
+    flip = [*range(half, 2 * half), *range(half), -1]
+    moves += [[(i, -p, flip[j]) for i, p, j in m] for m in moves]
     orbits, escapes = _close(moves, set(range(n)))
     if escapes:
         return WeylOrbits(

@@ -1,6 +1,7 @@
 """Every ``BENCH_*.json`` perf record at the repository root has the shape
-the records share, and names only workloads and end-to-end metrics that
-``BENCHMARK.json`` declares.  ``BENCHMARK.json`` is only read."""
+the records share, names only workloads and end-to-end metrics that
+``BENCHMARK.json`` declares, and claims a gain only by the pairs rule.
+``BENCHMARK.json`` is only read."""
 
 import json
 from pathlib import Path
@@ -14,7 +15,8 @@ RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 def _benchmark():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {w["name"] for w in spec["workloads"]}, {m["name"] for m in spec["end_to_end"]}
+    workloads = {w["name"] for w in spec["workloads"]}
+    return workloads, {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
 def test_there_are_records():
@@ -29,3 +31,21 @@ def test_record_names_benchmark_workloads_and_metrics(path):
     assert record["claim"]["workload"] in workloads
     assert record["claim"]["metric"] in metrics
     assert set(record["perfbench"]) <= workloads, set(record["perfbench"]) - workloads
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_a_met_claim_holds_by_the_pairs_rule(path):
+    # a gain counts only when the change wins at least nine pairs in ten,
+    # over at least ten alternating pairs, and moves the median by more than
+    # the distance between the parent's quartiles
+    record = json.loads(path.read_text(encoding="utf-8"))
+    claim = record["claim"]
+    if not claim["met"]:
+        return
+    better = _benchmark()[1][claim["metric"]]
+    entry = record["perfbench"][claim["workload"]][claim["metric"]]
+    assert entry["pairs"] >= 10, entry["pairs"]
+    assert entry["change_wins"] >= 0.9 * entry["pairs"], (entry["change_wins"], entry["pairs"])
+    change, parent = entry["change"]["median"], entry["parent"]["median"]
+    gain = parent - change if better == "lower" else change - parent
+    assert gain > entry["parent"]["q3"] - entry["parent"]["q1"], (change, entry["parent"])

@@ -208,6 +208,18 @@ def test_validate_rejects_nonsquare():
         R.validate_cartan([])
 
 
+def test_cartan_matrix_rejects_a_non_sequence():
+    # raw TypeErrors once, for the matrix and for a row
+    for raw in (5, [5], [[2, -1], 5]):
+        with pytest.raises(InvalidArgumentError, match="square matrix"):
+            R.CartanMatrix(raw)
+
+
+def test_validate_cartan_rejects_a_non_sequence():
+    with pytest.raises(InvalidArgumentError, match="square matrix"):
+        R.validate_cartan(5)
+
+
 def test_every_construction_runs_the_gate():
     b3 = R.build_cartan("B3")
     bad = ((2, -1, 0), (-1, 2, -2), (0, -2, 2))  # a_23 * a_32 = 4

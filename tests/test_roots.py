@@ -135,6 +135,11 @@ def test_layers_match_tuple_scan_up_to_max_rank(system):
         ((2, -4), (-1, 2)),  # affine A2, twisted
         with_identity_block(((2, -300), (-1, 2)), 26),
         with_identity_block(((2, -300), (-1, 2)), 32),
+        # the largest row sum R that 2-, 4- and 8-byte pairing fields take:
+        # (R + 1) * 256 < 2**15, 2**31, 2**63
+        ((2, -124), (-1, 2)),
+        ((2, 4 - (1 << 23)), (-1, 2)),
+        ((2, 4 - (1 << 55)), (-1, 2)),
     ],
 )
 def test_enumeration_stops_at_height_cap(rows):
@@ -424,6 +429,30 @@ def test_root_rejects_non_integer_coeffs(coeffs):
     # as a duplicate, once the layers reached RootSystem
     with pytest.raises(InvalidArgumentError, match="expected integer root coefficients"):
         R.Root(coeffs)
+
+
+def test_root_rejects_a_non_sequence():
+    # a raw TypeError once
+    with pytest.raises(InvalidArgumentError, match="expected a sequence"):
+        R.Root(5)
+
+
+def test_root_system_rejects_bare_tuples_in_a_layer(system):
+    # a raw AttributeError once
+    a2 = system("A2")
+    layers = ((), ((1, 0), (0, 1)), ((1, 1),))
+    with pytest.raises(InvalidArgumentError, match="expected a Root in layer 1"):
+        R.RootSystem(a2.cartan, a2.form, layers, None)
+
+
+def test_pairing_rejects_a_bare_tuple(system):
+    with pytest.raises(InvalidArgumentError, match="expected a Root"):
+        system("A2").pairing((1, 0), 1)
+
+
+def test_norm_sq_rejects_a_bare_tuple(system):
+    with pytest.raises(InvalidArgumentError, match="expected a Root"):
+        system("A2").norm_sq((1, 0))
 
 
 def test_root_stores_a_tuple(system):
