@@ -39,12 +39,11 @@ class _CliError(Exception):
     pass
 
 
-def _add_selector(p: argparse.ArgumentParser, with_all: bool) -> None:
+def _add_selector(p: argparse.ArgumentParser) -> None:
     p.add_argument("--type", help="named type, e.g. A5, G2")
     p.add_argument("--cartan", help="path to a JSON 2-D integer Cartan matrix")
-    if with_all:
-        p.add_argument("--all", action="store_true", help="every type up to --max-rank")
-        p.add_argument("--max-rank", type=int, default=12)
+    p.add_argument("--all", action="store_true", help="every type up to --max-rank")
+    p.add_argument("--max-rank", type=int, default=12)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", help="output path (default: stdout)")
 
@@ -56,16 +55,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="enumerate positive roots")
-    _add_selector(gen, with_all=True)
+    _add_selector(gen)
 
     exps = sub.add_parser("exponents", help="compute Weyl exponents")
-    _add_selector(exps, with_all=True)
+    _add_selector(exps)
     exps.add_argument(
         "--method", choices=("dual", "coxeter", "both"), default="both"
     )
 
     ver = sub.add_parser("verify", help="run all structural checks")
-    _add_selector(ver, with_all=True)
+    _add_selector(ver)
     return parser
 
 
@@ -94,10 +93,12 @@ def _targets(args) -> list[tuple[str, CartanMatrix]]:
     chosen = [
         bool(args.type),
         bool(args.cartan),
-        bool(getattr(args, "all", False)),
+        bool(args.all),
     ]
     if sum(chosen) != 1:
         raise _CliError("choose exactly one of --type, --cartan, --all")
+    if not 1 <= args.max_rank <= MAX_RANK:
+        raise _CliError(f"--max-rank must be between 1 and {MAX_RANK}")
     if args.type:
         try:
             t = RankedType.parse(args.type)
@@ -106,8 +107,6 @@ def _targets(args) -> list[tuple[str, CartanMatrix]]:
         return [(str(t), build_cartan(t))]
     if args.cartan:
         return [("custom", _load_cartan_file(args.cartan))]
-    if not 1 <= args.max_rank <= MAX_RANK:
-        raise _CliError(f"--max-rank must be between 1 and {MAX_RANK}")
     return [(str(t), build_cartan(t)) for t in all_types(args.max_rank)]
 
 
@@ -161,7 +160,7 @@ class _RootRows:
             + ("," + field + "  ").join(["%d"] * self.rs.rank)
             + field + "]," + field + '"height": %d' + inner + "}"
         )
-        rows = [row % (r.coeffs + (h,)) for h, layer in enumerate(self.rs.layers) for r in layer]
+        rows = [row % values for values in self.rs.coefficient_rows()]
         return "[" + inner + ("," + inner).join(rows) + nl + "]"
 
 
@@ -285,7 +284,7 @@ def cmd_verify(args, targets, out) -> int:
         "ledgers": [l.to_json_dict() for l in ledgers],
         "skipped": skipped,
     }
-    if getattr(args, "all", False):
+    if args.all:
         payload["g2_criterion"] = g2_criterion_report(ledgers)
 
     all_pass = all(l.passed for l in ledgers) and (

@@ -63,7 +63,7 @@ def dual_partition(rs: RootSystem) -> ExponentReport:
     enumeration and is rejected.  RootSystem keeps its top layer nonempty,
     so t has an entry.
     """
-    t = [len(layer) for layer in rs.layers[1:]]
+    t = rs.layer_sizes[1:]
     if any(a < b for a, b in zip(t, t[1:])):
         raise InvalidArgumentError("height distribution must be weakly decreasing")
     if t[0] != rs.rank:

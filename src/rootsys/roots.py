@@ -2,15 +2,21 @@
 highest root and the Dynkin graphs.
 
 Only positive roots are stored; a negative root is the negated coefficient
-tuple of a positive one.  ``RootSystem.pairings`` is the one table of
-coroot pairings: each signed root's coefficient tuple maps to its vector
-(<beta, alpha_1>, ..., <beta, alpha_l>), positives first in
-``positive_roots()`` order, then their negatives.  It is built on first
-use: decoded from the packed pairings ``enumerate_roots`` handed over, or,
-for hand-built layers, from the Cartan rows.  ``RootSystem.keys`` numbers
-the signed roots in the same order by one packed integer each, lazily too.
-Every length, and the affine edges of the extended Dynkin graph, are read
-from the table and ``form.d``.
+tuple of a positive one.  An enumerated system holds them packed, as the
+sorted 8-bit keys of each height layer that ``enumerate_roots`` computed,
+plus one ``Root`` for the highest root; its other ``Root`` objects, the
+membership dict and the symmetrizer ``form`` are built on first use.  Layer
+sizes, the highest root, ``c_max``, ``keys`` and the rows ``gen`` writes
+are read without them, so ``exponents`` and ``gen`` decode no root table.
+
+``RootSystem.pairings`` is the one table of coroot pairings: each signed
+root's coefficient tuple maps to its vector (<beta, alpha_1>, ...,
+<beta, alpha_l>), positives first in ``positive_roots()`` order, then their
+negatives.  It is built on first use: decoded from the packed pairings
+``enumerate_roots`` handed over, or, for hand-built layers, from the Cartan
+rows.  ``RootSystem.keys`` numbers the signed roots in the same order by one
+packed integer each, lazily too.  Every length, and the affine edges of the
+extended Dynkin graph, are read from the table and ``form.d``.
 """
 
 from __future__ import annotations
@@ -89,10 +95,13 @@ class RootSystem:
     """All positive roots of a Cartan matrix, organised by height.
 
     Immutable; build via :func:`enumerate_roots`, which skips the checks
-    below as its loop implies them.  Hand-built layers are checked once: a
-    root poset's height grading, with layer 0 empty, each root filed under
-    its height with one coefficient per simple root, none listed twice, and
-    one root in the top layer; anything else raises InvalidArgumentError.
+    below as its loop implies them and hands over packed keys, decoded into
+    ``layers``, ``_members`` and ``form`` on first use.  Hand-built layers
+    are checked once: a root poset's height grading, with layer 0 empty,
+    each root filed under its height with one coefficient per simple root,
+    none listed twice, and one root in the top layer; anything else raises
+    InvalidArgumentError.  A hand-built system stores the ``form`` and
+    ``layers`` it is given.
     """
 
     def __init__(
@@ -121,24 +130,50 @@ class RootSystem:
             raise InvalidArgumentError(
                 f"top height layer has {len(layers[-1])} roots; expected exactly one"
             )
-        self._fill(cartan, form, layers, label, None)
-        if self.num_positive != sum(map(len, layers)):
+        self._fill(cartan, label, tuple(map(len, layers)), layers[-1][0], None)
+        self.form = form
+        self.layers = layers
+        if len(self._members) != self.num_positive:
             raise InvalidArgumentError("a root is listed twice")
 
     @classmethod
-    def _enumerated(cls, cartan, form, layers, label, pairs) -> RootSystem:
-        """The system enumerate_roots built, taken without the checks above."""
-        return cls.__new__(cls)._fill(cartan, form, layers, label, pairs)
+    def _enumerated(cls, cartan, label, packed, top) -> RootSystem:
+        """The system enumerate_roots built, taken without the checks above;
+        ``layers``, ``_members`` and ``form`` are built on first use."""
+        sizes = tuple(map(len, packed[0]))
+        return cls.__new__(cls)._fill(cartan, label, sizes, top, packed)
 
-    def _fill(self, cartan, form, layers, label, pairs) -> RootSystem:
+    def _fill(self, cartan, label, layer_sizes, top, packed) -> RootSystem:
         self.cartan = cartan
-        self.form = form
         self.label = label
-        self.layers = layers  # layers[r] = roots of height r; layers[0] empty
-        self._members = {r.coeffs: r for layer in layers for r in layer}
-        # enumerate_roots' packed pairings and field bytes; None if hand-built
-        self._pairs: tuple[list[int], int] | None = pairs
+        self.layer_sizes = layer_sizes  # roots per height; layer_sizes[0] = 0
+        self._top = top
+        # enumerate_roots' keys by height, packed pairings and field bytes;
+        # None if hand-built
+        self._packed: tuple[list[list[int]], list[int], int] | None = packed
         return self
+
+    # -- decoded on first use by an enumerated system -------------------------
+
+    @cached_property
+    def layers(self) -> tuple[tuple[Root, ...], ...]:
+        """layers[r] = the roots of height r, layers[0] empty: each key
+        unpacked to its coefficient bytes, in enumerate_roots' order, and
+        the top layer the Root that highest_root() returns."""
+        n, key_layers = self.rank, self._packed[0]
+        decoded = [
+            tuple([_root(tuple(key.to_bytes(n, "big")), h) for key in keys])
+            for h, keys in enumerate(key_layers[:-1])
+        ]
+        return tuple(decoded) + ((self._top,),)
+
+    @cached_property
+    def _members(self) -> dict[tuple[int, ...], Root]:
+        return {r.coeffs: r for layer in self.layers for r in layer}
+
+    @cached_property
+    def form(self) -> SymmetrizedForm:
+        return symmetrizer(self.cartan)
 
     # -- basic queries ----------------------------------------------------
 
@@ -148,11 +183,11 @@ class RootSystem:
 
     @property
     def max_height(self) -> int:
-        return len(self.layers) - 1
+        return len(self.layer_sizes) - 1
 
     @property
     def num_positive(self) -> int:
-        return len(self._members)
+        return sum(self.layer_sizes)
 
     def __contains__(self, coeffs: Sequence[int]) -> bool:
         return tuple(coeffs) in self._members
@@ -189,10 +224,23 @@ class RootSystem:
             return self.layers[height]
         return ()
 
+    def coefficient_rows(self) -> list[tuple[int, ...]]:
+        """Each positive root's coefficients followed by its height, in
+        positive_roots() order.  An enumerated system reads them off its
+        keys, the height as one more 8-bit field, and builds no Root."""
+        if self._packed is None:
+            return [r.coeffs + (h,) for h, layer in enumerate(self.layers) for r in layer]
+        width = self.rank + 1
+        return [
+            tuple((key << 8 | h).to_bytes(width, "big"))
+            for h, keys in enumerate(self._packed[0])
+            for key in keys
+        ]
+
     # -- highest root --------------------------------------------------------
 
     def highest_root(self) -> Root:
-        return self.layers[-1][0]
+        return self._top
 
     def c_max(self) -> int:
         return max(self.highest_root().coeffs)
@@ -211,12 +259,12 @@ class RootSystem:
         in each field.  Hand-built layers may hold a non-root that no
         enumeration reached, so they take row i against beta directly."""
         coeffs = [r.coeffs for r in self.positive_roots()]
-        if self._pairs is None:
+        if self._packed is None:
             rows = [[(j, a) for j, a in enumerate(row) if a] for row in self.cartan.rows]
             vectors = [tuple(sum(a * c[j] for j, a in row) for row in rows) for c in coeffs]
             vectors += [tuple(map(neg, pv)) for pv in vectors]
         else:
-            (packed, size), n = self._pairs, self.rank
+            (_, packed, size), n = self._packed, self.rank
             unpack = Struct(">%d%s" % (n, {2: "h", 4: "i", 8: "q"}[size])).unpack
             flip = int.from_bytes((b"\x7f" + b"\xff" * (size - 1)) * n, "big")
             packed = packed + [2 * flip - na for na in packed]
@@ -234,18 +282,21 @@ class RootSystem:
         those coordinates differ by at most max(4, 2 + R) * c, and the
         field width w is the bit length of that bound, at least 8.  Every
         finite type has c <= 6 and R <= 5, so w = 8 and a positive root's
-        key is its coefficient bytes, the packing of enumerate_roots."""
+        key is its coefficient bytes, the packing of enumerate_roots, whose
+        keys an enumerated system takes as they were handed over."""
         n = self.rank
-        coeffs = [r.coeffs for r in self.positive_roots()]
         # an enumerated system's theta dominates every root
-        top = max(map(max, coeffs)) if self._pairs is None else self.c_max()
+        if self._packed is None:
+            top = max(max(r.coeffs) for r in self.positive_roots())
+        else:
+            top = self.c_max()
         reach = max(4, 2 + max(sum(map(abs, row)) for row in self.cartan.rows))
         width = max(8, (reach * top).bit_length())
         unit = tuple(1 << width * (n - 1 - i) for i in range(n))
-        if width == 8:
-            pos = [int.from_bytes(bytes(c), "big") for c in coeffs]
+        if width == 8 and self._packed is not None:  # enumerate_roots' own keys
+            pos = [key for keys in self._packed[0] for key in keys]
         else:
-            pos = [sum(map(mul, c, unit)) for c in coeffs]
+            pos = [sum(map(mul, r.coeffs, unit)) for r in self.positive_roots()]
         signed = pos + [-k for k in pos]
         return SignedKeys(dict(zip(signed, range(len(signed)))), unit)
 
@@ -320,14 +371,15 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     Every root but the single top root must have a root above it, or
     InternalInconsistencyError is raised.  Following edges up from any root
     then reaches theta, with coefficients growing, so theta dominates every
-    root.  The na ints and k are handed to the system, whose ``pairings``
-    decodes them.  Roots and system are built unchecked, as the loop implies
-    the checks of ``Root`` and ``RootSystem``: ``to_bytes`` gives rank
-    nonnegative ints, a key never drops to 0, height is the layer index,
-    ``found`` holds each root once, and one root is maximal.
+    root.  The system gets each layer's sorted keys, the na ints and k, and
+    the one Root built here, theta's; ``pairings`` decodes the na ints, and
+    ``layers`` the keys, only when first read.  Roots and system are built
+    unchecked, as the loop implies the checks of ``Root`` and
+    ``RootSystem``: ``to_bytes`` gives rank nonnegative ints, a key never
+    drops to 0, height is the layer index, ``found`` holds each root once,
+    and one root is maximal.
     """
     n = cartan.rank
-    form = symmetrizer(cartan)
     reach = max(sum(map(abs, row)) for row in cartan.rows)
     w = next((w for w in (16, 32, 64) if (reach + 1) << 8 < 1 << w - 1), None)
     if w is None:
@@ -342,17 +394,16 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     high = sum(edges)
     # key -> [na, p] of the roots one layer up
     found = {u: [bias - col, 0] for u, col, _, _ in edges.values()}
-    layers: list[tuple[Root, ...]] = [()]
+    key_layers: list[list[int]] = [[]]  # sorted keys by height
     pairs: list[int] = []  # na in layer order, for the pairing table
     maximal = []  # keys of the roots with no root above them
     while found:
-        if len(layers) >= 255:
+        if len(key_layers) >= 255:
             raise InternalInconsistencyError(
                 "enumeration reached height 255, the limit of its 8-bit key fields"
             )
         layer = sorted(found.items())
-        h = len(layers)
-        layers.append(tuple([_root(tuple(key.to_bytes(n, "big")), h) for key, _ in layer]))
+        key_layers.append([key for key, _ in layer])
         pairs += [na for _, (na, _) in layer]
         found = {}
         for key, (na, p) in layer:
@@ -373,7 +424,8 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
             f"{tuple(maximal[0].to_bytes(n, 'big'))}; expected only the top root"
         )
 
-    return RootSystem._enumerated(cartan, form, tuple(layers), label, (pairs, w // 8))
+    top = _root(tuple(key_layers[-1][0].to_bytes(n, "big")), len(key_layers) - 1)
+    return RootSystem._enumerated(cartan, label, (key_layers, pairs, w // 8), top)
 
 
 def build_system(t) -> RootSystem:

@@ -191,9 +191,20 @@ def test_invalid_type_exit_two(capsys):
         assert err
 
 
-def test_bad_max_rank(capsys):
+def test_bad_max_rank(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--all", "--max-rank", "0")
     assert code == 2 and "--max-rank" in err
+    # the range is checked whichever selector --max-rank comes with
+    g2 = tmp_path / "g2.json"
+    g2.write_text("[[2, -1], [-3, 2]]", encoding="utf-8")
+    for argv in (
+        ("gen", "--type", "A3", "--max-rank", "999"),
+        ("exponents", "--type", "G2", "--max-rank", "0"),
+        ("verify", "--cartan", str(g2), "--max-rank", str(R.MAX_RANK + 1)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: --max-rank") and err.count("\n") == 1, (argv, err)
 
 
 @pytest.mark.parametrize(

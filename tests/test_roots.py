@@ -6,6 +6,7 @@ import random
 import pytest
 
 import rootsys as R
+from rootsys import roots
 from rootsys.cli import main
 from rootsys.errors import InternalInconsistencyError, InvalidArgumentError
 
@@ -223,6 +224,40 @@ def test_handed_over_table_matches_cartan_rows(system):
             zip(pos + [-k for k in pos], range(2 * len(pos)))
         ), rs.cartan.rows
         assert rs.keys.unit == tuple(1 << 8 * k for k in reversed(range(rs.rank)))
+
+
+def test_lazy_decode_matches_a_hand_built_system(system):
+    # a fresh enumeration answers counts, theta and keys from its packed
+    # keys alone, then decodes the layers and form a hand-built system is
+    # given
+    for rs in _named_and_relabelled(system):
+        fresh = R.enumerate_roots(rs.cartan, rs.label)
+        packed = (fresh.num_positive, fresh.max_height, fresh.highest_root(), fresh.keys)
+        assert {"layers", "_members", "form"}.isdisjoint(vars(fresh)), rs.cartan.rows
+        hand = R.RootSystem(rs.cartan, R.symmetrizer(rs.cartan), rs.layers, rs.label)
+        assert fresh.layers == hand.layers, rs.cartan.rows
+        assert packed == (hand.num_positive, hand.max_height, hand.highest_root(), hand.keys)
+        assert fresh.form == hand.form, rs.cartan.rows
+        assert fresh.highest_root() is fresh.layers[-1][0], rs.cartan.rows
+
+
+def test_counts_and_gen_build_only_the_top_root(monkeypatch, capsys):
+    # enumerate_roots builds one Root, theta; dual_partition reads layer
+    # sizes and gen reads keys, so neither decodes the rest
+    built = []
+    real = roots._root
+    monkeypatch.setattr(roots, "_root", lambda *args: built.append(args) or real(*args))
+    types = R.all_types(12)
+    for t in types:
+        rs = R.enumerate_roots(R.build_cartan(t))
+        R.dual_partition(rs)
+        assert built == [(rs.highest_root().coeffs, rs.max_height)], str(t)
+        built.clear()
+    for command in ("gen", "exponents"):
+        assert main([command, "--all", "--max-rank", "12"]) == 0
+        capsys.readouterr()
+        assert len(built) == len(types), command
+        built.clear()
 
 
 def test_enumerated_roots_pass_the_checked_constructors(system):
