@@ -22,13 +22,16 @@ one breadth-first walk of it gives connectivity, d along its edges and, in
 reverse, a leaf-first pivot order; the ``CartanMatrix`` gate and
 ``symmetrizer`` share it.
 
-Everything is exact: d and the form are integers, the pivots Fractions.
+Everything is exact: d and the form are integers, and the pivots and the
+ratios of d are carried as integer numerator/denominator pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain, compress, repeat
+from math import lcm
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -139,7 +142,10 @@ class CartanMatrix:
         pivot, by a_pv * a_vp / pivot_v.  These are the pivots of A; those
         of the symmetric diag(d) * A are d_v times them, and d > 0, so
         diag(d) * A is positive definite iff every pivot stays positive.
-        Neither d nor diag(d) * A is needed.
+        Neither d nor diag(d) * A is needed.  Each pivot is carried as an
+        integer numerator over a denominator, the product of its children's
+        numerators; that stays positive for as long as the pivots do, so
+        the sign of a pivot is the sign of its numerator.
         """
         raw = self.rows
         n = len(raw) if hasattr(raw, "__len__") else 0
@@ -147,15 +153,22 @@ class CartanMatrix:
             raise InvalidArgumentError("expected a nonempty square matrix")
         if n > MAX_RANK:
             raise InvalidArgumentError(f"rank {n} exceeds MAX_RANK = {MAX_RANK}")
-        if any(isinstance(x, bool) or not isinstance(x, int) for row in raw for x in row):
+        rows = tuple(map(tuple, raw))
+        flat = tuple(chain.from_iterable(rows))
+        ints = map(isinstance, flat, repeat(int))
+        if not all(ints) or any(map(isinstance, flat, repeat(bool))):
             raise InvalidArgumentError("expected integer entries")
-        rows = tuple(tuple(row) for row in raw)
 
         violations: list[str] = []
-        if any(rows[i][i] != 2 for i in range(n)):
+        if flat[:: n + 1].count(2) != n:
             violations.append("diagonal")
-        pairs = [(rows[i][j], rows[j][i]) for i in range(n) for j in range(i)]
-        sign_ok = not any(a > 0 or b > 0 or (a == 0) != (b == 0) for a, b in pairs)
+        # (a_ij, a_ji) for each nonzero a_ij off the diagonal, at flat index k = i*n + j
+        pairs = [
+            (flat[k], flat[k % n * n + k // n])
+            for k in compress(range(n * n), flat)
+            if k % (n + 1)
+        ]
+        sign_ok = all(a < 0 and b for a, b in pairs)
         if not sign_ok:
             violations.append("sign")
         if any(a * b not in (0, 1, 2, 3) for a, b in pairs):
@@ -163,16 +176,18 @@ class CartanMatrix:
         order, parent = _walk(rows)
         if len(order) < n:
             violations.append("decomposable")
-        elif sign_ok and sum(1 for a, _ in pairs if a) != n - 1:
+        elif sign_ok and len(pairs) != 2 * (n - 1):
             violations.append("not-positive-definite")
         elif sign_ok:
-            pivot = [Fraction(rows[v][v]) for v in range(n)]
+            # pivot v is num[v] / den[v], with den[v] > 0 while the pivots stay positive
+            num, den = list(flat[:: n + 1]), [1] * n
             for v in reversed(order[1:]):
-                if pivot[v] <= 0:
+                if num[v] <= 0:
                     break
                 p = parent[v]
-                pivot[p] -= rows[p][v] * rows[v][p] / pivot[v]
-            if min(pivot) <= 0:
+                num[p] = num[p] * num[v] - rows[p][v] * rows[v][p] * den[p] * den[v]
+                den[p] *= num[v]
+            if min(num) <= 0:
                 violations.append("not-positive-definite")
 
         if violations:
@@ -197,11 +212,12 @@ def _walk(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     sensible connectivity verdict.  Returns the vertices reached, in walk
     order, and each vertex's parent (-1 for vertex 0 and unreached ones)."""
     n = len(rows)
+    cols = list(zip(*rows))
     parent = [-1] * n
     order = [0]
     for v in order:  # order grows as the walk reaches new vertices
-        for w in range(1, n):
-            if parent[w] < 0 and (rows[v][w] or rows[w][v]):
+        for w in compress(range(n), map(or_, rows[v], cols[v])):
+            if w and parent[w] < 0:
                 parent[w] = v
                 order.append(w)
     return order, parent
@@ -267,18 +283,23 @@ def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
 
     d is fixed up to scale along the walk of the Dynkin tree, by
     d_v = d_parent * a_pv / a_vp, then divided by its minimum.  The walk
-    takes every edge of the tree, so diag(d)*A is symmetric.  Every d_i is
-    an integer: the tree has at most one multiple edge, whose entries stand
-    in ratio k = 2 or 3, so the scaled d takes only the values 1 and k.
+    takes every edge of the tree, so diag(d)*A is symmetric.  Each ratio
+    d_v / d_0 is carried as an integer fraction of products of negated
+    entries; over their least common denominator they become integers,
+    which divide exactly by the smallest.  Every d_i is an integer: the
+    tree has at most one multiple edge, whose entries stand in ratio k = 2
+    or 3, so the scaled d takes only the values 1 and k.
     """
     rows = c.rows
     order, parent = _walk(rows)
-    ratios = [Fraction(1)] * len(rows)
+    num, den = [1] * len(rows), [1] * len(rows)
     for v in order[1:]:
         p = parent[v]
-        ratios[v] = ratios[p] * Fraction(rows[p][v], rows[v][p])
+        num[v], den[v] = num[p] * -rows[p][v], den[p] * -rows[v][p]
+    scale = lcm(*den)
+    ratios = [a * (scale // b) for a, b in zip(num, den)]
     low = min(ratios)
-    return SymmetrizedForm(d=tuple((x / low).numerator for x in ratios))
+    return SymmetrizedForm(d=tuple(x // low for x in ratios))
 
 
 class DynkinGraph:

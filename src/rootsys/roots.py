@@ -14,16 +14,19 @@ root's coefficient tuple maps to its vector (<beta, alpha_1>, ...,
 <beta, alpha_l>), positives first in ``positive_roots()`` order, then their
 negatives.  It is built on first use: decoded from the packed pairings
 ``enumerate_roots`` handed over, or, for hand-built layers, from the Cartan
-rows.  ``RootSystem.keys`` numbers the signed roots in the same order by one
-packed integer each, lazily too.  Every length, and the affine edges of the
-extended Dynkin graph, are read from the table and ``form.d``.
+rows one pairing column at a time.  ``RootSystem.keys`` numbers the signed
+roots in the same order by one packed integer each, lazily too; the Weyl
+orbits and the descent and triple scans look roots up by them.  Every
+length, and the affine edges of the extended Dynkin graph, are read from
+the table and ``form.d``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import mul, neg
+from functools import cached_property, partial, reduce
+from itertools import repeat
+from operator import add, mul, neg
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
@@ -257,33 +260,49 @@ class RootSystem:
         2**(8k-1) - 1, XOR with b makes it <beta, alpha_i> mod 2**(8k), and
         one big-endian signed unpack reads every field; -beta's na is 2b - na
         in each field.  Hand-built layers may hold a non-root that no
-        enumeration reached, so they take row i against beta directly."""
+        enumeration reached, so they take row i against beta directly, one
+        column at a time: with the coefficient tuples transposed once,
+        column i is the sum, over row i's nonzero entries a_ij, of
+        coefficient column j times a_ij (the negated column when a_ij = -1),
+        and the columns zipped back are the vectors.  Either way the negated
+        coefficient columns, zipped, give the negatives' coefficients."""
         coeffs = [r.coeffs for r in self.positive_roots()]
+        by_index = list(zip(*coeffs))
+        negated = [tuple(map(neg, col)) for col in by_index]
         if self._packed is None:
-            rows = [[(j, a) for j, a in enumerate(row) if a] for row in self.cartan.rows]
-            vectors = [tuple(sum(a * c[j] for j, a in row) for row in rows) for c in coeffs]
-            vectors += [tuple(map(neg, pv)) for pv in vectors]
+            columns = []
+            for row in self.cartan.rows:
+                terms = [
+                    negated[j] if a == -1 else map(mul, by_index[j], repeat(a))
+                    for j, a in enumerate(row)
+                    if a
+                ]
+                columns.append(list(reduce(partial(map, add), terms)))
+            vectors = list(zip(*columns))
+            vectors += zip(*[map(neg, col) for col in columns])
         else:
             (_, packed, size), n = self._packed, self.rank
             unpack = Struct(">%d%s" % (n, {2: "h", 4: "i", 8: "q"}[size])).unpack
             flip = int.from_bytes((b"\x7f" + b"\xff" * (size - 1)) * n, "big")
             packed = packed + [2 * flip - na for na in packed]
             vectors = [unpack((na ^ flip).to_bytes(size * n, "big")) for na in packed]
-        return dict(zip(coeffs + [tuple(map(neg, c)) for c in coeffs], vectors))
+        return dict(zip(coeffs + list(zip(*negated)), vectors))
 
     @cached_property
     def keys(self) -> SignedKeys:
         """The signed roots' packed keys, numbered in ``pairings`` order.
 
         The scans compare keys of v - p*alpha_i, for a signed root v with
-        p = <v, alpha_i>, and of sums of up to three signed roots, against
-        keys of signed roots or of 0.  With c the largest coefficient and R
-        the largest absolute row sum of the Cartan matrix, |p| <= R*c, so
+        p = <v, alpha_i>, of a positive root minus at most three simple
+        roots, and of sums of up to three signed roots, against keys of
+        signed roots or of 0.  With c the largest coefficient and R the
+        largest absolute row sum of the Cartan matrix, |p| <= R*c, so
         those coordinates differ by at most max(4, 2 + R) * c, and the
         field width w is the bit length of that bound, at least 8.  Every
         finite type has c <= 6 and R <= 5, so w = 8 and a positive root's
         key is its coefficient bytes, the packing of enumerate_roots, whose
-        keys an enumerated system takes as they were handed over."""
+        keys an enumerated system takes as they were handed over; a
+        hand-built one with w = 8 reads its keys off the same bytes."""
         n = self.rank
         # an enumerated system's theta dominates every root
         if self._packed is None:
@@ -295,9 +314,11 @@ class RootSystem:
         unit = tuple(1 << width * (n - 1 - i) for i in range(n))
         if width == 8 and self._packed is not None:  # enumerate_roots' own keys
             pos = [key for keys in self._packed[0] for key in keys]
+        elif width == 8:  # the same packing: one byte per coefficient
+            pos = [int.from_bytes(bytes(r.coeffs), "big") for r in self.positive_roots()]
         else:
             pos = [sum(map(mul, r.coeffs, unit)) for r in self.positive_roots()]
-        signed = pos + [-k for k in pos]
+        signed = pos + list(map(neg, pos))
         return SignedKeys(dict(zip(signed, range(len(signed)))), unit)
 
     def pairing(self, beta: Root, i: int) -> int:

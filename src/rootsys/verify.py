@@ -427,43 +427,61 @@ def _down(v: tuple[int, ...], i: int, k: int = 1) -> tuple[int, ...]:
 def check_string_descent(rs: RootSystem) -> CheckResult:
     """Whenever a positive root pairs to k in {2, 3} against a simple root
     other than itself, some other simple root can be subtracted after
-    stepping down k - 1 times."""
-    n = rs.rank
+    stepping down k - 1 times.
+
+    beta - (k-1)*alpha_i - alpha_j is looked up by its packed key,
+    key(beta) - (k-1)*unit[i] - unit[j], in ``rs.keys``.  That cannot hit
+    a wrong root: its coordinates lie in [-2, c], c the largest
+    coefficient, so they differ from a signed root's by at most 2c + 2 <=
+    4c, which the keys' field width covers.  Nor a negative root -gamma:
+    beta has height at least 2, so that needs height 2, k = 3 and gamma a
+    simple root alpha_m, making beta = 2*alpha_i + alpha_j - alpha_m either
+    alpha_i + alpha_j, which pairs to 2 + a_ij <= 2 against alpha_i, or
+    2*alpha_i, which pairs to 4."""
+    number, unit = rs.keys.number, rs.keys.unit
     cx: list = []
     checked = 0
-    for beta in rs.positive_roots():
-        if beta.height == 1:  # beta == alpha_i is the only height-1 hit
+    # beta == alpha_i is the only height-1 hit, and layer 1 comes first
+    rest = islice(zip(number, rs.pairings.items()), rs.layer_sizes[1], len(number) // 2)
+    for kb, (c, pv) in rest:
+        if max(pv) < 2:
             continue
-        for i, k in enumerate(rs.pairings[beta.coeffs], start=1):
+        for i, k in enumerate(pv):
             if k not in (2, 3):
                 continue
             checked += 1
-            base = _down(beta.coeffs, i, k - 1)
-            if not any(_down(base, j) in rs for j in range(1, n + 1) if j != i):
-                cx.append({"beta": list(beta.coeffs), "alpha": i, "k": k})
+            ui = unit[i]
+            base = kb - (k - 1) * ui
+            if not any(base - u in number for u in unit if u != ui):
+                cx.append({"beta": list(c), "alpha": i + 1, "k": k})
     return CheckResult(not cx, cx, f"{checked} applicable pairs")
 
 
 def check_no_detour(rs: RootSystem) -> CheckResult:
     """When a root pairs to 3 against the only simple root it can step down
-    by, there is no second simple root to step down through."""
-    n = rs.rank
-    table = rs.pairings
+    by, there is no second simple root to step down through.
+
+    beta - alpha_j and beta - alpha_i - alpha_j are looked up by packed key
+    in ``rs.keys``.  Their coordinates lie in [-2, c], so, as in
+    ``check_string_descent``, a key found is that very root's.  Neither is
+    a negative root: beta - alpha_j has height at least 0, and
+    beta - alpha_i - alpha_j is looked up only when <beta, alpha_i> = 3,
+    which no simple root has, so beta has height at least 2."""
+    number, unit = rs.keys.number, rs.keys.unit
     cx: list = []
     checked = 0
-    for beta in rs.positive_roots():
-        c = beta.coeffs
-        pv = table[c]
+    for kb, (c, pv) in islice(zip(number, rs.pairings.items()), len(number) // 2):
         if 3 not in pv:
             continue
-        droppable = [j for j in range(1, n + 1) if _down(c, j) in rs]
-        for i, p in enumerate(pv, start=1):
+        droppable = [j for j, u in enumerate(unit) if kb - u in number]
+        for i, p in enumerate(pv):
             if p != 3 or droppable != [i]:
                 continue
             checked += 1
-            for j in range(1, n + 1):
-                if j != i and _down(_down(c, i), j) in rs:
-                    cx.append({"beta": list(beta.coeffs), "alpha": i, "detour": j})
+            ki = kb - unit[i]
+            for j, u in enumerate(unit):
+                if j != i and ki - u in number:
+                    cx.append({"beta": list(c), "alpha": i + 1, "detour": j + 1})
     return CheckResult(not cx, cx, f"{checked} applicable pairs")
 
 

@@ -4,10 +4,11 @@ These deliberately avoid the package's packed enumeration and tabulated
 matrices: roots are produced by reflection closure or by the successor
 rule on plain tuples, small Cartan matrices are recomputed from exact
 simple-root geometry, inner products come from a Gram matrix built here
-rather than from the pairing table, the Coxeter element is a dense
-product of reflection matrices, and the Weyl-orbit moves and the triple
-scan look roots up by coefficient tuple or by an encoding as wide as the
-roots at hand, never by the package's shared packed keys.
+rather than from the pairing table, the symmetrizer is found with
+``Fraction`` ratios, the Coxeter element is a dense product of reflection
+matrices, and the Weyl-orbit moves, the descent scans and the triple scan
+look roots up by coefficient tuple or by an encoding as wide as the roots
+at hand, never by the package's shared packed keys.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from rootsys import (
     CheckResult,
     InvalidArgumentError,
     InvalidCartanError,
+    SymmetrizedForm,
     symmetrizer,
     validate_cartan,
 )
@@ -180,6 +182,24 @@ def cartan_violations(m) -> tuple[str, ...]:
 
 
 _LEAF_EDGES = ((-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1))
+
+
+def fraction_symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
+    """``symmetrizer`` with Fraction ratios: d_v = d_parent * a_pv / a_vp
+    along a breadth-first walk of the Dynkin tree from vertex 0, each
+    vertex's neighbours taken in index order, then divided by the
+    minimum."""
+    rows = c.rows
+    n = len(rows)
+    ratios = {0: Fraction(1)}
+    frontier = [0]
+    for v in frontier:
+        for w in range(n):
+            if w not in ratios and rows[v][w]:
+                ratios[w] = ratios[v] * Fraction(rows[v][w], rows[w][v])
+                frontier.append(w)
+    low = min(ratios.values())
+    return SymmetrizedForm(d=tuple((ratios[v] / low).numerator for v in range(n)))
 
 
 def tree_canon(rows) -> str:
@@ -435,6 +455,48 @@ def tuple_weyl_orbits(rs) -> WeylOrbits:
         reps.append(vs[k])
         stabilizer_orbits.append(tuple((vs[b], size) for b, size in _close(moves, J)[0]))
     return WeylOrbits(tuple(reps), (), tuple(stabilizer_orbits))
+
+
+def tuple_string_descent(rs) -> CheckResult:
+    """``verify.check_string_descent`` with each root looked up by its
+    coefficient tuple, built by slicing."""
+    n = rs.rank
+    cx: list = []
+    checked = 0
+    for beta in rs.positive_roots():
+        if beta.height == 1:  # beta == alpha_i is the only height-1 hit
+            continue
+        for i, k in enumerate(rs.pairings[beta.coeffs], start=1):
+            if k not in (2, 3):
+                continue
+            checked += 1
+            base = _down(beta.coeffs, i, k - 1)
+            if not any(_down(base, j) in rs for j in range(1, n + 1) if j != i):
+                cx.append({"beta": list(beta.coeffs), "alpha": i, "k": k})
+    return CheckResult(not cx, cx, f"{checked} applicable pairs")
+
+
+def tuple_no_detour(rs) -> CheckResult:
+    """``verify.check_no_detour`` with each root looked up by its
+    coefficient tuple, built by slicing."""
+    n = rs.rank
+    table = rs.pairings
+    cx: list = []
+    checked = 0
+    for beta in rs.positive_roots():
+        c = beta.coeffs
+        pv = table[c]
+        if 3 not in pv:
+            continue
+        droppable = [j for j in range(1, n + 1) if _down(c, j) in rs]
+        for i, p in enumerate(pv, start=1):
+            if p != 3 or droppable != [i]:
+                continue
+            checked += 1
+            for j in range(1, n + 1):
+                if j != i and _down(_down(c, i), j) in rs:
+                    cx.append({"beta": list(beta.coeffs), "alpha": i, "detour": j})
+    return CheckResult(not cx, cx, f"{checked} applicable pairs")
 
 
 def based_two_of_three_sums(rs, orbits: WeylOrbits) -> CheckResult:

@@ -249,6 +249,20 @@ def test_import_does_not_load_numpy():
     assert done.stdout.strip() == "False"
 
 
+def test_import_does_not_load_fractions():
+    # the Cartan gate and the symmetrizer run on integer pairs; fractions,
+    # and the decimal module it imports, would add to every command's
+    # start-up time, and a bare interpreter loads neither
+    src = str(Path(R.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, rootsys.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_python_dash_m_runs_the_cli():
     # ``python -m rootsys`` must reach cli.run: a missing module would exit
     # 1, the code for a failed check

@@ -33,6 +33,8 @@ from oracles import (
     inner,
     long_pairs,
     reflection_orbit,
+    tuple_no_detour,
+    tuple_string_descent,
     tuple_weyl_orbits,
     two_of_three_triples,
 )
@@ -346,6 +348,9 @@ def test_pairing_table(system):
     systems = [system(str(t)) for t in R.all_types(6)]
     systems += [_swap_one_root(rs, 2) for rs in systems if rs.max_height > 2]
     systems += [_with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
+    # the benchmark's defect shapes past rank 6, and keys past 8-bit fields
+    systems += [_swap_one_root(system(label), 5) for label in ("B8", "D8", "E8")]
+    systems += [_with_top(system("G2"), (1, 128)), _with_top(system("G2"), (1, 256))]
     for rs in systems:
         pos = [r.coeffs for r in rs.positive_roots()]
         assert list(rs.pairings) == pos + [tuple(-c for c in v) for v in pos]
@@ -397,6 +402,36 @@ def test_wide_keys_match_tuple_oracles(system, monkeypatch):
             m.setattr(V, "weyl_orbits", tuple_weyl_orbits)
             m.setattr(V, "check_two_of_three_sums", based_two_of_three_sums)
             assert R.build_ledger(rs).to_json_dict() == ledger, rs.layers[-1]
+
+
+def test_descent_scans_match_tuple_oracles(system):
+    # key lookups against tuple lookups, verdict, counterexamples in order
+    # and note alike: every type to rank 12, a seeded relabelling of each,
+    # and hand-built sets, the last two with keys wider than 8 bits
+    rng = random.Random(22)
+    systems = []
+    for t in R.all_types(12):
+        rs = system(str(t))
+        systems += [rs, _relabel(rs, rng.sample(range(rs.rank), rs.rank))]
+    systems += [_swap_one_root(rs, 2) for rs in systems if rs.max_height > 2]
+    systems += [_with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
+    systems += [
+        _edited(system("G2"), add=[(2, 0)]),
+        _with_top(system("G2"), (1, 128)),
+        _with_top(system("G2"), (1, 256)),
+    ]
+    assert systems[-1].keys.unit[0] > 1 << 8
+    failed = collections.Counter()
+    for rs in systems:
+        for check, oracle in (
+            (check_string_descent, tuple_string_descent),
+            (check_no_detour, tuple_no_detour),
+        ):
+            res = check(rs)
+            assert res == oracle(rs), (check.__name__, rs.cartan.rows, rs.layers[-1])
+            failed[check.__name__] += not res.passed
+    # both scans fail somewhere, so counterexamples are compared too
+    assert failed["check_string_descent"] and failed["check_no_detour"], failed
 
 
 def test_scans_fail_on_swapped_root(system):
