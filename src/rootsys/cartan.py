@@ -202,9 +202,6 @@ class CartanMatrix:
         """Entry a[i][j] with 1-based indices."""
         return self.rows[i - 1][j - 1]
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
 
 def _walk(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """Breadth-first walk from vertex 0, taking an edge wherever an entry is

@@ -12,7 +12,6 @@ import contextlib
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .cartan import (
     MAX_RANK,
@@ -23,12 +22,7 @@ from .cartan import (
     validate_cartan,
 )
 from .errors import InvalidArgumentError, InvalidCartanError, InvalidTypeError
-from .exponents import (
-    COXETER_EIGENVALUES,
-    DUAL_PARTITION,
-    coxeter_exponents,
-    dual_partition,
-)
+from .exponents import coxeter_exponents, dual_partition
 from .roots import RootSystem, enumerate_roots
 from .verify import build_ledger, check_exponents_agree, g2_criterion_report
 
@@ -128,24 +122,14 @@ def _output(path: str | None):
         yield fh
 
 
-def _key(key) -> str:
-    """A dict key as json.dumps writes it: a quoted string, with the JSON
-    text of an int, float, bool or None key inside the quotes."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii(json.dumps(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-    )
-
-
-class _RootRows:
-    """The "roots" value of a gen payload: one {"coeffs": [...], "height": h}
-    per positive root, by height and then coefficients, which is the order
-    enumerate_roots files each layer in.  render writes it through one row
-    template per system, with a %d field per coefficient and one for the
-    height, so no per-root dict or list is built."""
+class _GenPayload:
+    """What gen writes for one system: its label, rank, Cartan matrix, one
+    {"coeffs": [...], "height": h} per positive root (by height and then
+    coefficients, the order enumerate_roots files each layer in), the
+    highest root and c_max.  render writes the json.dumps(..., indent=2)
+    text from %d templates, one for the Cartan rows and one for the roots,
+    so no per-root dict or list is built; only the label goes through
+    json.dumps."""
 
     __slots__ = ("rs",)
 
@@ -153,51 +137,48 @@ class _RootRows:
         self.rs = rs
 
     def render(self, nl: str) -> str:
-        inner = nl + "  "  # each root's own level
-        field = inner + "  "
-        row = (
-            "{" + field + '"coeffs": [' + field + "  "
-            + ("," + field + "  ").join(["%d"] * self.rs.rank)
-            + field + "]," + field + '"height": %d' + inner + "}"
+        rs = self.rs
+        key = nl + "  "  # the payload's own keys
+        item = key + "  "  # a Cartan row, a root, a highest-root coefficient
+        field = item + "  "  # a Cartan entry, a root's keys
+        coeff = field + "  "  # a root's coefficient
+        cartan_row = "[" + field + ("," + field).join(["%d"] * rs.rank) + item + "]"
+        root = (
+            "{" + field + '"coeffs": [' + coeff
+            + ("," + coeff).join(["%d"] * rs.rank)
+            + field + "]," + field + '"height": %d' + item + "}"
         )
-        rows = [row % values for values in self.rs.coefficient_rows()]
-        return "[" + inner + ("," + inner).join(rows) + nl + "]"
+
+        def array(items) -> str:  # a list value of the payload
+            return "[" + item + ("," + item).join(items) + key + "]"
+
+        members = [
+            '"type": ' + json.dumps(rs.label),
+            '"rank": %d' % rs.rank,
+            '"cartan": ' + array([cartan_row % row for row in rs.cartan.rows]),
+            '"roots": ' + array([root % values for values in rs.coefficient_rows()]),
+            '"highest_root": ' + array(map(str, rs.highest_root().coeffs)),
+            '"c_max": %d' % rs.c_max(),
+        ]
+        return "{" + key + ("," + key).join(members) + nl + "}"
 
 
 def _render(obj, nl: str = "\n") -> str:
     """The text json.dumps(obj, indent=2) gives for obj, for obj nested where
     nl (a line break and the indentation of obj's own level) precedes its
-    closing bracket; the items inside go two spaces deeper.  A _RootRows
-    leaf renders as json.dumps would render its plain list of root dicts."""
-    if type(obj) is int:
-        return str(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        if all(type(x) is int for x in obj):
-            items = map(str, obj)
-        else:
-            items = (_render(x, inner) for x in obj)
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = nl + "  "
-        items = (_key(k) + ": " + _render(v, inner) for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if type(obj) is _RootRows:
+    closing bracket: every line break of the top-level text gains the
+    indentation, and none is lost, since JSON strings hold no raw line
+    break.  A _GenPayload renders itself."""
+    if type(obj) is _GenPayload:
         return obj.render(nl)
-    return json.dumps(obj)
+    return json.dumps(obj, indent=2).replace("\n", nl)
 
 
 def _emit(out, payload, k: int, n: int) -> None:
     """Write payload k of n.  The n calls in order write what
     json.dumps(payloads if n > 1 else payloads[0], indent=2) gives, plus a
-    newline, without holding more than one payload's text.  A gen payload's
-    roots are rendered here, from its _RootRows leaf."""
+    newline, without holding more than one payload's text.  A gen payload,
+    a _GenPayload, is rendered here."""
     if n == 1:
         out.write(_render(payload) + "\n")
         return
@@ -208,18 +189,6 @@ def _emit(out, payload, k: int, n: int) -> None:
 
 def _system(label: str, cartan: CartanMatrix) -> RootSystem:
     return enumerate_roots(cartan, None if label == "custom" else label)
-
-
-def _gen_payload(rs: RootSystem) -> dict:
-    """What gen writes for one system; _emit renders its roots."""
-    return {
-        "type": rs.label,
-        "rank": rs.rank,
-        "cartan": rs.cartan.to_lists(),
-        "roots": _RootRows(rs),
-        "highest_root": list(rs.highest_root().coeffs),
-        "c_max": rs.c_max(),
-    }
 
 
 def cmd_gen(args, targets, out) -> int:
@@ -233,7 +202,7 @@ def cmd_gen(args, targets, out) -> int:
                 f"  {rs.c_max():>5}  {list(rs.highest_root().coeffs)}\n"
             )
         else:
-            _emit(out, _gen_payload(rs), k, len(targets))
+            _emit(out, _GenPayload(rs), k, len(targets))
     return 0
 
 
@@ -260,10 +229,9 @@ def cmd_exponents(args, targets, out) -> int:
         if args.format == "json":
             _emit(out, e, k, len(targets))
         else:
-            for key in (DUAL_PARTITION, COXETER_EIGENVALUES):
-                short = key.split("-")[0]
-                if short in e:
-                    rep = e[short]
+            for method in ("dual", "coxeter"):
+                if method in e:
+                    rep = e[method]
                     out.write(
                         f"{e['type']:<8}  {rep['method']:<19}  {rep['h']:>2}"
                         f"  {rep['exponents']}\n"
@@ -284,12 +252,10 @@ def cmd_verify(args, targets, out) -> int:
         "ledgers": [l.to_json_dict() for l in ledgers],
         "skipped": skipped,
     }
+    all_pass = all(l.passed for l in ledgers)
     if args.all:
-        payload["g2_criterion"] = g2_criterion_report(ledgers)
-
-    all_pass = all(l.passed for l in ledgers) and (
-        payload.get("g2_criterion", {"pass": True})["pass"]
-    )
+        payload["g2_criterion"] = report = g2_criterion_report(ledgers)
+        all_pass = all_pass and report["pass"]
     n_case1 = sum(1 for l in ledgers if l.case == 1)
     summary = (
         f"{len(ledgers)} types verified, "
@@ -302,8 +268,10 @@ def cmd_verify(args, targets, out) -> int:
         lines = ["type      c_max  m2  case  verdict"]
         for l in ledgers:
             verdict = "pass" if l.passed else "FAIL"
+            # m2 and case are None when a structure builder raised
+            m2, case = ("-" if v is None else v for v in (l.m2, l.case))
             lines.append(
-                f"{l.label:<8}  {l.c_max:>5}  {l.m2:>2}  {l.case:>4}  {verdict}"
+                f"{l.label:<8}  {l.c_max:>5}  {m2:>2}  {case:>4}  {verdict}"
             )
         for s in skipped:
             lines.append(f"{s['type']:<8}  skipped: {s['skipped']}")

@@ -1,6 +1,7 @@
 """Every ``BENCH_*.json`` perf record at the repository root has the shape
 the records share, names only workloads and end-to-end metrics that
-``BENCHMARK.json`` declares, and claims a gain only by the pairs rule.
+``BENCHMARK.json`` declares, and claims a gain only by the pairs rule; a
+record that claims nothing carries ``"claim": null``.
 ``BENCHMARK.json`` is only read."""
 
 import json
@@ -11,6 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 KEYS = {"change", "parent_commit", "host", "harness", "claim", "perfbench"}
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+# correctness entries a workload may carry beside its end-to-end metrics
+CORRECTNESS = {"attempted", "failed", "every_run_correct", "operations_failed"}
 
 
 def _benchmark():
@@ -28,9 +31,14 @@ def test_record_names_benchmark_workloads_and_metrics(path):
     workloads, metrics = _benchmark()
     record = json.loads(path.read_text(encoding="utf-8"))
     assert KEYS <= set(record), KEYS - set(record)
-    assert record["claim"]["workload"] in workloads
-    assert record["claim"]["metric"] in metrics
+    if record["claim"] is not None:  # a record that claims no gain has a null claim
+        assert record["claim"]["workload"] in workloads
+        assert record["claim"]["metric"] in metrics
+    assert record["perfbench"], "no workload measured"
     assert set(record["perfbench"]) <= workloads, set(record["perfbench"]) - workloads
+    for workload, entries in record["perfbench"].items():
+        unknown = set(entries) - set(metrics) - CORRECTNESS
+        assert not unknown, (workload, unknown)
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
@@ -40,7 +48,7 @@ def test_a_met_claim_holds_by_the_pairs_rule(path):
     # the distance between the parent's quartiles
     record = json.loads(path.read_text(encoding="utf-8"))
     claim = record["claim"]
-    if not claim["met"]:
+    if claim is None or not claim["met"]:
         return
     better = _benchmark()[1][claim["metric"]]
     entry = record["perfbench"][claim["workload"]][claim["metric"]]

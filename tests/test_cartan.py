@@ -70,13 +70,13 @@ def test_a2_matrix_literal():
 def test_a2_matches_geometry():
     # two equal lengths at 120 degrees
     oracle = cartan_from_geometry([2, 2], {(0, 1): Fraction(1, 4)})
-    assert R.build_cartan("A2").to_lists() == oracle
+    assert [list(r) for r in R.build_cartan("A2").rows] == oracle
 
 
 def test_g2_matches_geometry():
     # alpha_1 short, alpha_2 long at ratio sqrt(3), angle 150 degrees
     oracle = cartan_from_geometry([2, 6], {(0, 1): Fraction(3, 4)})
-    assert R.build_cartan("G2").to_lists() == oracle
+    assert [list(r) for r in R.build_cartan("G2").rows] == oracle
     assert oracle == [[2, -3], [-1, 2]]
 
 
@@ -85,14 +85,14 @@ def test_b3_matches_geometry():
     oracle = cartan_from_geometry(
         [4, 4, 2], {(0, 1): Fraction(1, 4), (1, 2): Fraction(1, 2)}
     )
-    assert R.build_cartan("B3").to_lists() == oracle
+    assert [list(r) for r in R.build_cartan("B3").rows] == oracle
     assert oracle[1][2] == -1 and oracle[2][1] == -2
 
 
 def test_all_built_types_validate():
     for t in R.all_types(12):
         c = R.build_cartan(t)
-        assert R.validate_cartan(c.to_lists()) == c
+        assert R.validate_cartan([list(r) for r in c.rows]) == c
 
 
 # -- symmetrizer ---------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_verify_table_format(capsys):
 
 def test_verify_custom_matrix(capsys, tmp_path):
     path = tmp_path / "c3.json"
-    path.write_text(json.dumps(R.build_cartan("C3").to_lists()))
+    path.write_text(json.dumps([list(r) for r in R.build_cartan("C3").rows]))
     code, out, _ = run_cli(capsys, "verify", "--cartan", str(path))
     assert code == 0
     ledger = json.loads(out)["ledgers"][0]

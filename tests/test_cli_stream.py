@@ -123,7 +123,7 @@ def test_gen_single_payload_is_json_dumps(capsys, tmp_path, source):
     # and one with a null type (--cartan)
     if source == "cartan":
         path = tmp_path / "f4.json"
-        path.write_text(json.dumps(R.build_cartan("F4").to_lists()))
+        path.write_text(json.dumps([list(r) for r in R.build_cartan("F4").rows]))
         argv, rs = ("--cartan", str(path)), R.enumerate_roots(R.build_cartan("F4"))
     else:
         argv, rs = ("--type", source), R.build_system(source)
@@ -144,35 +144,38 @@ def test_gen_template_on_relabelled_classes():
         )
     for rs in systems:
         out = io.StringIO()
-        _emit(out, cli._gen_payload(rs), 0, 1)
+        _emit(out, cli._GenPayload(rs), 0, 1)
         assert out.getvalue() == json.dumps(gen_payload(rs), indent=2) + "\n", rs.cartan.rows
     out = io.StringIO()
     for k, rs in enumerate(systems):
-        _emit(out, cli._gen_payload(rs), k, len(systems))
+        _emit(out, cli._GenPayload(rs), k, len(systems))
     assert out.getvalue() == _expected([gen_payload(rs) for rs in systems])
 
 
 def test_gen_builds_no_per_root_dicts(capsys, monkeypatch):
-    # gen renders its roots from the layers through one row template: no
-    # RootSystem.to_json_dict, and no {"coeffs", "height"} dict reaching
-    # the generic renderer, which also renders its own nested values
+    # gen renders each payload from its row templates: no
+    # RootSystem.to_json_dict, and nothing but the str or None label handed
+    # to json.dumps, so no list or dict of a payload goes through it
     def refuse(*args, **kwargs):
         raise AssertionError("a gen payload was built with one dict per root")
 
-    render = cli._render
+    labels = [str(t) for t in R.all_types(8)]
+    expected = _expected([gen_payload(R.build_system(l)) for l in labels])
+    dumps = json.dumps
+    dumped = []
 
-    def guarded(obj, nl="\n"):
-        if isinstance(obj, dict) and "coeffs" in obj:
-            refuse()
-        return render(obj, nl)
+    def guarded(obj, *args, **kwargs):
+        if not (obj is None or isinstance(obj, str)):
+            raise AssertionError(f"gen handed json.dumps a {type(obj).__name__}")
+        dumped.append(obj)
+        return dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr(R.RootSystem, "to_json_dict", refuse, raising=False)
-    monkeypatch.setattr(cli, "_render", guarded)
+    monkeypatch.setattr(json, "dumps", guarded)
     assert main(["gen", "--all", "--max-rank", "8"]) == 0
-    labels = [str(t) for t in R.all_types(8)]
-    assert capsys.readouterr().out == _expected(
-        [gen_payload(R.build_system(l)) for l in labels]
-    )
+    monkeypatch.undo()
+    assert capsys.readouterr().out == expected
+    assert dumped == labels
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -208,6 +211,26 @@ def test_failing_verify_output_is_json_dumps(capsys, monkeypatch, tmp_path, to_f
     assert text == json.dumps(payload, indent=2) + "\n"
     checks = [l["checks"]["main_relation"] for l in payload["ledgers"]]
     assert checks and all(c["counterexamples"] == odd and not c["pass"] for c in checks)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_failing_verify_table_without_m2(capsys, monkeypatch, tmp_path, to_file):
+    # a ledger whose structure builders raised carries m2 = case = None:
+    # the table prints "-" for them and still exits 1
+    from rootsys.verify import CheckResult, VerificationLedger
+
+    def fake_ledger(rs, **kwargs):
+        return VerificationLedger(
+            rs.label or "custom", 1, None, None, None,
+            {"main_relation": CheckResult(False, [], note="planted")},
+        )
+
+    monkeypatch.setattr(cli, "build_ledger", fake_ledger)
+    code, text = _run(
+        capsys, tmp_path, to_file, "verify", "--all", "--max-rank", "3", "--format", "table"
+    )
+    assert code == 1
+    assert "A3            1   -     -  FAIL" in text.splitlines()
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN))
