@@ -102,9 +102,11 @@ class RootSystem:
     ``layers``, ``_members`` and ``form`` on first use.  Hand-built layers
     are checked once: a root poset's height grading, with layer 0 empty,
     each root filed under its height with one coefficient per simple root,
-    none listed twice, and one root in the top layer; anything else raises
+    none listed twice, and one root in the top layer, with a ``form`` whose
+    ``d`` is a tuple of rank positive ints; anything else raises
     InvalidArgumentError.  A hand-built system stores the ``form`` and
-    ``layers`` it is given.
+    ``layers`` it is given; their values are not checked against the
+    Cartan matrix, so a wrong ``d`` reaches the checks.
     """
 
     def __init__(
@@ -114,9 +116,14 @@ class RootSystem:
         layers: tuple[tuple[Root, ...], ...],
         label: str | None,
     ) -> None:
+        n = cartan.rank
+        d = form.d if isinstance(form, SymmetrizedForm) else None
+        if not (isinstance(d, tuple) and len(d) == n and all(type(x) is int and x > 0 for x in d)):
+            raise InvalidArgumentError(
+                f"expected a SymmetrizedForm whose d holds {n} positive ints, got {form!r}"
+            )
         if not layers or layers[0]:
             raise InvalidArgumentError("layer 0 must exist and be empty")
-        n = cartan.rank
         for h, layer in enumerate(layers):
             for r in layer:
                 if not isinstance(r, Root):

@@ -22,10 +22,12 @@ break turns out broken.
 
 The ledger builds each structure the checks share once per system: the
 Coxeter and dual exponents, the top chain with its case, the mark chain
-and the Weyl orbits.  On a Weyl-stable set the orbits carry each orbit's
-dominant member lambda and the orbits of its stabilizer W_J (Humphreys,
-Reflection Groups and Coxeter Groups, 1.12), so the two lemma scans fix
+and the Weyl orbits.  The orbits are read off the dominant chamber, which
+each W-orbit of a Weyl-stable set meets exactly once (Humphreys,
+Reflection Groups and Coxeter Groups, 1.12): each dominant root lambda
+comes with the orbits of its stabilizer W_J, so the two lemma scans fix
 their first root to lambda and their second to one member per W_J-orbit.
+A set that is not Weyl-stable is reported by its escaping reflections.
 The ledger's checks come from one ordered registry of (name, needs, fn)
 rows, where needs names the structures fn takes, in order.  Each row can
 fail with counterexamples of its own; a condition that the structure
@@ -487,35 +489,32 @@ def check_no_detour(rs: RootSystem) -> CheckResult:
 
 @dataclass(frozen=True)
 class WeylOrbits:
-    """The signed roots (the keys of ``RootSystem.pairings``) split into
-    orbits under the simple reflections.
+    """The W-orbits of the signed roots, by their numbers in
+    ``RootSystem.pairings`` order.
 
     ``escapes`` lists every (root, i, image) whose image under s_i is not
-    a signed root; when it is empty the set is Weyl-stable and each orbit
-    is a W-orbit, since the simple reflections generate W.  Each
-    representative is then the orbit's dominant member lambda, with every
-    pairing <lambda, alpha_i> >= 0, and ``stabilizer_orbits`` holds, per
+    a signed root.  When it is empty the set is Weyl-stable, and each
+    W-orbit meets the dominant chamber exactly once (Humphreys, 1.12), so
+    ``representatives`` are the dominant roots lambda, with every pairing
+    <lambda, alpha_i> >= 0, and ``stabilizer_orbits`` holds, per
     representative, the orbits of all signed roots under its stabilizer
-    W_J, J = {i : <lambda, alpha_i> = 0}, as (member, size) pairs.  With
-    escapes the representatives are the first roots met and
-    ``stabilizer_orbits`` is empty.
+    W_J, J = {i : <lambda, alpha_i> = 0}, as (number, size) pairs.  With
+    escapes both are empty.
     """
 
-    representatives: tuple[tuple[int, ...], ...]
+    representatives: tuple[int, ...]
     escapes: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
-    stabilizer_orbits: tuple[tuple[tuple[tuple[int, ...], int], ...], ...] = ()
+    stabilizer_orbits: tuple[tuple[tuple[int, int], ...], ...] = ()
 
 
-def _close(moves: list, gens: set[int]) -> tuple[list, list]:
-    """Close the signed roots, numbered in table order, under the simple
-    reflections s_i with 0-based i in gens.  moves[k] lists (i, p, j) for
-    each i with p = <v, alpha_i> nonzero, where v is root k and j is the
-    number of s_i(v) = v - p alpha_i, or -1 if that is not a signed root.
-    Returns each orbit as (first root number met, size) and every (k, i, p)
-    whose image escapes."""
+def _close(moves: list, gens: set[int]) -> list[tuple[int, int]]:
+    """Close a Weyl-stable set of signed roots, numbered in table order,
+    under the simple reflections s_i with 0-based i in gens.  moves[k]
+    lists (i, p, j) for each i with p = <v, alpha_i> nonzero, where v is
+    root k and j is the number of s_i(v) = v - p alpha_i.  Returns each
+    orbit as (first root number met, size)."""
     seen = [False] * len(moves)
     orbits = []
-    escapes = []
     for start in range(len(moves)):
         if seen[start]:
             continue
@@ -525,55 +524,46 @@ def _close(moves: list, gens: set[int]) -> tuple[list, list]:
         while stack:
             k = stack.pop()
             size += 1
-            for i, p, j in moves[k]:
-                if i not in gens:
-                    continue
-                if j < 0:
-                    escapes.append((k, i, p))
-                elif not seen[j]:
+            for i, _, j in moves[k]:
+                if i in gens and not seen[j]:
                     seen[j] = True
                     stack.append(j)
         orbits.append((start, size))
-    return orbits, escapes
+    return orbits
 
 
 def weyl_orbits(rs: RootSystem) -> WeylOrbits:
-    """Close the signed roots under the simple reflections.  On a
-    Weyl-stable set, walk each orbit's first root up to its dominant
-    member, reflecting while some pairing is negative (each step raises
-    the height, and each W-orbit meets the dominant chamber once), and
-    close the signed roots again under that member's stabilizer.
+    """Read the W-orbits of the signed roots off the dominant chamber.
+
+    The escapes are the moves whose image is not a signed root.  Without
+    them the set is Weyl-stable, and the representatives are the positive
+    roots with no negative pairing.  No negative root v is dominant: with
+    every v_i <= 0 and every <v, alpha_i> >= 0, (v, v) = sum_i v_i d_i
+    <v, alpha_i> <= 0 would force v = 0.  Each representative is closed
+    once under its stabilizer.
 
     s_i(v) = v - p*alpha_i is looked up by its key, key(v) - p*unit[i],
     in ``rs.keys``, whose field width covers every such image."""
     n = rs.rank
     table = rs.pairings
     number, unit = rs.keys.number, rs.keys.unit
-    vs = list(table)
-    half = len(vs) // 2
-    # each root's nonzero reflections, built once for every closure below; as
-    # s_i(-v) = -s_i(v), root k + half has root k's with -p and j flipped
+    half = len(table) // 2
+    positive = list(islice(table.values(), half))
+    # each root's nonzero reflections; as s_i(-v) = -s_i(v), root k + half
+    # has root k's with -p and j flipped
     moves = [
         [(i, pv[i], number.get(k - pv[i] * unit[i], -1)) for i in compress(range(n), pv)]
-        for k, pv in zip(number, islice(table.values(), half))
+        for k, pv in zip(number, positive)
     ]
     flip = [*range(half, 2 * half), *range(half), -1]
     moves += [[(i, -p, flip[j]) for i, p, j in m] for m in moves]
-    orbits, escapes = _close(moves, set(range(n)))
+    escapes = [(k, i, p) for k, m in enumerate(moves) for i, p, j in m if j < 0]
     if escapes:
-        return WeylOrbits(
-            tuple(vs[k] for k, _ in orbits),
-            tuple((vs[k], i + 1, _down(vs[k], i + 1, p)) for k, i, p in escapes),
-        )
-    reps = []
-    stabilizer_orbits = []
-    for k, _ in orbits:
-        while up := [j for _, p, j in moves[k] if p < 0]:
-            k = up[0]
-        J = set(range(n)).difference(i for i, _, _ in moves[k])
-        reps.append(vs[k])
-        stabilizer_orbits.append(tuple((vs[b], size) for b, size in _close(moves, J)[0]))
-    return WeylOrbits(tuple(reps), (), tuple(stabilizer_orbits))
+        vs = list(table)
+        return WeylOrbits((), tuple((vs[k], i + 1, _down(vs[k], i + 1, p)) for k, i, p in escapes))
+    reps = tuple(k for k, pv in enumerate(positive) if min(pv) >= 0)
+    stabilizers = [{i for i, p in enumerate(positive[k]) if not p} for k in reps]
+    return WeylOrbits(reps, (), tuple(tuple(_close(moves, J)) for J in stabilizers))
 
 
 def _not_weyl_stable(orbits: WeylOrbits) -> CheckResult:
@@ -598,13 +588,17 @@ def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     dominant member lambda of each long orbit, and its partner to one
     member of each orbit of lambda's stabilizer, counted with the orbit's
     size: O(orbits * stabilizer orbits) pairs instead of O(N^2).  The
-    inner product is (lambda, b) = sum_i lambda_i d_i <b, alpha_i>.
+    inner product is (lambda, b) = sum_i lambda_i d_i <b, alpha_i>, and
+    lambda - b is looked up by its packed key in ``rs.keys``, whose field
+    width covers sums of two signed roots.
     """
     if orbits.escapes:
         return _not_weyl_stable(orbits)
-    table = rs.pairings
-    scaled = {r: [x * d for x, d in zip(r, rs.form.d)] for r in orbits.representatives}
-    norm = {r: sum(map(mul, rd, table[r])) for r, rd in scaled.items()}
+    vs, pvs = list(rs.pairings), list(rs.pairings.values())
+    number = rs.keys.number
+    keys = list(number)
+    scaled = {r: [x * d for x, d in zip(vs[r], rs.form.d)] for r in orbits.representatives}
+    norm = {r: sum(map(mul, rd, pvs[r])) for r, rd in scaled.items()}
     top = max(norm.values())  # every root lies in some orbit
     long_reps = 0
     cx: list = []
@@ -613,16 +607,16 @@ def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
         if norm[r] != top:
             continue
         long_reps += 1
-        rd = scaled[r]
+        rd, kr = scaled[r], keys[r]
         for b, size in partners:
-            if tuple(x - y for x, y in zip(r, b)) not in table:
+            if kr - keys[b] not in number:
                 continue
             checked += size
-            if sum(map(mul, rd, table[b])) <= 0 and len(cx) < COUNTEREXAMPLE_CAP:
-                cx.append({"beta1": list(r), "beta2": list(b)})
+            if sum(map(mul, rd, pvs[b])) <= 0 and len(cx) < COUNTEREXAMPLE_CAP:
+                cx.append({"beta1": list(vs[r]), "beta2": list(vs[b])})
     note = (
         f"exhaustive over {_orbit_count(long_reps, 'long ')}: "
-        f"{len(table)} signed roots, {checked} qualifying pairs"
+        f"{len(vs)} signed roots, {checked} qualifying pairs"
     )
     return CheckResult(not cx, cx, note)
 
@@ -646,15 +640,14 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     vs = list(rs.pairings)
     member = rs.keys.number
     keys = list(member)
-    key = dict(zip(vs, keys))
     checked = 0
     cx: list = []
     for r, partners in zip(orbits.representatives, orbits.stabilizer_orbits):
-        kr = key[r]
+        kr = keys[r]
         with_r = [kr + k for k in keys]
         ordered = diagonal = 0
         for b, size in partners:
-            kb = key[b]
+            kb = keys[b]
             rb = kr + kb
             if not rb:
                 continue
@@ -668,7 +661,7 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
                 hits += 1
                 roots = rb_root + (rc in member) + (bc in member)
                 if roots < 2 and len(cx) < COUNTEREXAMPLE_CAP:
-                    cx.append({"beta1": list(r), "beta2": list(b), "beta3": list(c)})
+                    cx.append({"beta1": list(vs[r]), "beta2": list(vs[b]), "beta3": list(c)})
             ordered += size * hits
         checked += (ordered + diagonal) // 2
     note = (

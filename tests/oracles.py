@@ -440,21 +440,18 @@ def tuple_weyl_orbits(rs) -> WeylOrbits:
             p = pv[i]
             row.append((i, p, number.get(v[:i] + (v[i] - p,) + v[i + 1 :], -1)))
         moves.append(row)
-    orbits, escapes = _close(moves, set(range(n)))
+    escapes = [(k, i, p) for k, m in enumerate(moves) for i, p, j in m if j < 0]
     if escapes:
         return WeylOrbits(
-            tuple(vs[k] for k, _ in orbits),
-            tuple((vs[k], i + 1, _down(vs[k], i + 1, p)) for k, i, p in escapes),
+            (), tuple((vs[k], i + 1, _down(vs[k], i + 1, p)) for k, i, p in escapes)
         )
-    reps = []
+    pvs = list(table.values())
+    reps = tuple(k for k in range(len(vs) // 2) if min(pvs[k]) >= 0)
     stabilizer_orbits = []
-    for k, _ in orbits:
-        while up := [j for _, p, j in moves[k] if p < 0]:
-            k = up[0]
-        J = set(range(n)).difference(i for i, _, _ in moves[k])
-        reps.append(vs[k])
-        stabilizer_orbits.append(tuple((vs[b], size) for b, size in _close(moves, J)[0]))
-    return WeylOrbits(tuple(reps), (), tuple(stabilizer_orbits))
+    for k in reps:
+        J = {i for i, p in enumerate(pvs[k]) if not p}
+        stabilizer_orbits.append(tuple(_close(moves, J)))
+    return WeylOrbits(reps, (), tuple(stabilizer_orbits))
 
 
 def tuple_string_descent(rs) -> CheckResult:
@@ -517,11 +514,11 @@ def based_two_of_three_sums(rs, orbits: WeylOrbits) -> CheckResult:
     checked = 0
     cx: list = []
     for r, partners in zip(orbits.representatives, orbits.stabilizer_orbits):
-        kr = key(r)
+        kr = key(vs[r])
         with_r = [kr + k for k in keys]
         ordered = diagonal = 0
         for b, size in partners:
-            kb = key(b)
+            kb = key(vs[b])
             rb = kr + kb
             if not rb:
                 continue
@@ -535,7 +532,7 @@ def based_two_of_three_sums(rs, orbits: WeylOrbits) -> CheckResult:
                 hits += 1
                 roots = rb_root + (rc in member) + (bc in member)
                 if roots < 2 and len(cx) < COUNTEREXAMPLE_CAP:
-                    cx.append({"beta1": list(r), "beta2": list(b), "beta3": list(c)})
+                    cx.append({"beta1": list(vs[r]), "beta2": list(vs[b]), "beta3": list(c)})
             ordered += size * hits
         checked += (ordered + diagonal) // 2
     n_orbits = len(orbits.representatives)

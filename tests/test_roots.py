@@ -227,16 +227,28 @@ def test_handed_over_table_matches_cartan_rows(system):
 
 
 def test_lazy_decode_matches_a_hand_built_system(system):
-    # a fresh enumeration answers counts, theta and keys from its packed
-    # keys alone, then decodes the layers and form a hand-built system is
-    # given
+    # a fresh enumeration answers counts, theta, keys and coefficient rows
+    # from its packed keys alone, then decodes the layers and form a
+    # hand-built system is given
     for rs in _named_and_relabelled(system):
         fresh = R.enumerate_roots(rs.cartan, rs.label)
-        packed = (fresh.num_positive, fresh.max_height, fresh.highest_root(), fresh.keys)
+        packed = (
+            fresh.num_positive,
+            fresh.max_height,
+            fresh.highest_root(),
+            fresh.keys,
+            fresh.coefficient_rows(),
+        )
         assert {"layers", "_members", "form"}.isdisjoint(vars(fresh)), rs.cartan.rows
         hand = R.RootSystem(rs.cartan, R.symmetrizer(rs.cartan), rs.layers, rs.label)
         assert fresh.layers == hand.layers, rs.cartan.rows
-        assert packed == (hand.num_positive, hand.max_height, hand.highest_root(), hand.keys)
+        assert packed == (
+            hand.num_positive,
+            hand.max_height,
+            hand.highest_root(),
+            hand.keys,
+            hand.coefficient_rows(),
+        )
         assert fresh.form == hand.form, rs.cartan.rows
         assert fresh.highest_root() is fresh.layers[-1][0], rs.cartan.rows
 
@@ -478,6 +490,27 @@ def test_root_system_rejects_bare_tuples_in_a_layer(system):
     layers = ((), ((1, 0), (0, 1)), ((1, 1),))
     with pytest.raises(InvalidArgumentError, match="expected a Root in layer 1"):
         R.RootSystem(a2.cartan, a2.form, layers, None)
+    # and a form that is not rank positive ints: once accepted, with a
+    # too-long d truncated by zip to a passing ledger, a short d or None
+    # accepted, and strings raising a bare TypeError from norm_sq
+    a3 = system("A3")
+    for form in (
+        R.SymmetrizedForm(d=(1, 1, 1, 1, 1)),
+        R.SymmetrizedForm(d=(1,)),
+        None,
+        R.SymmetrizedForm(d=("a", "b", "c")),
+        R.SymmetrizedForm(d=(1, True, 1)),
+        R.SymmetrizedForm(d=(1, 0, 1)),
+        R.SymmetrizedForm(d=(1, 1.0, 1)),
+        R.SymmetrizedForm(d=[1, 1, 1]),
+        R.SymmetrizedForm(d=3),
+        (1, 1, 1),
+    ):
+        with pytest.raises(InvalidArgumentError, match="expected a SymmetrizedForm"):
+            R.RootSystem(a3.cartan, form, a3.layers, None)
+    # a d of the right shape but wrong values reaches the checks
+    wrong = R.RootSystem(a3.cartan, R.SymmetrizedForm(d=(1, 2, 3)), a3.layers, None)
+    assert wrong.form.d == (1, 2, 3)
 
 
 def test_pairing_rejects_a_bare_tuple(system):

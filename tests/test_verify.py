@@ -323,7 +323,8 @@ def _scan_both(rs):
     orbits = weyl_orbits(rs)
     res = check_two_of_three_sums(rs, orbits)
     if not orbits.escapes:
-        count = sum(r in t[:3] for r in orbits.representatives for t in triples)
+        vs = list(rs.pairings)
+        count = sum(vs[r] in t[:3] for r in orbits.representatives for t in triples)
         assert f", {count} qualifying triples" in res.note, res.note
     return res.passed, all(ok for *_, ok in triples)
 
@@ -379,8 +380,8 @@ def _every_triple(rs):
     """Each signed root as its own representative and its own stabilizer
     orbit: not the Weyl orbits, but an input without escapes on which the
     triple scan sums every signed triple."""
-    vs = tuple(rs.pairings)
-    return V.WeylOrbits(vs, (), tuple(tuple((b, 1) for b in vs) for _ in vs))
+    every = range(len(rs.pairings))
+    return V.WeylOrbits(tuple(every), (), tuple(tuple((b, 1) for b in every) for _ in every))
 
 
 def test_wide_keys_match_tuple_oracles(system, monkeypatch):
@@ -468,7 +469,7 @@ def test_long_pair_positive_fails_on_wrong_d(system):
     g2 = _wrong_d(system("G2"), (1, 1))
     res = check_long_pair_positive(g2, weyl_orbits(g2))
     assert not res.passed
-    assert res.counterexamples[0] == {"beta1": [3, 2], "beta2": [0, 1]}
+    assert res.counterexamples[0] == {"beta1": [2, 1], "beta2": [-1, 0]}
     g = gram(g2.cartan, g2.form.d)
     assert all(inner(g, c["beta1"], c["beta2"]) < 0 for c in res.counterexamples)
 
@@ -485,23 +486,29 @@ def test_stabilizer_reduction(system):
     for rs in systems:
         orbits = weyl_orbits(rs)
         assert not orbits.escapes
+        vs = list(rs.pairings)
         reps = orbits.representatives
         assert len(orbits.stabilizer_orbits) == len(reps)
-        for lam, partners in zip(reps, orbits.stabilizer_orbits):
+        # each signed root lies in the W-orbit of exactly one representative
+        full = [reflection_orbit(rs, vs[r], range(1, rs.rank + 1)) for r in reps]
+        for v in vs:
+            assert sum(v in orbit for orbit in full) == 1, (rs.cartan.rows, v)
+        for r, partners in zip(reps, orbits.stabilizer_orbits):
+            lam = vs[r]
             pv = form_pairings(rs, lam)
             assert min(pv) >= 0, (rs.cartan.rows, lam)
             J = [i for i, p in enumerate(pv, start=1) if p == 0]
             assert sum(size for _, size in partners) == len(rs.pairings)
             covered: set = set()
             for b, size in partners:
-                orbit = reflection_orbit(rs, b, J)
-                assert len(orbit) == size and not orbit & covered, (lam, b)
+                orbit = reflection_orbit(rs, vs[b], J)
+                assert len(orbit) == size and not orbit & covered, (lam, vs[b])
                 covered |= orbit
         # the reduced long-pair scan counts what the plain scan counts
         # through each representative
         pairs = long_pairs(rs)
         res = check_long_pair_positive(rs, orbits)
-        count = sum(a == r for r in reps for a, _, _ in pairs)
+        count = sum(a == vs[r] for r in reps for a, _, _ in pairs)
         assert f", {count} qualifying pairs" in res.note, res.note
         assert res.passed == all(ok for *_, ok in pairs)
 
@@ -709,19 +716,20 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
     for label in sweep_labels(8):
         calls.clear()
         assert R.build_ledger(R.build_system(label)).passed, label
-        # one closure under W, then one per representative's stabilizer,
-        # which both scans share; the extended graph builds on the graph
-        closures = 1 + len(built["weyl_orbits"].representatives)
+        # one closure per representative's stabilizer, which both scans
+        # share; the extended graph builds on the graph
+        closures = len(built["weyl_orbits"].representatives)
         expected = dict.fromkeys(shared + ("pairings", "keys", "dynkin_graph"), 1) | {
             "_close": closures
         }
         assert calls == expected, (label, calls)
-    # a set that is not Weyl-stable is closed once, with no stabilizer orbits
+    # a set that is not Weyl-stable is never closed, and has no orbits
     for label in ("B3", "F4", "E6"):
         calls.clear()
         assert not R.build_ledger(_swap_one_root(R.build_system(label), 2)).passed
-        assert built["weyl_orbits"].escapes and not built["weyl_orbits"].stabilizer_orbits
-        assert calls["_close"] == 1, (label, calls)
+        orbits = built["weyl_orbits"]
+        assert orbits.escapes and not orbits.representatives and not orbits.stabilizer_orbits
+        assert calls["_close"] == 0, (label, calls)
     # gen and exponents never need the pairing table or the keys
     calls.clear()
     assert main(["gen", "--all", "--max-rank", "8"]) == 0
