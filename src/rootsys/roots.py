@@ -100,10 +100,11 @@ class RootSystem:
     Immutable; build via :func:`enumerate_roots`, which skips the checks
     below as its loop implies them and hands over packed keys, decoded into
     ``layers``, ``_members`` and ``form`` on first use.  Hand-built layers
-    are checked once: a root poset's height grading, with layer 0 empty,
-    each root filed under its height with one coefficient per simple root,
-    none listed twice, and one root in the top layer, with a ``form`` whose
-    ``d`` is a tuple of rank positive ints; anything else raises
+    are checked once: a ``CartanMatrix``, a ``str`` or ``None`` label, and
+    a root poset's height grading, with layer 0 empty, each root filed
+    under its height with one coefficient per simple root, none listed
+    twice, and one root in the top layer, with a ``form`` whose ``d`` is a
+    tuple of rank positive ints; anything else raises
     InvalidArgumentError.  A hand-built system stores the ``form`` and
     ``layers`` it is given; their values are not checked against the
     Cartan matrix, so a wrong ``d`` reaches the checks.
@@ -116,6 +117,10 @@ class RootSystem:
         layers: tuple[tuple[Root, ...], ...],
         label: str | None,
     ) -> None:
+        if not isinstance(cartan, CartanMatrix):
+            raise InvalidArgumentError(f"expected a CartanMatrix, got {cartan!r}")
+        if not (label is None or isinstance(label, str)):
+            raise InvalidArgumentError(f"expected a str label or None, got {label!r}")
         n = cartan.rank
         d = form.d if isinstance(form, SymmetrizedForm) else None
         if not (isinstance(d, tuple) and len(d) == n and all(type(x) is int and x > 0 for x in d)):
@@ -352,11 +357,17 @@ class RootSystem:
         > 0 by t_i * <alpha_i, theta> edges, where <alpha_i, theta> =
         2 d_i t_i / (theta, theta): the rule for simple-root pairs.  Requires
         rank >= 2 (the rank-1 affine diagram has no finite edge
-        multiplicity)."""
+        multiplicity).  Raises InternalInconsistencyError when (theta,
+        theta) is not positive, which a hand-built top root read with a
+        wrong d can give, or when a multiplicity is not an integer."""
         if self.rank < 2:
             raise InvalidArgumentError("extended graph requires rank >= 2")
         theta = self.highest_root()
         norm = self.norm_sq(theta)
+        if norm <= 0:
+            raise InternalInconsistencyError(
+                f"the highest root has squared length {norm}, not a positive one"
+            )
         edges = {}
         for i, (d_i, t_i) in enumerate(zip(self.form.d, self.pairings[theta.coeffs]), 1):
             if t_i > 0:

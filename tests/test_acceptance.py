@@ -108,7 +108,7 @@ def test_criterion_5_structure_theorems(sweep_data):
         chain = R.mark_chain(rs)
         assert len(chain.marks) == rs.c_max(), label
         assert chain.marks == tuple(range(1, rs.c_max() + 1)), label
-        res = check_chains_coincide(rs, chain, top)
+        res = check_chains_coincide(chain, top)
         assert res.passed, (label, res.counterexamples)
         res = check_step_multiset(rs, top)
         assert res.passed, (label, res.counterexamples)

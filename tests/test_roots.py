@@ -511,6 +511,15 @@ def test_root_system_rejects_bare_tuples_in_a_layer(system):
     # a d of the right shape but wrong values reaches the checks
     wrong = R.RootSystem(a3.cartan, R.SymmetrizedForm(d=(1, 2, 3)), a3.layers, None)
     assert wrong.form.d == (1, 2, 3)
+    # and a Cartan matrix that is not a CartanMatrix, once a raw
+    # AttributeError, or a label that is not a string, once accepted
+    for cartan in (a3.cartan.rows, [list(row) for row in a3.cartan.rows], None, "A3"):
+        with pytest.raises(InvalidArgumentError, match="expected a CartanMatrix"):
+            R.RootSystem(cartan, a3.form, a3.layers, None)
+    for label in (5, b"A3", ("A3",)):
+        with pytest.raises(InvalidArgumentError, match="expected a str label or None"):
+            R.RootSystem(a3.cartan, a3.form, a3.layers, label)
+    assert R.RootSystem(a3.cartan, a3.form, a3.layers, "mine").label == "mine"
 
 
 def test_pairing_rejects_a_bare_tuple(system):

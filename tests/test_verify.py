@@ -146,14 +146,65 @@ def test_chains_coincide_pins(system):
         top = _top(rs)
         assert set(chain.simple_indices) == expected, label
         assert set(top.step_indices) == expected, label
-        assert check_chains_coincide(rs, chain, top).passed
+        assert check_chains_coincide(chain, top).passed
 
 
 def test_chains_coincide_everywhere(system):
     for label in sweep_labels(12):
         rs = system(label)
-        res = check_chains_coincide(rs, R.mark_chain(rs), _top(rs))
+        res = check_chains_coincide(R.mark_chain(rs), _top(rs))
         assert res.passed, (label, res.counterexamples)
+
+
+def test_chains_coincide_fails_each_way(system):
+    # one root replaced in each: the sets agree but the mark chain is not
+    # the steps' prefix; a mark chain as long as the top chain, which no
+    # prefix of its m - 1 steps matches; and both halves at once
+    for rs, cx in (
+        (
+            _edited(system("G2"), drop=[(3, 1)], add=[(2, 2)]),
+            [{"steps": [1, 2, 1], "marks": [2, 1]}],
+        ),
+        (
+            _edited(system("A4"), drop=[(1, 1, 1, 1)], add=[(1, 2, 1, 0)]),
+            [{"step_set": [], "mark_set": [2]}, {"steps": [], "marks": [2]}],
+        ),
+        (
+            _edited(system("B2"), drop=[(1, 1)], add=[(0, 2)]),
+            [{"step_set": [1], "mark_set": [2]}, {"steps": [1], "marks": [2]}],
+        ),
+    ):
+        led = R.build_ledger(rs)
+        assert led.checks["mark_chain"].passed, led.checks["mark_chain"].note
+        res = led.checks["chains_coincide"]
+        assert not res.passed and res.counterexamples == cx, res.counterexamples
+    a4 = _edited(system("A4"), drop=[(1, 1, 1, 1)], add=[(1, 2, 1, 0)])
+    assert len(R.mark_chain(a4).simple_indices) >= _top(a4).m == 1
+
+
+def test_mark_chain_checks_the_affine_degree_first(system):
+    # B3 read with d = (1, 2, 3) under a top (2, 3, 2) two heights up: the
+    # affine vertex attaches at alpha_1 and alpha_2, and the marks (1, 3)
+    # along a path to alpha_2 break too; the degree is reported
+    rs = _with_top(_wrong_d(system("B3"), (1, 2, 3)), (2, 3, 2))
+    assert rs.extended_graph.neighbors(0) == (1, 2)
+    with pytest.raises(
+        R.InternalInconsistencyError, match="affine vertex must attach at exactly one vertex"
+    ):
+        R.mark_chain(rs)
+
+
+def test_extended_graph_rejects_a_non_positive_top_length(system):
+    # (theta, theta) = 0 once raised a bare ZeroDivisionError, and -2 built
+    # an affine edge of multiplicity -4
+    for d, top, norm in (((2, 2), (4, 4), 0), ((2, 1), (4, 3), -2)):
+        rs = _with_top(_wrong_d(system("G2"), d), top)
+        message = f"the highest root has squared length {norm}, not a positive one"
+        with pytest.raises(R.InternalInconsistencyError, match=message):
+            rs.extended_graph
+        led = R.build_ledger(rs)
+        assert led.checks["mark_chain"].note == f"error: {message}"
+        assert led.checks["chains_coincide"].note == "blocked: mark chain unavailable"
 
 
 # -- step multiset / differences / lengths -------------------------------------------
