@@ -177,10 +177,14 @@ def _render(obj, nl: str = "\n") -> str:
 def _emit(out, payload, k: int, n: int) -> None:
     """Write payload k of n.  The n calls in order write what
     json.dumps(payloads if n > 1 else payloads[0], indent=2) gives, plus a
-    newline, without holding more than one payload's text.  A gen payload,
-    a _GenPayload, is rendered here."""
+    newline, without holding more than one payload's text; json.dump writes
+    a lone payload chunk by chunk, unless it is a _GenPayload."""
     if n == 1:
-        out.write(_render(payload) + "\n")
+        if type(payload) is _GenPayload:
+            out.write(payload.render("\n"))
+        else:
+            json.dump(payload, out, indent=2)
+        out.write("\n")
         return
     head = "[\n  " if k == 0 else ",\n  "
     tail = "\n]\n" if k == n - 1 else ""

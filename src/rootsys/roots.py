@@ -6,19 +6,17 @@ tuple of a positive one.  An enumerated system holds them packed, as the
 sorted 8-bit keys of each height layer that ``enumerate_roots`` computed,
 plus one ``Root`` for the highest root; its other ``Root`` objects, the
 membership dict and the symmetrizer ``form`` are built on first use.  Layer
-sizes, the highest root, ``c_max``, ``keys`` and the rows ``gen`` writes
+sizes, the highest root, ``c_max``, ``signed`` and the rows ``gen`` writes
 are read without them, so ``exponents`` and ``gen`` decode no root table.
 
-``RootSystem.pairings`` is the one table of coroot pairings: each signed
-root's coefficient tuple maps to its vector (<beta, alpha_1>, ...,
-<beta, alpha_l>), positives first in ``positive_roots()`` order, then their
-negatives.  It is built on first use: decoded from the packed pairings
-``enumerate_roots`` handed over, or, for hand-built layers, from the Cartan
-rows one pairing column at a time.  ``RootSystem.keys`` numbers the signed
-roots in the same order by one packed integer each, lazily too; the Weyl
-orbits and the descent and triple scans look roots up by them.  Every
-length, and the affine edges of the extended Dynkin graph, are read from
-the table and ``form.d``.
+``RootSystem.signed`` numbers the signed roots once, positives first in
+``positive_roots()`` order, then their negatives, with a packed key each
+and the coroot pairing vector of each positive root.  It is built on first
+use, its vectors decoded from the packed pairings ``enumerate_roots``
+handed over or, for hand-built layers, computed from the Cartan rows.  The
+Weyl orbits and the root-poset scans look roots up by key; every length,
+and the affine edges of the extended Dynkin graph, are read from the
+vectors and ``form.d``.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from itertools import repeat
-from operator import add, mul, neg
+from operator import add, mul
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
@@ -75,23 +73,46 @@ def _root(coeffs, height, set_coeffs=Root.coeffs.__set__, set_height=Root.height
 
 
 @dataclass(frozen=True)
-class SignedKeys:
-    """One packed integer per signed root, for scans that add and subtract
-    roots.
+class SignedRoots:
+    """The signed roots, numbered once: root k < N is the k-th positive
+    root in ``positive_roots()`` order and root k + N is its negative.
 
-    A vector v gets key(v) = sum_i v_i * unit[i], where unit[i] =
-    2**(w * (l - 1 - i)) is the key of alpha_(i+1): one w-bit field per
-    coordinate, coordinate 0 most significant.  The key is linear, so a
-    negative root's key is the negated key of its positive, and
-    v - p*alpha_i or a sum of roots has the matching sum of keys.  Two
-    vectors whose coordinates all differ by less than 2**w have equal keys
-    only when they are equal, since the lowest field where they differ
-    leaves a nonzero remainder.  ``number`` maps each signed root's key to
-    its position in ``RootSystem.pairings`` order.
+    ``keys[k]`` packs root k into one integer: a vector v gets key(v) =
+    sum_i v_i * unit[i], where unit[i] = 2**(width * (l - 1 - i)) is the
+    key of alpha_(i+1), coordinate 0 most significant.  The key is linear,
+    so keys[k + N] = -keys[k], and v - p*alpha_i or a sum of roots has the
+    matching sum of keys.  Two vectors whose coordinates all differ by less
+    than 2**width have equal keys only when they are equal, since the
+    lowest field where they differ leaves a nonzero remainder.  The scans
+    compare keys of v - p*alpha_i, for a signed root v with p =
+    <v, alpha_i>, of a positive root minus at most three simple roots, and
+    of sums of up to three signed roots, against keys of signed roots or of
+    0.  With c the largest coefficient and R the largest absolute row sum
+    of the Cartan matrix, |p| <= R*c, so those coordinates differ by at
+    most max(4, 2 + R) * c, and the width is the bit length of that bound,
+    at least 8.  Every finite type has c <= 6 and R <= 5, so width 8, and a
+    positive root's key is its coefficient bytes, the packing of
+    enumerate_roots.  ``number`` maps each key back to k, and
+    ``pairings[k]`` is the vector (<beta, alpha_1>, ..., <beta, alpha_l>) of
+    the positive root k.
     """
 
+    keys: list[int]
     number: dict[int, int]
     unit: tuple[int, ...]
+    width: int
+    pairings: list[tuple[int, ...]]
+
+    def coeffs(self, k: int) -> tuple[int, ...]:
+        """Root k's coefficient tuple, decoded from its key."""
+        if k >= len(self.pairings):
+            return tuple(-c for c in self.coeffs(k - len(self.pairings)))
+        mask = (1 << self.width) - 1
+        return tuple(self.keys[k] // u & mask for u in self.unit)
+
+    def vector(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """The pairing vector of a positive root, looked up by its key."""
+        return self.pairings[self.number[sum(map(mul, coeffs, self.unit))]]
 
 
 class RootSystem:
@@ -101,13 +122,13 @@ class RootSystem:
     below as its loop implies them and hands over packed keys, decoded into
     ``layers``, ``_members`` and ``form`` on first use.  Hand-built layers
     are checked once: a ``CartanMatrix``, a ``str`` or ``None`` label, and
-    a root poset's height grading, with layer 0 empty, each root filed
-    under its height with one coefficient per simple root, none listed
-    twice, and one root in the top layer, with a ``form`` whose ``d`` is a
-    tuple of rank positive ints; anything else raises
-    InvalidArgumentError.  A hand-built system stores the ``form`` and
-    ``layers`` it is given; their values are not checked against the
-    Cartan matrix, so a wrong ``d`` reaches the checks.
+    a sequence of sequences of Roots that is a root poset's height grading,
+    with layer 0 empty, each root filed under its height with one
+    coefficient per simple root, none listed twice, and one root in the top
+    layer, with a ``form`` whose ``d`` is a tuple of rank positive ints;
+    anything else raises InvalidArgumentError.  A hand-built system stores
+    the ``form`` and ``layers`` it is given; their values are not checked
+    against the Cartan matrix, so a wrong ``d`` reaches the checks.
     """
 
     def __init__(
@@ -127,6 +148,8 @@ class RootSystem:
             raise InvalidArgumentError(
                 f"expected a SymmetrizedForm whose d holds {n} positive ints, got {form!r}"
             )
+        if not (isinstance(layers, Sequence) and all(isinstance(x, Sequence) for x in layers)):
+            raise InvalidArgumentError("expected the layers as a sequence of sequences of Roots")
         if not layers or layers[0]:
             raise InvalidArgumentError("layer 0 must exist and be empty")
         for h, layer in enumerate(layers):
@@ -214,10 +237,11 @@ class RootSystem:
         return self.root(beta.coeffs).coeffs
 
     def root(self, coeffs: Sequence[int]) -> Root:
-        key = tuple(coeffs)
-        if key not in self._members:
-            raise InvalidArgumentError(f"{key} is not a positive root here")
-        return self._members[key]
+        members = self._members
+        try:
+            return members[tuple(coeffs)]
+        except (KeyError, TypeError):  # not a root here, not a sequence, or unhashable
+            raise InvalidArgumentError(f"{coeffs!r} is not a positive root here") from None
 
     def simple_root(self, i: int) -> Root:
         """Simple root alpha_i, 1-based."""
@@ -263,86 +287,58 @@ class RootSystem:
     # -- pairings and lengths ------------------------------------------------
 
     @cached_property
-    def pairings(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Signed root -> its pairings against every simple coroot, where
-        <beta, alpha_i> is row i of the Cartan matrix against beta.
+    def signed(self) -> SignedRoots:
+        """The signed roots, numbered, keyed and paired as ``SignedRoots``
+        says.  With 8-bit fields, an enumerated system takes the keys
+        enumerate_roots handed over, and a hand-built one reads its keys off
+        the same bytes.
 
         An enumerated system decodes the na ints of enumerate_roots one root
         at a time: k-byte field i of na holds b - <beta, alpha_i>, b =
         2**(8k-1) - 1, XOR with b makes it <beta, alpha_i> mod 2**(8k), and
-        one big-endian signed unpack reads every field; -beta's na is 2b - na
-        in each field.  Hand-built layers may hold a non-root that no
-        enumeration reached, so they take row i against beta directly, one
-        column at a time: with the coefficient tuples transposed once,
-        column i is the sum, over row i's nonzero entries a_ij, of
-        coefficient column j times a_ij (the negated column when a_ij = -1),
-        and the columns zipped back are the vectors.  Either way the negated
-        coefficient columns, zipped, give the negatives' coefficients."""
-        coeffs = [r.coeffs for r in self.positive_roots()]
-        by_index = list(zip(*coeffs))
-        negated = [tuple(map(neg, col)) for col in by_index]
+        one big-endian signed unpack reads every field.  Hand-built layers
+        may hold a non-root that no enumeration reached, so they take row i
+        of the Cartan matrix against beta directly, one column at a time:
+        with the coefficient tuples transposed once, column i is the sum,
+        over row i's nonzero entries a_ij, of coefficient column j times
+        a_ij, and the columns zipped back are the vectors."""
+        n = self.rank
         if self._packed is None:
+            by_index = list(zip(*(r.coeffs for r in self.positive_roots())))
+            top = max(map(max, by_index))
             columns = []
             for row in self.cartan.rows:
-                terms = [
-                    negated[j] if a == -1 else map(mul, by_index[j], repeat(a))
-                    for j, a in enumerate(row)
-                    if a
-                ]
-                columns.append(list(reduce(partial(map, add), terms)))
-            vectors = list(zip(*columns))
-            vectors += zip(*[map(neg, col) for col in columns])
+                terms = [map(mul, by_index[j], repeat(a)) for j, a in enumerate(row) if a]
+                columns.append(reduce(partial(map, add), terms))
+            pairings = list(zip(*columns))
         else:
-            (_, packed, size), n = self._packed, self.rank
+            key_layers, packed, size = self._packed
+            top = self.c_max()  # an enumerated system's theta dominates every root
             unpack = Struct(">%d%s" % (n, {2: "h", 4: "i", 8: "q"}[size])).unpack
             flip = int.from_bytes((b"\x7f" + b"\xff" * (size - 1)) * n, "big")
-            packed = packed + [2 * flip - na for na in packed]
-            vectors = [unpack((na ^ flip).to_bytes(size * n, "big")) for na in packed]
-        return dict(zip(coeffs + list(zip(*negated)), vectors))
-
-    @cached_property
-    def keys(self) -> SignedKeys:
-        """The signed roots' packed keys, numbered in ``pairings`` order.
-
-        The scans compare keys of v - p*alpha_i, for a signed root v with
-        p = <v, alpha_i>, of a positive root minus at most three simple
-        roots, and of sums of up to three signed roots, against keys of
-        signed roots or of 0.  With c the largest coefficient and R the
-        largest absolute row sum of the Cartan matrix, |p| <= R*c, so
-        those coordinates differ by at most max(4, 2 + R) * c, and the
-        field width w is the bit length of that bound, at least 8.  Every
-        finite type has c <= 6 and R <= 5, so w = 8 and a positive root's
-        key is its coefficient bytes, the packing of enumerate_roots, whose
-        keys an enumerated system takes as they were handed over; a
-        hand-built one with w = 8 reads its keys off the same bytes."""
-        n = self.rank
-        # an enumerated system's theta dominates every root
-        if self._packed is None:
-            top = max(max(r.coeffs) for r in self.positive_roots())
-        else:
-            top = self.c_max()
+            pairings = [unpack((na ^ flip).to_bytes(size * n, "big")) for na in packed]
         reach = max(4, 2 + max(sum(map(abs, row)) for row in self.cartan.rows))
         width = max(8, (reach * top).bit_length())
         unit = tuple(1 << width * (n - 1 - i) for i in range(n))
         if width == 8 and self._packed is not None:  # enumerate_roots' own keys
-            pos = [key for keys in self._packed[0] for key in keys]
+            pos = [key for keys in key_layers for key in keys]
         elif width == 8:  # the same packing: one byte per coefficient
             pos = [int.from_bytes(bytes(r.coeffs), "big") for r in self.positive_roots()]
         else:
             pos = [sum(map(mul, r.coeffs, unit)) for r in self.positive_roots()]
-        signed = pos + list(map(neg, pos))
-        return SignedKeys(dict(zip(signed, range(len(signed)))), unit)
+        keys = pos + [-k for k in pos]
+        return SignedRoots(keys, dict(zip(keys, range(len(keys)))), unit, width, pairings)
 
     def pairing(self, beta: Root, i: int) -> int:
         """<beta, alpha_i> = 2(beta, alpha_i)/(alpha_i, alpha_i) for a root
         of this system and a 1-based simple index i."""
         self._check_index(i)
-        return self.pairings[self._own(beta)][i - 1]
+        return self.signed.vector(self._own(beta))[i - 1]
 
     def norm_sq(self, beta: Root) -> int:
         """(beta, beta) = sum_i beta_i d_i <beta, alpha_i>: 2 for a short root."""
         coeffs = self._own(beta)
-        return sum(map(mul, coeffs, map(mul, self.form.d, self.pairings[coeffs])))
+        return sum(map(mul, coeffs, map(mul, self.form.d, self.signed.vector(coeffs))))
 
     # -- graphs -------------------------------------------------------------
 
@@ -369,7 +365,7 @@ class RootSystem:
                 f"the highest root has squared length {norm}, not a positive one"
             )
         edges = {}
-        for i, (d_i, t_i) in enumerate(zip(self.form.d, self.pairings[theta.coeffs]), 1):
+        for i, (d_i, t_i) in enumerate(zip(self.form.d, self.signed.vector(theta.coeffs)), 1):
             if t_i > 0:
                 u_i, rem = divmod(2 * d_i * t_i, norm)
                 if rem:
@@ -411,7 +407,7 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     InternalInconsistencyError is raised.  Following edges up from any root
     then reaches theta, with coefficients growing, so theta dominates every
     root.  The system gets each layer's sorted keys, the na ints and k, and
-    the one Root built here, theta's; ``pairings`` decodes the na ints, and
+    the one Root built here, theta's; ``signed`` decodes the na ints, and
     ``layers`` the keys, only when first read.  Roots and system are built
     unchecked, as the loop implies the checks of ``Root`` and
     ``RootSystem``: ``to_bytes`` gives rank nonnegative ints, a key never

@@ -42,7 +42,7 @@ from being built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress
 from operator import mul
 from typing import Iterable
 
@@ -408,7 +408,7 @@ def check_string_descent(rs: RootSystem) -> CheckResult:
     stepping down k - 1 times.
 
     beta - (k-1)*alpha_i - alpha_j is looked up by its packed key,
-    key(beta) - (k-1)*unit[i] - unit[j], in ``rs.keys``.  That cannot hit
+    key(beta) - (k-1)*unit[i] - unit[j], in ``rs.signed``.  That cannot hit
     a wrong root: its coordinates lie in [-2, c], c the largest
     coefficient, so they differ from a signed root's by at most 2c + 2 <=
     4c, which the keys' field width covers.  Nor a negative root -gamma:
@@ -416,22 +416,21 @@ def check_string_descent(rs: RootSystem) -> CheckResult:
     simple root alpha_m, making beta = 2*alpha_i + alpha_j - alpha_m either
     alpha_i + alpha_j, which pairs to 2 + a_ij <= 2 against alpha_i, or
     2*alpha_i, which pairs to 4."""
-    number, unit = rs.keys.number, rs.keys.unit
+    number, unit = rs.signed.number, rs.signed.unit
     cx: list = []
     checked = 0
-    # beta == alpha_i is the only height-1 hit, and layer 1 comes first
-    rest = islice(zip(number, rs.pairings.items()), rs.layer_sizes[1], len(number) // 2)
-    for kb, (c, pv) in rest:
-        if max(pv) < 2:
+    for b, pv in enumerate(rs.signed.pairings):
+        # beta == alpha_i is the only height-1 hit, and layer 1 comes first
+        if b < rs.layer_sizes[1] or max(pv) < 2:
             continue
         for i, k in enumerate(pv):
             if k not in (2, 3):
                 continue
             checked += 1
             ui = unit[i]
-            base = kb - (k - 1) * ui
+            base = rs.signed.keys[b] - (k - 1) * ui
             if not any(base - u in number for u in unit if u != ui):
-                cx.append({"beta": list(c), "alpha": i + 1, "k": k})
+                cx.append({"beta": list(rs.signed.coeffs(b)), "alpha": i + 1, "k": k})
     return CheckResult(not cx, cx, f"{checked} applicable pairs")
 
 
@@ -440,17 +439,18 @@ def check_no_detour(rs: RootSystem) -> CheckResult:
     by, there is no second simple root to step down through.
 
     beta - alpha_j and beta - alpha_i - alpha_j are looked up by packed key
-    in ``rs.keys``.  Their coordinates lie in [-2, c], so, as in
+    in ``rs.signed``.  Their coordinates lie in [-2, c], so, as in
     ``check_string_descent``, a key found is that very root's.  Neither is
     a negative root: beta - alpha_j has height at least 0, and
     beta - alpha_i - alpha_j is looked up only when <beta, alpha_i> = 3,
     which no simple root has, so beta has height at least 2."""
-    number, unit = rs.keys.number, rs.keys.unit
+    keys, number, unit = rs.signed.keys, rs.signed.number, rs.signed.unit
     cx: list = []
     checked = 0
-    for kb, (c, pv) in islice(zip(number, rs.pairings.items()), len(number) // 2):
+    for b, pv in enumerate(rs.signed.pairings):
         if 3 not in pv:
             continue
+        kb = keys[b]
         droppable = [j for j, u in enumerate(unit) if kb - u in number]
         for i, p in enumerate(pv):
             if p != 3 or droppable != [i]:
@@ -459,17 +459,18 @@ def check_no_detour(rs: RootSystem) -> CheckResult:
             ki = kb - unit[i]
             for j, u in enumerate(unit):
                 if j != i and ki - u in number:
-                    cx.append({"beta": list(c), "alpha": i + 1, "detour": j + 1})
+                    cx.append({"beta": list(rs.signed.coeffs(b)), "alpha": i + 1, "detour": j + 1})
     return CheckResult(not cx, cx, f"{checked} applicable pairs")
 
 
 @dataclass(frozen=True)
 class WeylOrbits:
     """The W-orbits of the signed roots, by their numbers in
-    ``RootSystem.pairings`` order.
+    ``RootSystem.signed``.
 
-    ``escapes`` lists every (root, i, image) whose image under s_i is not
-    a signed root.  When it is empty the set is Weyl-stable, and each
+    ``escapes`` lists every (root, i, p), with p = <root, alpha_(i+1)>,
+    whose image under s_(i+1) is not a signed root; i is 0-based, as in the
+    moves.  When it is empty the set is Weyl-stable, and each
     W-orbit meets the dominant chamber exactly once (Humphreys, 1.12), so
     ``representatives`` are the dominant roots lambda, with every pairing
     <lambda, alpha_i> >= 0, and ``stabilizer_orbits`` holds, per
@@ -479,7 +480,7 @@ class WeylOrbits:
     """
 
     representatives: tuple[int, ...]
-    escapes: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
+    escapes: tuple[tuple[int, int, int], ...]
     stabilizer_orbits: tuple[tuple[tuple[int, int], ...], ...] = ()
 
 
@@ -519,34 +520,33 @@ def weyl_orbits(rs: RootSystem) -> WeylOrbits:
     once under its stabilizer.
 
     s_i(v) = v - p*alpha_i is looked up by its key, key(v) - p*unit[i],
-    in ``rs.keys``, whose field width covers every such image."""
+    in ``rs.signed``, whose field width covers every such image."""
     n = rs.rank
-    table = rs.pairings
-    number, unit = rs.keys.number, rs.keys.unit
-    half = len(table) // 2
-    positive = list(islice(table.values(), half))
+    signed = rs.signed
+    keys, number, unit, positive = signed.keys, signed.number, signed.unit, signed.pairings
+    half = len(positive)
     # each root's nonzero reflections; as s_i(-v) = -s_i(v), root k + half
     # has root k's with -p and j flipped
     moves = [
-        [(i, pv[i], number.get(k - pv[i] * unit[i], -1)) for i in compress(range(n), pv)]
-        for k, pv in zip(number, positive)
+        [(i, pv[i], number.get(keys[k] - pv[i] * unit[i], -1)) for i in compress(range(n), pv)]
+        for k, pv in enumerate(positive)
     ]
     flip = [*range(half, 2 * half), *range(half), -1]
     moves += [[(i, -p, flip[j]) for i, p, j in m] for m in moves]
     escapes = [(k, i, p) for k, m in enumerate(moves) for i, p, j in m if j < 0]
     if escapes:
-        vs = list(table)
-        return WeylOrbits((), tuple((vs[k], i + 1, _down(vs[k], i + 1, p)) for k, i, p in escapes))
+        return WeylOrbits((), tuple(escapes))
     reps = tuple(k for k, pv in enumerate(positive) if min(pv) >= 0)
     stabilizers = [{i for i, p in enumerate(positive[k]) if not p} for k in reps]
     return WeylOrbits(reps, (), tuple(tuple(_close(moves, J)) for J in stabilizers))
 
 
-def _not_weyl_stable(orbits: WeylOrbits) -> CheckResult:
-    cx = [
-        {"root": list(v), "reflection": i, "image": list(w)}
-        for v, i, w in orbits.escapes[:COUNTEREXAMPLE_CAP]
-    ]
+def _not_weyl_stable(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
+    """A scan's failure on a set with escapes, decoding only those reported."""
+    cx = []
+    for k, i, p in orbits.escapes[:COUNTEREXAMPLE_CAP]:
+        v = rs.signed.coeffs(k)
+        cx.append({"root": list(v), "reflection": i + 1, "image": list(_down(v, i + 1, p))})
     return CheckResult(
         False, cx, f"not Weyl-stable: {len(orbits.escapes)} reflected roots escape"
     )
@@ -564,16 +564,15 @@ def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     dominant member lambda of each long orbit, and its partner to one
     member of each orbit of lambda's stabilizer, counted with the orbit's
     size: O(orbits * stabilizer orbits) pairs instead of O(N^2).  The
-    inner product is (lambda, b) = sum_i lambda_i d_i <b, alpha_i>, and
-    lambda - b is looked up by its packed key in ``rs.keys``, whose field
-    width covers sums of two signed roots.
+    inner product is (lambda, b) = sum_i lambda_i d_i <b, alpha_i>, negated
+    for a negative b, and lambda - b is looked up by its packed key in
+    ``rs.signed``, whose field width covers sums of two signed roots.
     """
     if orbits.escapes:
-        return _not_weyl_stable(orbits)
-    vs, pvs = list(rs.pairings), list(rs.pairings.values())
-    number = rs.keys.number
-    keys = list(number)
-    scaled = {r: [x * d for x, d in zip(vs[r], rs.form.d)] for r in orbits.representatives}
+        return _not_weyl_stable(rs, orbits)
+    signed = rs.signed
+    keys, number, pvs = signed.keys, signed.number, signed.pairings
+    scaled = {r: list(map(mul, signed.coeffs(r), rs.form.d)) for r in orbits.representatives}
     norm = {r: sum(map(mul, rd, pvs[r])) for r, rd in scaled.items()}
     top = max(norm.values())  # every root lies in some orbit
     long_reps = 0
@@ -588,11 +587,12 @@ def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
             if kr - keys[b] not in number:
                 continue
             checked += size
-            if sum(map(mul, rd, pvs[b])) <= 0 and len(cx) < COUNTEREXAMPLE_CAP:
-                cx.append({"beta1": list(vs[r]), "beta2": list(vs[b])})
+            product = sum(map(mul, rd, pvs[b % len(pvs)]))
+            if (-product if b >= len(pvs) else product) <= 0 and len(cx) < COUNTEREXAMPLE_CAP:
+                cx.append({"beta1": list(signed.coeffs(r)), "beta2": list(signed.coeffs(b))})
     note = (
         f"exhaustive over {_orbit_count(long_reps, 'long ')}: "
-        f"{len(vs)} signed roots, {checked} qualifying pairs"
+        f"{len(keys)} signed roots, {checked} qualifying pairs"
     )
     return CheckResult(not cx, cx, note)
 
@@ -607,15 +607,13 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     the third runs over every signed root: O(orbits * stabilizer orbits * N)
     instead of O(N^3).  The ordered pairs (b, c) so counted, plus the
     diagonal ones (b, b), make twice the number of pairs b <= c.  Roots
-    are the packed keys of ``rs.keys``, linear in the coefficients, so
+    are the packed keys of ``rs.signed``, linear in the coefficients, so
     vector sums become integer sums; the keys' field width covers sums of
     up to three signed roots, so those never collide.
     """
     if orbits.escapes:
-        return _not_weyl_stable(orbits)
-    vs = list(rs.pairings)
-    member = rs.keys.number
-    keys = list(member)
+        return _not_weyl_stable(rs, orbits)
+    keys, member = rs.signed.keys, rs.signed.number
     checked = 0
     cx: list = []
     for r, partners in zip(orbits.representatives, orbits.stabilizer_orbits):
@@ -630,19 +628,20 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
             rb_root = rb in member
             diagonal += size * (rb + kb in member)
             hits = 0
-            for kc, rc, c in zip(keys, with_r, vs):
+            for kc, rc in zip(keys, with_r):
                 bc = kb + kc
                 if not rc or not bc or rb + kc not in member:
                     continue
                 hits += 1
                 roots = rb_root + (rc in member) + (bc in member)
                 if roots < 2 and len(cx) < COUNTEREXAMPLE_CAP:
-                    cx.append({"beta1": list(vs[r]), "beta2": list(vs[b]), "beta3": list(c)})
+                    beta = [list(rs.signed.coeffs(k)) for k in (r, b, member[kc])]
+                    cx.append(dict(zip(("beta1", "beta2", "beta3"), beta)))
             ordered += size * hits
         checked += (ordered + diagonal) // 2
     note = (
         f"exhaustive over {_orbit_count(len(orbits.representatives), '')}: "
-        f"{len(vs)} signed roots, {checked} qualifying triples"
+        f"{len(keys)} signed roots, {checked} qualifying triples"
     )
     return CheckResult(not cx, cx, note)
 

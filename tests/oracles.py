@@ -374,6 +374,13 @@ def form_pairings(rs, v) -> tuple[int, ...]:
     return tuple(_form_pairing(g, v, i) for i in range(rs.rank))
 
 
+def signed_roots(rs) -> list[tuple[int, ...]]:
+    """The signed roots' coefficient tuples in the order the package numbers
+    them: the positive roots in positive_roots() order, then their negatives."""
+    pos = [r.coeffs for r in rs.positive_roots()]
+    return pos + [tuple(-c for c in v) for v in pos]
+
+
 def reflection_orbit(rs, v, gens) -> frozenset[tuple[int, ...]]:
     """The orbit of v under the simple reflections s_i, i in gens (1-based),
     by breadth-first search with reflections taken from the Gram matrix."""
@@ -427,14 +434,15 @@ def duality_identities(rep, rs) -> dict[str, bool]:
 
 
 def tuple_weyl_orbits(rs) -> WeylOrbits:
-    """``verify.weyl_orbits`` with each reflected image looked up by its
-    coefficient tuple: v[:i] + (v[i] - p,) + v[i + 1:]."""
+    """``verify.weyl_orbits`` with pairings from the Gram matrix and each
+    reflected image looked up by its coefficient tuple: v[:i] + (v[i] - p,)
+    + v[i + 1:]."""
     n = rs.rank
-    table = rs.pairings
-    vs = list(table)
+    vs = signed_roots(rs)
+    pvs = [form_pairings(rs, v) for v in vs]
     number = {v: k for k, v in enumerate(vs)}
     moves = []
-    for v, pv in table.items():
+    for v, pv in zip(vs, pvs):
         row = []
         for i in compress(range(n), pv):
             p = pv[i]
@@ -442,10 +450,7 @@ def tuple_weyl_orbits(rs) -> WeylOrbits:
         moves.append(row)
     escapes = [(k, i, p) for k, m in enumerate(moves) for i, p, j in m if j < 0]
     if escapes:
-        return WeylOrbits(
-            (), tuple((vs[k], i + 1, _down(vs[k], i + 1, p)) for k, i, p in escapes)
-        )
-    pvs = list(table.values())
+        return WeylOrbits((), tuple(escapes))
     reps = tuple(k for k in range(len(vs) // 2) if min(pvs[k]) >= 0)
     stabilizer_orbits = []
     for k in reps:
@@ -455,15 +460,15 @@ def tuple_weyl_orbits(rs) -> WeylOrbits:
 
 
 def tuple_string_descent(rs) -> CheckResult:
-    """``verify.check_string_descent`` with each root looked up by its
-    coefficient tuple, built by slicing."""
+    """``verify.check_string_descent`` with pairings from the Gram matrix
+    and each root looked up by its coefficient tuple, built by slicing."""
     n = rs.rank
     cx: list = []
     checked = 0
     for beta in rs.positive_roots():
         if beta.height == 1:  # beta == alpha_i is the only height-1 hit
             continue
-        for i, k in enumerate(rs.pairings[beta.coeffs], start=1):
+        for i, k in enumerate(form_pairings(rs, beta.coeffs), start=1):
             if k not in (2, 3):
                 continue
             checked += 1
@@ -474,15 +479,14 @@ def tuple_string_descent(rs) -> CheckResult:
 
 
 def tuple_no_detour(rs) -> CheckResult:
-    """``verify.check_no_detour`` with each root looked up by its
-    coefficient tuple, built by slicing."""
+    """``verify.check_no_detour`` with pairings from the Gram matrix and
+    each root looked up by its coefficient tuple, built by slicing."""
     n = rs.rank
-    table = rs.pairings
     cx: list = []
     checked = 0
     for beta in rs.positive_roots():
         c = beta.coeffs
-        pv = table[c]
+        pv = form_pairings(rs, c)
         if 3 not in pv:
             continue
         droppable = [j for j in range(1, n + 1) if _down(c, j) in rs]
@@ -501,8 +505,8 @@ def based_two_of_three_sums(rs, orbits: WeylOrbits) -> CheckResult:
     6 * (largest coefficient) + 1, wide enough that sums of three signed
     roots never collide."""
     if orbits.escapes:
-        return _not_weyl_stable(orbits)
-    vs = list(rs.pairings)
+        return _not_weyl_stable(rs, orbits)
+    vs = signed_roots(rs)
     base = 6 * max(map(max, vs)) + 1
     powers = [base**k for k in range(rs.rank)]
 

@@ -196,9 +196,10 @@ def test_enumeration_rejects_a_second_maximal_root(rows):
 
 
 def _rows_table(rs):
-    """The pairing table of the same layers, built by hand, so from the
-    Cartan rows rather than from enumerate_roots' carried vectors."""
-    return R.RootSystem(rs.cartan, rs.form, rs.layers, None).pairings
+    """The signed-root table of the same layers, built by hand, so its
+    vectors come from the Cartan rows rather than from enumerate_roots'
+    carried vectors."""
+    return R.RootSystem(rs.cartan, rs.form, rs.layers, None).signed
 
 
 def _named_and_relabelled(system):
@@ -218,25 +219,26 @@ def test_handed_over_table_matches_cartan_rows(system):
     # the same table, in the same order, and 8-bit keys equal to the
     # enumeration's packing
     for rs in _named_and_relabelled(system):
-        assert list(rs.pairings.items()) == list(_rows_table(rs).items()), rs.cartan.rows
+        assert rs.signed == _rows_table(rs), rs.cartan.rows
         pos = [int.from_bytes(bytes(r.coeffs), "big") for r in rs.positive_roots()]
-        assert list(rs.keys.number.items()) == list(
+        assert rs.signed.keys == pos + [-k for k in pos], rs.cartan.rows
+        assert list(rs.signed.number.items()) == list(
             zip(pos + [-k for k in pos], range(2 * len(pos)))
         ), rs.cartan.rows
-        assert rs.keys.unit == tuple(1 << 8 * k for k in reversed(range(rs.rank)))
+        assert rs.signed.unit == tuple(1 << 8 * k for k in reversed(range(rs.rank)))
 
 
 def test_lazy_decode_matches_a_hand_built_system(system):
-    # a fresh enumeration answers counts, theta, keys and coefficient rows
-    # from its packed keys alone, then decodes the layers and form a
-    # hand-built system is given
+    # a fresh enumeration answers counts, theta, the signed-root table and
+    # coefficient rows from its packed keys and pairings alone, then
+    # decodes the layers and form a hand-built system is given
     for rs in _named_and_relabelled(system):
         fresh = R.enumerate_roots(rs.cartan, rs.label)
         packed = (
             fresh.num_positive,
             fresh.max_height,
             fresh.highest_root(),
-            fresh.keys,
+            fresh.signed,
             fresh.coefficient_rows(),
         )
         assert {"layers", "_members", "form"}.isdisjoint(vars(fresh)), rs.cartan.rows
@@ -246,7 +248,7 @@ def test_lazy_decode_matches_a_hand_built_system(system):
             hand.num_positive,
             hand.max_height,
             hand.highest_root(),
-            hand.keys,
+            hand.signed,
             hand.coefficient_rows(),
         )
         assert fresh.form == hand.form, rs.cartan.rows
@@ -539,4 +541,9 @@ def test_root_stores_a_tuple(system):
     r = R.Root([1, 0])
     assert type(r.coeffs) is tuple and r == a2.root((1, 0)) and r.height == 1
     layers = ((), (r, R.Root([0, 1])), (R.Root([1, 1]),))
-    assert R.RootSystem(a2.cartan, a2.form, layers, None).pairings == a2.pairings
+    hand = R.RootSystem(a2.cartan, a2.form, layers, None).signed
+
+    def by_root(signed):  # each positive root's vector, in any order
+        return {signed.coeffs(k): pv for k, pv in enumerate(signed.pairings)}
+
+    assert by_root(hand) == by_root(a2.signed)

@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from oracles import (
     inner,
     long_pairs,
     reflection_orbit,
+    signed_roots,
     tuple_no_detour,
     tuple_string_descent,
     tuple_weyl_orbits,
@@ -374,7 +376,7 @@ def _scan_both(rs):
     orbits = weyl_orbits(rs)
     res = check_two_of_three_sums(rs, orbits)
     if not orbits.escapes:
-        vs = list(rs.pairings)
+        vs = signed_roots(rs)
         count = sum(vs[r] in t[:3] for r in orbits.representatives for t in triples)
         assert f", {count} qualifying triples" in res.note, res.note
     return res.passed, all(ok for *_, ok in triples)
@@ -394,8 +396,9 @@ def test_two_of_three_differential_oracle(system):
 
 
 def test_pairing_table(system):
-    # keys: the signed roots, positives in positive_roots() order, then
-    # their negatives; values: 2(beta, alpha_i)/(alpha_i, alpha_i) from the
+    # the signed roots numbered positives first in positive_roots() order,
+    # then their negatives, each key decoding to its root and negated for
+    # the negative; vectors: 2(beta, alpha_i)/(alpha_i, alpha_i) from the
     # integer form, for valid and hand-built systems alike
     systems = [system(str(t)) for t in R.all_types(6)]
     systems += [_swap_one_root(rs, 2) for rs in systems if rs.max_height > 2]
@@ -404,10 +407,16 @@ def test_pairing_table(system):
     systems += [_swap_one_root(system(label), 5) for label in ("B8", "D8", "E8")]
     systems += [_with_top(system("G2"), (1, 128)), _with_top(system("G2"), (1, 256))]
     for rs in systems:
-        pos = [r.coeffs for r in rs.positive_roots()]
-        assert list(rs.pairings) == pos + [tuple(-c for c in v) for v in pos]
-        for v, pv in rs.pairings.items():
-            assert pv == form_pairings(rs, v), (rs.label, v)
+        signed, n = rs.signed, rs.num_positive
+        vs = signed_roots(rs)
+        assert len(signed.keys) == len(vs) and len(signed.pairings) == n
+        assert signed.number == {key: k for k, key in enumerate(signed.keys)}
+        for k, v in enumerate(vs):
+            assert signed.coeffs(k) == v, (rs.label, k, v)
+            assert signed.keys[k] == sum(map(operator.mul, v, signed.unit)), (rs.label, v)
+        for k in range(n):
+            assert signed.keys[k + n] == -signed.keys[k], (rs.label, vs[k])
+            assert signed.pairings[k] == form_pairings(rs, signed.coeffs(k)), (rs.label, vs[k])
 
 
 def test_weyl_orbits(system):
@@ -416,7 +425,7 @@ def test_weyl_orbits(system):
         rs = system(label)
         orbits = weyl_orbits(rs)
         assert len(orbits.representatives) == root_lengths, label
-        assert orbits.escapes == () and len(rs.pairings) == 2 * rs.num_positive
+        assert orbits.escapes == () and len(rs.signed.keys) == 2 * rs.num_positive
 
 
 def _with_top(rs, coeffs):
@@ -431,7 +440,7 @@ def _every_triple(rs):
     """Each signed root as its own representative and its own stabilizer
     orbit: not the Weyl orbits, but an input without escapes on which the
     triple scan sums every signed triple."""
-    every = range(len(rs.pairings))
+    every = range(2 * rs.num_positive)
     return V.WeylOrbits(tuple(every), (), tuple(tuple((b, 1) for b in every) for _ in every))
 
 
@@ -445,7 +454,7 @@ def test_wide_keys_match_tuple_oracles(system, monkeypatch):
         _with_top(system("G2"), (1, 256)),
     ]
     for rs in systems:
-        assert rs.keys.unit[-2] > 1 << 8, rs.layers[-1]  # fields wider than 8 bits
+        assert rs.signed.unit[-2] > 1 << 8, rs.layers[-1]  # fields wider than 8 bits
         assert weyl_orbits(rs) == tuple_weyl_orbits(rs), rs.layers[-1]
         every = _every_triple(rs)
         assert check_two_of_three_sums(rs, every) == based_two_of_three_sums(rs, every)
@@ -472,7 +481,7 @@ def test_descent_scans_match_tuple_oracles(system):
         _with_top(system("G2"), (1, 128)),
         _with_top(system("G2"), (1, 256)),
     ]
-    assert systems[-1].keys.unit[0] > 1 << 8
+    assert systems[-1].signed.unit[0] > 1 << 8
     failed = collections.Counter()
     for rs in systems:
         for check, oracle in (
@@ -497,8 +506,8 @@ def test_scans_fail_on_swapped_root(system):
         assert res.note.startswith("not Weyl-stable")
         assert len(res.counterexamples) == min(len(escapes), COUNTEREXAMPLE_CAP)
         cx = res.counterexamples[0]
-        assert tuple(cx["root"]) in bad.pairings
-        assert tuple(cx["image"]) not in bad.pairings
+        assert tuple(cx["root"]) in signed_roots(bad)
+        assert tuple(cx["image"]) not in signed_roots(bad)
 
 
 def test_long_pair_positive(system):
@@ -537,7 +546,7 @@ def test_stabilizer_reduction(system):
     for rs in systems:
         orbits = weyl_orbits(rs)
         assert not orbits.escapes
-        vs = list(rs.pairings)
+        vs = signed_roots(rs)
         reps = orbits.representatives
         assert len(orbits.stabilizer_orbits) == len(reps)
         # each signed root lies in the W-orbit of exactly one representative
@@ -549,7 +558,7 @@ def test_stabilizer_reduction(system):
             pv = form_pairings(rs, lam)
             assert min(pv) >= 0, (rs.cartan.rows, lam)
             J = [i for i, p in enumerate(pv, start=1) if p == 0]
-            assert sum(size for _, size in partners) == len(rs.pairings)
+            assert sum(size for _, size in partners) == len(vs)
             covered: set = set()
             for b, size in partners:
                 orbit = reflection_orbit(rs, vs[b], J)
@@ -746,16 +755,15 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
             return built[_name]
 
         monkeypatch.setattr(V, name, counted)
-    for lazy in ("pairings", "keys"):
-        build_lazy = getattr(R.RootSystem, lazy).func
+    build_signed = R.RootSystem.signed.func
 
-        def counted_lazy(rs, _name=lazy, _build=build_lazy):
-            calls[_name] += 1
-            return _build(rs)
+    def counted_signed(rs):
+        calls["signed"] += 1
+        return build_signed(rs)
 
-        prop = functools.cached_property(counted_lazy)
-        prop.__set_name__(R.RootSystem, lazy)
-        monkeypatch.setattr(R.RootSystem, lazy, prop)
+    prop = functools.cached_property(counted_signed)
+    prop.__set_name__(R.RootSystem, "signed")
+    monkeypatch.setattr(R.RootSystem, "signed", prop)
     build_graph = R.cartan.dynkin_graph
 
     def counted_graph(c):
@@ -770,7 +778,7 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
         # one closure per representative's stabilizer, which both scans
         # share; the extended graph builds on the graph
         closures = len(built["weyl_orbits"].representatives)
-        expected = dict.fromkeys(shared + ("pairings", "keys", "dynkin_graph"), 1) | {
+        expected = dict.fromkeys(shared + ("signed", "dynkin_graph"), 1) | {
             "_close": closures
         }
         assert calls == expected, (label, calls)
@@ -781,12 +789,12 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
         orbits = built["weyl_orbits"]
         assert orbits.escapes and not orbits.representatives and not orbits.stabilizer_orbits
         assert calls["_close"] == 0, (label, calls)
-    # gen and exponents never need the pairing table or the keys
+    # gen and exponents never need the signed-root table
     calls.clear()
     assert main(["gen", "--all", "--max-rank", "8"]) == 0
     assert main(["exponents", "--all", "--max-rank", "8", "--method", "both"]) == 0
     capsys.readouterr()
-    assert calls["pairings"] == calls["keys"] == calls["dynkin_graph"] == 0
+    assert calls["signed"] == calls["dynkin_graph"] == 0
 
 
 def test_constructor_rejects_malformed_layers(system):
@@ -810,9 +818,16 @@ def test_constructor_rejects_malformed_layers(system):
         ((), "layer 0"),
         (b3.layers[:2] + (b3.layers[2] * 2,) + b3.layers[3:], "listed twice"),
         (((),), "top height layer has 0 roots"),
+        (5, "expected the layers as a sequence of sequences of Roots"),
+        (((), 3), "expected the layers as a sequence of sequences of Roots"),
+        (b3.layers[:-1] + (theta,), "expected the layers as a sequence of sequences of Roots"),
     ):
         with pytest.raises(InvalidArgumentError, match=why):
             R.RootSystem(b3.cartan, b3.form, layers, None)
+    # these used to raise a raw TypeError
+    for coeffs in (5, [[1], 0, 0]):
+        with pytest.raises(InvalidArgumentError, match="is not a positive root here"):
+            b3.root(coeffs)
     # a coordinate too many would drop out of the pairing table unseen
     a2 = system("A2")
     with pytest.raises(InvalidArgumentError, match="has 3 coefficients; the rank is 2"):
