@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import sys
+from itertools import repeat
 
 from .cartan import (
     MAX_RANK,
@@ -21,7 +22,12 @@ from .cartan import (
     build_cartan,
     validate_cartan,
 )
-from .errors import InvalidArgumentError, InvalidCartanError, InvalidTypeError
+from .errors import (
+    InternalInconsistencyError,
+    InvalidArgumentError,
+    InvalidCartanError,
+    InvalidTypeError,
+)
 from .exponents import coxeter_exponents, dual_partition
 from .roots import RootSystem, enumerate_roots
 from .verify import build_ledger, check_exponents_agree, g2_criterion_report
@@ -127,36 +133,61 @@ class _GenPayload:
     {"coeffs": [...], "height": h} per positive root (by height and then
     coefficients, the order enumerate_roots files each layer in), the
     highest root and c_max.  render writes the json.dumps(..., indent=2)
-    text from %d templates, one for the Cartan rows and one for the roots,
-    so no per-root dict or list is built; only the label goes through
-    json.dumps."""
+    text with no per-root Python: each height layer of ``key_layers`` goes
+    through a fixed number of C-level passes, and only the label goes
+    through json.dumps."""
 
     __slots__ = ("rs",)
+
+    # coefficient byte -> its digit; every other byte, the 0xff that parts
+    # two roots' bytes included, -> the marker "|"
+    DIGITS = bytes(range(48, 58)) + b"|" * 246
 
     def __init__(self, rs: RootSystem) -> None:
         self.rs = rs
 
     def render(self, nl: str) -> str:
+        """Each layer's keys are joined as coefficient bytes with 0xff
+        between roots, translated to digits and markers and decoded; sep
+        joins every character, and each marker between two seps becomes
+        the end of one root and the start of the next.  That spells each
+        coefficient right only if it is one digit, which every finite type
+        has (c <= 6, at E8): the join puts len(keys) - 1 markers in a layer
+        and any coefficient past 9 adds one, so a layer with more raises
+        InternalInconsistencyError instead of writing wrong text."""
         rs = self.rs
+        n = rs.rank
         key = nl + "  "  # the payload's own keys
         item = key + "  "  # a Cartan row, a root, a highest-root coefficient
         field = item + "  "  # a Cartan entry, a root's keys
         coeff = field + "  "  # a root's coefficient
-        cartan_row = "[" + field + ("," + field).join(["%d"] * rs.rank) + item + "]"
-        root = (
-            "{" + field + '"coeffs": [' + coeff
-            + ("," + coeff).join(["%d"] * rs.rank)
-            + field + "]," + field + '"height": %d' + item + "}"
-        )
+        cartan_row = "[" + field + ("," + field).join(["%d"] * n) + item + "]"
+        sep = "," + coeff
+        head = "{" + field + '"coeffs": [' + coeff
+        tail = field + "]," + field + '"height": %d' + item + "}"
+        roots = []
+        for h, keys in enumerate(rs.key_layers):
+            if not keys:
+                continue
+            digits = b"\xff".join(map(int.to_bytes, keys, repeat(n), repeat("big")))
+            digits = digits.translate(self.DIGITS)
+            if digits.count(b"|") != len(keys) - 1:
+                raise InternalInconsistencyError(
+                    f"a root of height {h} has a coefficient past 9, which gen "
+                    "writes as one digit"
+                )
+            end = tail % h
+            text = sep.join(digits.decode()).replace(sep + "|" + sep, end + "," + item + head)
+            roots.append(head + text + end)
 
         def array(items) -> str:  # a list value of the payload
             return "[" + item + ("," + item).join(items) + key + "]"
 
         members = [
             '"type": ' + json.dumps(rs.label),
-            '"rank": %d' % rs.rank,
+            '"rank": %d' % n,
             '"cartan": ' + array([cartan_row % row for row in rs.cartan.rows]),
-            '"roots": ' + array([root % values for values in rs.coefficient_rows()]),
+            '"roots": ' + array(roots),
             '"highest_root": ' + array(map(str, rs.highest_root().coeffs)),
             '"c_max": %d' % rs.c_max(),
         ]

@@ -6,8 +6,9 @@ tuple of a positive one.  An enumerated system holds them packed, as the
 sorted 8-bit keys of each height layer that ``enumerate_roots`` computed,
 plus one ``Root`` for the highest root; its other ``Root`` objects, the
 membership dict and the symmetrizer ``form`` are built on first use.  Layer
-sizes, the highest root, ``c_max``, ``signed`` and the rows ``gen`` writes
-are read without them, so ``exponents`` and ``gen`` decode no root table.
+sizes, the highest root, ``c_max``, ``signed`` and ``key_layers``, the keys
+``gen`` renders a layer at a time, are read without them, so ``exponents``
+and ``gen`` decode no root table.
 
 ``RootSystem.signed`` numbers the signed roots once, positives first in
 ``positive_roots()`` order, then their negatives, with a packed key each
@@ -175,20 +176,22 @@ class RootSystem:
             raise InvalidArgumentError("a root is listed twice")
 
     @classmethod
-    def _enumerated(cls, cartan, label, packed, top) -> RootSystem:
-        """The system enumerate_roots built, taken without the checks above;
-        ``layers``, ``_members`` and ``form`` are built on first use."""
-        sizes = tuple(map(len, packed[0]))
-        return cls.__new__(cls)._fill(cartan, label, sizes, top, packed)
+    def _enumerated(cls, cartan, label, key_layers, packed, top) -> RootSystem:
+        """The system enumerate_roots built, taken without the checks above,
+        with its ``key_layers``; ``layers``, ``_members`` and ``form`` are
+        built on first use."""
+        rs = cls.__new__(cls)._fill(cartan, label, tuple(map(len, key_layers)), top, packed)
+        rs.key_layers = key_layers  # fills the cached property
+        return rs
 
     def _fill(self, cartan, label, layer_sizes, top, packed) -> RootSystem:
         self.cartan = cartan
         self.label = label
         self.layer_sizes = layer_sizes  # roots per height; layer_sizes[0] = 0
         self._top = top
-        # enumerate_roots' keys by height, packed pairings and field bytes;
-        # None if hand-built
-        self._packed: tuple[list[list[int]], list[int], int] | None = packed
+        # enumerate_roots' packed pairings and their field bytes; None if
+        # hand-built
+        self._packed: tuple[list[int], int] | None = packed
         return self
 
     # -- decoded on first use by an enumerated system -------------------------
@@ -198,12 +201,29 @@ class RootSystem:
         """layers[r] = the roots of height r, layers[0] empty: each key
         unpacked to its coefficient bytes, in enumerate_roots' order, and
         the top layer the Root that highest_root() returns."""
-        n, key_layers = self.rank, self._packed[0]
+        n = self.rank
         decoded = [
             tuple([_root(tuple(key.to_bytes(n, "big")), h) for key in keys])
-            for h, keys in enumerate(key_layers[:-1])
+            for h, keys in enumerate(self.key_layers[:-1])
         ]
         return tuple(decoded) + ((self._top,),)
+
+    @cached_property
+    def key_layers(self) -> list[list[int]]:
+        """key_layers[h] = the keys of the roots of height h, in
+        positive_roots() order, key_layers[0] empty: each root's coefficient
+        bytes read as one big-endian int, the packing of enumerate_roots,
+        which hands over its own lists.  A hand-built system reads them off
+        its layers, and raises InternalInconsistencyError on a coefficient
+        past 255, which no byte holds."""
+        try:
+            return [
+                [int.from_bytes(bytes(r.coeffs), "big") for r in layer] for layer in self.layers
+            ]
+        except ValueError:  # bytes() refuses an int past 255
+            raise InternalInconsistencyError(
+                "a coefficient past 255 does not fit an 8-bit key field"
+            ) from None
 
     @cached_property
     def _members(self) -> dict[tuple[int, ...], Root]:
@@ -228,7 +248,14 @@ class RootSystem:
         return sum(self.layer_sizes)
 
     def __contains__(self, coeffs: Sequence[int]) -> bool:
-        return tuple(coeffs) in self._members
+        """Whether coeffs is a positive root here: False for any other
+        sequence of ints, negated roots included."""
+        try:
+            return tuple(coeffs) in self._members
+        except TypeError:  # not a sequence, or unhashable
+            raise InvalidArgumentError(
+                f"expected a sequence of coefficients, got {coeffs!r}"
+            ) from None
 
     def _own(self, beta: Root) -> tuple[int, ...]:
         """beta's coefficients; raises unless beta is a Root of this system."""
@@ -263,19 +290,6 @@ class RootSystem:
             return self.layers[height]
         return ()
 
-    def coefficient_rows(self) -> list[tuple[int, ...]]:
-        """Each positive root's coefficients followed by its height, in
-        positive_roots() order.  An enumerated system reads them off its
-        keys, the height as one more 8-bit field, and builds no Root."""
-        if self._packed is None:
-            return [r.coeffs + (h,) for h, layer in enumerate(self.layers) for r in layer]
-        width = self.rank + 1
-        return [
-            tuple((key << 8 | h).to_bytes(width, "big"))
-            for h, keys in enumerate(self._packed[0])
-            for key in keys
-        ]
-
     # -- highest root --------------------------------------------------------
 
     def highest_root(self) -> Root:
@@ -289,9 +303,7 @@ class RootSystem:
     @cached_property
     def signed(self) -> SignedRoots:
         """The signed roots, numbered, keyed and paired as ``SignedRoots``
-        says.  With 8-bit fields, an enumerated system takes the keys
-        enumerate_roots handed over, and a hand-built one reads its keys off
-        the same bytes.
+        says.  With 8-bit fields the positive keys are ``key_layers``.
 
         An enumerated system decodes the na ints of enumerate_roots one root
         at a time: k-byte field i of na holds b - <beta, alpha_i>, b =
@@ -312,7 +324,7 @@ class RootSystem:
                 columns.append(reduce(partial(map, add), terms))
             pairings = list(zip(*columns))
         else:
-            key_layers, packed, size = self._packed
+            packed, size = self._packed
             top = self.c_max()  # an enumerated system's theta dominates every root
             unpack = Struct(">%d%s" % (n, {2: "h", 4: "i", 8: "q"}[size])).unpack
             flip = int.from_bytes((b"\x7f" + b"\xff" * (size - 1)) * n, "big")
@@ -320,10 +332,8 @@ class RootSystem:
         reach = max(4, 2 + max(sum(map(abs, row)) for row in self.cartan.rows))
         width = max(8, (reach * top).bit_length())
         unit = tuple(1 << width * (n - 1 - i) for i in range(n))
-        if width == 8 and self._packed is not None:  # enumerate_roots' own keys
-            pos = [key for keys in key_layers for key in keys]
-        elif width == 8:  # the same packing: one byte per coefficient
-            pos = [int.from_bytes(bytes(r.coeffs), "big") for r in self.positive_roots()]
+        if width == 8:
+            pos = [key for keys in self.key_layers for key in keys]
         else:
             pos = [sum(map(mul, r.coeffs, unit)) for r in self.positive_roots()]
         keys = pos + [-k for k in pos]
@@ -437,11 +447,12 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
             raise InternalInconsistencyError(
                 "enumeration reached height 255, the limit of its 8-bit key fields"
             )
-        layer = sorted(found.items())
-        key_layers.append([key for key, _ in layer])
-        pairs += [na for _, (na, _) in layer]
-        found = {}
-        for key, (na, p) in layer:
+        layer, found = found, {}
+        keys = sorted(layer)
+        key_layers.append(keys)
+        for key in keys:
+            na, p = layer[key]
+            pairs.append(na)
             m = (na + p) & high
             if not m:
                 maximal.append(key)
@@ -449,10 +460,11 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
                 low = m & -m
                 m ^= low
                 u, col, mask, f = edges[low]
-                if (up := key + u) in found:  # another edge into the same root
-                    found[up][1] += (p & mask) + f
-                else:
+                up = key + u
+                if (pending := found.get(up)) is None:
                     found[up] = [na - col, (p & mask) + f]
+                else:  # another edge into the same root
+                    pending[1] += (p & mask) + f
     if len(maximal) > 1:
         raise InternalInconsistencyError(
             f"{len(maximal)} roots have no root above them, among them "
@@ -460,7 +472,7 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
         )
 
     top = _root(tuple(key_layers[-1][0].to_bytes(n, "big")), len(key_layers) - 1)
-    return RootSystem._enumerated(cartan, label, (key_layers, pairs, w // 8), top)
+    return RootSystem._enumerated(cartan, label, key_layers, (pairs, w // 8), top)
 
 
 def build_system(t) -> RootSystem:

@@ -178,6 +178,43 @@ def test_gen_builds_no_per_root_dicts(capsys, monkeypatch):
     assert dumped == labels
 
 
+@pytest.mark.parametrize("nl", ["\n", "\n  "])
+def test_layer_passes_render_every_type_to_rank_32(system, nl):
+    # the layer passes against json.dumps of the oracle payload, its line
+    # breaks indented as _render indents them, on every type to rank 32:
+    # A1, layers of one root below the top and heights of two digits among
+    # them; to rank 8 also on hand-built copies, whose key layers are read
+    # off their coefficient bytes
+    labels = [str(t) for t in R.all_types(32)]
+    single, tall = False, False
+    for label in labels:
+        rs = system(label)
+        expected = json.dumps(gen_payload(rs), indent=2).replace("\n", nl)
+        assert cli._GenPayload(rs).render(nl) == expected, label
+        if rs.rank <= 8:
+            hand = R.RootSystem(rs.cartan, rs.form, rs.layers, rs.label)
+            assert cli._GenPayload(hand).render(nl) == expected, label
+        single |= any(len(rs.layer(h)) == 1 for h in range(1, rs.max_height))
+        tall |= rs.max_height >= 10
+    assert "A1" in labels and single and tall
+
+
+def test_a_two_digit_coefficient_is_refused():
+    # A2's Cartan matrix with (h - 1, 1) alone at each height h from 2 to
+    # 11: a system RootSystem accepts, whose c_max of 10 the layer passes
+    # cannot spell with one digit, so they raise instead of writing text;
+    # past 255 (heights to 258) the key layers have no byte for it
+    a2 = R.build_system("A2")
+    for top, why in ((11, "coefficient past 9"), (258, "coefficient past 255")):
+        layers = ((), (R.Root((1, 0)), R.Root((0, 1)))) + tuple(
+            (R.Root((h - 1, 1)),) for h in range(2, top + 1)
+        )
+        rs = R.RootSystem(a2.cartan, a2.form, layers, None)
+        assert rs.c_max() == top - 1
+        with pytest.raises(R.InternalInconsistencyError, match=why):
+            cli._GenPayload(rs).render("\n")
+
+
 @pytest.mark.parametrize("to_file", [False, True])
 @pytest.mark.parametrize("max_rank", [None, 5])
 def test_exponents_output_is_json_dumps(capsys, tmp_path, to_file, max_rank):

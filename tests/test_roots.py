@@ -230,8 +230,9 @@ def test_handed_over_table_matches_cartan_rows(system):
 
 def test_lazy_decode_matches_a_hand_built_system(system):
     # a fresh enumeration answers counts, theta, the signed-root table and
-    # coefficient rows from its packed keys and pairings alone, then
-    # decodes the layers and form a hand-built system is given
+    # the key layers from its packed keys and pairings alone, then decodes
+    # the layers and form a hand-built system is given; with 8-bit fields
+    # the positive signed keys are the key layers, flattened
     for rs in _named_and_relabelled(system):
         fresh = R.enumerate_roots(rs.cartan, rs.label)
         packed = (
@@ -239,7 +240,7 @@ def test_lazy_decode_matches_a_hand_built_system(system):
             fresh.max_height,
             fresh.highest_root(),
             fresh.signed,
-            fresh.coefficient_rows(),
+            fresh.key_layers,
         )
         assert {"layers", "_members", "form"}.isdisjoint(vars(fresh)), rs.cartan.rows
         hand = R.RootSystem(rs.cartan, R.symmetrizer(rs.cartan), rs.layers, rs.label)
@@ -249,10 +250,14 @@ def test_lazy_decode_matches_a_hand_built_system(system):
             hand.max_height,
             hand.highest_root(),
             hand.signed,
-            hand.coefficient_rows(),
+            hand.key_layers,
         )
         assert fresh.form == hand.form, rs.cartan.rows
         assert fresh.highest_root() is fresh.layers[-1][0], rs.cartan.rows
+        for built in (fresh, hand):
+            assert built.signed.width == 8, rs.cartan.rows
+            flat = [key for keys in built.key_layers for key in keys]
+            assert built.signed.keys[: built.num_positive] == flat, rs.cartan.rows
 
 
 def test_counts_and_gen_build_only_the_top_root(monkeypatch, capsys):

@@ -828,6 +828,14 @@ def test_constructor_rejects_malformed_layers(system):
     for coeffs in (5, [[1], 0, 0]):
         with pytest.raises(InvalidArgumentError, match="is not a positive root here"):
             b3.root(coeffs)
+    for coeffs in (5, [[1]], [[1], 0, 0]):
+        with pytest.raises(InvalidArgumentError, match="expected a sequence of coefficients"):
+            coeffs in b3
+    # a well-formed tuple that is not a positive root, negated roots
+    # included, is simply not in the system
+    for coeffs in ((-1, 0, 0), (0, 0, 0), (9, 9, 9), (1, 0)):
+        assert coeffs not in b3, coeffs
+    assert [1, 0, 0] in b3
     # a coordinate too many would drop out of the pairing table unseen
     a2 = system("A2")
     with pytest.raises(InvalidArgumentError, match="has 3 coefficients; the rank is 2"):
