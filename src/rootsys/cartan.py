@@ -56,16 +56,22 @@ _EXACT_RANK = {"F": 4, "G": 2}
 
 @dataclass(frozen=True)
 class RankedType:
-    """Family letter plus rank, e.g. D6."""
+    """Family letter plus rank, e.g. D6.  A family that is not one of the
+    letters of FAMILIES, a rank that is not an int (a bool included) and a
+    rank outside the family's range raise InvalidTypeError."""
 
     family: str
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        # a tuple compares by ==, so a non-str or a longer str is refused,
+        # where str's `in` would find a substring
+        if self.family not in tuple(FAMILIES):
             raise InvalidTypeError(
                 f"unknown family {self.family!r}: must be one of {FAMILIES}"
             )
+        if not _is_int(self.rank):
+            raise InvalidTypeError(f"rank must be an int, got {self.rank!r}")
         if self.rank > MAX_RANK:
             raise InvalidTypeError(f"rank {self.rank} exceeds MAX_RANK = {MAX_RANK}")
         if self.family == "E":
@@ -83,6 +89,8 @@ class RankedType:
 
     @classmethod
     def parse(cls, text: str) -> "RankedType":
+        if not isinstance(text, str):
+            raise InvalidTypeError(f"cannot parse type {text!r}: expected a str")
         text = text.strip()
         digits = text[1:]
         if len(text) < 2 or not (digits.isascii() and digits.isdigit()):
@@ -99,10 +107,15 @@ class RankedType:
         return f"{self.family}{self.rank}"
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def all_types(max_rank: int) -> list[RankedType]:
     """Every irreducible type with rank <= max_rank, in canonical order."""
-    if not 1 <= max_rank <= MAX_RANK:
-        raise InvalidArgumentError(f"max_rank must be between 1 and {MAX_RANK}")
+    if not (_is_int(max_rank) and 1 <= max_rank <= MAX_RANK):
+        raise InvalidArgumentError(f"max_rank must be an int between 1 and {MAX_RANK}")
     out: list[RankedType] = []
     for fam in FAMILIES:
         if fam == "E":
@@ -231,12 +244,16 @@ def build_cartan(t: RankedType | str) -> CartanMatrix:
 
     Short roots sit at the high indices in B (alpha_l), at the low indices
     in C (alpha_1 .. alpha_{l-1}), at indices 3, 4 in F4, and at index 1
-    in G2.
+    in G2.  Anything but a RankedType or a str raises InvalidArgumentError.
     """
     if isinstance(t, str):
         t = RankedType.parse(t)
+    elif not isinstance(t, RankedType):
+        raise InvalidArgumentError(f"expected a RankedType or a str, got {t!r}")
     n = t.rank
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2
 
     def join(i: int, j: int, aij: int = -1, aji: int = -1) -> None:
         rows[i - 1][j - 1] = aij

@@ -130,12 +130,13 @@ def _output(path: str | None):
 
 class _GenPayload:
     """What gen writes for one system: its label, rank, Cartan matrix, one
-    {"coeffs": [...], "height": h} per positive root (by height and then
-    coefficients, the order enumerate_roots files each layer in), the
-    highest root and c_max.  render writes the json.dumps(..., indent=2)
-    text with no per-root Python: each height layer of ``key_layers`` goes
-    through a fixed number of C-level passes, and only the label goes
-    through json.dumps."""
+    {"coeffs": [...], "height": h} per positive root, by height and within a
+    height in ``key_layers`` order, the highest root and c_max.  An
+    enumerated system's layers come sorted by coefficients; a hand-built
+    system's come in the order its layers were given.  render writes the
+    json.dumps(..., indent=2) text with no per-root Python: each height
+    layer of ``key_layers`` goes through a fixed number of C-level passes,
+    and only the label goes through json.dumps."""
 
     __slots__ = ("rs",)
 
@@ -154,7 +155,10 @@ class _GenPayload:
         coefficient right only if it is one digit, which every finite type
         has (c <= 6, at E8): the join puts len(keys) - 1 markers in a layer
         and any coefficient past 9 adds one, so a layer with more raises
-        InternalInconsistencyError instead of writing wrong text."""
+        InternalInconsistencyError instead of writing wrong text.  Every
+        piece, from the payload's head through each layer's separator,
+        head, text and end to its tail, goes into one list and one join,
+        so the layer texts are copied once."""
         rs = self.rs
         n = rs.rank
         key = nl + "  "  # the payload's own keys
@@ -165,7 +169,17 @@ class _GenPayload:
         sep = "," + coeff
         head = "{" + field + '"coeffs": [' + coeff
         tail = field + "]," + field + '"height": %d' + item + "}"
-        roots = []
+
+        def array(items) -> str:  # a list value of the payload
+            return "[" + item + ("," + item).join(items) + key + "]"
+
+        pieces = [
+            "{" + key + '"type": ' + json.dumps(rs.label)
+            + "," + key + '"rank": %d' % n
+            + "," + key + '"cartan": ' + array([cartan_row % row for row in rs.cartan.rows])
+            + "," + key + '"roots": ['
+        ]
+        lead = item  # what precedes a layer's first root
         for h, keys in enumerate(rs.key_layers):
             if not keys:
                 continue
@@ -178,20 +192,15 @@ class _GenPayload:
                 )
             end = tail % h
             text = sep.join(digits.decode()).replace(sep + "|" + sep, end + "," + item + head)
-            roots.append(head + text + end)
-
-        def array(items) -> str:  # a list value of the payload
-            return "[" + item + ("," + item).join(items) + key + "]"
-
-        members = [
-            '"type": ' + json.dumps(rs.label),
-            '"rank": %d' % n,
-            '"cartan": ' + array([cartan_row % row for row in rs.cartan.rows]),
-            '"roots": ' + array(roots),
-            '"highest_root": ' + array(map(str, rs.highest_root().coeffs)),
-            '"c_max": %d' % rs.c_max(),
-        ]
-        return "{" + key + ("," + key).join(members) + nl + "}"
+            pieces += (lead, head, text, end)
+            lead = "," + item
+        pieces.append(
+            key + "]"
+            + "," + key + '"highest_root": ' + array(map(str, rs.highest_root().coeffs))
+            + "," + key + '"c_max": %d' % rs.c_max()
+            + nl + "}"
+        )
+        return "".join(pieces)
 
 
 def _render(obj, nl: str = "\n") -> str:
@@ -209,7 +218,10 @@ def _emit(out, payload, k: int, n: int) -> None:
     """Write payload k of n.  The n calls in order write what
     json.dumps(payloads if n > 1 else payloads[0], indent=2) gives, plus a
     newline, without holding more than one payload's text; json.dump writes
-    a lone payload chunk by chunk, unless it is a _GenPayload."""
+    a lone payload chunk by chunk, unless it is a _GenPayload.  One of n > 1
+    payloads is three writes, the array's opening or the separator, the
+    payload's text and the array's closing or nothing, so its text, up to
+    megabytes for gen, is never copied into a concatenation."""
     if n == 1:
         if type(payload) is _GenPayload:
             out.write(payload.render("\n"))
@@ -217,9 +229,9 @@ def _emit(out, payload, k: int, n: int) -> None:
             json.dump(payload, out, indent=2)
         out.write("\n")
         return
-    head = "[\n  " if k == 0 else ",\n  "
-    tail = "\n]\n" if k == n - 1 else ""
-    out.write(head + _render(payload, "\n  ") + tail)
+    out.write("[\n  " if k == 0 else ",\n  ")
+    out.write(_render(payload, "\n  "))
+    out.write("\n]\n" if k == n - 1 else "")
 
 
 def _system(label: str, cartan: CartanMatrix) -> RootSystem:

@@ -89,8 +89,18 @@ def coxeter_traces(c: CartanMatrix) -> tuple[int, tuple[int, ...]]:
     The power is carried through the chain of simple reflections (the
     rightmost factor acts first).  s_i changes only coordinate i of each
     column, v_i -= sum_j a_ij v_j, so it rewrites row i of the power from
-    the rows j with a_ij != 0.  One power costs O(rank^2) on a Dynkin tree
-    instead of a dense O(rank^3) matrix product.
+    the rows j with a_ij != 0: the rows with a_ij = -1 are added, the
+    others multiplied.  One power costs O(rank^2) on a Dynkin tree instead
+    of a dense O(rank^3) matrix product.
+
+    Each power is compared with I and with -I.  The first k with c^k = -I
+    gives h = 2k: c^(2k) = I, and no j with k < j < 2k has c^j = I, since
+    c^(j-k) = -I would have stopped the loop earlier.  The traces past k
+    are then tr(c^(k+j)) = tr(-c^j) = -tr(c^j), so the loop stops there.
+    -1 is in the Weyl group, and so a power of c, exactly when every
+    exponent is odd (Humphreys 3.19): B, C, D of even rank, E7, E8, F4 and
+    G2 run half the period, A, D of odd rank and E6 the whole.  A Coxeter
+    element of infinite order never reaches -I, whose square is I.
 
     Row i is one int sum_j p_ij * 2^(w*j), a signed w-bit field per entry;
     packing is linear, so a reflection is ``diag * p[i] - sum_j a_ij * p[j]``
@@ -105,26 +115,34 @@ def coxeter_traces(c: CartanMatrix) -> tuple[int, tuple[int, ...]]:
     The traces are read off the biased rows by shift and mask.
     """
     n = c.rank
-    steps = [
-        (i, 1 - c.rows[i][i], [(j, a) for j, a in enumerate(c.rows[i]) if a and j != i])
-        for i in reversed(range(n))
-    ]
     cap = HEIGHT_CAP_FACTOR * n
     bound = 2 * (cap + 1)
     half = 1 << cap.bit_length()  # L: guard range is [-half, half)
-    spread = max(abs(diag) + sum(abs(a) for _, a in off) for _, diag, off in steps)
+    spread = max(
+        abs(1 - row[i]) + sum(map(abs, row)) - abs(row[i]) for i, row in enumerate(c.rows)
+    )
     width = ((spread + 1) * half).bit_length()
     digit = 2 * half - 1  # a biased in-range entry's bits
     bias = sum(half << (width * j) for j in range(n))
     outside = ~sum(digit << (width * j) for j in range(n))
     identity = [1 << (width * j) for j in range(n)]
+    minus = [-e for e in identity]
+    # (i, 1 - a_ii, the j with a_ij = -1, the other (j, a_ij), shift to entry i)
+    steps = []
+    for i in reversed(range(n)):
+        off = [(j, a) for j, a in enumerate(c.rows[i]) if a and j != i]
+        ones = [j for j, a in off if a == -1]
+        others = [(j, a) for j, a in off if a != -1]
+        steps.append((i, 1 - c.rows[i][i], ones, others, width * i))
     p = list(identity)
     traces = [n]
     for k in range(1, bound + 1):
         trace = -n * half
-        for i, diag, off in steps:
+        for i, diag, ones, others, shift in steps:
             row = diag * p[i]
-            for j, a in off:
+            for j in ones:
+                row += p[j]
+            for j, a in others:
                 row -= a * p[j]
             biased = row + bias
             if biased & outside:
@@ -133,9 +151,11 @@ def coxeter_traces(c: CartanMatrix) -> tuple[int, tuple[int, ...]]:
                     "the matrix cannot be finite type"
                 )
             p[i] = row
-            trace += (biased >> (width * i)) & digit
+            trace += (biased >> shift) & digit
         if p == identity:
             return k, tuple(traces)
+        if p == minus:
+            return 2 * k, tuple(traces) + tuple(-t for t in traces)
         traces.append(trace)
     raise NumericInconsistencyError(f"matrix order not found within {bound}")
 

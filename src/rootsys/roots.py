@@ -406,6 +406,13 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     256, |<beta, alpha_i>| <= 255 R and p_i <= 254, so no field wraps
     before the height guard.  Every finite type has R <= 5, so w = 16.
 
+    The edges up are taken highest bit first.  The high bit of field i has
+    bit length w * (l - i), so the bit length b of the edges left names the
+    next one, and ``edges`` is a list indexed by b that holds its key unit,
+    packed column, field mask and F_i: one bit_length, one shift and one
+    index per edge, where a dict keyed by the bit would hash a w*l-bit int.
+    Children enter ``found`` in that order, and every layer is sorted.
+
     Keys have an 8-bit field per coordinate, coordinate 0 most significant:
     sorted keys sort vectors lexicographically, beta + alpha_i is ``key +
     unit[i]``, and ``key.to_bytes(rank, "big")`` is the coefficient tuple.
@@ -431,14 +438,16 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
         raise InternalInconsistencyError(f"a row sum of {reach} outgrows 64-bit pairing fields")
     fields = [1 << w * (n - 1 - i) for i in range(n)]
     bias = ((1 << w - 1) - 1) * sum(fields)
-    # the high bit of field i -> (key unit, packed column, field mask, F_i)
-    edges = {
-        f << w - 1: (1 << 8 * (n - 1 - i), sum(map(mul, col, fields)), ((1 << w) - 1) * f, f)
-        for i, (f, col) in enumerate(zip(fields, zip(*cartan.rows)))
-    }
-    high = sum(edges)
+    high = sum(f << w - 1 for f in fields)
+    # the bit length of field i's high bit -> (key unit, packed column, field
+    # mask, F_i); the other entries are None
+    edges = [None] * (w * n + 1)
+    for i, (f, col) in enumerate(zip(fields, zip(*cartan.rows))):
+        edges[(f << w - 1).bit_length()] = (
+            1 << 8 * (n - 1 - i), sum(map(mul, col, fields)), ((1 << w) - 1) * f, f
+        )
     # key -> [na, p] of the roots one layer up
-    found = {u: [bias - col, 0] for u, col, _, _ in edges.values()}
+    found = {u: [bias - col, 0] for u, col, _, _ in filter(None, edges)}
     key_layers: list[list[int]] = [[]]  # sorted keys by height
     pairs: list[int] = []  # na in layer order, for the pairing table
     maximal = []  # keys of the roots with no root above them
@@ -457,9 +466,9 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
             if not m:
                 maximal.append(key)
             while m:
-                low = m & -m
-                m ^= low
-                u, col, mask, f = edges[low]
+                b = m.bit_length()
+                m ^= 1 << b - 1
+                u, col, mask, f = edges[b]
                 up = key + u
                 if (pending := found.get(up)) is None:
                     found[up] = [na - col, (p & mask) + f]

@@ -56,9 +56,32 @@ def test_all_types_rank_ceiling():
 
 
 def test_parse_rejects_garbage():
-    for text in ["", "A", "7", "Axx", "G", "A\u00b2", "A" + "9" * 5000]:
+    for text in ["", "A", "7", "Axx", "G", "A\u00b2", "A" + "9" * 5000, 5, None, b"A3"]:
         with pytest.raises(InvalidTypeError):
             R.RankedType.parse(text)
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("A", True), ("B", 3.0), ("A", "3"), ("A", None), (5, 3), ("AB", 3), ("", 3)],
+)
+def test_ranked_type_rejects_a_non_int_rank_or_an_unknown_family(family, rank):
+    # a bool rank printed as ATrue and built A1, a float rank reached
+    # build_cartan, and a str rank or a non-letter family raised raw errors
+    with pytest.raises(InvalidTypeError):
+        R.RankedType(family, rank)
+
+
+@pytest.mark.parametrize("max_rank", ["3", True, False, 3.0, None])
+def test_all_types_rejects_a_non_int_bound(max_rank):
+    with pytest.raises(InvalidArgumentError, match="an int between"):
+        R.all_types(max_rank)
+
+
+@pytest.mark.parametrize("t", [5, None, ("A", 3), b"A3"])
+def test_build_cartan_takes_only_a_ranked_type_or_a_str(t):
+    with pytest.raises(InvalidArgumentError, match="a RankedType or a str"):
+        R.build_cartan(t)
 
 
 # -- built matrices against the geometric oracle ------------------------------

@@ -199,6 +199,21 @@ def test_layer_passes_render_every_type_to_rank_32(system, nl):
     assert "A1" in labels and single and tall
 
 
+def test_roots_come_in_key_layer_order(system):
+    # an enumerated system's layers are sorted, so its roots come by height
+    # and then coefficients; a hand-built system's come in the order its
+    # layers give, here A3 with each layer reversed, and are not sorted
+    rs = system("A3")
+    assert all(keys == sorted(keys) for keys in rs.key_layers)
+    assert cli._GenPayload(rs).render("\n") == json.dumps(gen_payload(rs), indent=2)
+    layers = tuple(layer[::-1] for layer in rs.layers)
+    hand = R.RootSystem(rs.cartan, rs.form, layers, rs.label)
+    given = [{"coeffs": list(r.coeffs), "height": r.height} for layer in layers for r in layer]
+    expected = json.dumps(dict(gen_payload(hand), roots=given), indent=2)
+    assert expected != json.dumps(gen_payload(hand), indent=2)
+    assert cli._GenPayload(hand).render("\n") == expected
+
+
 def test_a_two_digit_coefficient_is_refused():
     # A2's Cartan matrix with (h - 1, 1) alone at each height h from 2 to
     # 11: a system RootSystem accepts, whose c_max of 10 the layer passes

@@ -136,6 +136,31 @@ def test_methods_agree_up_to_rank_twelve(system):
         assert cox == replace(dual, method=cox.method), str(t)
 
 
+def test_methods_agree_up_to_max_rank(system):
+    for t in R.all_types(R.MAX_RANK):
+        rs = system(str(t))
+        cox = R.coxeter_exponents(rs.cartan)
+        assert cox == replace(R.dual_partition(rs), method=cox.method), str(t)
+
+
+def test_half_period_exactly_when_every_exponent_is_odd(system):
+    # c^(h/2) = -I, read as tr(c^(h/2)) = -rank, exactly when every exponent
+    # is odd (Humphreys, Reflection Groups and Coxeter Groups, 3.19), and
+    # the traces then change sign half a period on
+    odd = set()
+    for t in R.all_types(R.MAX_RANK):
+        rs = system(str(t))
+        h, traces = coxeter_traces(rs.cartan)
+        half = h // 2
+        half_turn = h % 2 == 0 and traces[half] == -rs.rank
+        assert half_turn == all(m % 2 for m in R.dual_partition(rs).exponents), str(t)
+        if half_turn:
+            assert all(traces[half + j] == -traces[j] for j in range(half)), str(t)
+            odd.add(str(t))
+    assert {"B2", "C3", "D4", "E7", "E8", "F4", "G2"} <= odd
+    assert odd.isdisjoint({"A2", "A3", "D5", "E6"})
+
+
 def test_order_equals_top_height_plus_one(system):
     for label in ["A1"] + sweep_labels(12):
         rs = system(label)
