@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from math import lcm
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     InvalidArgumentError,
@@ -74,18 +74,9 @@ class RankedType:
             raise InvalidTypeError(f"rank must be an int, got {self.rank!r}")
         if self.rank > MAX_RANK:
             raise InvalidTypeError(f"rank {self.rank} exceeds MAX_RANK = {MAX_RANK}")
-        if self.family == "E":
-            if self.rank not in (6, 7, 8):
-                raise InvalidTypeError("family E requires rank in {6, 7, 8}")
-            return
-        if self.family in _EXACT_RANK and self.rank != _EXACT_RANK[self.family]:
-            raise InvalidTypeError(
-                f"family {self.family} requires rank = {_EXACT_RANK[self.family]}"
-            )
-        if self.rank < _MIN_RANK[self.family]:
-            raise InvalidTypeError(
-                f"family {self.family} requires rank >= {_MIN_RANK[self.family]}"
-            )
+        refusal = _rank_refusal(self.family, self.rank)
+        if refusal:
+            raise InvalidTypeError(refusal)
 
     @classmethod
     def parse(cls, text: str) -> "RankedType":
@@ -112,20 +103,29 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _rank_refusal(family: str, rank: int) -> str | None:
+    """Why a type of this family cannot have this rank, or None when it can:
+    the one rule that RankedType enforces and all_types lists by."""
+    if family == "E":
+        return None if rank in (6, 7, 8) else "family E requires rank in {6, 7, 8}"
+    if family in _EXACT_RANK and rank != _EXACT_RANK[family]:
+        return f"family {family} requires rank = {_EXACT_RANK[family]}"
+    if rank < _MIN_RANK[family]:
+        return f"family {family} requires rank >= {_MIN_RANK[family]}"
+    return None
+
+
 def all_types(max_rank: int) -> list[RankedType]:
-    """Every irreducible type with rank <= max_rank, in canonical order."""
+    """Every irreducible type with rank <= max_rank, in canonical order:
+    family by family, each family's ranks ascending."""
     if not (_is_int(max_rank) and 1 <= max_rank <= MAX_RANK):
         raise InvalidArgumentError(f"max_rank must be an int between 1 and {MAX_RANK}")
-    out: list[RankedType] = []
-    for fam in FAMILIES:
-        if fam == "E":
-            ranks: Iterable[int] = (r for r in (6, 7, 8) if r <= max_rank)
-        elif fam in _EXACT_RANK:
-            ranks = (_EXACT_RANK[fam],) if _EXACT_RANK[fam] <= max_rank else ()
-        else:
-            ranks = range(_MIN_RANK[fam], max_rank + 1)
-        out.extend(RankedType(fam, r) for r in ranks)
-    return out
+    return [
+        RankedType(fam, r)
+        for fam in FAMILIES
+        for r in range(1, max_rank + 1)
+        if _rank_refusal(fam, r) is None
+    ]
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,12 @@ def main(argv=None) -> int:
         with contextlib.suppress(BrokenPipeError):  # stderr may be the same pipe
             print("error: output closed before everything was written", file=sys.stderr)
         return 2
+    except OSError as exc:  # writing or closing the output, such as a full disk
+        if not args.out:
+            _detach_stdout()
+        where = args.out or "stdout"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except (_CliError, InvalidTypeError, InvalidArgumentError, InvalidCartanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,19 +5,20 @@ Only positive roots are stored; a negative root is the negated coefficient
 tuple of a positive one.  An enumerated system holds them packed, as the
 sorted 8-bit keys of each height layer that ``enumerate_roots`` computed,
 plus one ``Root`` for the highest root; its other ``Root`` objects, the
-membership dict and the symmetrizer ``form`` are built on first use.  Layer
-sizes, the highest root, ``c_max``, ``signed`` and ``key_layers``, the keys
-``gen`` renders a layer at a time, are read without them, so ``exponents``
-and ``gen`` decode no root table.
+membership dict behind ``coeffs in rs``, which no check reads, and the
+symmetrizer ``form`` are built on first use.  Layer sizes, the highest
+root, ``c_max``, ``signed`` and ``key_layers``, the keys ``gen`` renders a
+layer at a time, are read without them, so ``exponents`` and ``gen``
+decode no root table.
 
 ``RootSystem.signed`` numbers the signed roots once, positives first in
 ``positive_roots()`` order, then their negatives, with a packed key each
 and the coroot pairing vector of each positive root.  It is built on first
 use, its vectors decoded from the packed pairings ``enumerate_roots``
 handed over or, for hand-built layers, computed from the Cartan rows.  The
-Weyl orbits and the root-poset scans look roots up by key; every length,
-and the affine edges of the extended Dynkin graph, are read from the
-vectors and ``form.d``.
+Weyl orbits, the root-poset scans and the chain checks read roots by
+number and look them up by key; every length, and the affine edges of the
+extended Dynkin graph, are read from the vectors and ``form.d``.
 """
 
 from __future__ import annotations
@@ -111,9 +112,10 @@ class SignedRoots:
         mask = (1 << self.width) - 1
         return tuple(self.keys[k] // u & mask for u in self.unit)
 
-    def vector(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        """The pairing vector of a positive root, looked up by its key."""
-        return self.pairings[self.number[sum(map(mul, coeffs, self.unit))]]
+    def norm_sq(self, k: int, d: Sequence[int]) -> int:
+        """(beta, beta) = sum_i beta_i d_i <beta, alpha_i> for the positive
+        root k under the symmetrizer d: 2 for a short root."""
+        return sum(map(mul, self.coeffs(k), map(mul, d, self.pairings[k])))
 
 
 class RootSystem:
@@ -257,30 +259,6 @@ class RootSystem:
                 f"expected a sequence of coefficients, got {coeffs!r}"
             ) from None
 
-    def _own(self, beta: Root) -> tuple[int, ...]:
-        """beta's coefficients; raises unless beta is a Root of this system."""
-        if not isinstance(beta, Root):
-            raise InvalidArgumentError(f"expected a Root, got {beta!r}")
-        return self.root(beta.coeffs).coeffs
-
-    def root(self, coeffs: Sequence[int]) -> Root:
-        members = self._members
-        try:
-            return members[tuple(coeffs)]
-        except (KeyError, TypeError):  # not a root here, not a sequence, or unhashable
-            raise InvalidArgumentError(f"{coeffs!r} is not a positive root here") from None
-
-    def simple_root(self, i: int) -> Root:
-        """Simple root alpha_i, 1-based."""
-        self._check_index(i)
-        return self.root(tuple(1 if k == i - 1 else 0 for k in range(self.rank)))
-
-    def _check_index(self, i: int) -> None:
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise InvalidArgumentError(f"simple index {i!r} is not an integer")
-        if not 1 <= i <= self.rank:
-            raise InvalidArgumentError(f"simple index {i} out of range 1..{self.rank}")
-
     def positive_roots(self) -> Iterator[Root]:
         for layer in self.layers:
             yield from layer
@@ -339,17 +317,6 @@ class RootSystem:
         keys = pos + [-k for k in pos]
         return SignedRoots(keys, dict(zip(keys, range(len(keys)))), unit, width, pairings)
 
-    def pairing(self, beta: Root, i: int) -> int:
-        """<beta, alpha_i> = 2(beta, alpha_i)/(alpha_i, alpha_i) for a root
-        of this system and a 1-based simple index i."""
-        self._check_index(i)
-        return self.signed.vector(self._own(beta))[i - 1]
-
-    def norm_sq(self, beta: Root) -> int:
-        """(beta, beta) = sum_i beta_i d_i <beta, alpha_i>: 2 for a short root."""
-        coeffs = self._own(beta)
-        return sum(map(mul, coeffs, map(mul, self.form.d, self.signed.vector(coeffs))))
-
     # -- graphs -------------------------------------------------------------
 
     @cached_property
@@ -368,14 +335,15 @@ class RootSystem:
         wrong d can give, or when a multiplicity is not an integer."""
         if self.rank < 2:
             raise InvalidArgumentError("extended graph requires rank >= 2")
-        theta = self.highest_root()
-        norm = self.norm_sq(theta)
+        signed = self.signed
+        # theta, alone in the top layer, is the last positive root
+        norm = signed.norm_sq(self.num_positive - 1, self.form.d)
         if norm <= 0:
             raise InternalInconsistencyError(
                 f"the highest root has squared length {norm}, not a positive one"
             )
         edges = {}
-        for i, (d_i, t_i) in enumerate(zip(self.form.d, self.signed.vector(theta.coeffs)), 1):
+        for i, (d_i, t_i) in enumerate(zip(self.form.d, signed.pairings[-1]), 1):
             if t_i > 0:
                 u_i, rem = divmod(2 * d_i * t_i, norm)
                 if rem:

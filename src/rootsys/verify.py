@@ -86,8 +86,7 @@ def mark_chain(rs: RootSystem) -> MarkChain:
     vertex's distance and the parent through which the unique path to it
     runs.
     """
-    theta = rs.highest_root()
-    c = theta.coeffs
+    c = rs.highest_root().coeffs
     cmax = max(c)
     if cmax == 1:
         return MarkChain((), (1,))
@@ -120,7 +119,7 @@ def mark_chain(rs: RootSystem) -> MarkChain:
             f"prefix {path[:-1]} of the mark chain is not a simple chain"
         )
     if len(indices) == 1:
-        end_pairing = -rs.pairing(theta, indices[0])
+        end_pairing = -rs.signed.pairings[-1][indices[0] - 1]  # theta's, numbered last
     else:
         s, t = indices[-2], indices[-1]
         end_pairing = rs.cartan.a(t, s)
@@ -133,11 +132,13 @@ def mark_chain(rs: RootSystem) -> MarkChain:
 
 @dataclass(frozen=True)
 class TopChain:
-    """Roots of height above m_{l-1}, descending; the simple index of each
-    consecutive difference; and the case: 1 when theta_t pairs to 3
-    against step t at the witness t = m - 2, else 2 with no witness."""
+    """Roots of height above m_{l-1}, descending, with their numbers in
+    ``RootSystem.signed``; the simple index of each consecutive difference;
+    and the case: 1 when theta_t pairs to 3 against step t at the witness
+    t = m - 2, else 2 with no witness."""
 
     roots: tuple[Root, ...]
+    numbers: tuple[int, ...]
     step_indices: tuple[int, ...]
     case: int
     witness: int | None
@@ -153,7 +154,9 @@ class TopChain:
 
 def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
     """Collect the unique root of each height in (m_{l-1}, m_l] and split
-    the cases on it.
+    the cases on it.  The root of height h is number sum(layer_sizes[:h])
+    in ``rs.signed``, which numbers the positive roots layer by layer, and
+    its pairings are read there.
 
     Raises InternalInconsistencyError when a difference is not a simple
     root, or when a pairing-3 witness is not unique or does not sit at
@@ -170,6 +173,7 @@ def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
             f"largest exponent {m_l} does not match the top height {rs.max_height}"
         )
     roots: list[Root] = []
+    numbers: list[int] = []
     for h in range(m_l, m_l1, -1):
         layer = rs.layer(h)
         if len(layer) != 1:
@@ -177,11 +181,13 @@ def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
                 f"height {h} holds {len(layer)} roots; expected exactly one"
             )
         roots.append(layer[0])
+        numbers.append(sum(rs.layer_sizes[:h]))
     m = len(roots)  # m_l - m_(l-1): one root per height
     if m != m2 - 1:
         raise InternalInconsistencyError(
             f"|top chain| = m_l - m_(l-1) = {m}, expected m2 - 1 = {m2 - 1}"
         )
+    pairings = rs.signed.pairings
     steps: list[int] = []
     witnesses: list[int] = []
     for t in range(1, m):
@@ -192,7 +198,7 @@ def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
                 f"top-chain step {t} is {diff}, not a simple root"
             )
         steps.append(diff.index(1) + 1)
-        if rs.pairing(roots[t - 1], steps[-1]) == 3:
+        if pairings[numbers[t - 1]][steps[-1] - 1] == 3:
             witnesses.append(t)
     if len(witnesses) > 1:
         raise InternalInconsistencyError(f"multiple pairing-3 witnesses: {witnesses}")
@@ -201,7 +207,8 @@ def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
             f"pairing-3 witness at t = {witnesses[0]}, expected m - 2 = {m - 2}"
         )
     witness = witnesses[0] if witnesses else None
-    return TopChain(tuple(roots), tuple(steps), 2 if witness is None else 1, witness)
+    case = 2 if witness is None else 1
+    return TopChain(tuple(roots), tuple(numbers), tuple(steps), case, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +333,7 @@ def check_step_multiset(rs: RootSystem, top: TopChain) -> CheckResult:
     else:
         if len(set(steps)) != len(steps):
             cx.append({"reason": "steps must be distinct", "steps": list(steps)})
-        first = rs.pairing(top.roots[0], top.step(1))
+        first = rs.signed.pairings[top.numbers[0]][top.step(1) - 1]
         if first == 2:
             if m != 2:
                 cx.append({"reason": "first pairing 2 forces m = 2", "m": m})
@@ -357,10 +364,18 @@ def check_step_nonramification(rs: RootSystem, top: TopChain) -> CheckResult:
 
 def check_differences(rs: RootSystem, top: TopChain) -> CheckResult:
     """Pairwise differences along the top chain are positive roots, except
-    the (m-2, m) pair in case 1, which must be twice a simple root."""
+    the (m-2, m) pair in case 1, which must be twice a simple root.
+
+    theta_i - theta_j is looked up by its key, the difference of the two
+    roots' keys, in ``rs.signed``.  Its coordinates lie in [-c, c], c the
+    largest coefficient, so they differ from a signed root's by at most
+    2c, which the keys' field width covers: a key found is that very
+    root's.  It is a positive root's, since theta_i - theta_j has height
+    j - i > 0."""
     m = top.m
     if m < 2:
         return _vacuous("m < 2")
+    keys, number = rs.signed.keys, rs.signed.number
     cx: list = []
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -370,7 +385,7 @@ def check_differences(rs: RootSystem, top: TopChain) -> CheckResult:
             if top.case == 1 and {i, j} == {m - 2, m}:
                 ok = sorted(diff) == [0] * (len(diff) - 1) + [2]
             else:
-                ok = diff in rs
+                ok = keys[top.numbers[i - 1]] - keys[top.numbers[j - 1]] in number
             if not ok:
                 cx.append({"i": i, "j": j, "difference": list(diff)})
     return CheckResult(not cx, cx)
@@ -378,16 +393,16 @@ def check_differences(rs: RootSystem, top: TopChain) -> CheckResult:
 
 def check_lengths(rs: RootSystem, top: TopChain) -> CheckResult:
     """Length equalities along the top chain: through theta_{m-2} and the
-    steps before the turn in case 1, one farther in case 2."""
+    steps before the turn in case 1, one farther in case 2.  A simple root
+    alpha_i has squared length d_i <alpha_i, alpha_i> = 2 d_i."""
     m = top.m
     if m < 3:
         return _vacuous("m < 3")
     cx: list = []
     hi = m - 2 if top.case == 1 else m - 1
-    values = [rs.norm_sq(top.roots[t - 1]) for t in range(1, hi + 1)]
-    values += [
-        rs.norm_sq(rs.simple_root(top.step(t))) for t in range(1, hi)
-    ]
+    d = rs.form.d
+    values = [rs.signed.norm_sq(k, d) for k in top.numbers[:hi]]
+    values += [2 * d[top.step(t) - 1] for t in range(1, hi)]
     if len(set(values)) > 1:
         cx.append({"norms": values})
     return CheckResult(not cx, cx, f"{len(values)} norms compared")

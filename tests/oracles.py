@@ -340,6 +340,12 @@ def pairing(rs, beta, gamma) -> int:
     return q
 
 
+def root_number(rs, coeffs) -> int:
+    """The number of the positive root with these coefficients in the
+    package's signed-root table: its place in positive_roots() order."""
+    return [r.coeffs for r in rs.positive_roots()].index(tuple(coeffs))
+
+
 def root_string(rs, beta, i: int) -> tuple[int, int]:
     """(p, q) with p = max k >= 0 such that beta - k*alpha_i is a root
     (negatives included) and q = max k >= 0 with beta + k*alpha_i a root."""

@@ -55,6 +55,30 @@ def test_all_types_rank_ceiling():
             R.all_types(bad)
 
 
+def test_all_types_lists_what_the_constructor_accepts():
+    # the classification's ranks, in family order and ascending rank, and
+    # exactly the family-rank pairs RankedType accepts
+    for n in range(1, R.MAX_RANK + 1):
+        expected = (
+            [("A", r) for r in range(1, n + 1)]
+            + [("B", r) for r in range(2, n + 1)]
+            + [("C", r) for r in range(2, n + 1)]
+            + [("D", r) for r in range(4, n + 1)]
+            + [("E", r) for r in (6, 7, 8) if r <= n]
+            + [("F", 4)] * (n >= 4)
+            + [("G", 2)] * (n >= 2)
+        )
+        assert [(t.family, t.rank) for t in R.all_types(n)] == expected, n
+    accepted = []
+    for family in "ABCDEFG":
+        for rank in range(1, R.MAX_RANK + 1):
+            try:
+                accepted.append(R.RankedType(family, rank))
+            except InvalidTypeError:
+                pass
+    assert accepted == R.all_types(R.MAX_RANK)
+
+
 def test_parse_rejects_garbage():
     for text in ["", "A", "7", "Axx", "G", "A\u00b2", "A" + "9" * 5000, 5, None, b"A3"]:
         with pytest.raises(InvalidTypeError):

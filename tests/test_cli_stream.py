@@ -1,6 +1,7 @@
 """Streamed JSON output: the renderer against json.dumps, byte-identical
-command output, --out validation and a closed stdout."""
+command output, --out validation, a closed stdout and a full disk."""
 
+import errno
 import hashlib
 import io
 import json
@@ -350,3 +351,46 @@ def test_closed_pipe_subprocess(shared_stderr):
         proc.stderr.close()
         assert err.startswith("error: ") and err.count("\n") == 1
     assert proc.wait(timeout=60) == 2
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--type", "A3"],
+        ["exponents", "--type", "G2", "--format", "table"],
+        ["verify", "--all", "--max-rank", "3"],
+    ],
+)
+def test_full_stdout_exits_two(capsys, monkeypatch, argv):
+    # exit 1 means a check failed: a write the disk refuses is invalid
+    # output, exit 2 with one line and no traceback
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("to_out", [True, False])
+def test_dev_full_subprocess(to_out):
+    # /dev/full refuses every write: through --out the close raises, through
+    # stdout the write or the flush does, and the interpreter's final flush
+    # of the detached stdout stays silent
+    env = dict(os.environ, PYTHONPATH=str(Path(R.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "rootsys", "gen", "--type", "A3"]
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        done = subprocess.run(
+            argv + ["--out", "/dev/full"] if to_out else argv,
+            env=env,
+            stdout=subprocess.DEVNULL if to_out else full,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    where = "/dev/full" if to_out else "stdout"
+    assert done.returncode == 2
+    assert done.stderr.decode() == f"error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"

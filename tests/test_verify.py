@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import json
 import operator
 import random
 
@@ -34,6 +35,7 @@ from oracles import (
     inner,
     long_pairs,
     reflection_orbit,
+    root_number,
     signed_roots,
     tuple_no_detour,
     tuple_string_descent,
@@ -88,7 +90,7 @@ def test_top_chain_pins(system):
     b2 = _top(system("B2"))
     assert b2.m == 2
     rs = system("B2")
-    assert rs.pairing(b2.roots[0], b2.step(1)) == 2
+    assert rs.signed.pairings[b2.numbers[0]][b2.step(1) - 1] == 2
 
 
 def test_top_chain_requires_rank_two(system):
@@ -99,9 +101,13 @@ def test_top_chain_requires_rank_two(system):
 
 def test_top_chain_steps_always_simple(system):
     # top_chain raises on a step that is not a simple root; each step it
-    # records is the difference of its two roots
-    for label in sweep_labels(12):
-        top = _top(system(label))
+    # records is the difference of its two roots, and each number is its
+    # root's in the signed-root table, hand-built systems included
+    systems = [system(label) for label in sweep_labels(12)]
+    systems.append(_wrong_d(system("F4"), (1, 1, 1, 1)))
+    for rs in systems:
+        top, label = _top(rs), rs.label
+        assert [rs.signed.coeffs(k) for k in top.numbers] == [r.coeffs for r in top.roots]
         assert len(top.step_indices) == top.m - 1, label
         for t in range(1, top.m):
             diff = tuple(a - b for a, b in zip(top.roots[t - 1].coeffs, top.roots[t].coeffs))
@@ -230,7 +236,7 @@ def test_step_multiset_case_two(system):
     # C3: first pairing is 2, so the chain stops at m = 2
     c3 = system("C3")
     top = _top(c3)
-    assert top.m == 2 and c3.pairing(top.roots[0], top.step(1)) == 2
+    assert top.m == 2 and c3.signed.pairings[top.numbers[0]][top.step(1) - 1] == 2
 
 
 def test_differences_g2(system):
@@ -267,8 +273,11 @@ def test_lengths(system):
     g2 = system("G2")
     top = _top(g2)
     long_sq = 2 * max(g2.form.d)
-    assert g2.norm_sq(top.roots[0]) == g2.norm_sq(top.roots[1]) == long_sq
-    assert g2.norm_sq(g2.simple_root(top.step(1))) == long_sq
+    norms = [g2.signed.norm_sq(k, g2.form.d) for k in top.numbers[:2]]
+    assert norms == [long_sq, long_sq]
+    g = gram(g2.cartan, g2.form.d)
+    step = tuple(int(k == top.step(1) - 1) for k in range(g2.rank))
+    assert inner(g, step, step) == long_sq
 
 
 def test_lengths_fails_on_wrong_d(system):
@@ -295,7 +304,7 @@ def test_string_descent_small(system):
     assert "0 applicable" in check_string_descent(system("A4")).note
     # G2 pin: beta = 3a1 + a2 against alpha_1 descends through alpha_2
     g2 = system("G2")
-    assert g2.pairing(g2.root((3, 1)), 1) == 3
+    assert g2.signed.pairings[root_number(g2, (3, 1))][0] == 3
     assert (1, 0) in g2  # (3,1) - 2*(1,0) - (0,1)
     res = check_string_descent(g2)
     assert res.passed and "1 applicable" in res.note
@@ -314,7 +323,7 @@ def _edited(rs, drop=(), add=()):
     filed under their heights, each layer sorted."""
     layers = [list(layer) for layer in rs.layers]
     for c in drop:
-        layers[sum(c)].remove(rs.root(c))
+        layers[sum(c)].remove(R.Root(c))
     for c in add:
         layers[sum(c)].append(R.Root(c))
     layers = tuple(tuple(sorted(layer, key=lambda r: r.coeffs)) for layer in layers)
@@ -713,7 +722,8 @@ def test_main_relation_length_condition(system):
         ) == (g2, g2, g2, g2), label
     for label in sweep_labels(12):
         rs = system(label)
-        assert max(map(rs.norm_sq, rs.positive_roots())) == 2 * max(rs.form.d), label
+        norms = [rs.signed.norm_sq(k, rs.form.d) for k in range(rs.num_positive)]
+        assert max(norms) == 2 * max(rs.form.d), label
     g2 = system("G2")
     assert V.check_main_relation(g2, _top(g2), _rep(g2)).note == (
         "case 1: c_max = 3, m2 = 5, long/short ratio 3"
@@ -739,6 +749,25 @@ def test_main_relation_length_condition(system):
     ):
         res = V.check_main_relation(rs, _top(rs), _rep(rs))
         assert not res.passed and res.counterexamples == [cx], cx
+
+
+def test_ledger_reads_roots_from_the_signed_table_alone(monkeypatch):
+    # the checks read roots by number and key in rs.signed, so an enumerated
+    # system's ledger never builds the membership dict behind `coeffs in
+    # rs`, and a dict that raises leaves every ledger as it was
+    ledgers = {}
+    for label in sweep_labels(12):
+        rs = R.build_system(label)
+        ledger = R.build_ledger(rs)
+        assert ledger.passed and "_members" not in vars(rs), label
+        ledgers[label] = json.dumps(ledger.to_json_dict())
+
+    def refuse(rs):
+        raise AssertionError("the membership dict was built")
+
+    monkeypatch.setattr(R.RootSystem, "_members", property(refuse))
+    for label, expected in ledgers.items():
+        assert json.dumps(R.build_ledger(R.build_system(label)).to_json_dict()) == expected
 
 
 def test_ledger_builds_each_structure_once(monkeypatch, capsys):
@@ -825,9 +854,6 @@ def test_constructor_rejects_malformed_layers(system):
         with pytest.raises(InvalidArgumentError, match=why):
             R.RootSystem(b3.cartan, b3.form, layers, None)
     # these used to raise a raw TypeError
-    for coeffs in (5, [[1], 0, 0]):
-        with pytest.raises(InvalidArgumentError, match="is not a positive root here"):
-            b3.root(coeffs)
     for coeffs in (5, [[1]], [[1], 0, 0]):
         with pytest.raises(InvalidArgumentError, match="expected a sequence of coefficients"):
             coeffs in b3
