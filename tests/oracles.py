@@ -9,12 +9,17 @@ rather than from the pairing table, the symmetrizer is found with
 matrices, and the Weyl-orbit moves, the descent scans and the triple scan
 look roots up by coefficient tuple or by an encoding as wide as the roots
 at hand, never by the package's shared packed keys.
+
+The corruption helpers at the end build hand-made systems that break one
+property each: a root swapped for a non-root, dropped or added roots, a
+truncation, the roots with their doubles, and a wrong symmetrizer.
 """
 
 from __future__ import annotations
 
+import collections
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, permutations
 from math import isqrt
 from operator import mul
 
@@ -23,7 +28,10 @@ from rootsys import (
     CheckResult,
     InvalidArgumentError,
     InvalidCartanError,
+    Root,
+    RootSystem,
     SymmetrizedForm,
+    enumerate_roots,
     symmetrizer,
     validate_cartan,
 )
@@ -551,3 +559,61 @@ def based_two_of_three_sums(rs, orbits: WeylOrbits) -> CheckResult:
         f"{len(vs)} signed roots, {checked} qualifying triples"
     )
     return CheckResult(not cx, cx, note)
+
+
+def edited(rs, drop=(), add=()):
+    """The system with the roots in drop removed and the vectors in add
+    filed under their heights, each layer sorted."""
+    layers = [list(layer) for layer in rs.layers]
+    for c in drop:
+        layers[sum(c)].remove(Root(c))
+    for c in add:
+        layers[sum(c)].append(Root(c))
+    layers = tuple(tuple(sorted(layer, key=lambda r: r.coeffs)) for layer in layers)
+    return RootSystem(rs.cartan, rs.form, layers, None)
+
+
+def swap_one_root(rs, height):
+    """Replace the first root of the given height that has a non-root one
+    unit away (one unit moved between two coordinates) by that non-root,
+    keeping every layer's size."""
+    for root in rs.layer(height):
+        c = root.coeffs
+        for i, j in permutations(range(len(c)), 2):
+            fake = tuple(x - (k == i) + (k == j) for k, x in enumerate(c))
+            if c[i] > 0 and fake not in rs:
+                return edited(rs, drop=[c], add=[fake])
+    raise AssertionError(f"no non-root of height {height} is one move away")
+
+
+def truncated(rs, height):
+    """The roots of height at most the given one, whose layer must hold a
+    single root."""
+    return RootSystem(rs.cartan, rs.form, rs.layers[: height + 1], None)
+
+
+def with_doubles(rs):
+    """The roots together with their doubles: a Weyl-stable set on which
+    the two-of-three lemma fails."""
+    by_height = collections.defaultdict(list)
+    for r in rs.positive_roots():
+        by_height[r.height].append(r)
+        by_height[2 * r.height].append(Root(tuple(2 * c for c in r.coeffs)))
+    layers = ((),) + tuple(
+        tuple(sorted(by_height[h], key=lambda r: r.coeffs))
+        for h in range(1, max(by_height) + 1)
+    )
+    return RootSystem(rs.cartan, rs.form, layers, None)
+
+
+def wrong_d(rs, d):
+    """The same roots read with a wrong symmetrizer d: still Weyl-stable,
+    since the pairing table comes from the Cartan rows alone, but every
+    length and inner product is that of another bilinear form."""
+    return RootSystem(rs.cartan, SymmetrizedForm(d=d), rs.layers, None)
+
+
+def relabel(rs, perm):
+    """The system enumerated afresh with its simple roots permuted."""
+    rows = rs.cartan.rows
+    return enumerate_roots(validate_cartan([[rows[a][b] for b in perm] for a in perm]))

@@ -30,17 +30,23 @@ from rootsys.verify import (
 from conftest import small_labels, sweep_labels
 from oracles import (
     based_two_of_three_sums,
+    edited,
     form_pairings,
     gram,
     inner,
     long_pairs,
     reflection_orbit,
+    relabel,
     root_number,
     signed_roots,
+    swap_one_root,
+    truncated,
     tuple_no_detour,
     tuple_string_descent,
     tuple_weyl_orbits,
     two_of_three_triples,
+    with_doubles,
+    wrong_d,
 )
 
 
@@ -104,7 +110,7 @@ def test_top_chain_steps_always_simple(system):
     # records is the difference of its two roots, and each number is its
     # root's in the signed-root table, hand-built systems included
     systems = [system(label) for label in sweep_labels(12)]
-    systems.append(_wrong_d(system("F4"), (1, 1, 1, 1)))
+    systems.append(wrong_d(system("F4"), (1, 1, 1, 1)))
     for rs in systems:
         top, label = _top(rs), rs.label
         assert [rs.signed.coeffs(k) for k in top.numbers] == [r.coeffs for r in top.roots]
@@ -170,15 +176,15 @@ def test_chains_coincide_fails_each_way(system):
     # prefix of its m - 1 steps matches; and both halves at once
     for rs, cx in (
         (
-            _edited(system("G2"), drop=[(3, 1)], add=[(2, 2)]),
+            edited(system("G2"), drop=[(3, 1)], add=[(2, 2)]),
             [{"steps": [1, 2, 1], "marks": [2, 1]}],
         ),
         (
-            _edited(system("A4"), drop=[(1, 1, 1, 1)], add=[(1, 2, 1, 0)]),
+            edited(system("A4"), drop=[(1, 1, 1, 1)], add=[(1, 2, 1, 0)]),
             [{"step_set": [], "mark_set": [2]}, {"steps": [], "marks": [2]}],
         ),
         (
-            _edited(system("B2"), drop=[(1, 1)], add=[(0, 2)]),
+            edited(system("B2"), drop=[(1, 1)], add=[(0, 2)]),
             [{"step_set": [1], "mark_set": [2]}, {"steps": [1], "marks": [2]}],
         ),
     ):
@@ -186,7 +192,7 @@ def test_chains_coincide_fails_each_way(system):
         assert led.checks["mark_chain"].passed, led.checks["mark_chain"].note
         res = led.checks["chains_coincide"]
         assert not res.passed and res.counterexamples == cx, res.counterexamples
-    a4 = _edited(system("A4"), drop=[(1, 1, 1, 1)], add=[(1, 2, 1, 0)])
+    a4 = edited(system("A4"), drop=[(1, 1, 1, 1)], add=[(1, 2, 1, 0)])
     assert len(R.mark_chain(a4).simple_indices) >= _top(a4).m == 1
 
 
@@ -194,7 +200,7 @@ def test_mark_chain_checks_the_affine_degree_first(system):
     # B3 read with d = (1, 2, 3) under a top (2, 3, 2) two heights up: the
     # affine vertex attaches at alpha_1 and alpha_2, and the marks (1, 3)
     # along a path to alpha_2 break too; the degree is reported
-    rs = _with_top(_wrong_d(system("B3"), (1, 2, 3)), (2, 3, 2))
+    rs = _with_top(wrong_d(system("B3"), (1, 2, 3)), (2, 3, 2))
     assert rs.extended_graph.neighbors(0) == (1, 2)
     with pytest.raises(
         R.InternalInconsistencyError, match="affine vertex must attach at exactly one vertex"
@@ -206,7 +212,7 @@ def test_extended_graph_rejects_a_non_positive_top_length(system):
     # (theta, theta) = 0 once raised a bare ZeroDivisionError, and -2 built
     # an affine edge of multiplicity -4
     for d, top, norm in (((2, 2), (4, 4), 0), ((2, 1), (4, 3), -2)):
-        rs = _with_top(_wrong_d(system("G2"), d), top)
+        rs = _with_top(wrong_d(system("G2"), d), top)
         message = f"the highest root has squared length {norm}, not a positive one"
         with pytest.raises(R.InternalInconsistencyError, match=message):
             rs.extended_graph
@@ -281,7 +287,7 @@ def test_lengths(system):
 
 
 def test_lengths_fails_on_wrong_d(system):
-    g2 = _wrong_d(system("G2"), (1, 1))
+    g2 = wrong_d(system("G2"), (1, 1))
     res = check_lengths(g2, _top(g2))
     assert not res.passed
     assert res.counterexamples == [{"norms": [2, 8, 2]}]
@@ -318,64 +324,6 @@ def test_two_of_three_small(system):
         assert res.note.startswith("exhaustive")
 
 
-def _edited(rs, drop=(), add=()):
-    """The system with the roots in drop removed and the vectors in add
-    filed under their heights, each layer sorted."""
-    layers = [list(layer) for layer in rs.layers]
-    for c in drop:
-        layers[sum(c)].remove(R.Root(c))
-    for c in add:
-        layers[sum(c)].append(R.Root(c))
-    layers = tuple(tuple(sorted(layer, key=lambda r: r.coeffs)) for layer in layers)
-    return R.RootSystem(rs.cartan, rs.form, layers, None)
-
-
-def _swap_one_root(rs, height):
-    """Replace the first root of the given height that has a non-root one
-    unit away (one unit moved between two coordinates) by that non-root,
-    keeping every layer's size."""
-    for root in rs.layer(height):
-        c = root.coeffs
-        for i, j in itertools.permutations(range(len(c)), 2):
-            fake = tuple(x - (k == i) + (k == j) for k, x in enumerate(c))
-            if c[i] > 0 and fake not in rs:
-                return _edited(rs, drop=[c], add=[fake])
-    raise AssertionError(f"no non-root of height {height} is one move away")
-
-
-def _truncated(rs, height):
-    """The roots of height at most the given one, whose layer must hold a
-    single root."""
-    return R.RootSystem(rs.cartan, rs.form, rs.layers[: height + 1], None)
-
-
-def _with_doubles(rs):
-    """The roots together with their doubles: a Weyl-stable set on which
-    the two-of-three lemma fails."""
-    by_height = collections.defaultdict(list)
-    for r in rs.positive_roots():
-        by_height[r.height].append(r)
-        by_height[2 * r.height].append(R.Root(tuple(2 * c for c in r.coeffs)))
-    layers = ((),) + tuple(
-        tuple(sorted(by_height[h], key=lambda r: r.coeffs))
-        for h in range(1, max(by_height) + 1)
-    )
-    return R.RootSystem(rs.cartan, rs.form, layers, None)
-
-
-def _wrong_d(rs, d):
-    """The same roots read with a wrong symmetrizer d: still Weyl-stable,
-    since the pairing table comes from the Cartan rows alone, but every
-    length and inner product is that of another bilinear form."""
-    return R.RootSystem(rs.cartan, R.SymmetrizedForm(d=d), rs.layers, None)
-
-
-def _relabel(rs, perm):
-    """The system enumerated afresh with its simple roots permuted."""
-    rows = rs.cartan.rows
-    return R.enumerate_roots(R.validate_cartan([[rows[a][b] for b in perm] for a in perm]))
-
-
 def _scan_both(rs):
     """(orbit scan passed, brute-force oracle passed).  On a Weyl-stable set
     the orbit scan's qualifying count must be the oracle's counts of triples
@@ -399,9 +347,9 @@ def test_two_of_three_differential_oracle(system):
         if rs.max_height > 2:  # A2: its only root of height 2 is the top
             # the swapped A3 still satisfies the lemma; only the orbit scan,
             # which sees that the set is not Weyl-stable, catches it
-            assert _scan_both(_swap_one_root(rs, 2)) == (False, label == "A3"), label
+            assert _scan_both(swap_one_root(rs, 2)) == (False, label == "A3"), label
     for label in ("A2", "A3", "B2", "G2"):
-        assert _scan_both(_with_doubles(system(label))) == (False, False), label
+        assert _scan_both(with_doubles(system(label))) == (False, False), label
 
 
 def test_pairing_table(system):
@@ -410,10 +358,10 @@ def test_pairing_table(system):
     # the negative; vectors: 2(beta, alpha_i)/(alpha_i, alpha_i) from the
     # integer form, for valid and hand-built systems alike
     systems = [system(str(t)) for t in R.all_types(6)]
-    systems += [_swap_one_root(rs, 2) for rs in systems if rs.max_height > 2]
-    systems += [_with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
+    systems += [swap_one_root(rs, 2) for rs in systems if rs.max_height > 2]
+    systems += [with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
     # the benchmark's defect shapes past rank 6, and keys past 8-bit fields
-    systems += [_swap_one_root(system(label), 5) for label in ("B8", "D8", "E8")]
+    systems += [swap_one_root(system(label), 5) for label in ("B8", "D8", "E8")]
     systems += [_with_top(system("G2"), (1, 128)), _with_top(system("G2"), (1, 256))]
     for rs in systems:
         signed, n = rs.signed, rs.num_positive
@@ -482,11 +430,11 @@ def test_descent_scans_match_tuple_oracles(system):
     systems = []
     for t in R.all_types(12):
         rs = system(str(t))
-        systems += [rs, _relabel(rs, rng.sample(range(rs.rank), rs.rank))]
-    systems += [_swap_one_root(rs, 2) for rs in systems if rs.max_height > 2]
-    systems += [_with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
+        systems += [rs, relabel(rs, rng.sample(range(rs.rank), rs.rank))]
+    systems += [swap_one_root(rs, 2) for rs in systems if rs.max_height > 2]
+    systems += [with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
     systems += [
-        _edited(system("G2"), add=[(2, 0)]),
+        edited(system("G2"), add=[(2, 0)]),
         _with_top(system("G2"), (1, 128)),
         _with_top(system("G2"), (1, 256)),
     ]
@@ -505,7 +453,7 @@ def test_descent_scans_match_tuple_oracles(system):
 
 
 def test_scans_fail_on_swapped_root(system):
-    bad = _swap_one_root(system("F4"), 5)
+    bad = swap_one_root(system("F4"), 5)
     orbits = weyl_orbits(bad)
     escapes = orbits.escapes
     assert escapes
@@ -529,13 +477,13 @@ def test_long_pair_positive(system):
 def test_long_pair_positive_fails_on_wrong_d(system):
     # A2 read with d = (1, 2): the one long pair fails with (lambda, b) = 0,
     # so a strict "< 0" test would pass this set
-    a2 = _wrong_d(system("A2"), (1, 2))
+    a2 = wrong_d(system("A2"), (1, 2))
     res = check_long_pair_positive(a2, weyl_orbits(a2))
     assert not res.passed
     assert res.counterexamples == [{"beta1": [1, 1], "beta2": [1, 0]}]
     assert inner(gram(a2.cartan, a2.form.d), (1, 1), (1, 0)) == 0
     # G2 read with d = (1, 1): the failing pairs have negative products
-    g2 = _wrong_d(system("G2"), (1, 1))
+    g2 = wrong_d(system("G2"), (1, 1))
     res = check_long_pair_positive(g2, weyl_orbits(g2))
     assert not res.passed
     assert res.counterexamples[0] == {"beta1": [2, 1], "beta2": [-1, 0]}
@@ -550,8 +498,8 @@ def test_stabilizer_reduction(system):
     systems = []
     for t in R.all_types(6):
         rs = system(str(t))
-        systems += [rs, _relabel(rs, rng.sample(range(rs.rank), rs.rank))]
-    systems += [_with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
+        systems += [rs, relabel(rs, rng.sample(range(rs.rank), rs.rank))]
+    systems += [with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
     for rs in systems:
         orbits = weyl_orbits(rs)
         assert not orbits.escapes
@@ -592,7 +540,7 @@ def test_no_detour(system):
     # G2 with 2*alpha_1 added at height 2: (3, 1) pairs to 3 against alpha_1,
     # the only simple root it can step down by, and (3, 1) - alpha_1 - alpha_2
     # = (2, 0) is now there
-    res = check_no_detour(_edited(g2, add=[(2, 0)]))
+    res = check_no_detour(edited(g2, add=[(2, 0)]))
     assert not res.passed
     assert res.counterexamples == [{"beta": [3, 1], "alpha": 1, "detour": 2}]
 
@@ -645,7 +593,7 @@ def test_ledger_reports_non_finite_cartan(system, monkeypatch):
 
 def test_ledger_reports_missing_mark_chain(system):
     # C3 with its top root swapped: the mark chain cannot be built
-    led = R.build_ledger(_swap_one_root(system("C3"), 5))
+    led = R.build_ledger(swap_one_root(system("C3"), 5))
     assert not led.passed
     assert list(led.checks) == list(R.build_ledger(system("C3")).checks)
     assert (
@@ -658,7 +606,7 @@ def test_ledger_reports_missing_mark_chain(system):
 def test_ledger_reports_non_simple_step(system):
     # C3 with a height-4 root swapped: the top chain steps by (2, -1, 0),
     # so it is not built, and every check that needs it says so
-    led = R.build_ledger(_swap_one_root(system("C3"), 4))
+    led = R.build_ledger(swap_one_root(system("C3"), 4))
     assert not led.passed and led.case is None
     assert led.checks["main_relation"].note == (
         "error: top-chain step 1 is (2, -1, 0), not a simple root"
@@ -671,25 +619,25 @@ def _failing_systems(system):
     """One corrupted system per ledger row, in registry order, on which
     that row fails with counterexamples of its own."""
     e6 = system("E6")
-    g2_unit_d = _wrong_d(system("G2"), (1, 1))
+    g2_unit_d = wrong_d(system("G2"), (1, 1))
     return {
         # top root (1, 1): dual exponents (1, 2), Coxeter exponents (1, 3)
-        "exponents_agree": _truncated(system("B2"), 2),
+        "exponents_agree": truncated(system("B2"), 2),
         "main_relation": g2_unit_d,
         # c_max = 1 on a graph with a branch point
-        "mark_chain": _truncated(system("D4"), 4),
+        "mark_chain": truncated(system("D4"), 4),
         # step set {1} against mark set {2}
-        "chains_coincide": _swap_one_root(system("B2"), 2),
-        "step_multiset": _edited(system("F4"), drop=[(1, 2, 3, 2)], add=[(1, 1, 4, 2)]),
-        "step_nonramification": _edited(
+        "chains_coincide": swap_one_root(system("B2"), 2),
+        "step_multiset": edited(system("F4"), drop=[(1, 2, 3, 2)], add=[(1, 1, 4, 2)]),
+        "step_nonramification": edited(
             e6, drop=[(1, 1, 2, 3, 2, 1)], add=[(1, 2, 2, 2, 2, 1)]
         ),
-        "differences": _edited(e6, drop=[(0, 1, 0, 1, 0, 0)], add=[(0, 0, 0, 2, 0, 0)]),
+        "differences": edited(e6, drop=[(0, 1, 0, 1, 0, 0)], add=[(0, 0, 0, 2, 0, 0)]),
         "lengths": g2_unit_d,
-        "string_descent": _swap_one_root(system("A3"), 2),
-        "two_of_three_sums": _with_doubles(system("A2")),
-        "long_pair_positive": _wrong_d(system("A2"), (1, 2)),
-        "no_detour": _edited(system("G2"), add=[(2, 0)]),
+        "string_descent": swap_one_root(system("A3"), 2),
+        "two_of_three_sums": with_doubles(system("A2")),
+        "long_pair_positive": wrong_d(system("A2"), (1, 2)),
+        "no_detour": edited(system("G2"), add=[(2, 0)]),
     }
 
 
@@ -734,15 +682,15 @@ def test_main_relation_length_condition(system):
     g2_rows = R.RootSystem(g2.cartan, R.SymmetrizedForm((1, 1)), system("A2").layers, None)
     for rs, cx in (
         (
-            _wrong_d(system("G2"), (1, 1)),
+            wrong_d(system("G2"), (1, 1)),
             {"c_max": 3, "m2": 5, "case": 1, "ratio": 1, "triple_edge": True},
         ),
         (
-            _wrong_d(system("A2"), (1, 3)),
+            wrong_d(system("A2"), (1, 3)),
             {"c_max": 1, "m2": 2, "case": 2, "ratio": 3, "triple_edge": False},
         ),
         (
-            _swap_one_root(system("A2"), 2),
+            swap_one_root(system("A2"), 2),
             {"c_max": 2, "m2": 2, "case": 2, "ratio": 1, "triple_edge": False},
         ),
         (g2_rows, {"c_max": 1, "m2": 2, "case": 2, "ratio": 1, "triple_edge": True}),
@@ -814,7 +762,7 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
     # a set that is not Weyl-stable is never closed, and has no orbits
     for label in ("B3", "F4", "E6"):
         calls.clear()
-        assert not R.build_ledger(_swap_one_root(R.build_system(label), 2)).passed
+        assert not R.build_ledger(swap_one_root(R.build_system(label), 2)).passed
         orbits = built["weyl_orbits"]
         assert orbits.escapes and not orbits.representatives and not orbits.stabilizer_orbits
         assert calls["_close"] == 0, (label, calls)
@@ -878,7 +826,7 @@ def test_relabeled_ledgers_pass(system):
         canonical = R.build_ledger(rs)
         for _ in range(4):
             perm = rng.sample(range(rs.rank), rs.rank)
-            led = R.build_ledger(_relabel(rs, perm))
+            led = R.build_ledger(relabel(rs, perm))
             failed = [n for n, r in led.checks.items() if not r.passed]
             assert not failed, (label, perm, failed)
             assert (led.c_max, led.m2, led.case) == (
