@@ -8,8 +8,8 @@ plus one ``Root`` for the highest root; its other ``Root`` objects, the
 membership dict behind ``coeffs in rs``, which no check reads, and the
 symmetrizer ``form`` are built on first use.  Layer sizes, the highest
 root, ``c_max``, ``signed`` and ``key_layers``, the keys ``gen`` renders a
-layer at a time, are read without them, so ``exponents`` and ``gen``
-decode no root table.
+layer at a time, are read without them, so ``exponents``, ``gen`` and
+``verify`` decode no root table.
 
 ``RootSystem.signed`` numbers the signed roots once, positives first in
 ``positive_roots()`` order, then their negatives, with a packed key each
@@ -17,8 +17,10 @@ and the coroot pairing vector of each positive root.  It is built on first
 use, its vectors decoded from the packed pairings ``enumerate_roots``
 handed over or, for hand-built layers, computed from the Cartan rows.  The
 Weyl orbits, the root-poset scans and the chain checks read roots by
-number and look them up by key; every length, and the affine edges of the
-extended Dynkin graph, are read from the vectors and ``form.d``.
+number and look them up by key: the orbits move among the positive roots
+alone, and the top chain decodes only its own roots with
+``signed.coeffs``.  Every length, and the affine edges of the extended
+Dynkin graph, are read from the vectors and ``form.d``.
 """
 
 from __future__ import annotations
@@ -106,15 +108,26 @@ class SignedRoots:
     pairings: list[tuple[int, ...]]
 
     def coeffs(self, k: int) -> tuple[int, ...]:
-        """Root k's coefficient tuple, decoded from its key."""
-        if k >= len(self.pairings):
-            return tuple(-c for c in self.coeffs(k - len(self.pairings)))
+        """Root k's coefficient tuple, decoded from its key.  Raises
+        InvalidArgumentError unless k numbers a signed root."""
+        n = len(self.pairings)
+        if k not in range(2 * n):
+            raise InvalidArgumentError(
+                f"no signed root is numbered {k!r}; expected 0..{2 * n - 1}"
+            )
+        if k >= n:
+            return tuple(-c for c in self.coeffs(k - n))
         mask = (1 << self.width) - 1
         return tuple(self.keys[k] // u & mask for u in self.unit)
 
     def norm_sq(self, k: int, d: Sequence[int]) -> int:
         """(beta, beta) = sum_i beta_i d_i <beta, alpha_i> for the positive
-        root k under the symmetrizer d: 2 for a short root."""
+        root k under the symmetrizer d: 2 for a short root.  Raises
+        InvalidArgumentError unless k numbers a positive root."""
+        if k not in range(len(self.pairings)):
+            raise InvalidArgumentError(
+                f"no positive root is numbered {k!r}; expected 0..{len(self.pairings) - 1}"
+            )
         return sum(map(mul, self.coeffs(k), map(mul, d, self.pairings[k])))
 
 

@@ -8,12 +8,9 @@ the top chain (the roots living above height m_{l-1}, one per height,
 together with their consecutive differences, each a simple root).  The top
 chain carries its case: case 1 when some root of it pairs to 3 against its
 step, which forces c_max = m2 - 2; case 2 otherwise, which forces
-c_max = m2 - 1.  The main relation also states the root-length condition
-and the corollary that c_max = m2 - 2 characterises G2, on each system:
-case 1 holds iff the ratio of long to short squared lengths is 3, iff the
-Dynkin graph has a triple edge.  The sweep's G2 criterion only compares
-the case-1 types with the types where c_max = m2 - 2, so no label is
-consulted.
+c_max = m2 - 1.  The main relation also states, on each system, the
+root-length condition and the corollary that c_max = m2 - 2 characterises
+G2, and no check consults a label.
 
 Every check returns a CheckResult instead of raising, so a batch run over
 many systems always completes and reports failures as data.  The chain
@@ -22,21 +19,16 @@ break turns out broken.
 
 The ledger builds each structure the checks share once per system: the
 Coxeter and dual exponents, the top chain with its case, the mark chain
-and the Weyl orbits.  The orbits are read off the dominant chamber, which
-each W-orbit of a Weyl-stable set meets exactly once (Humphreys,
-Reflection Groups and Coxeter Groups, 1.12): each dominant root lambda
-comes with the orbits of its stabilizer W_J, so the two lemma scans fix
-their first root to lambda and their second to one member per W_J-orbit.
-A set that is not Weyl-stable is reported by its escaping reflections.
-The ledger's checks come from one ordered registry of (name, needs, fn)
-rows, where needs names the structures fn takes, in order.  Each row can
-fail with counterexamples of its own; a condition that the structure
-builders or another row already enforce is not given a row.  A check that
-raises is reported as an error.  A structure whose builder raised is
-reported as an error by the first check that needs it.  Every other
-check that needs a missing structure is reported as blocked, naming that
-structure if its builder raised, else the missing input that kept it
-from being built.
+and the Weyl orbits, read off the dominant chamber (Humphreys, Reflection
+Groups and Coxeter Groups, 1.12) as ``WeylOrbits`` says.  The ledger's
+checks come from one ordered registry of (name, needs, fn) rows, where
+needs names the structures fn takes, in order.  Each row can fail with
+counterexamples of its own; a condition that the structure builders or
+another row already enforce is not given a row.  A check that raises is
+reported as an error.  A structure whose builder raised is reported as an
+error by the first check that needs it.  Every other check that needs a
+missing structure is reported as blocked, naming that structure if its
+builder raised, else the missing input that kept it from being built.
 """
 
 from __future__ import annotations
@@ -155,8 +147,8 @@ class TopChain:
 def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
     """Collect the unique root of each height in (m_{l-1}, m_l] and split
     the cases on it.  The root of height h is number sum(layer_sizes[:h])
-    in ``rs.signed``, which numbers the positive roots layer by layer, and
-    its pairings are read there.
+    in ``rs.signed``, which numbers the positive roots layer by layer; its
+    coefficients and pairings are read there.
 
     Raises InternalInconsistencyError when a difference is not a simple
     root, or when a pairing-3 witness is not unique or does not sit at
@@ -172,21 +164,20 @@ def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
         raise InternalInconsistencyError(
             f"largest exponent {m_l} does not match the top height {rs.max_height}"
         )
-    roots: list[Root] = []
+    sizes = rs.layer_sizes
     numbers: list[int] = []
     for h in range(m_l, m_l1, -1):
-        layer = rs.layer(h)
-        if len(layer) != 1:
+        if sizes[h] != 1:
             raise InternalInconsistencyError(
-                f"height {h} holds {len(layer)} roots; expected exactly one"
+                f"height {h} holds {sizes[h]} roots; expected exactly one"
             )
-        roots.append(layer[0])
-        numbers.append(sum(rs.layer_sizes[:h]))
-    m = len(roots)  # m_l - m_(l-1): one root per height
+        numbers.append(sum(sizes[:h]))
+    m = len(numbers)  # m_l - m_(l-1): one root per height
     if m != m2 - 1:
         raise InternalInconsistencyError(
             f"|top chain| = m_l - m_(l-1) = {m}, expected m2 - 1 = {m2 - 1}"
         )
+    roots = [Root(rs.signed.coeffs(k)) for k in numbers]
     pairings = rs.signed.pairings
     steps: list[int] = []
     witnesses: list[int] = []
@@ -412,11 +403,6 @@ def check_lengths(rs: RootSystem, top: TopChain) -> CheckResult:
 # exhaustive root-poset scans
 # ---------------------------------------------------------------------------
 
-def _down(v: tuple[int, ...], i: int, k: int = 1) -> tuple[int, ...]:
-    """v - k*alpha_i for a 1-based simple index i."""
-    return v[: i - 1] + (v[i - 1] - k,) + v[i:]
-
-
 def check_string_descent(rs: RootSystem) -> CheckResult:
     """Whenever a positive root pairs to k in {2, 3} against a simple root
     other than itself, some other simple root can be subtracted after
@@ -490,8 +476,8 @@ class WeylOrbits:
     ``representatives`` are the dominant roots lambda, with every pairing
     <lambda, alpha_i> >= 0, and ``stabilizer_orbits`` holds, per
     representative, the orbits of all signed roots under its stabilizer
-    W_J, J = {i : <lambda, alpha_i> = 0}, as (number, size) pairs.  With
-    escapes both are empty.
+    W_J, J = {i : <lambda, alpha_i> = 0}, as (least number, size) pairs in
+    increasing order.  With escapes both are empty.
     """
 
     representatives: tuple[int, ...]
@@ -500,12 +486,12 @@ class WeylOrbits:
 
 
 def _close(moves: list, gens: set[int]) -> list[tuple[int, int]]:
-    """Close a Weyl-stable set of signed roots, numbered in table order,
-    under the simple reflections s_i with 0-based i in gens.  moves[k]
-    lists (i, p, j) for each i with p = <v, alpha_i> nonzero, where v is
-    root k and j is the number of s_i(v) = v - p alpha_i.  Returns each
-    orbit as (first root number met, size)."""
-    seen = [False] * len(moves)
+    """Close the N positive roots of a Weyl-stable set under the simple
+    reflections s_i with 0-based i in gens.  moves[k] lists (i, p, j) for
+    each i with p = <v, alpha_i> nonzero, v root k, and j the number of
+    s_i(v) = v - p alpha_i, or -1 for none: seen unless j < N.  Returns
+    each orbit's positive part as (first root met, size)."""
+    seen = [False] * len(moves) + [True] * (len(moves) + 1)
     orbits = []
     for start in range(len(moves)):
         if seen[start]:
@@ -525,14 +511,22 @@ def _close(moves: list, gens: set[int]) -> list[tuple[int, int]]:
 
 
 def weyl_orbits(rs: RootSystem) -> WeylOrbits:
-    """Read the W-orbits of the signed roots off the dominant chamber.
+    """Read the W-orbits of the signed roots off the dominant chamber,
+    moving among the positive roots alone.
 
-    The escapes are the moves whose image is not a signed root.  Without
-    them the set is Weyl-stable, and the representatives are the positive
-    roots with no negative pairing.  No negative root v is dominant: with
-    every v_i <= 0 and every <v, alpha_i> >= 0, (v, v) = sum_i v_i d_i
-    <v, alpha_i> <= 0 would force v = 0.  Each representative is closed
-    once under its stabilizer.
+    The escapes are the moves whose image is not a signed root; as
+    s_i(-v) = -s_i(v), root k + N escapes where root k does, with -p.
+    Without them the set is Weyl-stable, and the representatives are the
+    positive roots with no negative pairing: a negative dominant v would
+    have (v, v) = sum_i v_i d_i <v, alpha_i> <= 0.  Each is closed once
+    under its stabilizer W_J, which keeps the coordinates outside J, so an
+    orbit whose support leaves J is positive, and its negation is another.
+    Reflecting a positive member at a negative pairing climbs through
+    positive members to the orbit's unique J-dominant member (Humphreys,
+    1.12), so its positive part is connected and met first at its least
+    number.  An orbit inside span(Delta_J) holds -v with v: reflections in
+    J from that member down to its negative w0 image flip sign at some
+    step u -> s_i(u), which forces u = c*alpha_i and s_i(u) = -u.
 
     s_i(v) = v - p*alpha_i is looked up by its key, key(v) - p*unit[i],
     in ``rs.signed``, whose field width covers every such image."""
@@ -540,20 +534,28 @@ def weyl_orbits(rs: RootSystem) -> WeylOrbits:
     signed = rs.signed
     keys, number, unit, positive = signed.keys, signed.number, signed.unit, signed.pairings
     half = len(positive)
-    # each root's nonzero reflections; as s_i(-v) = -s_i(v), root k + half
-    # has root k's with -p and j flipped
     moves = [
         [(i, pv[i], number.get(keys[k] - pv[i] * unit[i], -1)) for i in compress(range(n), pv)]
         for k, pv in enumerate(positive)
     ]
-    flip = [*range(half, 2 * half), *range(half), -1]
-    moves += [[(i, -p, flip[j]) for i, p, j in m] for m in moves]
     escapes = [(k, i, p) for k, m in enumerate(moves) for i, p, j in m if j < 0]
     if escapes:
-        return WeylOrbits((), tuple(escapes))
+        return WeylOrbits((), tuple(escapes + [(k + half, i, -p) for k, i, p in escapes]))
     reps = tuple(k for k, pv in enumerate(positive) if min(pv) >= 0)
-    stabilizers = [{i for i, p in enumerate(positive[k]) if not p} for k in reps]
-    return WeylOrbits(reps, (), tuple(tuple(_close(moves, J)) for J in stabilizers))
+    ones = (1 << signed.width) - 1
+    orbits = []
+    for k in reps:
+        J = {i for i, p in enumerate(positive[k]) if not p}
+        outside = sum(ones * u for i, u in enumerate(unit) if i not in J)
+        pos, neg = [], []
+        for b, size in _close(moves, J):
+            if keys[b] & outside:
+                pos.append((b, size))
+                neg.append((b + half, size))
+            else:
+                pos.append((b, 2 * size))
+        orbits.append(tuple(pos + neg))
+    return WeylOrbits(reps, (), tuple(orbits))
 
 
 def _not_weyl_stable(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
@@ -561,7 +563,8 @@ def _not_weyl_stable(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     cx = []
     for k, i, p in orbits.escapes[:COUNTEREXAMPLE_CAP]:
         v = rs.signed.coeffs(k)
-        cx.append({"root": list(v), "reflection": i + 1, "image": list(_down(v, i + 1, p))})
+        image = [c - p * (j == i) for j, c in enumerate(v)]
+        cx.append({"root": list(v), "reflection": i + 1, "image": image})
     return CheckResult(
         False, cx, f"not Weyl-stable: {len(orbits.escapes)} reflected roots escape"
     )
@@ -575,13 +578,13 @@ def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     """Signed root pairs whose difference is a root and which contain a long
     root have strictly positive inner product.
 
-    Both conditions are Weyl-invariant, so the long root is fixed to the
-    dominant member lambda of each long orbit, and its partner to one
-    member of each orbit of lambda's stabilizer, counted with the orbit's
-    size: O(orbits * stabilizer orbits) pairs instead of O(N^2).  The
-    inner product is (lambda, b) = sum_i lambda_i d_i <b, alpha_i>, negated
-    for a negative b, and lambda - b is looked up by its packed key in
-    ``rs.signed``, whose field width covers sums of two signed roots.
+    Both conditions are Weyl-invariant, so the long root is fixed to each
+    long representative lambda, and its partner to one member of each
+    W_J-orbit, counted with its size: O(orbits * stabilizer orbits) pairs
+    instead of O(N^2).  The inner product is (lambda, b) = sum_i lambda_i
+    d_i <b, alpha_i>, negated for a negative b, and lambda - b is looked up
+    by its packed key in ``rs.signed``, whose field width covers sums of
+    two signed roots.
     """
     if orbits.escapes:
         return _not_weyl_stable(rs, orbits)
@@ -616,24 +619,24 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     """For signed root triples with nonzero pairwise sums whose total is a
     root, at least two of the pairwise sums are roots.
 
-    Both conditions are Weyl-invariant, so the first root is fixed to the
-    dominant member lambda of each orbit, and the second to one member of
-    each orbit of lambda's stabilizer, counted with the orbit's size, while
-    the third runs over every signed root: O(orbits * stabilizer orbits * N)
-    instead of O(N^3).  The ordered pairs (b, c) so counted, plus the
-    diagonal ones (b, b), make twice the number of pairs b <= c.  Roots
-    are the packed keys of ``rs.signed``, linear in the coefficients, so
-    vector sums become integer sums; the keys' field width covers sums of
-    up to three signed roots, so those never collide.
+    Both conditions are Weyl-invariant, so the first root is fixed to each
+    representative lambda, and the second to one member of each W_J-orbit,
+    counted with its size, while the third runs over every signed root, in
+    C-level passes: O(orbits * stabilizer orbits * N) instead of O(N^3).
+    The ordered pairs (b, c) so counted, plus the diagonal ones (b, b), make
+    twice the number of pairs b <= c.  Roots are the packed keys of
+    ``rs.signed``, linear in the coefficients, so vector sums become integer
+    sums; the keys' field width covers sums of up to three signed roots, so
+    those never collide.
     """
     if orbits.escapes:
         return _not_weyl_stable(rs, orbits)
     keys, member = rs.signed.keys, rs.signed.number
+    has = member.__contains__
     checked = 0
     cx: list = []
     for r, partners in zip(orbits.representatives, orbits.stabilizer_orbits):
         kr = keys[r]
-        with_r = [kr + k for k in keys]
         ordered = diagonal = 0
         for b, size in partners:
             kb = keys[b]
@@ -643,9 +646,9 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
             rb_root = rb in member
             diagonal += size * (rb + kb in member)
             hits = 0
-            for kc, rc in zip(keys, with_r):
-                bc = kb + kc
-                if not rc or not bc or rb + kc not in member:
+            for kc in compress(keys, map(has, map(rb.__add__, keys))):
+                rc, bc = kr + kc, kb + kc
+                if not rc or not bc:
                     continue
                 hits += 1
                 roots = rb_root + (rc in member) + (bc in member)
@@ -666,20 +669,8 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_exponents_agree(rep_a: ExponentReport, rep_b: ExponentReport) -> CheckResult:
-    ok = (
-        rep_a.exponents == rep_b.exponents
-        and rep_a.coxeter_number == rep_b.coxeter_number
-    )
-    cx = (
-        []
-        if ok
-        else [
-            {
-                rep_a.method: list(rep_a.exponents),
-                rep_b.method: list(rep_b.exponents),
-            }
-        ]
-    )
+    ok = (rep_a.exponents, rep_a.coxeter_number) == (rep_b.exponents, rep_b.coxeter_number)
+    cx = [] if ok else [{r.method: list(r.exponents) for r in (rep_a, rep_b)}]
     return CheckResult(ok, cx, f"h = {rep_a.coxeter_number}")
 
 

@@ -35,7 +35,7 @@ from rootsys import (
     symmetrizer,
     validate_cartan,
 )
-from rootsys.verify import COUNTEREXAMPLE_CAP, WeylOrbits, _close, _down, _not_weyl_stable
+from rootsys.verify import COUNTEREXAMPLE_CAP, WeylOrbits, _not_weyl_stable
 
 
 def gram(cartan: CartanMatrix, d) -> list[list[int]]:
@@ -448,9 +448,10 @@ def duality_identities(rep, rs) -> dict[str, bool]:
 
 
 def tuple_weyl_orbits(rs) -> WeylOrbits:
-    """``verify.weyl_orbits`` with pairings from the Gram matrix and each
+    """``verify.weyl_orbits`` with pairings from the Gram matrix, each
     reflected image looked up by its coefficient tuple: v[:i] + (v[i] - p,)
-    + v[i + 1:]."""
+    + v[i + 1:], and each stabilizer's orbits closed over all 2N signed
+    roots, negatives included, each as (least number, size)."""
     n = rs.rank
     vs = signed_roots(rs)
     pvs = [form_pairings(rs, v) for v in vs]
@@ -467,10 +468,31 @@ def tuple_weyl_orbits(rs) -> WeylOrbits:
         return WeylOrbits((), tuple(escapes))
     reps = tuple(k for k in range(len(vs) // 2) if min(pvs[k]) >= 0)
     stabilizer_orbits = []
-    for k in reps:
-        J = {i for i, p in enumerate(pvs[k]) if not p}
-        stabilizer_orbits.append(tuple(_close(moves, J)))
+    for r in reps:
+        J = {i for i, p in enumerate(pvs[r]) if not p}
+        seen = [False] * len(vs)
+        orbits = []
+        for start in range(len(vs)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            stack = [start]
+            size = 0
+            while stack:
+                k = stack.pop()
+                size += 1
+                for i, _, j in moves[k]:
+                    if i in J and not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
+            orbits.append((start, size))
+        stabilizer_orbits.append(tuple(orbits))
     return WeylOrbits(reps, (), tuple(stabilizer_orbits))
+
+
+def _down(v: tuple[int, ...], i: int, k: int = 1) -> tuple[int, ...]:
+    """v - k*alpha_i for a 1-based simple index i."""
+    return v[: i - 1] + (v[i - 1] - k,) + v[i:]
 
 
 def tuple_string_descent(rs) -> CheckResult:

@@ -399,6 +399,25 @@ def test_lengths_pins(system):
     assert _norm_sq(b3, (1, 0, 0)) == 2 * max(b3.form.d) == 4
 
 
+def test_signed_coeffs_rejects_numbers_outside_the_table(system):
+    # A2 numbers its signed roots 0..5; 6 used to wrap round to root 0, and
+    # -1 to decode as (254, 255)
+    signed = system("A2").signed
+    assert [signed.coeffs(k) for k in (0, 3, 5)] == [(0, 1), (0, -1), (-1, -1)]
+    for k in (6, 7, -1, -6):
+        with pytest.raises(InvalidArgumentError, match=f"no signed root is numbered {k}"):
+            signed.coeffs(k)
+
+
+def test_norm_sq_rejects_numbers_outside_the_positive_roots(system):
+    # only the positive roots 0..2 carry pairing vectors; -1 used to give 509
+    a2 = system("A2")
+    assert a2.signed.norm_sq(2, a2.form.d) == 2
+    for k in (3, 5, -1):
+        with pytest.raises(InvalidArgumentError, match=f"no positive root is numbered {k}"):
+            a2.signed.norm_sq(k, a2.form.d)
+
+
 def test_at_most_two_lengths(system):
     for label in sweep_labels(8):
         rs = system(label)

@@ -385,6 +385,24 @@ def test_weyl_orbits(system):
         assert orbits.escapes == () and len(rs.signed.keys) == 2 * rs.num_positive
 
 
+def test_weyl_orbits_match_the_signed_closure(system):
+    # the positive-half closure against the oracle's closure over all 2N
+    # signed roots: every type to rank 16, a seeded relabelling of each, and
+    # Weyl-stable sets with doubled roots, where orbits inside span(Delta_J)
+    # hold multiples of simple roots
+    rng = random.Random(31)
+    systems = []
+    for t in R.all_types(16):
+        rs = system(str(t))
+        systems += [rs, relabel(rs, rng.sample(range(rs.rank), rs.rank))]
+    for label in ("A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4", "E6"):
+        systems.append(with_doubles(system(label)))
+    for rs in systems:
+        orbits = weyl_orbits(rs)
+        assert not orbits.escapes, rs.cartan.rows
+        assert orbits == tuple_weyl_orbits(rs), rs.cartan.rows
+
+
 def _with_top(rs, coeffs):
     """The system's roots under a hand-built top root of the given
     coefficients, with empty layers up to its height."""
@@ -708,6 +726,7 @@ def test_ledger_reads_roots_from_the_signed_table_alone(monkeypatch):
         rs = R.build_system(label)
         ledger = R.build_ledger(rs)
         assert ledger.passed and "_members" not in vars(rs), label
+        assert "layers" not in vars(rs), label  # the top chain decodes no layer
         ledgers[label] = json.dumps(ledger.to_json_dict())
 
     def refuse(rs):
