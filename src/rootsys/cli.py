@@ -13,6 +13,8 @@ import json
 import os
 import sys
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _string
+from typing import NamedTuple
 
 from .cartan import (
     MAX_RANK,
@@ -30,7 +32,12 @@ from .errors import (
 )
 from .exponents import coxeter_exponents, dual_partition
 from .roots import RootSystem, enumerate_roots
-from .verify import build_ledger, check_exponents_agree, g2_criterion_report
+from .verify import (
+    VerificationLedger,
+    build_ledger,
+    check_exponents_agree,
+    g2_criterion_report,
+)
 
 SKIP_RANK_ONE = "m2 undefined (rank >= 2 required)"
 
@@ -203,6 +210,47 @@ class _GenPayload:
         return "".join(pieces)
 
 
+class _VerifyPayload(NamedTuple):
+    """What verify writes: {"ledgers": [...]} and then the keys of rest,
+    the skipped types, the G2 criterion and the summary."""
+
+    ledgers: list[VerificationLedger]
+    rest: dict
+
+
+def _ledger_text(ledger: VerificationLedger, nl: str) -> str:
+    """The text of json.dumps(ledger.to_json_dict(), indent=2), nested as
+    _render nests it, from a fixed template: strings go through
+    encode_basestring_ascii, the C function json.dumps uses, ints and None
+    are written as literals, an empty counterexample list as [], and only
+    a nonempty one goes through json.dumps.  A check leaves its note out
+    when it is empty, as CheckResult.to_json_dict does."""
+    key = nl + "  "  # the ledger's own keys
+    name = key + "  "  # a check's name
+    item = name + "  "  # a check's keys
+    checks = [
+        name + _string(check) + ": {" + item + '"pass": ' + ("true" if c.passed else "false")
+        + "," + item + '"counterexamples": '
+        + (_render(c.counterexamples, item) if c.counterexamples else "[]")
+        + ("," + item + '"note": ' + _string(c.note) if c.note else "")
+        + name + "}"
+        for check, c in ledger.checks.items()
+    ]
+    return (
+        "{" + key + '"type": ' + _string(ledger.label)
+        + "," + key + '"c_max": %d' % ledger.c_max
+        + "," + key + '"m2": ' + _int_or_null(ledger.m2)
+        + "," + key + '"case": ' + _int_or_null(ledger.case)
+        + "," + key + '"witness_t": ' + _int_or_null(ledger.witness_t)
+        + "," + key + '"checks": ' + ("{" + ",".join(checks) + key + "}" if checks else "{}")
+        + nl + "}"
+    )
+
+
+def _int_or_null(value: int | None) -> str:
+    return "null" if value is None else "%d" % value
+
+
 def _render(obj, nl: str = "\n") -> str:
     """The text json.dumps(obj, indent=2) gives for obj, for obj nested where
     nl (a line break and the indentation of obj's own level) precedes its
@@ -218,12 +266,22 @@ def _emit(out, payload, k: int, n: int) -> None:
     """Write payload k of n.  The n calls in order write what
     json.dumps(payloads if n > 1 else payloads[0], indent=2) gives, plus a
     newline, without holding more than one payload's text; json.dump writes
-    a lone payload chunk by chunk, unless it is a _GenPayload.  One of n > 1
-    payloads is three writes, the array's opening or the separator, the
-    payload's text and the array's closing or nothing, so its text, up to
-    megabytes for gen, is never copied into a concatenation."""
+    a lone payload chunk by chunk, unless it is a _GenPayload or a
+    _VerifyPayload.  A _VerifyPayload is written one ledger's text at a
+    time, and then its rest: the json.dumps text of rest less its opening
+    brace closes the object.  One of n > 1 payloads is three writes, the
+    array's opening or the separator, the payload's text and the array's
+    closing or nothing, so its text, up to megabytes for gen, is never
+    copied into a concatenation."""
     if n == 1:
-        if type(payload) is _GenPayload:
+        if type(payload) is _VerifyPayload:
+            out.write('{\n  "ledgers": [')
+            for j, ledger in enumerate(payload.ledgers):
+                out.write(",\n    " if j else "\n    ")
+                out.write(_ledger_text(ledger, "\n    "))
+            out.write("\n  ]," if payload.ledgers else "],")
+            out.write(json.dumps(payload.rest, indent=2)[1:])
+        elif type(payload) is _GenPayload:
             out.write(payload.render("\n"))
         else:
             json.dump(payload, out, indent=2)
@@ -295,13 +353,10 @@ def cmd_verify(args, targets, out) -> int:
             continue
         ledgers.append(build_ledger(_system(label, cartan)))
 
-    payload: dict = {
-        "ledgers": [l.to_json_dict() for l in ledgers],
-        "skipped": skipped,
-    }
+    rest: dict = {"skipped": skipped}
     all_pass = all(l.passed for l in ledgers)
     if args.all:
-        payload["g2_criterion"] = report = g2_criterion_report(ledgers)
+        rest["g2_criterion"] = report = g2_criterion_report(ledgers)
         all_pass = all_pass and report["pass"]
     n_case1 = sum(1 for l in ledgers if l.case == 1)
     summary = (
@@ -309,7 +364,7 @@ def cmd_verify(args, targets, out) -> int:
         f"{sum(1 for l in ledgers if l.passed)} passed, "
         f"{n_case1} case-1, {len(skipped)} skipped"
     )
-    payload["summary"] = summary
+    rest["summary"] = summary
 
     if args.format == "table":
         lines = ["type      c_max  m2  case  verdict"]
@@ -325,7 +380,7 @@ def cmd_verify(args, targets, out) -> int:
         lines.append(summary)
         out.write("\n".join(lines) + "\n")
     else:
-        _emit(out, payload, 0, 1)
+        _emit(out, _VerifyPayload(ledgers, rest), 0, 1)
     return 0 if all_pass else 1
 
 

@@ -19,8 +19,8 @@ break turns out broken.
 
 The ledger builds each structure the checks share once per system: the
 Coxeter and dual exponents, the top chain with its case, the mark chain
-and the Weyl orbits, read off the dominant chamber (Humphreys, Reflection
-Groups and Coxeter Groups, 1.12) as ``WeylOrbits`` says.  The ledger's
+and the Weyl orbits that ``scans`` reads off the dominant chamber; the
+four scans of the whole signed-root table come from there.  The ledger's
 checks come from one ordered registry of (name, needs, fn) rows, where
 needs names the structures fn takes, in order.  Each row can fail with
 counterexamples of its own; a condition that the structure builders or
@@ -33,16 +33,20 @@ builder raised, else the missing input that kept it from being built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import compress
-from operator import mul
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalInconsistencyError, InvalidArgumentError
 from .exponents import ExponentReport, coxeter_exponents, dual_partition
-from .roots import Root, RootSystem
-
-COUNTEREXAMPLE_CAP = 8
+from .roots import RootSystem
+from .scans import (
+    CheckResult,
+    check_long_pair_positive,
+    check_no_detour,
+    check_string_descent,
+    check_two_of_three_sums,
+    weyl_orbits,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +128,12 @@ def mark_chain(rs: RootSystem) -> MarkChain:
 
 @dataclass(frozen=True)
 class TopChain:
-    """Roots of height above m_{l-1}, descending, with their numbers in
-    ``RootSystem.signed``; the simple index of each consecutive difference;
-    and the case: 1 when theta_t pairs to 3 against step t at the witness
-    t = m - 2, else 2 with no witness."""
+    """Roots of height above m_{l-1}, descending, as coefficient tuples,
+    with their numbers in ``RootSystem.signed``; the simple index of each
+    consecutive difference; and the case: 1 when theta_t pairs to 3
+    against step t at the witness t = m - 2, else 2 with no witness."""
 
-    roots: tuple[Root, ...]
+    roots: tuple[tuple[int, ...], ...]
     numbers: tuple[int, ...]
     step_indices: tuple[int, ...]
     case: int
@@ -177,12 +181,12 @@ def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
         raise InternalInconsistencyError(
             f"|top chain| = m_l - m_(l-1) = {m}, expected m2 - 1 = {m2 - 1}"
         )
-    roots = [Root(rs.signed.coeffs(k)) for k in numbers]
+    roots = tuple(map(rs.signed.coeffs, numbers))
     pairings = rs.signed.pairings
     steps: list[int] = []
     witnesses: list[int] = []
     for t in range(1, m):
-        diff = tuple(a - b for a, b in zip(roots[t - 1].coeffs, roots[t].coeffs))
+        diff = tuple(a - b for a, b in zip(roots[t - 1], roots[t]))
         # the heights differ by one, so diff is simple iff no entry is negative
         if min(diff) < 0:
             raise InternalInconsistencyError(
@@ -199,33 +203,16 @@ def top_chain(rs: RootSystem, rep: ExponentReport) -> TopChain:
         )
     witness = witnesses[0] if witnesses else None
     case = 2 if witness is None else 1
-    return TopChain(tuple(roots), tuple(numbers), tuple(steps), case, witness)
-
-
-# ---------------------------------------------------------------------------
-# check results
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CheckResult:
-    passed: bool
-    counterexamples: list = field(default_factory=list)
-    note: str = ""
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"pass": self.passed, "counterexamples": self.counterexamples}
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
-def _vacuous(why: str) -> CheckResult:
-    return CheckResult(True, [], f"vacuous: {why}")
+    return TopChain(roots, tuple(numbers), tuple(steps), case, witness)
 
 
 # ---------------------------------------------------------------------------
 # chain and relation checks
 # ---------------------------------------------------------------------------
+
+def _vacuous(why: str) -> CheckResult:
+    return CheckResult(True, [], f"vacuous: {why}")
+
 
 def check_mark_chain(rs: RootSystem, chain: MarkChain) -> CheckResult:
     """Mark-chain shape (mark_chain verifies it while building); for
@@ -370,9 +357,7 @@ def check_differences(rs: RootSystem, top: TopChain) -> CheckResult:
     cx: list = []
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            diff = tuple(
-                a - b for a, b in zip(top.roots[i - 1].coeffs, top.roots[j - 1].coeffs)
-            )
+            diff = tuple(a - b for a, b in zip(top.roots[i - 1], top.roots[j - 1]))
             if top.case == 1 and {i, j} == {m - 2, m}:
                 ok = sorted(diff) == [0] * (len(diff) - 1) + [2]
             else:
@@ -397,271 +382,6 @@ def check_lengths(rs: RootSystem, top: TopChain) -> CheckResult:
     if len(set(values)) > 1:
         cx.append({"norms": values})
     return CheckResult(not cx, cx, f"{len(values)} norms compared")
-
-
-# ---------------------------------------------------------------------------
-# exhaustive root-poset scans
-# ---------------------------------------------------------------------------
-
-def check_string_descent(rs: RootSystem) -> CheckResult:
-    """Whenever a positive root pairs to k in {2, 3} against a simple root
-    other than itself, some other simple root can be subtracted after
-    stepping down k - 1 times.
-
-    beta - (k-1)*alpha_i - alpha_j is looked up by its packed key,
-    key(beta) - (k-1)*unit[i] - unit[j], in ``rs.signed``.  That cannot hit
-    a wrong root: its coordinates lie in [-2, c], c the largest
-    coefficient, so they differ from a signed root's by at most 2c + 2 <=
-    4c, which the keys' field width covers.  Nor a negative root -gamma:
-    beta has height at least 2, so that needs height 2, k = 3 and gamma a
-    simple root alpha_m, making beta = 2*alpha_i + alpha_j - alpha_m either
-    alpha_i + alpha_j, which pairs to 2 + a_ij <= 2 against alpha_i, or
-    2*alpha_i, which pairs to 4."""
-    number, unit = rs.signed.number, rs.signed.unit
-    cx: list = []
-    checked = 0
-    for b, pv in enumerate(rs.signed.pairings):
-        # beta == alpha_i is the only height-1 hit, and layer 1 comes first
-        if b < rs.layer_sizes[1] or max(pv) < 2:
-            continue
-        for i, k in enumerate(pv):
-            if k not in (2, 3):
-                continue
-            checked += 1
-            ui = unit[i]
-            base = rs.signed.keys[b] - (k - 1) * ui
-            if not any(base - u in number for u in unit if u != ui):
-                cx.append({"beta": list(rs.signed.coeffs(b)), "alpha": i + 1, "k": k})
-    return CheckResult(not cx, cx, f"{checked} applicable pairs")
-
-
-def check_no_detour(rs: RootSystem) -> CheckResult:
-    """When a root pairs to 3 against the only simple root it can step down
-    by, there is no second simple root to step down through.
-
-    beta - alpha_j and beta - alpha_i - alpha_j are looked up by packed key
-    in ``rs.signed``.  Their coordinates lie in [-2, c], so, as in
-    ``check_string_descent``, a key found is that very root's.  Neither is
-    a negative root: beta - alpha_j has height at least 0, and
-    beta - alpha_i - alpha_j is looked up only when <beta, alpha_i> = 3,
-    which no simple root has, so beta has height at least 2."""
-    keys, number, unit = rs.signed.keys, rs.signed.number, rs.signed.unit
-    cx: list = []
-    checked = 0
-    for b, pv in enumerate(rs.signed.pairings):
-        if 3 not in pv:
-            continue
-        kb = keys[b]
-        droppable = [j for j, u in enumerate(unit) if kb - u in number]
-        for i, p in enumerate(pv):
-            if p != 3 or droppable != [i]:
-                continue
-            checked += 1
-            ki = kb - unit[i]
-            for j, u in enumerate(unit):
-                if j != i and ki - u in number:
-                    cx.append({"beta": list(rs.signed.coeffs(b)), "alpha": i + 1, "detour": j + 1})
-    return CheckResult(not cx, cx, f"{checked} applicable pairs")
-
-
-@dataclass(frozen=True)
-class WeylOrbits:
-    """The W-orbits of the signed roots, by their numbers in
-    ``RootSystem.signed``.
-
-    ``escapes`` lists every (root, i, p), with p = <root, alpha_(i+1)>,
-    whose image under s_(i+1) is not a signed root; i is 0-based, as in the
-    moves.  When it is empty the set is Weyl-stable, and each
-    W-orbit meets the dominant chamber exactly once (Humphreys, 1.12), so
-    ``representatives`` are the dominant roots lambda, with every pairing
-    <lambda, alpha_i> >= 0, and ``stabilizer_orbits`` holds, per
-    representative, the orbits of all signed roots under its stabilizer
-    W_J, J = {i : <lambda, alpha_i> = 0}, as (least number, size) pairs in
-    increasing order.  With escapes both are empty.
-    """
-
-    representatives: tuple[int, ...]
-    escapes: tuple[tuple[int, int, int], ...]
-    stabilizer_orbits: tuple[tuple[tuple[int, int], ...], ...] = ()
-
-
-def _close(moves: list, gens: set[int]) -> list[tuple[int, int]]:
-    """Close the N positive roots of a Weyl-stable set under the simple
-    reflections s_i with 0-based i in gens.  moves[k] lists (i, p, j) for
-    each i with p = <v, alpha_i> nonzero, v root k, and j the number of
-    s_i(v) = v - p alpha_i, or -1 for none: seen unless j < N.  Returns
-    each orbit's positive part as (first root met, size)."""
-    seen = [False] * len(moves) + [True] * (len(moves) + 1)
-    orbits = []
-    for start in range(len(moves)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        size = 0
-        while stack:
-            k = stack.pop()
-            size += 1
-            for i, _, j in moves[k]:
-                if i in gens and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        orbits.append((start, size))
-    return orbits
-
-
-def weyl_orbits(rs: RootSystem) -> WeylOrbits:
-    """Read the W-orbits of the signed roots off the dominant chamber,
-    moving among the positive roots alone.
-
-    The escapes are the moves whose image is not a signed root; as
-    s_i(-v) = -s_i(v), root k + N escapes where root k does, with -p.
-    Without them the set is Weyl-stable, and the representatives are the
-    positive roots with no negative pairing: a negative dominant v would
-    have (v, v) = sum_i v_i d_i <v, alpha_i> <= 0.  Each is closed once
-    under its stabilizer W_J, which keeps the coordinates outside J, so an
-    orbit whose support leaves J is positive, and its negation is another.
-    Reflecting a positive member at a negative pairing climbs through
-    positive members to the orbit's unique J-dominant member (Humphreys,
-    1.12), so its positive part is connected and met first at its least
-    number.  An orbit inside span(Delta_J) holds -v with v: reflections in
-    J from that member down to its negative w0 image flip sign at some
-    step u -> s_i(u), which forces u = c*alpha_i and s_i(u) = -u.
-
-    s_i(v) = v - p*alpha_i is looked up by its key, key(v) - p*unit[i],
-    in ``rs.signed``, whose field width covers every such image."""
-    n = rs.rank
-    signed = rs.signed
-    keys, number, unit, positive = signed.keys, signed.number, signed.unit, signed.pairings
-    half = len(positive)
-    moves = [
-        [(i, pv[i], number.get(keys[k] - pv[i] * unit[i], -1)) for i in compress(range(n), pv)]
-        for k, pv in enumerate(positive)
-    ]
-    escapes = [(k, i, p) for k, m in enumerate(moves) for i, p, j in m if j < 0]
-    if escapes:
-        return WeylOrbits((), tuple(escapes + [(k + half, i, -p) for k, i, p in escapes]))
-    reps = tuple(k for k, pv in enumerate(positive) if min(pv) >= 0)
-    ones = (1 << signed.width) - 1
-    orbits = []
-    for k in reps:
-        J = {i for i, p in enumerate(positive[k]) if not p}
-        outside = sum(ones * u for i, u in enumerate(unit) if i not in J)
-        pos, neg = [], []
-        for b, size in _close(moves, J):
-            if keys[b] & outside:
-                pos.append((b, size))
-                neg.append((b + half, size))
-            else:
-                pos.append((b, 2 * size))
-        orbits.append(tuple(pos + neg))
-    return WeylOrbits(reps, (), tuple(orbits))
-
-
-def _not_weyl_stable(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
-    """A scan's failure on a set with escapes, decoding only those reported."""
-    cx = []
-    for k, i, p in orbits.escapes[:COUNTEREXAMPLE_CAP]:
-        v = rs.signed.coeffs(k)
-        image = [c - p * (j == i) for j, c in enumerate(v)]
-        cx.append({"root": list(v), "reflection": i + 1, "image": image})
-    return CheckResult(
-        False, cx, f"not Weyl-stable: {len(orbits.escapes)} reflected roots escape"
-    )
-
-
-def _orbit_count(count: int, kind: str) -> str:
-    return f"{count} {kind}Weyl orbit{'' if count == 1 else 's'}"
-
-
-def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
-    """Signed root pairs whose difference is a root and which contain a long
-    root have strictly positive inner product.
-
-    Both conditions are Weyl-invariant, so the long root is fixed to each
-    long representative lambda, and its partner to one member of each
-    W_J-orbit, counted with its size: O(orbits * stabilizer orbits) pairs
-    instead of O(N^2).  The inner product is (lambda, b) = sum_i lambda_i
-    d_i <b, alpha_i>, negated for a negative b, and lambda - b is looked up
-    by its packed key in ``rs.signed``, whose field width covers sums of
-    two signed roots.
-    """
-    if orbits.escapes:
-        return _not_weyl_stable(rs, orbits)
-    signed = rs.signed
-    keys, number, pvs = signed.keys, signed.number, signed.pairings
-    scaled = {r: list(map(mul, signed.coeffs(r), rs.form.d)) for r in orbits.representatives}
-    norm = {r: sum(map(mul, rd, pvs[r])) for r, rd in scaled.items()}
-    top = max(norm.values())  # every root lies in some orbit
-    long_reps = 0
-    cx: list = []
-    checked = 0
-    for r, partners in zip(orbits.representatives, orbits.stabilizer_orbits):
-        if norm[r] != top:
-            continue
-        long_reps += 1
-        rd, kr = scaled[r], keys[r]
-        for b, size in partners:
-            if kr - keys[b] not in number:
-                continue
-            checked += size
-            product = sum(map(mul, rd, pvs[b % len(pvs)]))
-            if (-product if b >= len(pvs) else product) <= 0 and len(cx) < COUNTEREXAMPLE_CAP:
-                cx.append({"beta1": list(signed.coeffs(r)), "beta2": list(signed.coeffs(b))})
-    note = (
-        f"exhaustive over {_orbit_count(long_reps, 'long ')}: "
-        f"{len(keys)} signed roots, {checked} qualifying pairs"
-    )
-    return CheckResult(not cx, cx, note)
-
-
-def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
-    """For signed root triples with nonzero pairwise sums whose total is a
-    root, at least two of the pairwise sums are roots.
-
-    Both conditions are Weyl-invariant, so the first root is fixed to each
-    representative lambda, and the second to one member of each W_J-orbit,
-    counted with its size, while the third runs over every signed root, in
-    C-level passes: O(orbits * stabilizer orbits * N) instead of O(N^3).
-    The ordered pairs (b, c) so counted, plus the diagonal ones (b, b), make
-    twice the number of pairs b <= c.  Roots are the packed keys of
-    ``rs.signed``, linear in the coefficients, so vector sums become integer
-    sums; the keys' field width covers sums of up to three signed roots, so
-    those never collide.
-    """
-    if orbits.escapes:
-        return _not_weyl_stable(rs, orbits)
-    keys, member = rs.signed.keys, rs.signed.number
-    has = member.__contains__
-    checked = 0
-    cx: list = []
-    for r, partners in zip(orbits.representatives, orbits.stabilizer_orbits):
-        kr = keys[r]
-        ordered = diagonal = 0
-        for b, size in partners:
-            kb = keys[b]
-            rb = kr + kb
-            if not rb:
-                continue
-            rb_root = rb in member
-            diagonal += size * (rb + kb in member)
-            hits = 0
-            for kc in compress(keys, map(has, map(rb.__add__, keys))):
-                rc, bc = kr + kc, kb + kc
-                if not rc or not bc:
-                    continue
-                hits += 1
-                roots = rb_root + (rc in member) + (bc in member)
-                if roots < 2 and len(cx) < COUNTEREXAMPLE_CAP:
-                    beta = [list(rs.signed.coeffs(k)) for k in (r, b, member[kc])]
-                    cx.append(dict(zip(("beta1", "beta2", "beta3"), beta)))
-            ordered += size * hits
-        checked += (ordered + diagonal) // 2
-    note = (
-        f"exhaustive over {_orbit_count(len(orbits.representatives), '')}: "
-        f"{len(keys)} signed roots, {checked} qualifying triples"
-    )
-    return CheckResult(not cx, cx, note)
 
 
 # ---------------------------------------------------------------------------

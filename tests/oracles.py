@@ -12,12 +12,14 @@ at hand, never by the package's shared packed keys.
 
 The corruption helpers at the end build hand-made systems that break one
 property each: a root swapped for a non-root, dropped or added roots, a
-truncation, the roots with their doubles, and a wrong symmetrizer.
+truncation, the roots with their doubles, and a wrong symmetrizer; and
+``corrupted_corpus`` draws a seeded corpus of them.
 """
 
 from __future__ import annotations
 
 import collections
+import random
 from fractions import Fraction
 from itertools import compress, permutations
 from math import isqrt
@@ -35,7 +37,7 @@ from rootsys import (
     symmetrizer,
     validate_cartan,
 )
-from rootsys.verify import COUNTEREXAMPLE_CAP, WeylOrbits, _not_weyl_stable
+from rootsys.scans import COUNTEREXAMPLE_CAP, WeylOrbits, _not_weyl_stable
 
 
 def gram(cartan: CartanMatrix, d) -> list[list[int]]:
@@ -639,3 +641,36 @@ def relabel(rs, perm):
     """The system enumerated afresh with its simple roots permuted."""
     rows = rs.cartan.rows
     return enumerate_roots(validate_cartan([[rows[a][b] for b in perm] for a in perm]))
+
+
+CORPUS_TYPES = ("A3", "A5", "B3", "B5", "C3", "C4", "D4", "D5", "E6", "F4", "G2", "E7")
+CORPUS_RELABELLINGS = 9  # seeded, besides the Bourbaki labelling
+
+
+def corrupted_corpus(system):
+    """(name, system) pairs: for each type, under its own labelling and
+    seeded relabellings, a root swapped for a non-root at every height that
+    has one a unit away, a seeded root dropped at every height below the
+    top, a truncation at every height that holds a single root, a seeded
+    wrong symmetrizer, and the roots with their doubles."""
+    rng = random.Random(31)
+    out = []
+    for label in CORPUS_TYPES:
+        base = system(label)
+        for v in range(CORPUS_RELABELLINGS + 1):
+            rs = base if v == 0 else relabel(base, rng.sample(range(base.rank), base.rank))
+            tag = f"{label}/{v}"
+            for h in range(1, rs.max_height + 1):
+                try:
+                    out.append((f"{tag} swap {h}", swap_one_root(rs, h)))
+                except AssertionError:  # every move of a simple root is a root
+                    pass
+                if h < rs.max_height:
+                    c = rng.choice(rs.layer(h)).coeffs
+                    out.append((f"{tag} drop {h}", edited(rs, drop=[c])))
+                if rs.layer_sizes[h] == 1:
+                    out.append((f"{tag} cut {h}", truncated(rs, h)))
+            d = tuple(rng.randint(1, 3) for _ in range(rs.rank))
+            out.append((f"{tag} d {d}", wrong_d(rs, d)))
+            out.append((f"{tag} doubles", with_doubles(rs)))
+    return out

@@ -119,7 +119,7 @@ def test_criterion_5_structure_theorems(sweep_data):
     assert top.case == 1 and top.m == 4
     assert top.step(3) == top.step(2)
     assert rs.cartan.a(top.step(2), top.step(1)) == -3
-    diff = tuple(a - b for a, b in zip(top.roots[1].coeffs, top.roots[3].coeffs))
+    diff = tuple(a - b for a, b in zip(top.roots[1], top.roots[3]))
     assert sorted(diff) == [0, 2]
     _verdict(5, "chain coincidence, marks, step multiset, differences")
 

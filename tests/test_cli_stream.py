@@ -1,6 +1,7 @@
 """Streamed JSON output: the renderer against json.dumps, byte-identical
 command output, --out validation, a closed stdout and a full disk."""
 
+import collections
 import errno
 import hashlib
 import io
@@ -19,7 +20,7 @@ import rootsys as R
 import rootsys.cli as cli
 from rootsys.cli import _emit, _render, main
 
-from oracles import finite_type_classes, gen_payload
+from oracles import corrupted_corpus, finite_type_classes, gen_payload
 
 # sha256 of stdout, pinned when the JSON was still written by one
 # json.dumps(..., indent=2) call; a deliberate output change updates a
@@ -284,6 +285,101 @@ def test_failing_verify_table_without_m2(capsys, monkeypatch, tmp_path, to_file)
     )
     assert code == 1
     assert "A3            1   -     -  FAIL" in text.splitlines()
+
+
+def test_ledger_template_matches_json_dumps(system):
+    # the ledger template against json.dumps of to_json_dict, its line
+    # breaks indented as _render indents them, on every type to rank 32, on
+    # the corrupted corpus, whose ledgers carry error, blocked and failing
+    # notes and nonempty counterexamples, and on fake ledgers with m2 =
+    # case = None, an empty note, no checks and odd strings
+    from rootsys.verify import CheckResult, VerificationLedger
+
+    ledgers = [R.build_ledger(system(str(t))) for t in R.all_types(32) if t.rank > 1]
+    ledgers += [R.build_ledger(rs) for _, rs in corrupted_corpus(system)]
+    odd = 'quote " slash \\ tab \t nul \x00 é € \U0001f600 \ud800 /'
+    ledgers += [
+        VerificationLedger(
+            odd, 3, None, None, None,
+            {
+                odd: CheckResult(False, [{odd: [odd, None, -1, 2.5, True]}, []], ""),
+                "empty note": CheckResult(True, [], ""),
+                "note": CheckResult(True, [], odd),
+            },
+        ),
+        VerificationLedger("", 1, 2, 1, 2, {}),
+    ]
+    notes = collections.Counter()
+    for ledger in ledgers:
+        for nl in ("\n", "\n    "):
+            expected = json.dumps(ledger.to_json_dict(), indent=2).replace("\n", nl)
+            assert cli._ledger_text(ledger, nl) == expected, ledger.label
+        for c in ledger.checks.values():
+            notes[c.note.partition(":")[0]] += 1
+            notes["failing"] += not c.passed
+            notes["counterexamples"] += bool(c.counterexamples)
+    assert all(notes[k] for k in ("error", "blocked", "failing", "counterexamples")), notes
+
+
+def _verify_payload(ledgers, skipped, sweep=False) -> dict:
+    """verify's payload for ledgers and skipped types; a sweep (--all)
+    also reports the G2 criterion."""
+    payload = {"ledgers": [l.to_json_dict() for l in ledgers], "skipped": skipped}
+    if sweep:
+        payload["g2_criterion"] = R.g2_criterion_report(ledgers)
+    passed = sum(l.passed for l in ledgers)
+    case1 = sum(l.case == 1 for l in ledgers)
+    payload["summary"] = (
+        f"{len(ledgers)} types verified, {passed} passed, {case1} case-1, {len(skipped)} skipped"
+    )
+    return payload
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("source", ["A1", "cartan", "G2"])
+def test_verify_single_payload_is_json_dumps(capsys, tmp_path, to_file, source):
+    # no ledgers at all (A1, skipped), a custom label (--cartan) and a
+    # case-1 ledger (G2), each through the template
+    if source == "cartan":
+        path = tmp_path / "f4.json"
+        path.write_text(json.dumps([list(r) for r in R.build_cartan("F4").rows]))
+        argv = ("--cartan", str(path))
+        payload = _verify_payload([R.build_ledger(R.enumerate_roots(R.build_cartan("F4")))], [])
+    elif source == "A1":
+        argv = ("--type", "A1")
+        payload = _verify_payload([], [{"type": "A1", "skipped": cli.SKIP_RANK_ONE}])
+    else:
+        argv = ("--type", source)
+        payload = _verify_payload([R.build_ledger(R.build_system(source))], [])
+    code, text = _run(capsys, tmp_path, to_file, "verify", *argv)
+    assert code == 0
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def test_verify_builds_no_ledger_dicts(capsys, monkeypatch):
+    # verify writes its ledgers from the template: no to_json_dict, and
+    # json.dumps only for the rest of the payload, the skipped types, the
+    # G2 criterion and the summary, as no ledger has a counterexample
+    labels = [str(t) for t in R.all_types(8)]
+    ledgers = [R.build_ledger(R.build_system(l)) for l in labels if l != "A1"]
+    payload = _verify_payload(ledgers, [{"type": "A1", "skipped": cli.SKIP_RANK_ONE}], True)
+    expected = json.dumps(payload, indent=2) + "\n"
+    dumps = json.dumps
+    dumped = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verify ledger went through to_json_dict")
+
+    def guarded(obj, *args, **kwargs):
+        dumped.append(sorted(obj))
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(R.VerificationLedger, "to_json_dict", refuse)
+    monkeypatch.setattr(json, "dumps", guarded)
+    assert main(["verify", "--all", "--max-rank", "8"]) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().out == expected
+    assert dumped == [["g2_criterion", "skipped", "summary"]]
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN))

@@ -8,14 +8,10 @@ blocked note counts tell such a change apart by row."""
 import collections
 import hashlib
 import json
-import random
 
 import rootsys as R
 
-from oracles import edited, relabel, swap_one_root, truncated, with_doubles, wrong_d
-
-TYPES = ("A3", "A5", "B3", "B5", "C3", "C4", "D4", "D5", "E6", "F4", "G2", "E7")
-RELABELLINGS = 9  # seeded, besides the Bourbaki labelling
+from oracles import corrupted_corpus
 
 DIGEST = "ed6ebf79878a7ada59ae10982fb2b92e196b815ffd5d750cdc2b52f235c746a0"
 FAILED_ROWS = {
@@ -33,35 +29,6 @@ FAILED_ROWS = {
     "no_detour": 99,
 }
 NOTES = {"error": 1579, "blocked": 6590}
-
-
-def corrupted_corpus(system):
-    """(name, system) pairs: for each type, under its own labelling and
-    seeded relabellings, a root swapped for a non-root at every height that
-    has one a unit away, a seeded root dropped at every height below the
-    top, a truncation at every height that holds a single root, a seeded
-    wrong symmetrizer, and the roots with their doubles."""
-    rng = random.Random(31)
-    out = []
-    for label in TYPES:
-        base = system(label)
-        for v in range(RELABELLINGS + 1):
-            rs = base if v == 0 else relabel(base, rng.sample(range(base.rank), base.rank))
-            tag = f"{label}/{v}"
-            for h in range(1, rs.max_height + 1):
-                try:
-                    out.append((f"{tag} swap {h}", swap_one_root(rs, h)))
-                except AssertionError:  # every move of a simple root is a root
-                    pass
-                if h < rs.max_height:
-                    c = rng.choice(rs.layer(h)).coeffs
-                    out.append((f"{tag} drop {h}", edited(rs, drop=[c])))
-                if rs.layer_sizes[h] == 1:
-                    out.append((f"{tag} cut {h}", truncated(rs, h)))
-            d = tuple(rng.randint(1, 3) for _ in range(rs.rank))
-            out.append((f"{tag} d {d}", wrong_d(rs, d)))
-            out.append((f"{tag} doubles", with_doubles(rs)))
-    return out
 
 
 def test_failing_path_digest(system):

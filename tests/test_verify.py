@@ -10,11 +10,12 @@ import random
 import pytest
 
 import rootsys as R
+import rootsys.scans as S
 import rootsys.verify as V
 from rootsys.cli import main
 from rootsys.errors import InvalidArgumentError, NumericInconsistencyError
+from rootsys.scans import COUNTEREXAMPLE_CAP
 from rootsys.verify import (
-    COUNTEREXAMPLE_CAP,
     check_chains_coincide,
     check_differences,
     check_lengths,
@@ -86,7 +87,7 @@ def test_mark_chain_sizes(system):
 def test_top_chain_pins(system):
     g2 = _top(system("G2"))
     assert g2.m == 4
-    assert [r.height for r in g2.roots] == [5, 4, 3, 2]
+    assert [sum(r) for r in g2.roots] == [5, 4, 3, 2]
     assert g2.step_indices == (2, 1, 1)
 
     a2 = _top(system("A2"))
@@ -113,10 +114,10 @@ def test_top_chain_steps_always_simple(system):
     systems.append(wrong_d(system("F4"), (1, 1, 1, 1)))
     for rs in systems:
         top, label = _top(rs), rs.label
-        assert [rs.signed.coeffs(k) for k in top.numbers] == [r.coeffs for r in top.roots]
+        assert [rs.signed.coeffs(k) for k in top.numbers] == list(top.roots)
         assert len(top.step_indices) == top.m - 1, label
         for t in range(1, top.m):
-            diff = tuple(a - b for a, b in zip(top.roots[t - 1].coeffs, top.roots[t].coeffs))
+            diff = tuple(a - b for a, b in zip(top.roots[t - 1], top.roots[t]))
             assert diff == tuple(int(k == top.step(t)) for k in range(1, len(diff) + 1)), label
 
 
@@ -250,9 +251,7 @@ def test_differences_g2(system):
     top = _top(rs)
     res = check_differences(rs, top)
     assert res.passed, res.counterexamples
-    diff = tuple(
-        a - b for a, b in zip(top.roots[1].coeffs, top.roots[3].coeffs)
-    )
+    diff = tuple(a - b for a, b in zip(top.roots[1], top.roots[3]))
     assert diff == (2, 0)  # theta_2 - theta_4 is twice a simple root
 
 
@@ -264,9 +263,7 @@ def test_differences_case_two(system):
         assert res.passed, (label, res.counterexamples)
         # adjacent differences are the steps themselves
         for t in range(1, top.m):
-            diff = tuple(
-                a - b for a, b in zip(top.roots[t - 1].coeffs, top.roots[t].coeffs)
-            )
+            diff = tuple(a - b for a, b in zip(top.roots[t - 1], top.roots[t]))
             assert diff in rs
 
 
@@ -416,7 +413,7 @@ def _every_triple(rs):
     orbit: not the Weyl orbits, but an input without escapes on which the
     triple scan sums every signed triple."""
     every = range(2 * rs.num_positive)
-    return V.WeylOrbits(tuple(every), (), tuple(tuple((b, 1) for b in every) for _ in every))
+    return S.WeylOrbits(tuple(every), (), tuple(tuple((b, 1) for b in every) for _ in every))
 
 
 def test_wide_keys_match_tuple_oracles(system, monkeypatch):
@@ -438,6 +435,39 @@ def test_wide_keys_match_tuple_oracles(system, monkeypatch):
             m.setattr(V, "weyl_orbits", tuple_weyl_orbits)
             m.setattr(V, "check_two_of_three_sums", based_two_of_three_sums)
             assert R.build_ledger(rs).to_json_dict() == ledger, rs.layers[-1]
+
+
+def test_height_window_matches_the_full_scan(system):
+    # the triple scan reads its third roots from a height window, the
+    # oracle from every signed root: verdict, counterexamples in order and
+    # note alike on every type to rank 32 and a seeded relabelling of each,
+    # on doubled sets, where counterexamples occur, and with every signed
+    # root as its own orbit, which puts negative roots first and second,
+    # also on systems whose keys are wider than 8 bits
+    rng = random.Random(32)
+    inputs = []
+    for t in R.all_types(32):
+        rs = system(str(t))
+        for s in (rs, relabel(rs, rng.sample(range(rs.rank), rs.rank))):
+            inputs.append((s, weyl_orbits(s)))
+    for label in ("A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4"):
+        rs = with_doubles(system(label))
+        inputs.append((rs, weyl_orbits(rs)))
+    for rs in (
+        system("A3"),
+        system("B3"),
+        system("G2"),
+        with_doubles(system("G2")),
+        _with_top(system("G2"), (1, 128)),
+        _with_top(system("G2"), (1, 256)),
+    ):
+        inputs.append((rs, _every_triple(rs)))
+    failed = 0
+    for rs, orbits in inputs:
+        res = check_two_of_three_sums(rs, orbits)
+        assert res == based_two_of_three_sums(rs, orbits), (rs.cartan.rows, rs.layers[-1])
+        failed += not res.passed
+    assert failed >= 8, failed
 
 
 def test_descent_scans_match_tuple_oracles(system):
@@ -743,14 +773,14 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
     shared = (
         "coxeter_exponents", "dual_partition", "top_chain", "mark_chain", "weyl_orbits",
     )
-    for name in shared + ("_close",):
+    for module, name in [(V, name) for name in shared] + [(S, "_close")]:
 
-        def counted(*args, _name=name, _build=getattr(V, name)):
+        def counted(*args, _name=name, _build=getattr(module, name)):
             calls[_name] += 1
             built[_name] = _build(*args)
             return built[_name]
 
-        monkeypatch.setattr(V, name, counted)
+        monkeypatch.setattr(module, name, counted)
     build_signed = R.RootSystem.signed.func
 
     def counted_signed(rs):
