@@ -4,12 +4,10 @@ positive-root enumeration, Weyl exponents, and structural verification."""
 from .cartan import (
     MAX_RANK,
     CartanMatrix,
-    DynkinGraph,
     RankedType,
     SymmetrizedForm,
     all_types,
     build_cartan,
-    dynkin_graph,
     symmetrizer,
     validate_cartan,
 )

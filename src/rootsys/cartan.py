@@ -1,4 +1,4 @@
-"""Cartan matrices, symmetrized bilinear forms, and Dynkin graphs.
+"""Cartan matrices and symmetrized bilinear forms.
 
 Conventions, fixed here and relied on by every other module:
 
@@ -14,8 +14,8 @@ Conventions, fixed here and relied on by every other module:
   (squared length 2), long roots get the squared-length ratio (2 or 3).
 * Simple-root indices are 1-based throughout the public API.  The affine
   vertex of an extended graph is vertex 0.  Its edges need the highest
-  root, so ``RootSystem.extended_graph`` works them out and this module
-  only assembles the graph.
+  root, so ``RootSystem.extended_graph`` builds that graph, reading the
+  edges between simple roots off the rows of the matrix.
 
 A finite-type Dynkin graph is a tree (Humphreys, Lie Algebras, 11.4), so
 one breadth-first walk of it gives connectivity, d along its edges and, in
@@ -314,111 +314,3 @@ def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
     ratios = [a * (scale // b) for a, b in zip(num, den)]
     low = min(ratios)
     return SymmetrizedForm(d=tuple(x // low for x in ratios))
-
-
-class DynkinGraph:
-    """Simple roots joined by edges of multiplicity 1, 2, 3: a tree, except
-    that the extended graph of type A is a cycle.
-
-    Vertices are 1-based simple-root indices; an extended graph adds the
-    affine vertex 0.
-    """
-
-    def __init__(
-        self, vertices: tuple[int, ...], multiplicity: dict[frozenset[int], int]
-    ) -> None:
-        self.vertices = vertices
-        self._mult = multiplicity
-        adj: dict[int, set[int]] = {v: set() for v in vertices}
-        for pair in multiplicity:
-            a, b = tuple(pair)
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
-
-    def with_affine_vertex(self, edges: dict[int, int]) -> "DynkinGraph":
-        """This graph plus vertex 0, joined to each vertex i in edges by an
-        edge of multiplicity edges[i]."""
-        mult = self._mult | {frozenset((0, i)): m for i, m in edges.items()}
-        return DynkinGraph((0,) + self.vertices, mult)
-
-    def _require(self, v: int) -> None:
-        if v not in self._adj:
-            raise InvalidArgumentError(f"unknown vertex {v}")
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._require(v)
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def edge_multiplicity(self, i: int, j: int) -> int:
-        self._require(i)
-        self._require(j)
-        return self._mult.get(frozenset((i, j)), 0)
-
-    def terminal_vertices(self) -> set[int]:
-        return {v for v in self.vertices if self.degree(v) <= 1}
-
-    def ramification_points(self) -> set[int]:
-        return {v for v in self.vertices if self.degree(v) >= 3}
-
-    def is_simple_chain(self, path: Sequence[int]) -> bool:
-        """Whether path is a single-edge chain whose only attachment to the
-        rest of the graph is at its last vertex.
-
-        Consecutive vertices must be joined by single edges, non-consecutive
-        vertices must be non-adjacent, and every vertex except the last must
-        have all its neighbors inside the path.
-        """
-        if len(path) == 0:
-            raise InvalidArgumentError("empty path")
-        for v in path:
-            self._require(v)
-        if len(set(path)) != len(path):
-            return False
-        for a, b in zip(path, path[1:]):
-            if self.edge_multiplicity(a, b) != 1:
-                return False
-        members = set(path)
-        pos = {v: k for k, v in enumerate(path)}
-        for k, v in enumerate(path):
-            for w in self.neighbors(v):
-                if w in members:
-                    if abs(pos[w] - k) != 1:
-                        return False
-                elif k != len(path) - 1:
-                    return False
-        return True
-
-    def is_chain_graph(self) -> bool:
-        """Whether the whole graph is a single-edge chain (type-A shape)."""
-        if len(self.vertices) == 1:
-            return True
-        terminals = sorted(self.terminal_vertices())
-        if len(terminals) != 2 or self.ramification_points():
-            return False
-        path = [terminals[0]]
-        prev = None
-        while path[-1] != terminals[1]:
-            nxt = [w for w in self.neighbors(path[-1]) if w != prev]
-            if len(nxt) != 1:
-                return False
-            prev = path[-1]
-            path.append(nxt[0])
-        return len(path) == len(self.vertices) and self.is_simple_chain(path)
-
-
-def dynkin_graph(c: CartanMatrix) -> DynkinGraph:
-    """Dynkin graph of a Cartan matrix: a tree, since the matrix is of
-    finite type."""
-    n = c.rank
-    mult: dict[frozenset[int], int] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            m = c.a(i, j) * c.a(j, i)
-            if m:
-                mult[frozenset((i, j))] = m
-    return DynkinGraph(tuple(range(1, n + 1)), mult)
-

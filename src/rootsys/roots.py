@@ -1,5 +1,5 @@
 """Positive-root enumeration by height layers, plus pairings, lengths, the
-highest root and the Dynkin graphs.
+highest root and the extended Dynkin graph.
 
 Only positive roots are stored; a negative root is the negated coefficient
 tuple of a positive one.  An enumerated system holds them packed, as the
@@ -20,7 +20,8 @@ Weyl orbits, the root-poset scans and the chain checks read roots by
 number and look them up by key: the orbits move among the positive roots
 alone, and the top chain decodes only its own roots with
 ``signed.coeffs``.  Every length, and the affine edges of the extended
-Dynkin graph, are read from the vectors and ``form.d``.
+Dynkin graph, are read from the vectors and ``form.d``; its other edges
+are read off the Cartan rows.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .cartan import (
     CartanMatrix,
-    DynkinGraph,
     RankedType,
     SymmetrizedForm,
     build_cartan,
-    dynkin_graph,
     symmetrizer,
 )
 from .errors import InternalInconsistencyError, InvalidArgumentError
@@ -330,17 +329,16 @@ class RootSystem:
         keys = pos + [-k for k in pos]
         return SignedRoots(keys, dict(zip(keys, range(len(keys)))), unit, width, pairings)
 
-    # -- graphs -------------------------------------------------------------
+    # -- the extended Dynkin graph --------------------------------------------
 
     @cached_property
-    def graph(self) -> DynkinGraph:
-        return dynkin_graph(self.cartan)
-
-    @cached_property
-    def extended_graph(self) -> DynkinGraph:
+    def extended_graph(self) -> tuple[dict[int, int], ...]:
         """The Dynkin graph plus the affine vertex 0, standing for minus the
-        highest root theta, joined to each alpha_i with t_i = <theta, alpha_i>
-        > 0 by t_i * <alpha_i, theta> edges, where <alpha_i, theta> =
+        highest root theta, as adjacency: entry v, for v = 0 .. rank, maps
+        each neighbour of v to the multiplicity of their edge.  Simple roots
+        i and j are joined by a_ij * a_ji edges, read off the Cartan rows.
+        Vertex 0 is joined to each alpha_i with t_i = <theta, alpha_i> > 0
+        by t_i * <alpha_i, theta> edges, where <alpha_i, theta> =
         2 d_i t_i / (theta, theta): the rule for simple-root pairs.  Requires
         rank >= 2 (the rank-1 affine diagram has no finite edge
         multiplicity).  Raises InternalInconsistencyError when (theta,
@@ -355,7 +353,7 @@ class RootSystem:
             raise InternalInconsistencyError(
                 f"the highest root has squared length {norm}, not a positive one"
             )
-        edges = {}
+        affine = {}
         for i, (d_i, t_i) in enumerate(zip(self.form.d, signed.pairings[-1]), 1):
             if t_i > 0:
                 u_i, rem = divmod(2 * d_i * t_i, norm)
@@ -363,8 +361,15 @@ class RootSystem:
                     raise InternalInconsistencyError(
                         "non-integral pairing against the highest root"
                     )
-                edges[i] = t_i * u_i
-        return self.graph.with_affine_vertex(edges)
+                affine[i] = t_i * u_i
+        graph = [affine]
+        rows = self.cartan.rows
+        for i, (row, col) in enumerate(zip(rows, zip(*rows)), 1):
+            adjacent = {0: affine[i]} if i in affine else {}
+            # off the diagonal, an entry is negative exactly on an edge
+            adjacent.update((j, a * b) for j, (a, b) in enumerate(zip(row, col), 1) if a < 0)
+            graph.append(adjacent)
+        return tuple(graph)
 
 
 def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSystem:

@@ -34,7 +34,7 @@ builder raised, else the missing input that kept it from being built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InternalInconsistencyError, InvalidArgumentError
 from .exponents import ExponentReport, coxeter_exponents, dual_partition
@@ -52,6 +52,23 @@ from .scans import (
 # ---------------------------------------------------------------------------
 # chain structures
 # ---------------------------------------------------------------------------
+
+def is_simple_chain(ext: tuple[dict[int, int], ...], path: Sequence[int]) -> bool:
+    """Whether path is a single-edge chain of the extended graph ext, as
+    ``RootSystem.extended_graph`` gives it, whose only attachment to the
+    rest of the graph is at its last vertex: consecutive vertices are
+    joined by single edges, non-consecutive ones are not adjacent, and
+    every vertex but the last has all its neighbours inside the path."""
+    pos = {v: k for k, v in enumerate(path)}
+    if len(pos) != len(path) or any(ext[a].get(b) != 1 for a, b in zip(path, path[1:])):
+        return False
+    last = len(path) - 1
+    return all(
+        abs(pos[w] - k) == 1 if w in pos else k == last
+        for k, v in enumerate(path)
+        for w in ext[v]
+    )
+
 
 @dataclass(frozen=True)
 class MarkChain:
@@ -88,14 +105,14 @@ def mark_chain(rs: RootSystem) -> MarkChain:
         return MarkChain((), (1,))
 
     ext = rs.extended_graph
-    if ext.degree(0) != 1:
+    if len(ext[0]) != 1:
         raise InternalInconsistencyError(
             "affine vertex must attach at exactly one vertex when c_max >= 2"
         )
     dist, parent = {0: 0}, {}
     frontier = [0]
     for v in frontier:  # grows as the walk goes
-        for w in ext.neighbors(v):
+        for w in ext[v]:
             if w not in dist:
                 dist[w], parent[w] = dist[v] + 1, v
                 frontier.append(w)
@@ -110,7 +127,7 @@ def mark_chain(rs: RootSystem) -> MarkChain:
 
     if marks != tuple(range(1, len(marks) + 1)):
         raise InternalInconsistencyError(f"mark chain coefficients {marks} are not 1..q+1")
-    if not ext.is_simple_chain(path[:-1]):
+    if not is_simple_chain(ext, path[:-1]):
         raise InternalInconsistencyError(
             f"prefix {path[:-1]} of the mark chain is not a simple chain"
         )
@@ -119,7 +136,7 @@ def mark_chain(rs: RootSystem) -> MarkChain:
     else:
         s, t = indices[-2], indices[-1]
         end_pairing = rs.cartan.a(t, s)
-    if end_pairing not in (-2, -3) and ext.degree(indices[-1]) < 3:
+    if end_pairing not in (-2, -3) and len(ext[indices[-1]]) < 3:
         raise InternalInconsistencyError(
             f"mark chain ends with pairing {end_pairing} at a non-ramification point"
         )
@@ -221,16 +238,19 @@ def check_mark_chain(rs: RootSystem, chain: MarkChain) -> CheckResult:
     count is not 2 is not a chain, so that count needs no test of its own."""
     cx: list = []
     if rs.c_max() == 1 and rs.rank >= 2:
-        g = rs.graph
         ext = rs.extended_graph
-        if not g.is_chain_graph():
+        # the Dynkin graph, ext without vertex 0, is a tree: so it is a chain
+        # iff no vertex has more than two neighbours in it and every edge is
+        # single, and its terminals are the vertices with at most one
+        base = [{w: mult for w, mult in adjacent.items() if w} for adjacent in ext[1:]]
+        if any(len(adjacent) > 2 or set(adjacent.values()) - {1} for adjacent in base):
             cx.append({"reason": "coefficient 1 everywhere but the graph is not a chain"})
-        terminals = g.terminal_vertices()
-        if set(ext.neighbors(0)) != terminals:
+        terminals = {v for v, adjacent in enumerate(base, 1) if len(adjacent) <= 1}
+        if set(ext[0]) != terminals:
             cx.append(
                 {
                     "reason": "affine vertex must attach exactly at the terminals",
-                    "affine_neighbors": sorted(ext.neighbors(0)),
+                    "affine_neighbors": sorted(ext[0]),
                     "terminals": sorted(terminals),
                 }
             )
@@ -303,7 +323,7 @@ def check_step_multiset(rs: RootSystem, top: TopChain) -> CheckResult:
             if len(set(head)) != len(head):
                 cx.append({"reason": "head steps must be distinct", "steps": list(steps)})
             path = [0] + list(steps[: m - 3])
-            if not ext.is_simple_chain(path):
+            if not is_simple_chain(ext, path):
                 cx.append({"reason": "head prefix is not a simple chain", "path": path})
             turn = rs.cartan.a(top.step(m - 2), top.step(m - 3))
             if turn != -3:
@@ -321,7 +341,7 @@ def check_step_multiset(rs: RootSystem, top: TopChain) -> CheckResult:
             )
         elif first == 1 and m >= 3:
             path = [0] + list(steps[: m - 2])
-            if not ext.is_simple_chain(path):
+            if not is_simple_chain(ext, path):
                 cx.append({"reason": "prefix is not a simple chain", "path": path})
     return CheckResult(not cx, cx, note)
 
@@ -334,9 +354,7 @@ def check_step_nonramification(rs: RootSystem, top: TopChain) -> CheckResult:
         return _vacuous("m < 2")
     ext = rs.extended_graph
     vertices = [0] + list(top.step_indices[: m - 2])
-    cx = [
-        {"vertex": v, "degree": ext.degree(v)} for v in vertices if ext.degree(v) > 2
-    ]
+    cx = [{"vertex": v, "degree": len(ext[v])} for v in vertices if len(ext[v]) > 2]
     return CheckResult(not cx, cx, f"vertices {vertices}")
 
 

@@ -1,4 +1,4 @@
-"""Cartan matrices, symmetrizer, and graph predicates."""
+"""Cartan matrices, symmetrizer, and the extended Dynkin graph."""
 
 import collections
 import random
@@ -15,6 +15,7 @@ from rootsys.errors import (
     InvalidCartanError,
     InvalidTypeError,
 )
+from rootsys.verify import is_simple_chain
 
 from conftest import sweep_labels, with_identity_block
 from oracles import (
@@ -296,14 +297,21 @@ def test_every_construction_runs_the_gate():
 
 # -- graphs ------------------------------------------------------------------------
 
-def test_dynkin_tree_everywhere():
-    for t in R.all_types(12):
-        c = R.build_cartan(t)
-        g = R.dynkin_graph(c)
-        pairs = [(i, j) for i in g.vertices for j in g.vertices if i < j]
+def _base(ext):
+    """The adjacency ext with the affine vertex 0 cut off: the Dynkin graph
+    of the simple roots, which is_simple_chain reads like any other."""
+    return ({},) + tuple({w: mult for w, mult in adjacent.items() if w} for adjacent in ext[1:])
+
+
+def test_dynkin_tree_everywhere(system):
+    # A1 has no extended graph, and its one vertex no pair
+    for label in sweep_labels(12):
+        rs = system(label)
+        c, base = rs.cartan, _base(rs.extended_graph)
+        pairs = [(i, j) for i in range(1, c.rank + 1) for j in range(1, c.rank + 1) if i < j]
         for i, j in pairs:
-            assert g.edge_multiplicity(i, j) == c.a(i, j) * c.a(j, i)
-        assert sum(1 for i, j in pairs if g.edge_multiplicity(i, j)) == c.rank - 1
+            assert base[i].get(j, 0) == base[j].get(i, 0) == c.a(i, j) * c.a(j, i)
+        assert sum(1 for i, j in pairs if base[i].get(j)) == c.rank - 1
 
 
 @pytest.mark.parametrize(
@@ -315,51 +323,45 @@ def test_dynkin_tree_everywhere():
     ids=["disconnected", "affine-A2"],
 )
 def test_dynkin_graph_rejects_non_tree(rows, violations):
-    # a graph that is not a tree never reaches dynkin_graph: the gate
+    # a graph that is not a tree never reaches an extended graph: the gate
     # rejects its matrix, so no CartanMatrix holds it
     with pytest.raises(InvalidCartanError) as err:
-        R.dynkin_graph(R.CartanMatrix(rows))
+        R.CartanMatrix(rows)
     assert err.value.violations == violations
 
 
-def test_d4_ramification():
-    g = R.dynkin_graph(R.build_cartan("D4"))
-    assert g.ramification_points() == {2}
-    assert g.terminal_vertices() == {1, 3, 4}
+def test_d4_ramification(system):
+    base = _base(system("D4").extended_graph)
+    assert {v for v in range(1, 5) if len(base[v]) >= 3} == {2}
+    assert {v for v in range(1, 5) if len(base[v]) <= 1} == {1, 3, 4}
 
 
-def test_a5_chain_shape():
-    g = R.dynkin_graph(R.build_cartan("A5"))
-    assert g.terminal_vertices() == {1, 5}
-    assert g.ramification_points() == set()
-    assert g.is_chain_graph()
-    assert g.is_simple_chain([1, 2, 3, 4, 5])
-    assert not g.is_simple_chain([1, 2, 4])  # 2 and 4 are not adjacent
+def test_a5_chain_shape(system):
+    base = _base(system("A5").extended_graph)
+    assert {v for v in range(1, 6) if len(base[v]) <= 1} == {1, 5}
+    assert {v for v in range(1, 6) if len(base[v]) >= 3} == set()
+    # a tree is a single-edge chain iff no degree passes 2 and every edge is single
+    assert all(len(adjacent) <= 2 and set(adjacent.values()) == {1} for adjacent in base[1:])
+    assert is_simple_chain(base, [1, 2, 3, 4, 5])
+    assert not is_simple_chain(base, [1, 2, 4])  # 2 and 4 are not adjacent
 
 
 def test_g2_extended_chain(system):
     rs = system("G2")
     ext = rs.extended_graph
-    assert ext.neighbors(0) == (2,)
-    assert ext.edge_multiplicity(0, 2) == 1
-    assert ext.edge_multiplicity(1, 2) == 3
-    assert ext.is_simple_chain([0, 2])
-
-
-def test_simple_chain_rejects_unknown_vertices(system):
-    g = R.dynkin_graph(R.build_cartan("A3"))
-    with pytest.raises(InvalidArgumentError):
-        g.is_simple_chain([1, 7])
-    with pytest.raises(InvalidArgumentError):
-        g.is_simple_chain([])
+    assert list(ext[0]) == [2]
+    assert ext[0][2] == 1
+    assert ext[1][2] == 3
+    assert is_simple_chain(ext, [0, 2])
+    assert not is_simple_chain(_base(ext), [1, 2])  # a triple edge
 
 
 def test_simple_chain_interior_attachment(system):
-    g = R.dynkin_graph(R.build_cartan("D5"))
+    base = _base(system("D5").extended_graph)
     # 1 - 2 - 3 with the fork hanging off 3: fine when attached at 3,
     # broken when the declared endpoint is 1.
-    assert g.is_simple_chain([1, 2, 3])
-    assert not g.is_simple_chain([3, 2, 1])
+    assert is_simple_chain(base, [1, 2, 3])
+    assert not is_simple_chain(base, [3, 2, 1])
 
 
 def test_extended_requires_rank_two(system):
@@ -371,28 +373,29 @@ def test_extended_graph_matches_gram_oracle(system):
     # the edge from -theta to alpha_i has multiplicity
     # 4 (theta, alpha_i)^2 / ((alpha_i, alpha_i)(theta, theta)) when
     # (theta, alpha_i) > 0, here from the Gram matrix rather than the
-    # pairing table
+    # pairing table; the edges between simple roots are the a_ij * a_ji
     for label in sweep_labels(12):
         rs = system(label)
         g = gram(rs.cartan, rs.form.d)
         theta = rs.highest_root().coeffs
         ext = rs.extended_graph
-        assert ext.vertices == (0,) + rs.graph.vertices
-        for i in rs.graph.vertices:
+        assert len(ext) == rs.rank + 1
+        for i in range(1, rs.rank + 1):
             alpha = tuple(int(k == i - 1) for k in range(rs.rank))
             t = inner(g, theta, alpha)
             mult = 4 * t * t // (inner(g, alpha, alpha) * inner(g, theta, theta))
-            assert ext.edge_multiplicity(0, i) == (mult if t > 0 else 0), (label, i)
-            for j in rs.graph.vertices:
-                assert ext.edge_multiplicity(i, j) == rs.graph.edge_multiplicity(i, j)
+            assert ext[0].get(i, 0) == ext[i].get(0, 0) == (mult if t > 0 else 0), (label, i)
+            for j in range(1, rs.rank + 1):
+                product = rs.cartan.a(i, j) * rs.cartan.a(j, i)
+                assert ext[i].get(j, 0) == (product if i != j else 0), (label, i, j)
 
 
 def test_bc_extended_multiplicity(system):
     # the affine vertex of C attaches by a double edge, of B by a single one
-    assert system("C3").extended_graph.edge_multiplicity(0, 1) == 2
+    assert system("C3").extended_graph[0][1] == 2
     b3 = system("B3").extended_graph
-    assert b3.neighbors(0) == (2,)
-    assert b3.edge_multiplicity(0, 2) == 1
+    assert list(b3[0]) == [2]
+    assert b3[0][2] == 1
 
 
 # -- fuzzing --------------------------------------------------------------------

@@ -9,9 +9,11 @@ import collections
 import hashlib
 import json
 
+import pytest
+
 import rootsys as R
 
-from oracles import corrupted_corpus
+from oracles import corrupted_corpus, reflection_closure
 
 DIGEST = "ed6ebf79878a7ada59ae10982fb2b92e196b815ffd5d750cdc2b52f235c746a0"
 FAILED_ROWS = {
@@ -31,11 +33,19 @@ FAILED_ROWS = {
 NOTES = {"error": 1579, "blocked": 6590}
 
 
-def test_failing_path_digest(system):
+@pytest.fixture(scope="module")
+def ledgered(system):
+    """(name, system, ledger JSON) for each system of the corpus, ledgered
+    once for every test here."""
+    return [
+        (name, rs, R.build_ledger(rs).to_json_dict()) for name, rs in corrupted_corpus(system)
+    ]
+
+
+def test_failing_path_digest(ledgered):
     payload = []
     failed, notes = collections.Counter(), collections.Counter()
-    for name, rs in corrupted_corpus(system):
-        ledger = R.build_ledger(rs).to_json_dict()
+    for name, _, ledger in ledgered:
         payload.append([name, ledger])
         for row, res in ledger["checks"].items():
             failed[row] += not res["pass"]
@@ -44,3 +54,22 @@ def test_failing_path_digest(system):
     assert dict(failed) == FAILED_ROWS
     assert {k: notes[k] for k in NOTES} == NOTES
     assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == DIGEST
+
+
+def test_a_passing_ledger_certifies_its_root_set(ledgered):
+    # README: a set whose positive part is not the root system's either has
+    # a simple reflection that escapes it, which two_of_three_sums reports,
+    # or fails exponents_agree; so a passing ledger's set is the true one.
+    # The root system here is the Cartan-only reflection closure.
+    closures = {}
+    wrong = 0
+    for name, rs, ledger in ledgered:
+        if rs.cartan not in closures:
+            closures[rs.cartan] = reflection_closure(rs.cartan)
+        if {r.coeffs for r in rs.positive_roots()} == closures[rs.cartan]:
+            continue
+        wrong += 1
+        checks = ledger["checks"]
+        escaped = checks["two_of_three_sums"].get("note", "").startswith("not Weyl-stable")
+        assert escaped or not checks["exponents_agree"]["pass"], name
+    assert wrong == 1850

@@ -33,6 +33,7 @@ from oracles import (
     based_two_of_three_sums,
     edited,
     form_pairings,
+    fraction_symmetrizer,
     gram,
     inner,
     long_pairs,
@@ -202,7 +203,7 @@ def test_mark_chain_checks_the_affine_degree_first(system):
     # affine vertex attaches at alpha_1 and alpha_2, and the marks (1, 3)
     # along a path to alpha_2 break too; the degree is reported
     rs = _with_top(wrong_d(system("B3"), (1, 2, 3)), (2, 3, 2))
-    assert rs.extended_graph.neighbors(0) == (1, 2)
+    assert sorted(rs.extended_graph[0]) == [1, 2]
     with pytest.raises(
         R.InternalInconsistencyError, match="affine vertex must attach at exactly one vertex"
     ):
@@ -709,9 +710,11 @@ def test_main_relation_length_condition(system):
         res = V.check_main_relation(rs, top, rep)
         assert res.passed, (label, res.counterexamples)
         g2 = label == "G2"
-        g = rs.graph
+        # a_ij * a_ji = 4 (alpha_i, alpha_j)^2 / ((alpha_i, alpha_i)(alpha_j, alpha_j))
+        g = gram(rs.cartan, fraction_symmetrizer(rs.cartan).d)
         triple = any(
-            g.edge_multiplicity(i, j) == 3 for i, j in itertools.combinations(g.vertices, 2)
+            4 * g[i][j] ** 2 == 3 * g[i][i] * g[j][j]
+            for i, j in itertools.combinations(range(rs.rank), 2)
         )
         assert (
             top.case == 1, max(rs.form.d) == 3, rs.c_max() == rep.exponents[1] - 2, triple
@@ -781,30 +784,22 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
             return built[_name]
 
         monkeypatch.setattr(module, name, counted)
-    build_signed = R.RootSystem.signed.func
+    for name in ("signed", "extended_graph"):
 
-    def counted_signed(rs):
-        calls["signed"] += 1
-        return build_signed(rs)
+        def counted_property(rs, _name=name, _build=getattr(R.RootSystem, name).func):
+            calls[_name] += 1
+            return _build(rs)
 
-    prop = functools.cached_property(counted_signed)
-    prop.__set_name__(R.RootSystem, "signed")
-    monkeypatch.setattr(R.RootSystem, "signed", prop)
-    build_graph = R.cartan.dynkin_graph
-
-    def counted_graph(c):
-        calls["dynkin_graph"] += 1
-        return build_graph(c)
-
-    for module in (R.cartan, R.roots):
-        monkeypatch.setattr(module, "dynkin_graph", counted_graph)
+        prop = functools.cached_property(counted_property)
+        prop.__set_name__(R.RootSystem, name)
+        monkeypatch.setattr(R.RootSystem, name, prop)
     for label in sweep_labels(8):
         calls.clear()
         assert R.build_ledger(R.build_system(label)).passed, label
         # one closure per representative's stabilizer, which both scans
-        # share; the extended graph builds on the graph
+        # share; one extended graph serves every chain check
         closures = len(built["weyl_orbits"].representatives)
-        expected = dict.fromkeys(shared + ("signed", "dynkin_graph"), 1) | {
+        expected = dict.fromkeys(shared + ("signed", "extended_graph"), 1) | {
             "_close": closures
         }
         assert calls == expected, (label, calls)
@@ -820,7 +815,7 @@ def test_ledger_builds_each_structure_once(monkeypatch, capsys):
     assert main(["gen", "--all", "--max-rank", "8"]) == 0
     assert main(["exponents", "--all", "--max-rank", "8", "--method", "both"]) == 0
     capsys.readouterr()
-    assert calls["signed"] == calls["dynkin_graph"] == 0
+    assert calls["signed"] == calls["extended_graph"] == 0
 
 
 def test_constructor_rejects_malformed_layers(system):
