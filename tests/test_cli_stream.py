@@ -40,6 +40,12 @@ GOLDEN = {
         "3d35e55a99e230d98b60e25c86f2b43a8a940b7900d36a8ccf7a3a0e38f5b818",
     ("exponents", "--all", "--max-rank", "32", "--method", "both"):
         "df895d834431fe1adf24e781e3d96d5bfc51b7e7503e8e29084b69698e3da837",
+    ("exponents", "--all", "--max-rank", "24", "--method", "dual"):
+        "1fea5fbbf783247abfbcdfd049cdca7699168bfe08bfdba21cbdfbb2d6c82c87",
+    ("exponents", "--all", "--max-rank", "24", "--method", "coxeter"):
+        "516cabe8de3ece66dcb8cae560c05b5c6ef9db89dd4ba4002cceef1b27815b61",
+    ("exponents", "--type", "E8", "--method", "both"):
+        "2acd927d5ec44a2f509011c119814e00aafbba7d3e651ef38b550a738c98ae87",
 }
 
 awkward_text = st.text(
