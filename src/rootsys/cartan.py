@@ -20,7 +20,12 @@ Conventions, fixed here and relied on by every other module:
 A finite-type Dynkin graph is a tree (Humphreys, Lie Algebras, 11.4), so
 one breadth-first walk of it gives connectivity, d along its edges and, in
 reverse, a leaf-first pivot order; the ``CartanMatrix`` gate and
-``symmetrizer`` share it.
+``symmetrizer`` share it.  A tree on n vertices has at most 3n - 2 nonzero
+entries of the n^2, so the gate reads the entries only in C-level passes,
+records each row's nonzero columns as ``nonzero``, and runs its own
+checks and the walk over those; the symmetrizer, the Coxeter power,
+``enumerate_roots``, the signed-root pairings, the extended graph and the
+triple-edge test read the entries through ``nonzero`` too.
 
 Everything is exact: d and the form are integers, and the pivots and the
 ratios of d are carried as integer numerator/denominator pairs.
@@ -28,10 +33,9 @@ ratios of d are carried as integer numerator/denominator pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from math import lcm
-from operator import or_
 from typing import Sequence
 
 from .errors import (
@@ -134,9 +138,16 @@ class CartanMatrix:
     gate, run once by every way of making one (``CartanMatrix(rows)``,
     ``dataclasses.replace``, ``validate_cartan``, ``build_cartan``), and it
     stores ``rows`` as a tuple of tuples.  So every Dynkin graph here is a
-    tree with at most one multiple edge, and every root system is finite."""
+    tree with at most one multiple edge, and every root system is finite.
+
+    ``nonzero[i]`` holds the columns j with a_ij != 0, ascending, the
+    diagonal included: the pattern every reader past the gate goes
+    through instead of scanning all n^2 entries.  The gate sets it, so
+    equality and hashing stay on ``rows`` and ``dataclasses.replace``
+    computes it afresh."""
 
     rows: tuple[tuple[int, ...], ...]
+    nonzero: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         """Accept the rows iff they form a Cartan matrix of finite type.
@@ -145,6 +156,10 @@ class CartanMatrix:
         MAX_RANK) raises InvalidArgumentError.  Otherwise every violated
         invariant is reported by name in the raised InvalidCartanError:
         diagonal, sign, product-bound, decomposable, not-positive-definite.
+        All n^2 entries are read only by C-level passes: the integer check,
+        the diagonal count and one ``compress`` per row for ``nonzero``;
+        the sign and product bound, the walk and the pivots read the
+        nonzero entries alone.
 
         One walk of the graph decides the last two.  The matrix is
         decomposable when the walk misses a vertex.  A connected graph with
@@ -168,25 +183,27 @@ class CartanMatrix:
             raise InvalidArgumentError(f"rank {n} exceeds MAX_RANK = {MAX_RANK}")
         rows = tuple(map(tuple, raw))
         flat = tuple(chain.from_iterable(rows))
-        ints = map(isinstance, flat, repeat(int))
-        if not all(ints) or any(map(isinstance, flat, repeat(bool))):
+        # exact ints pass at once; an int subclass other than bool still does
+        if set(map(type, flat)) != {int} and (
+            not all(map(isinstance, flat, repeat(int)))
+            or any(map(isinstance, flat, repeat(bool)))
+        ):
             raise InvalidArgumentError("expected integer entries")
 
         violations: list[str] = []
         if flat[:: n + 1].count(2) != n:
             violations.append("diagonal")
-        # (a_ij, a_ji) for each nonzero a_ij off the diagonal, at flat index k = i*n + j
+        nonzero = nonzero_pattern(rows)
+        # (a_ij, a_ji) for each nonzero a_ij off the diagonal
         pairs = [
-            (flat[k], flat[k % n * n + k // n])
-            for k in compress(range(n * n), flat)
-            if k % (n + 1)
+            (rows[i][j], rows[j][i]) for i, cols in enumerate(nonzero) for j in cols if j != i
         ]
         sign_ok = all(a < 0 and b for a, b in pairs)
         if not sign_ok:
             violations.append("sign")
         if any(a * b not in (0, 1, 2, 3) for a, b in pairs):
             violations.append("product-bound")
-        order, parent = _walk(rows)
+        order, parent = _walk(nonzero)
         if len(order) < n:
             violations.append("decomposable")
         elif sign_ok and len(pairs) != 2 * (n - 1):
@@ -206,6 +223,7 @@ class CartanMatrix:
         if violations:
             raise InvalidCartanError(violations)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nonzero", nonzero)
 
     @property
     def rank(self) -> int:
@@ -216,17 +234,30 @@ class CartanMatrix:
         return self.rows[i - 1][j - 1]
 
 
-def _walk(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """Breadth-first walk from vertex 0, taking an edge wherever an entry is
-    nonzero in either direction, so malformed sign patterns still get a
-    sensible connectivity verdict.  Returns the vertices reached, in walk
-    order, and each vertex's parent (-1 for vertex 0 and unreached ones)."""
-    n = len(rows)
-    cols = list(zip(*rows))
+def nonzero_pattern(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """For each row i, the columns j with a_ij != 0, ascending: one
+    C-level pass per row."""
+    return tuple(map(tuple, map(compress, repeat(range(len(rows))), rows)))
+
+
+def _walk(nonzero: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Breadth-first walk from vertex 0 over a nonzero pattern, taking an
+    edge wherever an entry is nonzero in either direction, so malformed
+    sign patterns still get a sensible connectivity verdict; neighbours
+    are taken in ascending order.  Where row v's pattern equals column
+    v's, as on every sign-consistent matrix, it is the neighbour list as
+    it stands.  Returns the vertices reached, in walk order, and each
+    vertex's parent (-1 for vertex 0 and unreached ones)."""
+    n = len(nonzero)
+    below: list[list[int]] = [[] for _ in nonzero]  # column j's nonzero rows, ascending
+    for i, cols in enumerate(nonzero):
+        for j in cols:
+            below[j].append(i)
     parent = [-1] * n
     order = [0]
     for v in order:  # order grows as the walk reaches new vertices
-        for w in compress(range(n), map(or_, rows[v], cols[v])):
+        cols = nonzero[v]
+        for w in cols if tuple(below[v]) == cols else sorted({*cols, *below[v]}):
             if w and parent[w] < 0:
                 parent[w] = v
                 order.append(w)
@@ -305,7 +336,7 @@ def symmetrizer(c: CartanMatrix) -> SymmetrizedForm:
     or 3, so the scaled d takes only the values 1 and k.
     """
     rows = c.rows
-    order, parent = _walk(rows)
+    order, parent = _walk(c.nonzero)
     num, den = [1] * len(rows), [1] * len(rows)
     for v in order[1:]:
         p = parent[v]

@@ -210,6 +210,41 @@ class _GenPayload:
         return "".join(pieces)
 
 
+class _ExponentsPayload:
+    """What exponents writes for one type: the entry _exponent_entry made,
+    {"type": ..., then "dual" and "coxeter", each {"exponents": [...], "h":
+    h, "method": ...}, as --method asks, then "agree" for both}.  render
+    writes its json.dumps(..., indent=2) text from a fixed template: the
+    strings go through encode_basestring_ascii, the C function json.dumps
+    uses, and the ints and the boolean are written as literals.  An
+    ExponentReport holds at least one exponent, so no list is empty."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry: dict) -> None:
+        self.entry = entry
+
+    def render(self, nl: str) -> str:
+        entry = self.entry
+        key = nl + "  "  # the entry's own keys
+        field = key + "  "  # a report's keys
+        item = field + "  "  # an exponent
+        pieces = ["{" + key + '"type": ' + _string(entry["type"])]
+        for method in ("dual", "coxeter"):
+            if method in entry:
+                rep = entry[method]
+                pieces += (
+                    "," + key + '"' + method + '": {' + field + '"exponents": [' + item,
+                    ("," + item).join(map(str, rep["exponents"])),
+                    field + "]," + field + '"h": %d' % rep["h"]
+                    + "," + field + '"method": ' + _string(rep["method"]) + key + "}",
+                )
+        if "agree" in entry:
+            pieces.append("," + key + '"agree": ' + ("true" if entry["agree"] else "false"))
+        pieces.append(nl + "}")
+        return "".join(pieces)
+
+
 class _VerifyPayload(NamedTuple):
     """What verify writes: {"ledgers": [...]} and then the keys of rest,
     the skipped types, the G2 criterion and the summary."""
@@ -256,8 +291,8 @@ def _render(obj, nl: str = "\n") -> str:
     nl (a line break and the indentation of obj's own level) precedes its
     closing bracket: every line break of the top-level text gains the
     indentation, and none is lost, since JSON strings hold no raw line
-    break.  A _GenPayload renders itself."""
-    if type(obj) is _GenPayload:
+    break.  A _GenPayload or an _ExponentsPayload renders itself."""
+    if type(obj) in (_GenPayload, _ExponentsPayload):
         return obj.render(nl)
     return json.dumps(obj, indent=2).replace("\n", nl)
 
@@ -265,11 +300,10 @@ def _render(obj, nl: str = "\n") -> str:
 def _emit(out, payload, k: int, n: int) -> None:
     """Write payload k of n.  The n calls in order write what
     json.dumps(payloads if n > 1 else payloads[0], indent=2) gives, plus a
-    newline, without holding more than one payload's text; json.dump writes
-    a lone payload chunk by chunk, unless it is a _GenPayload or a
-    _VerifyPayload.  A _VerifyPayload is written one ledger's text at a
-    time, and then its rest: the json.dumps text of rest less its opening
-    brace closes the object.  One of n > 1 payloads is three writes, the
+    newline, without holding more than one payload's text.  A lone
+    _VerifyPayload is written one ledger's text at a time, and then its
+    rest: the json.dumps text of rest less its opening brace closes the
+    object.  One of n > 1 payloads is three writes, the
     array's opening or the separator, the payload's text and the array's
     closing or nothing, so its text, up to megabytes for gen, is never
     copied into a concatenation."""
@@ -281,10 +315,8 @@ def _emit(out, payload, k: int, n: int) -> None:
                 out.write(_ledger_text(ledger, "\n    "))
             out.write("\n  ]," if payload.ledgers else "],")
             out.write(json.dumps(payload.rest, indent=2)[1:])
-        elif type(payload) is _GenPayload:
-            out.write(payload.render("\n"))
         else:
-            json.dump(payload, out, indent=2)
+            out.write(_render(payload, "\n"))
         out.write("\n")
         return
     out.write("[\n  " if k == 0 else ",\n  ")
@@ -332,7 +364,7 @@ def cmd_exponents(args, targets, out) -> int:
         e = _exponent_entry(label, cartan, args.method)
         disagree |= args.method == "both" and not e["agree"]
         if args.format == "json":
-            _emit(out, e, k, len(targets))
+            _emit(out, _ExponentsPayload(e), k, len(targets))
         else:
             for method in ("dual", "coxeter"):
                 if method in e:

@@ -89,8 +89,8 @@ def coxeter_traces(c: CartanMatrix) -> tuple[int, tuple[int, ...]]:
     The power is carried through the chain of simple reflections (the
     rightmost factor acts first).  s_i changes only coordinate i of each
     column, v_i -= sum_j a_ij v_j, so it rewrites row i of the power from
-    the rows j with a_ij != 0: the rows with a_ij = -1 are added, the
-    others multiplied.  One power costs O(rank^2) on a Dynkin tree instead
+    the rows j with a_ij != 0, which ``c.nonzero`` lists: the rows with
+    a_ij = -1 are added, the others multiplied.  One power costs O(rank^2) on a Dynkin tree instead
     of a dense O(rank^3) matrix product.
 
     Each power is compared with I and with -I.  The first k with c^k = -I
@@ -119,7 +119,8 @@ def coxeter_traces(c: CartanMatrix) -> tuple[int, tuple[int, ...]]:
     bound = 2 * (cap + 1)
     half = 1 << cap.bit_length()  # L: guard range is [-half, half)
     spread = max(
-        abs(1 - row[i]) + sum(map(abs, row)) - abs(row[i]) for i, row in enumerate(c.rows)
+        abs(1 - row[i]) + sum(abs(row[j]) for j in cols if j != i)
+        for i, (row, cols) in enumerate(zip(c.rows, c.nonzero))
     )
     width = ((spread + 1) * half).bit_length()
     digit = 2 * half - 1  # a biased in-range entry's bits
@@ -130,10 +131,11 @@ def coxeter_traces(c: CartanMatrix) -> tuple[int, tuple[int, ...]]:
     # (i, 1 - a_ii, the j with a_ij = -1, the other (j, a_ij), shift to entry i)
     steps = []
     for i in reversed(range(n)):
-        off = [(j, a) for j, a in enumerate(c.rows[i]) if a and j != i]
+        row = c.rows[i]
+        off = [(j, row[j]) for j in c.nonzero[i] if j != i]
         ones = [j for j, a in off if a == -1]
         others = [(j, a) for j, a in off if a != -1]
-        steps.append((i, 1 - c.rows[i][i], ones, others, width * i))
+        steps.append((i, 1 - row[i], ones, others, width * i))
     p = list(identity)
     traces = [n]
     for k in range(1, bound + 1):

@@ -309,8 +309,8 @@ class RootSystem:
             by_index = list(zip(*(r.coeffs for r in self.positive_roots())))
             top = max(map(max, by_index))
             columns = []
-            for row in self.cartan.rows:
-                terms = [map(mul, by_index[j], repeat(a)) for j, a in enumerate(row) if a]
+            for row, cols in zip(self.cartan.rows, self.cartan.nonzero):
+                terms = [map(mul, by_index[j], repeat(row[j])) for j in cols]
                 columns.append(reduce(partial(map, add), terms))
             pairings = list(zip(*columns))
         else:
@@ -319,7 +319,7 @@ class RootSystem:
             unpack = Struct(">%d%s" % (n, {2: "h", 4: "i", 8: "q"}[size])).unpack
             flip = int.from_bytes((b"\x7f" + b"\xff" * (size - 1)) * n, "big")
             pairings = [unpack((na ^ flip).to_bytes(size * n, "big")) for na in packed]
-        reach = max(4, 2 + max(sum(map(abs, row)) for row in self.cartan.rows))
+        reach = max(4, 2 + _largest_row_sum(self.cartan))
         width = max(8, (reach * top).bit_length())
         unit = tuple(1 << width * (n - 1 - i) for i in range(n))
         if width == 8:
@@ -364,12 +364,20 @@ class RootSystem:
                 affine[i] = t_i * u_i
         graph = [affine]
         rows = self.cartan.rows
-        for i, (row, col) in enumerate(zip(rows, zip(*rows)), 1):
-            adjacent = {0: affine[i]} if i in affine else {}
+        for i, (row, cols) in enumerate(zip(rows, self.cartan.nonzero)):
+            adjacent = {0: affine[i + 1]} if i + 1 in affine else {}
             # off the diagonal, an entry is negative exactly on an edge
-            adjacent.update((j, a * b) for j, (a, b) in enumerate(zip(row, col), 1) if a < 0)
+            adjacent.update((j + 1, row[j] * rows[j][i]) for j in cols if row[j] < 0)
             graph.append(adjacent)
         return tuple(graph)
+
+
+def _largest_row_sum(cartan: CartanMatrix) -> int:
+    """R = max_i sum_j |a_ij|, read off the nonzero entries."""
+    return max(
+        sum(map(abs, map(row.__getitem__, cols)))
+        for row, cols in zip(cartan.rows, cartan.nonzero)
+    )
 
 
 def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSystem:
@@ -418,7 +426,7 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     and one root is maximal.
     """
     n = cartan.rank
-    reach = max(sum(map(abs, row)) for row in cartan.rows)
+    reach = _largest_row_sum(cartan)
     w = next((w for w in (16, 32, 64) if (reach + 1) << 8 < 1 << w - 1), None)
     if w is None:
         raise InternalInconsistencyError(f"a row sum of {reach} outgrows 64-bit pairing fields")
@@ -427,11 +435,13 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     high = sum(f << w - 1 for f in fields)
     # the bit length of field i's high bit -> (key unit, packed column, field
     # mask, F_i); the other entries are None
+    columns = [0] * n  # column i packed: sum_j a_ji F_j
+    for row, cols, f in zip(cartan.rows, cartan.nonzero, fields):
+        for i in cols:
+            columns[i] += row[i] * f
     edges = [None] * (w * n + 1)
-    for i, (f, col) in enumerate(zip(fields, zip(*cartan.rows))):
-        edges[(f << w - 1).bit_length()] = (
-            1 << 8 * (n - 1 - i), sum(map(mul, col, fields)), ((1 << w) - 1) * f, f
-        )
+    for i, (f, col) in enumerate(zip(fields, columns)):
+        edges[(f << w - 1).bit_length()] = (1 << 8 * (n - 1 - i), col, ((1 << w) - 1) * f, f)
     # key -> [na, p] of the roots one layer up
     found = {u: [bias - col, 0] for u, col, _, _ in filter(None, edges)}
     key_layers: list[list[int]] = [[]]  # sorted keys by height

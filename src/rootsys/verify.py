@@ -266,8 +266,8 @@ def check_main_relation(rs: RootSystem, top: TopChain, rep: ExponentReport) -> C
     cmax = rs.c_max()
     m2 = rep.exponents[1]
     ratio = max(rs.form.d)
-    rows = rs.cartan.rows
-    triple = any(a * b == 3 for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col))
+    rows, nonzero = rs.cartan.rows, rs.cartan.nonzero
+    triple = any(rows[i][j] * rows[j][i] == 3 for i, cols in enumerate(nonzero) for j in cols)
     expected = m2 - 2 if top.case == 1 else m2 - 1
     ok = cmax == expected and (top.case == 1) == (ratio == 3) == triple
     cx = [] if ok else [

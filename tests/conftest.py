@@ -4,6 +4,9 @@ import types
 import pytest
 
 import rootsys as R
+from rootsys.cartan import nonzero_pattern
+
+from oracles import corrupted_corpus
 
 
 @functools.lru_cache(maxsize=None)
@@ -15,6 +18,13 @@ def built(label: str) -> R.RootSystem:
 def system():
     """Cached builder: system('G2') -> enumerated RootSystem."""
     return built
+
+
+@pytest.fixture(scope="session")
+def corrupted_ledgers(system):
+    """(name, system, ledger) for each system of oracles.corrupted_corpus,
+    built and ledgered once for the whole session."""
+    return [(name, rs, R.build_ledger(rs)) for name, rs in corrupted_corpus(system)]
 
 
 def sweep_labels(max_rank: int = 12) -> list[str]:
@@ -37,7 +47,7 @@ def with_identity_block(rows, rank):
 
 
 def stand_in(rows):
-    """The two fields that enumerate_roots and the Coxeter functions read,
-    for rows that CartanMatrix refuses: how their guards are shown able to
-    fail."""
-    return types.SimpleNamespace(rows=rows, rank=len(rows))
+    """The fields that enumerate_roots and the Coxeter functions read, for
+    rows that CartanMatrix refuses, the nonzero pattern from the package's
+    own helper: how their guards are shown able to fail."""
+    return types.SimpleNamespace(rows=rows, rank=len(rows), nonzero=nonzero_pattern(rows))

@@ -3,7 +3,8 @@
 These deliberately avoid the package's packed enumeration and tabulated
 matrices: roots are produced by reflection closure or by the successor
 rule on plain tuples, small Cartan matrices are recomputed from exact
-simple-root geometry, inner products come from a Gram matrix built here
+simple-root geometry, the gate's nonzero pattern and walk are read off
+every entry, inner products come from a Gram matrix built here
 rather than from the pairing table, the symmetrizer is found with
 ``Fraction`` ratios, the Coxeter element is a dense product of reflection
 matrices, and the Weyl-orbit moves, the descent scans and the triple scan
@@ -23,7 +24,7 @@ import random
 from fractions import Fraction
 from itertools import compress, permutations
 from math import isqrt
-from operator import mul
+from operator import mul, or_
 
 from rootsys import (
     CartanMatrix,
@@ -189,6 +190,30 @@ def cartan_violations(m) -> tuple[str, ...]:
         "not-positive-definite": sign_ok and len(reached) == n and not definite,
     }
     return tuple(name for name, broken in found.items() if broken)
+
+
+def dense_pattern(rows) -> tuple[tuple[int, ...], ...]:
+    """Each row's nonzero columns, ascending, read entry by entry."""
+    n = len(rows)
+    return tuple(tuple(j for j in range(n) if rows[i][j]) for i in range(n))
+
+
+def dense_walk(rows) -> tuple[list[int], list[int]]:
+    """The gate's breadth-first walk read off all n^2 entries: from vertex
+    0, taking an edge wherever an entry is nonzero in either direction,
+    each vertex's neighbours in index order.  Returns the vertices reached,
+    in walk order, and each vertex's parent (-1 for vertex 0 and unreached
+    ones)."""
+    n = len(rows)
+    cols = list(zip(*rows))
+    parent = [-1] * n
+    order = [0]
+    for v in order:  # order grows as the walk reaches new vertices
+        for w in compress(range(n), map(or_, rows[v], cols[v])):
+            if w and parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    return order, parent
 
 
 _LEAF_EDGES = ((-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1))

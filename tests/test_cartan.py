@@ -15,12 +15,15 @@ from rootsys.errors import (
     InvalidCartanError,
     InvalidTypeError,
 )
+from rootsys.cartan import _walk, nonzero_pattern
 from rootsys.verify import is_simple_chain
 
 from conftest import sweep_labels, with_identity_block
 from oracles import (
     cartan_from_geometry,
     cartan_violations,
+    dense_pattern,
+    dense_walk,
     finite_type_classes,
     fraction_symmetrizer,
     gram,
@@ -295,6 +298,30 @@ def test_every_construction_runs_the_gate():
     assert replace(b3, rows=[list(row) for row in b3.rows]) == b3
 
 
+def test_nonzero_pattern_matches_dense_reading():
+    # every type to MAX_RANK under its own labelling and seeded
+    # relabellings: the pattern the gate records, and the walk over it, are
+    # those of all n^2 entries
+    rng = random.Random(34)
+    for t in R.all_types(R.MAX_RANK):
+        rows = R.build_cartan(t).rows
+        n = len(rows)
+        for perm in [list(range(n))] + [rng.sample(range(n), n) for _ in range(3)]:
+            c = R.validate_cartan([[rows[a][b] for b in perm] for a in perm])
+            assert c.nonzero == dense_pattern(c.rows), (str(t), perm)
+            assert _walk(c.nonzero) == dense_walk(c.rows), (str(t), perm)
+
+
+def test_nonzero_pattern_follows_the_rows():
+    # equality, hashing and repr read the rows alone, and replace records
+    # the new rows' pattern
+    b3, c3 = R.build_cartan("B3"), R.build_cartan("C3")
+    moved = replace(b3, rows=c3.rows)
+    assert moved == c3 and hash(moved) == hash(c3)
+    assert moved.nonzero == dense_pattern(c3.rows)
+    assert "nonzero" not in repr(b3)
+
+
 # -- graphs ------------------------------------------------------------------------
 
 def _base(ext):
@@ -499,6 +526,29 @@ def test_validate_matches_definitions(m):
     except InvalidCartanError as err:
         violations = err.violations
     assert violations == cartan_violations(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+        min_size=2,
+        max_size=2,
+    )
+    | relabelled_gcm()
+)
+def test_walk_matches_dense_reading_on_fuzz(m):
+    # the fuzz matrices above, valid or not, one-sided zeros included: the
+    # package's pattern and walk against the dense reading, and an accepted
+    # matrix records that pattern
+    pattern = nonzero_pattern(m)
+    assert pattern == dense_pattern(m)
+    assert _walk(pattern) == dense_walk(m)
+    try:
+        c = R.validate_cartan(m)
+    except InvalidCartanError:
+        return
+    assert c.nonzero == pattern
 
 
 # -- finite-type classes by search ------------------------------------------------

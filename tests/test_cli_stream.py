@@ -20,7 +20,7 @@ import rootsys as R
 import rootsys.cli as cli
 from rootsys.cli import _emit, _render, main
 
-from oracles import corrupted_corpus, finite_type_classes, gen_payload
+from oracles import finite_type_classes, gen_payload
 
 # sha256 of stdout, pinned when the JSON was still written by one
 # json.dumps(..., indent=2) call; a deliberate output change updates a
@@ -293,7 +293,42 @@ def test_failing_verify_table_without_m2(capsys, monkeypatch, tmp_path, to_file)
     assert "A3            1   -     -  FAIL" in text.splitlines()
 
 
-def test_ledger_template_matches_json_dumps(system):
+def test_exponents_template_matches_json_dumps(capsys, monkeypatch):
+    # the exponents template against json.dumps of the entry, its line
+    # breaks indented as _render indents them, on every type to rank 32
+    # under each --method and on an entry whose routes disagree under an odd
+    # label; and each --method through main writes json.dumps text while
+    # json.dumps and json.dump refuse to run
+    methods = ("dual", "coxeter", "both")
+    entries = {
+        m: [cli._exponent_entry(str(t), R.build_cartan(t), m) for t in R.all_types(32)]
+        for m in methods
+    }
+    odd = 'quote " slash \\ tab \t nul \x00 é € \U0001f600 \ud800 /'
+    disagree = {
+        "type": odd,
+        "dual": cli._exponent_entry("G2", R.build_cartan("G2"), "dual")["dual"],
+        "coxeter": cli._exponent_entry("A2", R.build_cartan("A2"), "coxeter")["coxeter"],
+        "agree": False,
+    }
+    for entry in [disagree, *entries["dual"], *entries["coxeter"], *entries["both"]]:
+        for nl in ("\n", "\n  "):
+            expected = json.dumps(entry, indent=2).replace("\n", nl)
+            assert cli._ExponentsPayload(entry).render(nl) == expected, entry["type"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exponents entry went through json")
+
+    small = {str(t) for t in R.all_types(8)}
+    expected = {m: _expected([e for e in entries[m] if e["type"] in small]) for m in methods}
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json, "dump", refuse)
+    for m in methods:
+        assert main(["exponents", "--all", "--max-rank", "8", "--method", m]) == 0
+        assert capsys.readouterr().out == expected[m], m
+
+
+def test_ledger_template_matches_json_dumps(system, corrupted_ledgers):
     # the ledger template against json.dumps of to_json_dict, its line
     # breaks indented as _render indents them, on every type to rank 32, on
     # the corrupted corpus, whose ledgers carry error, blocked and failing
@@ -302,7 +337,7 @@ def test_ledger_template_matches_json_dumps(system):
     from rootsys.verify import CheckResult, VerificationLedger
 
     ledgers = [R.build_ledger(system(str(t))) for t in R.all_types(32) if t.rank > 1]
-    ledgers += [R.build_ledger(rs) for _, rs in corrupted_corpus(system)]
+    ledgers += [ledger for _, _, ledger in corrupted_ledgers]
     odd = 'quote " slash \\ tab \t nul \x00 é € \U0001f600 \ud800 /'
     ledgers += [
         VerificationLedger(

@@ -13,7 +13,7 @@ import pytest
 
 import rootsys as R
 
-from oracles import corrupted_corpus, reflection_closure
+from oracles import reflection_closure
 
 DIGEST = "ed6ebf79878a7ada59ae10982fb2b92e196b815ffd5d750cdc2b52f235c746a0"
 FAILED_ROWS = {
@@ -34,12 +34,10 @@ NOTES = {"error": 1579, "blocked": 6590}
 
 
 @pytest.fixture(scope="module")
-def ledgered(system):
-    """(name, system, ledger JSON) for each system of the corpus, ledgered
-    once for every test here."""
-    return [
-        (name, rs, R.build_ledger(rs).to_json_dict()) for name, rs in corrupted_corpus(system)
-    ]
+def ledgered(corrupted_ledgers):
+    """(name, system, ledger JSON) for each system of the corpus, from the
+    session's one ledgering of it."""
+    return [(name, rs, ledger.to_json_dict()) for name, rs, ledger in corrupted_ledgers]
 
 
 def test_failing_path_digest(ledgered):
