@@ -90,8 +90,8 @@ def coxeter_traces(c: CartanMatrix) -> tuple[int, tuple[int, ...]]:
     rightmost factor acts first).  s_i changes only coordinate i of each
     column, v_i -= sum_j a_ij v_j, so it rewrites row i of the power from
     the rows j with a_ij != 0, which ``c.nonzero`` lists: the rows with
-    a_ij = -1 are added, the others multiplied.  One power costs O(rank^2) on a Dynkin tree instead
-    of a dense O(rank^3) matrix product.
+    a_ij = -1 are added, the others multiplied.  One power costs O(rank^2)
+    on a Dynkin tree instead of a dense O(rank^3) matrix product.
 
     Each power is compared with I and with -I.  The first k with c^k = -I
     gives h = 2k: c^(2k) = I, and no j with k < j < 2k has c^j = I, since

@@ -21,7 +21,8 @@ number and look them up by key: the orbits move among the positive roots
 alone, and the top chain decodes only its own roots with
 ``signed.coeffs``.  Every length, and the affine edges of the extended
 Dynkin graph, are read from the vectors and ``form.d``; its other edges
-are read off the Cartan rows.
+are read off the Cartan matrix's nonzero entries, as the row sums, the
+packed columns and the hand-built pairings are.
 """
 
 from __future__ import annotations
@@ -336,10 +337,11 @@ class RootSystem:
         """The Dynkin graph plus the affine vertex 0, standing for minus the
         highest root theta, as adjacency: entry v, for v = 0 .. rank, maps
         each neighbour of v to the multiplicity of their edge.  Simple roots
-        i and j are joined by a_ij * a_ji edges, read off the Cartan rows.
-        Vertex 0 is joined to each alpha_i with t_i = <theta, alpha_i> > 0
-        by t_i * <alpha_i, theta> edges, where <alpha_i, theta> =
-        2 d_i t_i / (theta, theta): the rule for simple-root pairs.  Requires
+        i and j are joined by a_ij * a_ji edges, read off the nonzero
+        entries of the Cartan rows.  Vertex 0 is joined to each alpha_i
+        with t_i = <theta, alpha_i> > 0 by t_i * <alpha_i, theta> edges,
+        where <alpha_i, theta> = 2 d_i t_i / (theta, theta): the rule for
+        simple-root pairs.  Requires
         rank >= 2 (the rank-1 affine diagram has no finite edge
         multiplicity).  Raises InternalInconsistencyError when (theta,
         theta) is not positive, which a hand-built top root read with a
@@ -364,10 +366,10 @@ class RootSystem:
                 affine[i] = t_i * u_i
         graph = [affine]
         rows = self.cartan.rows
-        for i, (row, cols) in enumerate(zip(rows, self.cartan.nonzero)):
-            adjacent = {0: affine[i + 1]} if i + 1 in affine else {}
+        for i, (row, cols) in enumerate(zip(rows, self.cartan.nonzero), 1):
+            adjacent = {0: affine[i]} if i in affine else {}
             # off the diagonal, an entry is negative exactly on an edge
-            adjacent.update((j + 1, row[j] * rows[j][i]) for j in cols if row[j] < 0)
+            adjacent.update((j + 1, row[j] * rows[j][i - 1]) for j in cols if row[j] < 0)
             graph.append(adjacent)
         return tuple(graph)
 
@@ -433,12 +435,12 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     fields = [1 << w * (n - 1 - i) for i in range(n)]
     bias = ((1 << w - 1) - 1) * sum(fields)
     high = sum(f << w - 1 for f in fields)
-    # the bit length of field i's high bit -> (key unit, packed column, field
-    # mask, F_i); the other entries are None
     columns = [0] * n  # column i packed: sum_j a_ji F_j
     for row, cols, f in zip(cartan.rows, cartan.nonzero, fields):
         for i in cols:
             columns[i] += row[i] * f
+    # the bit length of field i's high bit -> (key unit, packed column, field
+    # mask, F_i); the other entries are None
     edges = [None] * (w * n + 1)
     for i, (f, col) in enumerate(zip(fields, columns)):
         edges[(f << w - 1).bit_length()] = (1 << 8 * (n - 1 - i), col, ((1 << w) - 1) * f, f)

@@ -274,6 +274,19 @@ def test_validate_rejects_nonsquare():
         R.validate_cartan([])
 
 
+def test_integer_entries_keep_their_rule():
+    # exact ints pass at once; an int subclass other than bool is still an
+    # integer entry, and a bool, a float or a str is not
+    class Int(int):
+        pass
+
+    a2 = R.build_cartan("A2")
+    assert R.CartanMatrix([[Int(x) for x in row] for row in a2.rows]) == a2
+    for bad in (True, False, 2.0, "2"):
+        with pytest.raises(InvalidArgumentError, match="integer entries"):
+            R.CartanMatrix(((2, -1), (-1, bad)))
+
+
 def test_cartan_matrix_rejects_a_non_sequence():
     # raw TypeErrors once, for the matrix and for a row
     for raw in (5, [5], [[2, -1], 5]):
