@@ -11,8 +11,6 @@ import json
 
 import pytest
 
-import rootsys as R
-
 from oracles import reflection_closure
 
 DIGEST = "ed6ebf79878a7ada59ae10982fb2b92e196b815ffd5d750cdc2b52f235c746a0"
