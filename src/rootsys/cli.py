@@ -12,8 +12,10 @@ import contextlib
 import json
 import os
 import sys
-from itertools import repeat
+from bisect import bisect_right
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _string
+from operator import mul
 from typing import NamedTuple
 
 from .cartan import (
@@ -141,31 +143,33 @@ class _GenPayload:
     height in ``key_layers`` order, the highest root and c_max.  An
     enumerated system's layers come sorted by coefficients; a hand-built
     system's come in the order its layers were given.  render writes the
-    json.dumps(..., indent=2) text with no per-root Python: each height
-    layer of ``key_layers`` goes through a fixed number of C-level passes,
-    and only the label goes through json.dumps."""
+    json.dumps(..., indent=2) text with no per-root Python: the roots whose
+    heights have one number of digits are written as fixed-width byte
+    records, one slice assignment fills one coefficient slot or one height
+    digit in every record, and only the label goes through json.dumps."""
 
     __slots__ = ("rs",)
 
-    # coefficient byte -> its digit; every other byte, the 0xff that parts
-    # two roots' bytes included, -> the marker "|"
-    DIGITS = bytes(range(48, 58)) + b"|" * 246
+    # coefficient byte -> its digit; a byte past 9 -> NUL, which no digit is
+    DIGITS = bytes(range(48, 58)) + bytes(246)
 
     def __init__(self, rs: RootSystem) -> None:
         self.rs = rs
 
     def render(self, nl: str) -> str:
-        """Each layer's keys are joined as coefficient bytes with 0xff
-        between roots, translated to digits and markers and decoded; sep
-        joins every character, and each marker between two seps becomes
-        the end of one root and the start of the next.  That spells each
-        coefficient right only if it is one digit, which every finite type
-        has (c <= 6, at E8): the join puts len(keys) - 1 markers in a layer
-        and any coefficient past 9 adds one, so a layer with more raises
-        InternalInconsistencyError instead of writing wrong text.  Every
-        piece, from the payload's head through each layer's separator,
-        head, text and end to its tail, goes into one list and one join,
-        so the layer texts are copied once."""
+        """The roots of heights lo to 10 * lo - 1 all render to records of
+        one length: "," and a root's text, one byte for each of its n
+        coefficients and d bytes for its height.  Each such group is one
+        bytearray of that record repeated; one slice assignment fills slot
+        k of every record from byte k of every root's key, and one more
+        fills each height digit from a column joined per layer, so a group
+        costs n + d slice passes and a few more whatever its root count.
+        A coefficient gets one digit, which every finite type allows (c <=
+        6, at E8); a coefficient past 9 raises InternalInconsistencyError,
+        naming the lowest height that has one, instead of writing wrong
+        text.  The head, the groups and the tail are joined as bytes once
+        and decoded once; the first record's "," becomes the "[" that opens
+        the roots."""
         rs = self.rs
         n = rs.rank
         key = nl + "  "  # the payload's own keys
@@ -173,41 +177,54 @@ class _GenPayload:
         field = item + "  "  # a Cartan entry, a root's keys
         coeff = field + "  "  # a root's coefficient
         cartan_row = "[" + field + ("," + field).join(["%d"] * n) + item + "]"
-        sep = "," + coeff
-        head = "{" + field + '"coeffs": [' + coeff
-        tail = field + "]," + field + '"height": %d' + item + "}"
+        lead = "," + item + "{" + field + '"coeffs": [' + coeff
+        step = len(coeff) + 2  # from one coefficient slot to the next
+        record = lead + ("," + coeff).join("0" * n) + field + "]," + field + '"height": '
 
         def array(items) -> str:  # a list value of the payload
             return "[" + item + ("," + item).join(items) + key + "]"
 
-        pieces = [
+        pieces = [(
             "{" + key + '"type": ' + json.dumps(rs.label)
             + "," + key + '"rank": %d' % n
             + "," + key + '"cartan": ' + array([cartan_row % row for row in rs.cartan.rows])
-            + "," + key + '"roots": ['
-        ]
-        lead = item  # what precedes a layer's first root
-        for h, keys in enumerate(rs.key_layers):
-            if not keys:
-                continue
-            digits = b"\xff".join(map(int.to_bytes, keys, repeat(n), repeat("big")))
-            digits = digits.translate(self.DIGITS)
-            if digits.count(b"|") != len(keys) - 1:
-                raise InternalInconsistencyError(
-                    f"a root of height {h} has a coefficient past 9, which gen "
-                    "writes as one digit"
-                )
-            end = tail % h
-            text = sep.join(digits.decode()).replace(sep + "|" + sep, end + "," + item + head)
-            pieces += (lead, head, text, end)
-            lead = "," + item
-        pieces.append(
+            + "," + key + '"roots": '
+        ).encode()]
+        layers, sizes = rs.key_layers, rs.layer_sizes
+        lo = 1
+        while lo < len(layers):
+            hi = min(10 * lo, len(layers))
+            raw = b"".join(map(
+                int.to_bytes, chain.from_iterable(layers[lo:hi]), repeat(n), repeat("big")
+            ))
+            if raw:
+                digits = raw.translate(self.DIGITS)
+                if not digits.isdigit():
+                    past = bisect_right(list(accumulate(sizes[lo:hi])), digits.index(0) // n)
+                    raise InternalInconsistencyError(
+                        f"a root of height {lo + past} has a coefficient past 9, which gen "
+                        "writes as one digit"
+                    )
+                heights = [b"%d" % h for h in range(lo, hi)]
+                d = len(heights[0])
+                size = len(record) + d + len(item) + 1
+                buf = bytearray((record + "0" * d + item + "}").encode()) * (len(raw) // n)
+                for k in range(n):
+                    buf[len(lead) + k * step :: size] = digits[k::n]
+                for p in range(d):
+                    column = b"".join(map(mul, [h[p : p + 1] for h in heights], sizes[lo:hi]))
+                    buf[len(record) + p :: size] = column
+                if len(pieces) == 1:
+                    buf[0] = 0x5B  # "[": the first root opens the array
+                pieces.append(buf)
+            lo = hi
+        pieces.append((
             key + "]"
             + "," + key + '"highest_root": ' + array(map(str, rs.highest_root().coeffs))
             + "," + key + '"c_max": %d' % rs.c_max()
             + nl + "}"
-        )
-        return "".join(pieces)
+        ).encode())
+        return b"".join(pieces).decode()
 
 
 class _ExponentsPayload:

@@ -7,9 +7,10 @@ sorted 8-bit keys of each height layer that ``enumerate_roots`` computed,
 plus one ``Root`` for the highest root; its other ``Root`` objects, the
 membership dict behind ``coeffs in rs``, which no check reads, and the
 symmetrizer ``form`` are built on first use.  Layer sizes, the highest
-root, ``c_max``, ``signed`` and ``key_layers``, the keys ``gen`` renders a
-layer at a time, are read without them, so ``exponents``, ``gen`` and
-``verify`` decode no root table.
+root, ``c_max``, ``signed`` and ``key_layers``, the keys whose bytes
+``gen`` copies into its fixed-width records one coefficient slot at a time,
+are read without them, so ``exponents``, ``gen`` and ``verify`` decode no
+root table.
 
 ``RootSystem.signed`` numbers the signed roots once, positives first in
 ``positive_roots()`` order, then their negatives, with a packed key each

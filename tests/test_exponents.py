@@ -104,6 +104,10 @@ INFINITE_TYPE = [
     # entries grow by one per power, so a field too narrow for one
     # reflection would wrap back into range and pass the guard
     ((2, 0), (-1, 2)),
+    # pins the field width's spread term: fields sized by |1 - a_ii| + 1
+    # alone wrap back into range, so the guard never fires and the order
+    # search ends without finding -I
+    ((2, -5, 1), (-5, 2, -5), (2, -5, 1)),
 ]
 
 
