@@ -16,7 +16,6 @@ from bisect import bisect_right
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _string
 from operator import mul
-from typing import NamedTuple
 
 from .cartan import (
     MAX_RANK,
@@ -77,10 +76,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The most bytes read from a --cartan file.  B32's matrix, the largest
+# MAX_RANK allows, is 3.2 KB of compact JSON and 20 KB at indent=8, so the
+# budget leaves room for any layout while a huge file costs at most this
+# much memory before it is refused.
+CARTAN_FILE_BYTES = 1 << 20
+
+
 def _load_cartan_file(path: str) -> CartanMatrix:
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(CARTAN_FILE_BYTES + 1)
+        if len(data) > CARTAN_FILE_BYTES:
+            raise _CliError(f"{path} is larger than {CARTAN_FILE_BYTES} bytes")
+        raw = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -137,142 +146,118 @@ def _output(path: str | None):
         yield fh
 
 
-class _GenPayload:
-    """What gen writes for one system: its label, rank, Cartan matrix, one
-    {"coeffs": [...], "height": h} per positive root, by height and within a
-    height in ``key_layers`` order, the highest root and c_max.  An
-    enumerated system's layers come sorted by coefficients; a hand-built
-    system's come in the order its layers were given.  render writes the
-    json.dumps(..., indent=2) text with no per-root Python: the roots whose
-    heights have one number of digits are written as fixed-width byte
-    records, one slice assignment fills one coefficient slot or one height
-    digit in every record, and only the label goes through json.dumps."""
-
-    __slots__ = ("rs",)
-
-    # coefficient byte -> its digit; a byte past 9 -> NUL, which no digit is
-    DIGITS = bytes(range(48, 58)) + bytes(246)
-
-    def __init__(self, rs: RootSystem) -> None:
-        self.rs = rs
-
-    def render(self, nl: str) -> str:
-        """The roots of heights lo to 10 * lo - 1 all render to records of
-        one length: "," and a root's text, one byte for each of its n
-        coefficients and d bytes for its height.  Each such group is one
-        bytearray of that record repeated; one slice assignment fills slot
-        k of every record from byte k of every root's key, and one more
-        fills each height digit from a column joined per layer, so a group
-        costs n + d slice passes and a few more whatever its root count.
-        A coefficient gets one digit, which every finite type allows (c <=
-        6, at E8); a coefficient past 9 raises InternalInconsistencyError,
-        naming the lowest height that has one, instead of writing wrong
-        text.  The head, the groups and the tail are joined as bytes once
-        and decoded once; the first record's "," becomes the "[" that opens
-        the roots."""
-        rs = self.rs
-        n = rs.rank
-        key = nl + "  "  # the payload's own keys
-        item = key + "  "  # a Cartan row, a root, a highest-root coefficient
-        field = item + "  "  # a Cartan entry, a root's keys
-        coeff = field + "  "  # a root's coefficient
-        cartan_row = "[" + field + ("," + field).join(["%d"] * n) + item + "]"
-        lead = "," + item + "{" + field + '"coeffs": [' + coeff
-        step = len(coeff) + 2  # from one coefficient slot to the next
-        record = lead + ("," + coeff).join("0" * n) + field + "]," + field + '"height": '
-
-        def array(items) -> str:  # a list value of the payload
-            return "[" + item + ("," + item).join(items) + key + "]"
-
-        pieces = [(
-            "{" + key + '"type": ' + json.dumps(rs.label)
-            + "," + key + '"rank": %d' % n
-            + "," + key + '"cartan": ' + array([cartan_row % row for row in rs.cartan.rows])
-            + "," + key + '"roots": '
-        ).encode()]
-        layers, sizes = rs.key_layers, rs.layer_sizes
-        lo = 1
-        while lo < len(layers):
-            hi = min(10 * lo, len(layers))
-            raw = b"".join(map(
-                int.to_bytes, chain.from_iterable(layers[lo:hi]), repeat(n), repeat("big")
-            ))
-            if raw:
-                digits = raw.translate(self.DIGITS)
-                if not digits.isdigit():
-                    past = bisect_right(list(accumulate(sizes[lo:hi])), digits.index(0) // n)
-                    raise InternalInconsistencyError(
-                        f"a root of height {lo + past} has a coefficient past 9, which gen "
-                        "writes as one digit"
-                    )
-                heights = [b"%d" % h for h in range(lo, hi)]
-                d = len(heights[0])
-                size = len(record) + d + len(item) + 1
-                buf = bytearray((record + "0" * d + item + "}").encode()) * (len(raw) // n)
-                for k in range(n):
-                    buf[len(lead) + k * step :: size] = digits[k::n]
-                for p in range(d):
-                    column = b"".join(map(mul, [h[p : p + 1] for h in heights], sizes[lo:hi]))
-                    buf[len(record) + p :: size] = column
-                if len(pieces) == 1:
-                    buf[0] = 0x5B  # "[": the first root opens the array
-                pieces.append(buf)
-            lo = hi
-        pieces.append((
-            key + "]"
-            + "," + key + '"highest_root": ' + array(map(str, rs.highest_root().coeffs))
-            + "," + key + '"c_max": %d' % rs.c_max()
-            + nl + "}"
-        ).encode())
-        return b"".join(pieces).decode()
+# coefficient byte -> its digit; a byte past 9 -> NUL, which no digit is
+DIGITS = bytes(range(48, 58)) + bytes(246)
 
 
-class _ExponentsPayload:
-    """What exponents writes for one type: the entry _exponent_entry made,
-    {"type": ..., then "dual" and "coxeter", each {"exponents": [...], "h":
-    h, "method": ...}, as --method asks, then "agree" for both}.  render
-    writes its json.dumps(..., indent=2) text from a fixed template: the
-    strings go through encode_basestring_ascii, the C function json.dumps
-    uses, and the ints and the boolean are written as literals.  An
-    ExponentReport holds at least one exponent, so no list is empty."""
+def _gen_text(rs: RootSystem, nl: str) -> str:
+    """What gen writes for one system, the json.dumps(..., indent=2) text
+    of its label, rank, Cartan matrix, one {"coeffs": [...], "height": h}
+    per positive root, by height and within a height in ``key_layers``
+    order, the highest root and c_max, with every line break replaced by
+    nl.  An enumerated system's layers come sorted by coefficients; a
+    hand-built system's come in the order its layers were given.
 
-    __slots__ = ("entry",)
+    No per-root Python runs: the roots of heights lo to 10 * lo - 1 all
+    render to records of one length: "," and a root's text, one byte for
+    each of its n coefficients and d bytes for its height.  Each such group
+    is one bytearray of that record repeated; one slice assignment fills
+    slot k of every record from byte k of every root's key, and one more
+    fills each height digit from a column joined per layer, so a group
+    costs n + d slice passes and a few more whatever its root count.  A
+    coefficient gets one digit, which every finite type allows (c <= 6, at
+    E8); a coefficient past 9 raises InternalInconsistencyError, naming the
+    lowest height that has one, instead of writing wrong text.  Only the
+    label goes through json.dumps.  The head, the groups and the tail are
+    joined as bytes once and decoded once; the first record's "," becomes
+    the "[" that opens the roots."""
+    n = rs.rank
+    key = nl + "  "  # the payload's own keys
+    item = key + "  "  # a Cartan row, a root, a highest-root coefficient
+    field = item + "  "  # a Cartan entry, a root's keys
+    coeff = field + "  "  # a root's coefficient
+    cartan_row = "[" + field + ("," + field).join(["%d"] * n) + item + "]"
+    lead = "," + item + "{" + field + '"coeffs": [' + coeff
+    step = len(coeff) + 2  # from one coefficient slot to the next
+    record = lead + ("," + coeff).join("0" * n) + field + "]," + field + '"height": '
 
-    def __init__(self, entry: dict) -> None:
-        self.entry = entry
+    def array(items) -> str:  # a list value of the payload
+        return "[" + item + ("," + item).join(items) + key + "]"
 
-    def render(self, nl: str) -> str:
-        entry = self.entry
-        key = nl + "  "  # the entry's own keys
-        field = key + "  "  # a report's keys
-        item = field + "  "  # an exponent
-        pieces = ["{" + key + '"type": ' + _string(entry["type"])]
-        for method in ("dual", "coxeter"):
-            if method in entry:
-                rep = entry[method]
-                pieces += (
-                    "," + key + '"' + method + '": {' + field + '"exponents": [' + item,
-                    ("," + item).join(map(str, rep["exponents"])),
-                    field + "]," + field + '"h": %d' % rep["h"]
-                    + "," + field + '"method": ' + _string(rep["method"]) + key + "}",
+    pieces = [(
+        "{" + key + '"type": ' + json.dumps(rs.label)
+        + "," + key + '"rank": %d' % n
+        + "," + key + '"cartan": ' + array([cartan_row % row for row in rs.cartan.rows])
+        + "," + key + '"roots": '
+    ).encode()]
+    layers, sizes = rs.key_layers, rs.layer_sizes
+    lo = 1
+    while lo < len(layers):
+        hi = min(10 * lo, len(layers))
+        raw = b"".join(map(
+            int.to_bytes, chain.from_iterable(layers[lo:hi]), repeat(n), repeat("big")
+        ))
+        if raw:
+            digits = raw.translate(DIGITS)
+            if not digits.isdigit():
+                past = bisect_right(list(accumulate(sizes[lo:hi])), digits.index(0) // n)
+                raise InternalInconsistencyError(
+                    f"a root of height {lo + past} has a coefficient past 9, which gen "
+                    "writes as one digit"
                 )
-        if "agree" in entry:
-            pieces.append("," + key + '"agree": ' + ("true" if entry["agree"] else "false"))
-        pieces.append(nl + "}")
-        return "".join(pieces)
+            heights = [b"%d" % h for h in range(lo, hi)]
+            d = len(heights[0])
+            size = len(record) + d + len(item) + 1
+            buf = bytearray((record + "0" * d + item + "}").encode()) * (len(raw) // n)
+            for k in range(n):
+                buf[len(lead) + k * step :: size] = digits[k::n]
+            for p in range(d):
+                column = b"".join(map(mul, [h[p : p + 1] for h in heights], sizes[lo:hi]))
+                buf[len(record) + p :: size] = column
+            if len(pieces) == 1:
+                buf[0] = 0x5B  # "[": the first root opens the array
+            pieces.append(buf)
+        lo = hi
+    pieces.append((
+        key + "]"
+        + "," + key + '"highest_root": ' + array(map(str, rs.highest_root().coeffs))
+        + "," + key + '"c_max": %d' % rs.c_max()
+        + nl + "}"
+    ).encode())
+    return b"".join(pieces).decode()
 
 
-class _VerifyPayload(NamedTuple):
-    """What verify writes: {"ledgers": [...]} and then the keys of rest,
-    the skipped types, the G2 criterion and the summary."""
-
-    ledgers: list[VerificationLedger]
-    rest: dict
+def _exponents_text(entry: dict, nl: str) -> str:
+    """What exponents writes for one type, the entry _exponent_entry made,
+    {"type": ..., then "dual" and "coxeter", each {"exponents": [...], "h":
+    h, "method": ...}, as --method asks, then "agree" for both}: its
+    json.dumps(..., indent=2) text, every line break replaced by nl, from a
+    fixed template.  The strings go through encode_basestring_ascii, the C
+    function json.dumps uses, and the ints and the boolean are written as
+    literals.  An ExponentReport holds at least one exponent, so no list is
+    empty."""
+    key = nl + "  "  # the entry's own keys
+    field = key + "  "  # a report's keys
+    item = field + "  "  # an exponent
+    pieces = ["{" + key + '"type": ' + _string(entry["type"])]
+    for method in ("dual", "coxeter"):
+        if method in entry:
+            rep = entry[method]
+            pieces += (
+                "," + key + '"' + method + '": {' + field + '"exponents": [' + item,
+                ("," + item).join(map(str, rep["exponents"])),
+                field + "]," + field + '"h": %d' % rep["h"]
+                + "," + field + '"method": ' + _string(rep["method"]) + key + "}",
+            )
+    if "agree" in entry:
+        pieces.append("," + key + '"agree": ' + ("true" if entry["agree"] else "false"))
+    pieces.append(nl + "}")
+    return "".join(pieces)
 
 
 def _ledger_text(ledger: VerificationLedger, nl: str) -> str:
-    """The text of json.dumps(ledger.to_json_dict(), indent=2), nested as
-    _render nests it, from a fixed template: strings go through
+    """The text of json.dumps(ledger.to_json_dict(), indent=2), every line
+    break replaced by nl, from a fixed template: strings go through
     encode_basestring_ascii, the C function json.dumps uses, ints and None
     are written as literals, an empty counterexample list as [], and only
     a nonempty one goes through json.dumps.  A check leaves its note out
@@ -283,7 +268,8 @@ def _ledger_text(ledger: VerificationLedger, nl: str) -> str:
     checks = [
         name + _string(check) + ": {" + item + '"pass": ' + ("true" if c.passed else "false")
         + "," + item + '"counterexamples": '
-        + (_render(c.counterexamples, item) if c.counterexamples else "[]")
+        + (json.dumps(c.counterexamples, indent=2).replace("\n", item)
+           if c.counterexamples else "[]")
         + ("," + item + '"note": ' + _string(c.note) if c.note else "")
         + name + "}"
         for check, c in ledger.checks.items()
@@ -303,42 +289,21 @@ def _int_or_null(value: int | None) -> str:
     return "null" if value is None else "%d" % value
 
 
-def _render(obj, nl: str = "\n") -> str:
-    """The text json.dumps(obj, indent=2) gives for obj, for obj nested where
-    nl (a line break and the indentation of obj's own level) precedes its
-    closing bracket: every line break of the top-level text gains the
-    indentation, and none is lost, since JSON strings hold no raw line
-    break.  A _GenPayload or an _ExponentsPayload renders itself."""
-    if type(obj) in (_GenPayload, _ExponentsPayload):
-        return obj.render(nl)
-    return json.dumps(obj, indent=2).replace("\n", nl)
-
-
-def _emit(out, payload, k: int, n: int) -> None:
-    """Write payload k of n.  The n calls in order write what
-    json.dumps(payloads if n > 1 else payloads[0], indent=2) gives, plus a
-    newline, without holding more than one payload's text.  A lone
-    _VerifyPayload is written one ledger's text at a time, and then its
-    rest: the json.dumps text of rest less its opening brace closes the
-    object.  One of n > 1 payloads is three writes, the
-    array's opening or the separator, the payload's text and the array's
-    closing or nothing, so its text, up to megabytes for gen, is never
-    copied into a concatenation."""
-    if n == 1:
-        if type(payload) is _VerifyPayload:
-            out.write('{\n  "ledgers": [')
-            for j, ledger in enumerate(payload.ledgers):
-                out.write(",\n    " if j else "\n    ")
-                out.write(_ledger_text(ledger, "\n    "))
-            out.write("\n  ]," if payload.ledgers else "],")
-            out.write(json.dumps(payload.rest, indent=2)[1:])
-        else:
-            out.write(_render(payload, "\n"))
-        out.write("\n")
-        return
-    out.write("[\n  " if k == 0 else ",\n  ")
-    out.write(_render(payload, "\n  "))
-    out.write("\n]\n" if k == n - 1 else "")
+def _emit(out, text, k: int, n: int) -> None:
+    """Write payload k of n: the pieces text(nl) gives, nl being a line
+    break and the indentation of the payload's own level.  When they join
+    to json.dumps(payload, indent=2) with every line break replaced by nl,
+    the n calls in order write what json.dumps(payloads if n > 1 else
+    payloads[0], indent=2) gives, plus a newline.  text is called here, so
+    no more than one payload's text is held, and a payload of many pieces,
+    such as verify's ledgers, is written a piece at a time; each piece,
+    up to megabytes for gen, is written as it is, never copied into a
+    concatenation with the array's opening, separator or closing."""
+    if n > 1:
+        out.write("[\n  " if k == 0 else ",\n  ")
+    for piece in text("\n  " if n > 1 else "\n"):
+        out.write(piece)
+    out.write("\n" if n == 1 else "\n]\n" if k == n - 1 else "")
 
 
 def _system(label: str, cartan: CartanMatrix) -> RootSystem:
@@ -356,7 +321,7 @@ def cmd_gen(args, targets, out) -> int:
                 f"  {rs.c_max():>5}  {list(rs.highest_root().coeffs)}\n"
             )
         else:
-            _emit(out, _GenPayload(rs), k, len(targets))
+            _emit(out, lambda nl: [_gen_text(rs, nl)], k, len(targets))
     return 0
 
 
@@ -381,7 +346,7 @@ def cmd_exponents(args, targets, out) -> int:
         e = _exponent_entry(label, cartan, args.method)
         disagree |= args.method == "both" and not e["agree"]
         if args.format == "json":
-            _emit(out, _ExponentsPayload(e), k, len(targets))
+            _emit(out, lambda nl: [_exponents_text(e, nl)], k, len(targets))
         else:
             for method in ("dual", "coxeter"):
                 if method in e:
@@ -429,7 +394,14 @@ def cmd_verify(args, targets, out) -> int:
         lines.append(summary)
         out.write("\n".join(lines) + "\n")
     else:
-        _emit(out, _VerifyPayload(ledgers, rest), 0, 1)
+        def text(nl: str):  # the ledgers one at a time, then the keys of rest
+            yield "{" + nl + '  "ledgers": ['
+            for j, ledger in enumerate(ledgers):
+                yield ("," if j else "") + nl + "    " + _ledger_text(ledger, nl + "    ")
+            tail = json.dumps(rest, indent=2)[1:].replace("\n", nl)
+            yield (nl + "  ]," if ledgers else "],") + tail
+
+        _emit(out, text, 0, 1)
     return 0 if all_pass else 1
 
 

@@ -15,15 +15,15 @@ root table.
 ``RootSystem.signed`` numbers the signed roots once, positives first in
 ``positive_roots()`` order, then their negatives, with a packed key each
 and the coroot pairing vector of each positive root.  It is built on first
-use, its vectors decoded from the packed pairings ``enumerate_roots``
-handed over or, for hand-built layers, computed from the Cartan rows.  The
-Weyl orbits, the root-poset scans and the chain checks read roots by
-number and look them up by key: the orbits move among the positive roots
-alone, and the top chain decodes only its own roots with
-``signed.coeffs``.  Every length, and the affine edges of the extended
-Dynkin graph, are read from the vectors and ``form.d``; its other edges
-are read off the Cartan matrix's nonzero entries, as the row sums, the
-packed columns and the hand-built pairings are.
+use, its vectors decoded from the pairings ``enumerate_roots`` handed
+over, packed in 16-bit fields, or, for hand-built layers, computed from
+the Cartan rows.  The Weyl orbits, the root-poset scans and the chain
+checks read roots by number and look them up by key: the orbits move
+among the positive roots alone, and the top chain decodes only its own
+roots with ``signed.coeffs``.  Every length, and the affine edges of the
+extended Dynkin graph, are read from the vectors and ``form.d``; its
+other edges are read off the Cartan matrix's nonzero entries, as the row
+sums, the packed columns and the hand-built pairings are.
 """
 
 from __future__ import annotations
@@ -205,9 +205,8 @@ class RootSystem:
         self.label = label
         self.layer_sizes = layer_sizes  # roots per height; layer_sizes[0] = 0
         self._top = top
-        # enumerate_roots' packed pairings and their field bytes; None if
-        # hand-built
-        self._packed: tuple[list[int], int] | None = packed
+        # enumerate_roots' packed pairings; None if hand-built
+        self._packed: list[int] | None = packed
         return self
 
     # -- decoded on first use by an enumerated system -------------------------
@@ -298,9 +297,9 @@ class RootSystem:
         says.  With 8-bit fields the positive keys are ``key_layers``.
 
         An enumerated system decodes the na ints of enumerate_roots one root
-        at a time: k-byte field i of na holds b - <beta, alpha_i>, b =
-        2**(8k-1) - 1, XOR with b makes it <beta, alpha_i> mod 2**(8k), and
-        one big-endian signed unpack reads every field.  Hand-built layers
+        at a time: 16-bit field i of na holds b - <beta, alpha_i>, b = 2**15
+        - 1, XOR with b makes it <beta, alpha_i> mod 2**16, and one
+        big-endian signed unpack reads every field.  Hand-built layers
         may hold a non-root that no enumeration reached, so they take row i
         of the Cartan matrix against beta directly, one column at a time:
         with the coefficient tuples transposed once, column i is the sum,
@@ -316,11 +315,10 @@ class RootSystem:
                 columns.append(reduce(partial(map, add), terms))
             pairings = list(zip(*columns))
         else:
-            packed, size = self._packed
             top = self.c_max()  # an enumerated system's theta dominates every root
-            unpack = Struct(">%d%s" % (n, {2: "h", 4: "i", 8: "q"}[size])).unpack
-            flip = int.from_bytes((b"\x7f" + b"\xff" * (size - 1)) * n, "big")
-            pairings = [unpack((na ^ flip).to_bytes(size * n, "big")) for na in packed]
+            unpack = Struct(">%dh" % n).unpack
+            flip = int.from_bytes(b"\x7f\xff" * n, "big")
+            pairings = [unpack((na ^ flip).to_bytes(2 * n, "big")) for na in self._packed]
         reach = max(4, 2 + _largest_row_sum(self.cartan))
         width = max(8, (reach * top).bit_length())
         unit = tuple(1 << width * (n - 1 - i) for i in range(n))
@@ -398,10 +396,11 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     (b - <beta, alpha_i>) F_i with b = 2**(w-1) - 1, and p = sum_i p_i F_i.
     Field i of na + p has its high bit set iff p_i > <beta, alpha_i>, so
     ``(na + p) & high`` is the set of edges up, and beta + alpha_i has na
-    minus the packed column i.  w = 8k for the least k in 2, 4, 8 with
-    (R + 1) * 256 < 2**(w-1), R the largest absolute row sum: below height
+    minus the packed column i.  w = 16, which holds every row whose
+    largest absolute row sum R has (R + 1) * 256 < 2**15: below height
     256, |<beta, alpha_i>| <= 255 R and p_i <= 254, so no field wraps
-    before the height guard.  Every finite type has R <= 5, so w = 16.
+    before the height guard.  Every finite type has R <= 5; a larger R,
+    which no CartanMatrix has, raises InternalInconsistencyError.
 
     The edges up are taken highest bit first.  The high bit of field i has
     bit length w * (l - i), so the bit length b of the edges left names the
@@ -430,9 +429,9 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     """
     n = cartan.rank
     reach = _largest_row_sum(cartan)
-    w = next((w for w in (16, 32, 64) if (reach + 1) << 8 < 1 << w - 1), None)
-    if w is None:
-        raise InternalInconsistencyError(f"a row sum of {reach} outgrows 64-bit pairing fields")
+    if (reach + 1) << 8 >= 1 << 15:
+        raise InternalInconsistencyError(f"a row sum of {reach} outgrows 16-bit pairing fields")
+    w = 16
     fields = [1 << w * (n - 1 - i) for i in range(n)]
     bias = ((1 << w - 1) - 1) * sum(fields)
     high = sum(f << w - 1 for f in fields)
@@ -480,7 +479,7 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
         )
 
     top = _root(tuple(key_layers[-1][0].to_bytes(n, "big")), len(key_layers) - 1)
-    return RootSystem._enumerated(cartan, label, key_layers, (pairs, w // 8), top)
+    return RootSystem._enumerated(cartan, label, key_layers, pairs, top)
 
 
 def build_system(t) -> RootSystem:

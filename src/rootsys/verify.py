@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .cartan import symmetrizer
 from .errors import InternalInconsistencyError, InvalidArgumentError
 from .exponents import ExponentReport, coxeter_exponents, dual_partition
 from .roots import RootSystem
@@ -261,18 +262,22 @@ def check_main_relation(rs: RootSystem, top: TopChain, rep: ExponentReport) -> C
     """c_max = m2 - 2 in case 1 and m2 - 1 in case 2, and case 1 holds iff
     the long/short squared-length ratio is 3, iff the Dynkin graph has a
     triple edge (some a_ij * a_ji = 3), which is what type G2 means.  The
-    ratio is max(d), since min(d) = 1; all of it comes from the system,
-    never from its label."""
+    ratio is max(d), since min(d) = 1, when d is the symmetrizer of the
+    Cartan matrix, the one min-normalised d that makes diag(d) * A
+    symmetric; a system carrying another d fails here.  All of it comes
+    from the system, never from its label."""
     cmax = rs.c_max()
     m2 = rep.exponents[1]
     ratio = max(rs.form.d)
+    symmetrizes = rs.form.d == symmetrizer(rs.cartan).d
     rows, nonzero = rs.cartan.rows, rs.cartan.nonzero
     triple = any(rows[i][j] * rows[j][i] == 3 for i, cols in enumerate(nonzero) for j in cols)
     expected = m2 - 2 if top.case == 1 else m2 - 1
-    ok = cmax == expected and (top.case == 1) == (ratio == 3) == triple
-    cx = [] if ok else [
-        {"c_max": cmax, "m2": m2, "case": top.case, "ratio": ratio, "triple_edge": triple}
-    ]
+    ok = symmetrizes and cmax == expected and (top.case == 1) == (ratio == 3) == triple
+    cx = [] if ok else [{
+        "c_max": cmax, "m2": m2, "case": top.case, "ratio": ratio, "triple_edge": triple,
+        "d_is_symmetrizer": symmetrizes,
+    }]
     note = f"case {top.case}: c_max = {cmax}, m2 = {m2}, long/short ratio {ratio}"
     return CheckResult(ok, cx, note)
 

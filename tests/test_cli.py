@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rootsys as R
-from rootsys.cli import main
+from rootsys.cli import CARTAN_FILE_BYTES, main
 from rootsys.exponents import COXETER_EIGENVALUES, DUAL_PARTITION
 from rootsys.verify import check_exponents_agree
 
@@ -81,6 +81,31 @@ def test_cartan_file_undecodable(capsys, tmp_path, content):
     code, out, err = run_cli(capsys, "gen", "--cartan", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_cartan_file_read_budget(capsys, tmp_path, past):
+    # A1's matrix padded to the budget loads; one byte more is refused,
+    # after reading no more than that, with one line and no traceback
+    path = tmp_path / "padded.json"
+    path.write_bytes(b"[[2]]" + b" " * (CARTAN_FILE_BYTES - 5 + past))
+    code, out, err = run_cli(capsys, "gen", "--cartan", str(path), "--format", "table")
+    if past:
+        assert code == 2 and out == ""
+        assert err == f"error: {path} is larger than {CARTAN_FILE_BYTES} bytes\n"
+    else:
+        assert code == 0 and out.splitlines()[1].split()[:2] == ["custom", "1"]
+
+
+def test_cartan_file_of_the_largest_rank_loads_indented(capsys, tmp_path):
+    # B32 at indent=8, about 20 KB, well inside the read budget
+    rows = [list(r) for r in R.build_cartan("B32").rows]
+    path = tmp_path / "b32.json"
+    path.write_text(json.dumps(rows, indent=8))
+    assert path.stat().st_size > 16000
+    code, out, _ = run_cli(capsys, "gen", "--cartan", str(path), "--format", "table")
+    assert code == 0
+    assert out.splitlines()[1].split()[:3] == ["custom", "32", str(32 * 32)]
 
 
 def test_gen_requires_selector(capsys):

@@ -1,4 +1,4 @@
-"""Streamed JSON output: the renderer against json.dumps, byte-identical
+"""Streamed JSON output: the payload texts against json.dumps, byte-identical
 command output, --out validation, a closed stdout and a full disk."""
 
 import collections
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import rootsys as R
 import rootsys.cli as cli
-from rootsys.cli import _emit, _render, main
+from rootsys.cli import _emit, main
 
 from oracles import finite_type_classes, gen_payload
 
@@ -74,29 +74,17 @@ json_values = st.recursive(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(json_values)
-def test_render_matches_json_dumps(value):
-    assert _render(value) == json.dumps(value, indent=2)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(json_values, min_size=1, max_size=4))
 def test_emit_streams_json_dumps(payloads):
+    # the framing alone: each payload's text, its line breaks indented to
+    # the level _emit asks for, in as many pieces as it has lines
     out = io.StringIO()
     for k, p in enumerate(payloads):
-        _emit(out, p, k, len(payloads))
+        text = json.dumps(p, indent=2)
+        _emit(out, lambda nl: text.replace("\n", nl).splitlines(True), k, len(payloads))
     whole = payloads if len(payloads) > 1 else payloads[0]
     assert out.getvalue() == json.dumps(whole, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("value", [{(1, 2): 0}, {"a": [object()]}, {1j: 0}, b"x"])
-def test_render_rejects_what_json_dumps_rejects(value):
-    with pytest.raises(TypeError) as ours:
-        _render(value)
-    with pytest.raises(TypeError) as theirs:
-        json.dumps(value, indent=2)
-    assert str(ours.value) == str(theirs.value)
 
 
 def _run(capsys, tmp_path, to_file, *argv):
@@ -153,11 +141,11 @@ def test_gen_template_on_relabelled_classes():
         )
     for rs in systems:
         out = io.StringIO()
-        _emit(out, cli._GenPayload(rs), 0, 1)
+        _emit(out, lambda nl: [cli._gen_text(rs, nl)], 0, 1)
         assert out.getvalue() == json.dumps(gen_payload(rs), indent=2) + "\n", rs.cartan.rows
     out = io.StringIO()
     for k, rs in enumerate(systems):
-        _emit(out, cli._GenPayload(rs), k, len(systems))
+        _emit(out, lambda nl: [cli._gen_text(rs, nl)], k, len(systems))
     assert out.getvalue() == _expected([gen_payload(rs) for rs in systems])
 
 
@@ -190,7 +178,7 @@ def test_gen_builds_no_per_root_dicts(capsys, monkeypatch):
 @pytest.mark.parametrize("nl", ["\n", "\n  "])
 def test_layer_passes_render_every_type_to_rank_32(system, nl):
     # the records against json.dumps of the oracle payload, its line
-    # breaks indented as _render indents them, on every type to rank 32:
+    # breaks indented as _emit indents them, on every type to rank 32:
     # A1, layers of one root below the top and heights of two digits among
     # them; to rank 8 also on hand-built copies, whose key layers are read
     # off their coefficient bytes
@@ -199,10 +187,10 @@ def test_layer_passes_render_every_type_to_rank_32(system, nl):
     for label in labels:
         rs = system(label)
         expected = json.dumps(gen_payload(rs), indent=2).replace("\n", nl)
-        assert cli._GenPayload(rs).render(nl) == expected, label
+        assert cli._gen_text(rs, nl) == expected, label
         if rs.rank <= 8:
             hand = R.RootSystem(rs.cartan, rs.form, rs.layers, rs.label)
-            assert cli._GenPayload(hand).render(nl) == expected, label
+            assert cli._gen_text(hand, nl) == expected, label
         single |= any(len(rs.layer(h)) == 1 for h in range(1, rs.max_height))
         tall |= rs.max_height >= 10
     assert "A1" in labels and single and tall
@@ -214,19 +202,19 @@ def test_roots_come_in_key_layer_order(system):
     # layers give, here A3 with each layer reversed, and are not sorted
     rs = system("A3")
     assert all(keys == sorted(keys) for keys in rs.key_layers)
-    assert cli._GenPayload(rs).render("\n") == json.dumps(gen_payload(rs), indent=2)
+    assert cli._gen_text(rs, "\n") == json.dumps(gen_payload(rs), indent=2)
     layers = tuple(layer[::-1] for layer in rs.layers)
     hand = R.RootSystem(rs.cartan, rs.form, layers, rs.label)
     given = [{"coeffs": list(r.coeffs), "height": r.height} for layer in layers for r in layer]
     expected = json.dumps(dict(gen_payload(hand), roots=given), indent=2)
     assert expected != json.dumps(gen_payload(hand), indent=2)
-    assert cli._GenPayload(hand).render("\n") == expected
+    assert cli._gen_text(hand, "\n") == expected
 
 
 def test_a_two_digit_coefficient_is_refused():
     # A2's Cartan matrix with (h - 1, 1) alone at each height h from 2 to
     # 11: a system RootSystem accepts, whose c_max of 10 the records cannot
-    # spell with one digit, so render raises instead of writing text; past
+    # spell with one digit, so _gen_text raises instead of writing text; past
     # 255 (heights to 258) the key layers have no byte for it
     a2 = R.build_system("A2")
     for top, why in (
@@ -239,7 +227,7 @@ def test_a_two_digit_coefficient_is_refused():
         rs = R.RootSystem(a2.cartan, a2.form, layers, None)
         assert rs.c_max() == top - 1
         with pytest.raises(R.InternalInconsistencyError, match="^" + re.escape(why) + "$"):
-            cli._GenPayload(rs).render("\n")
+            cli._gen_text(rs, "\n")
 
 
 def _tall_a12(swap=None):
@@ -264,7 +252,7 @@ def test_three_digit_heights_render_as_json_dumps(nl):
     rs = _tall_a12()
     assert rs.max_height == 105 and rs.c_max() == 9
     expected = json.dumps(gen_payload(rs), indent=2).replace("\n", nl)
-    assert cli._GenPayload(rs).render(nl) == expected
+    assert cli._gen_text(rs, nl) == expected
 
 
 def test_a_two_digit_coefficient_names_its_lowest_height():
@@ -274,7 +262,7 @@ def test_a_two_digit_coefficient_names_its_lowest_height():
     assert rs.c_max() == 9  # the highest root is untouched
     why = "a root of height 101 has a coefficient past 9, which gen writes as one digit"
     with pytest.raises(R.InternalInconsistencyError, match="^" + re.escape(why) + "$"):
-        cli._GenPayload(rs).render("\n")
+        cli._gen_text(rs, "\n")
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -334,7 +322,7 @@ def test_failing_verify_table_without_m2(capsys, monkeypatch, tmp_path, to_file)
 
 def test_exponents_template_matches_json_dumps(capsys, monkeypatch):
     # the exponents template against json.dumps of the entry, its line
-    # breaks indented as _render indents them, on every type to rank 32
+    # breaks indented as _emit indents them, on every type to rank 32
     # under each --method and on an entry whose routes disagree under an odd
     # label; and each --method through main writes json.dumps text while
     # json.dumps and json.dump refuse to run
@@ -353,7 +341,7 @@ def test_exponents_template_matches_json_dumps(capsys, monkeypatch):
     for entry in [disagree, *entries["dual"], *entries["coxeter"], *entries["both"]]:
         for nl in ("\n", "\n  "):
             expected = json.dumps(entry, indent=2).replace("\n", nl)
-            assert cli._ExponentsPayload(entry).render(nl) == expected, entry["type"]
+            assert cli._exponents_text(entry, nl) == expected, entry["type"]
 
     def refuse(*args, **kwargs):
         raise AssertionError("an exponents entry went through json")
@@ -369,7 +357,7 @@ def test_exponents_template_matches_json_dumps(capsys, monkeypatch):
 
 def test_ledger_template_matches_json_dumps(system, corrupted_ledgers):
     # the ledger template against json.dumps of to_json_dict, its line
-    # breaks indented as _render indents them, on every type to rank 32, on
+    # breaks indented as _emit indents them, on every type to rank 32, on
     # the corrupted corpus, whose ledgers carry error, blocked and failing
     # notes and nonempty counterexamples, and on fake ledgers with m2 =
     # case = None, an empty note, no checks and odd strings
@@ -460,6 +448,42 @@ def test_verify_builds_no_ledger_dicts(capsys, monkeypatch):
     monkeypatch.undo()
     assert capsys.readouterr().out == expected
     assert dumped == [["g2_criterion", "skipped", "summary"]]
+
+
+class _Recorder(io.StringIO):
+    """An output that keeps each write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("command", ["gen", "exponents", "verify"])
+def test_output_streams_one_payload_at_a_time(monkeypatch, command):
+    # README's memory bound: each gen or exponents payload of a sweep, and
+    # each ledger of verify's one payload, is written whole in one write
+    # that holds no other, so the output holds one payload's text at a time
+    types = R.all_types(8)
+    if command == "gen":
+        texts = [cli._gen_text(R.build_system(t), "\n  ") for t in types]
+    elif command == "exponents":
+        entries = [cli._exponent_entry(str(t), R.build_cartan(t), "both") for t in types]
+        texts = [cli._exponents_text(e, "\n  ") for e in entries]
+    else:
+        ledgers = [R.build_ledger(R.build_system(t)) for t in types if t.rank > 1]
+        texts = [cli._ledger_text(ledger, "\n    ") for ledger in ledgers]
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([command, "--all", "--max-rank", "8"]) == 0
+    assert len(set(texts)) == len(texts) > 30
+    for text in texts:
+        assert sum(text in w for w in out.writes) == 1
+    for w in out.writes:
+        assert sum(text in w for text in texts) <= 1
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN))

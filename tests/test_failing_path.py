@@ -11,12 +11,13 @@ import json
 
 import pytest
 
+import rootsys as R
 from oracles import reflection_closure
 
-DIGEST = "ed6ebf79878a7ada59ae10982fb2b92e196b815ffd5d750cdc2b52f235c746a0"
+DIGEST = "f9662b7a118f2e68d624d0e1789b5ca9318fe78ba7b29723a19f8a8753ef07d3"
 FAILED_ROWS = {
     "exponents_agree": 1070,
-    "main_relation": 1337,
+    "main_relation": 1364,
     "mark_chain": 398,
     "chains_coincide": 1266,
     "step_multiset": 1214,
@@ -56,10 +57,15 @@ def test_a_passing_ledger_certifies_its_root_set(ledgered):
     # README: a set whose positive part is not the root system's either has
     # a simple reflection that escapes it, which two_of_three_sums reports,
     # or fails exponents_agree; so a passing ledger's set is the true one.
-    # The root system here is the Cartan-only reflection closure.
+    # The root system here is the Cartan-only reflection closure.  And
+    # main_relation holds d to the symmetrizer, so a passing ledger's form
+    # is the true one too.
     closures = {}
-    wrong = 0
+    wrong = passing = 0
     for name, rs, ledger in ledgered:
+        if all(c["pass"] for c in ledger["checks"].values()):
+            passing += 1
+            assert rs.form.d == R.symmetrizer(rs.cartan).d, name
         if rs.cartan not in closures:
             closures[rs.cartan] = reflection_closure(rs.cartan)
         if {r.coeffs for r in rs.positive_roots()} == closures[rs.cartan]:
@@ -68,4 +74,4 @@ def test_a_passing_ledger_certifies_its_root_set(ledgered):
         checks = ledger["checks"]
         escaped = checks["two_of_three_sums"].get("note", "").startswith("not Weyl-stable")
         assert escaped or not checks["exponents_agree"]["pass"], name
-    assert wrong == 1850
+    assert wrong == 1850 and passing == 121

@@ -135,19 +135,39 @@ def test_layers_match_tuple_scan_up_to_max_rank(system):
         ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # affine A2
         ((2, -3), (-3, 2)),
         ((2, -4), (-1, 2)),  # affine A2, twisted
-        with_identity_block(((2, -300), (-1, 2)), 26),
-        with_identity_block(((2, -300), (-1, 2)), 32),
-        # the largest row sum R that 2-, 4- and 8-byte pairing fields take:
-        # (R + 1) * 256 < 2**15, 2**31, 2**63
+        # ranks 26 and 32 in 16-bit pairing fields, the second at the
+        # largest row sum R they take
+        with_identity_block(((2, -3), (-3, 2)), 26),
+        with_identity_block(((2, -124), (-1, 2)), 32),
+        # the largest R that 16-bit pairing fields take: (R + 1) * 256 < 2**15
         ((2, -124), (-1, 2)),
-        ((2, 4 - (1 << 23)), (-1, 2)),
-        ((2, 4 - (1 << 55)), (-1, 2)),
+        ((2, -2), (-2, 2)),  # affine A1
+        ((2, -1, 0), (-1, 2, -3), (0, -1, 2)),  # affine G2
     ],
 )
 def test_enumeration_stops_at_height_cap(rows):
     # roots that never run out: the enumeration must stop at height 255,
     # before a coefficient outgrows its 8-bit key field
     with pytest.raises(InternalInconsistencyError, match="reached height 255,"):
+        R.enumerate_roots(stand_in(rows))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((2, -125), (-1, 2)),  # R = 127, one past the largest 16 bits take
+        with_identity_block(((2, -300), (-1, 2)), 26),
+        with_identity_block(((2, -300), (-1, 2)), 32),
+        ((2, 4 - (1 << 23)), (-1, 2)),
+        ((2, 4 - (1 << 55)), (-1, 2)),
+    ],
+)
+def test_enumeration_refuses_rows_past_16_bit_pairing_fields(rows):
+    # no CartanMatrix has an absolute row sum above 5, so enumeration keeps
+    # one pairing width and refuses rows it cannot hold before any layer
+    reach = max(sum(map(abs, row)) for row in rows)
+    why = f"a row sum of {reach} outgrows 16-bit pairing fields"
+    with pytest.raises(InternalInconsistencyError, match="^" + why + "$"):
         R.enumerate_roots(stand_in(rows))
 
 

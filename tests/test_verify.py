@@ -727,24 +727,48 @@ def test_main_relation_length_condition(system):
     assert V.check_main_relation(g2, _top(g2), _rep(g2)).note == (
         "case 1: c_max = 3, m2 = 5, long/short ratio 3"
     )
-    # a wrong d breaks only the length condition; A2 with its top root
-    # swapped for (2, 0) breaks only the relation; A2's roots read with
-    # G2's Cartan matrix and d = (1, 1) break only the triple-edge condition
+    # a wrong d breaks the length condition and the form, and A3 with d =
+    # (1, 2, 2), whose ratio of 2 keeps case and triple edge in step, the
+    # form alone; A2 with its top root swapped for (2, 0) breaks only the
+    # relation; A2's roots read with G2's Cartan matrix and d = (1, 1) break
+    # the triple-edge condition and the form
     g2_rows = R.RootSystem(g2.cartan, R.SymmetrizedForm((1, 1)), system("A2").layers, None)
     for rs, cx in (
         (
             wrong_d(system("G2"), (1, 1)),
-            {"c_max": 3, "m2": 5, "case": 1, "ratio": 1, "triple_edge": True},
+            {
+                "c_max": 3, "m2": 5, "case": 1, "ratio": 1, "triple_edge": True,
+                "d_is_symmetrizer": False,
+            },
         ),
         (
             wrong_d(system("A2"), (1, 3)),
-            {"c_max": 1, "m2": 2, "case": 2, "ratio": 3, "triple_edge": False},
+            {
+                "c_max": 1, "m2": 2, "case": 2, "ratio": 3, "triple_edge": False,
+                "d_is_symmetrizer": False,
+            },
+        ),
+        (
+            wrong_d(system("A3"), (1, 2, 2)),
+            {
+                "c_max": 1, "m2": 2, "case": 2, "ratio": 2, "triple_edge": False,
+                "d_is_symmetrizer": False,
+            },
         ),
         (
             swap_one_root(system("A2"), 2),
-            {"c_max": 2, "m2": 2, "case": 2, "ratio": 1, "triple_edge": False},
+            {
+                "c_max": 2, "m2": 2, "case": 2, "ratio": 1, "triple_edge": False,
+                "d_is_symmetrizer": True,
+            },
         ),
-        (g2_rows, {"c_max": 1, "m2": 2, "case": 2, "ratio": 1, "triple_edge": True}),
+        (
+            g2_rows,
+            {
+                "c_max": 1, "m2": 2, "case": 2, "ratio": 1, "triple_edge": True,
+                "d_is_symmetrizer": False,
+            },
+        ),
     ):
         res = V.check_main_relation(rs, _top(rs), _rep(rs))
         assert not res.passed and res.counterexamples == [cx], cx
