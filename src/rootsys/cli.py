@@ -12,8 +12,7 @@ import contextlib
 import json
 import os
 import sys
-from bisect import bisect_right
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _string
 from operator import mul
 
@@ -26,7 +25,6 @@ from .cartan import (
     validate_cartan,
 )
 from .errors import (
-    InternalInconsistencyError,
     InvalidArgumentError,
     InvalidCartanError,
     InvalidTypeError,
@@ -146,7 +144,7 @@ def _output(path: str | None):
         yield fh
 
 
-# coefficient byte -> its digit; a byte past 9 -> NUL, which no digit is
+# coefficient byte -> its digit; COEFFICIENT_CAP = 9 keeps every byte below 10
 DIGITS = bytes(range(48, 58)) + bytes(246)
 
 
@@ -165,9 +163,8 @@ def _gen_text(rs: RootSystem, nl: str) -> str:
     slot k of every record from byte k of every root's key, and one more
     fills each height digit from a column joined per layer, so a group
     costs n + d slice passes and a few more whatever its root count.  A
-    coefficient gets one digit, which every finite type allows (c <= 6, at
-    E8); a coefficient past 9 raises InternalInconsistencyError, naming the
-    lowest height that has one, instead of writing wrong text.  Only the
+    coefficient gets one digit, since no RootSystem has one past
+    COEFFICIENT_CAP = 9, the bound ``SignedRoots`` gives.  Only the
     label goes through json.dumps.  The head, the groups and the tail are
     joined as bytes once and decoded once; the first record's "," becomes
     the "[" that opens the roots."""
@@ -199,12 +196,6 @@ def _gen_text(rs: RootSystem, nl: str) -> str:
         ))
         if raw:
             digits = raw.translate(DIGITS)
-            if not digits.isdigit():
-                past = bisect_right(list(accumulate(sizes[lo:hi])), digits.index(0) // n)
-                raise InternalInconsistencyError(
-                    f"a root of height {lo + past} has a coefficient past 9, which gen "
-                    "writes as one digit"
-                )
             heights = [b"%d" % h for h in range(lo, hi)]
             d = len(heights[0])
             size = len(record) + d + len(item) + 1

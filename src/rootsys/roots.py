@@ -44,6 +44,12 @@ from .cartan import (
 )
 from .errors import InternalInconsistencyError, InvalidArgumentError
 
+# The largest coefficient a root may have.  gen writes one digit per
+# coefficient, and every key sum the scans form then stays inside 8-bit
+# fields, since 7 * 9 = 63 < 256 (``SignedRoots`` gives the bound).  Every
+# finite type has c <= 6, at E8, so only a hand-built root can pass it.
+COEFFICIENT_CAP = 9
+
 
 @dataclass(frozen=True, slots=True)
 class Root:
@@ -83,29 +89,29 @@ class SignedRoots:
     root in ``positive_roots()`` order and root k + N is its negative.
 
     ``keys[k]`` packs root k into one integer: a vector v gets key(v) =
-    sum_i v_i * unit[i], where unit[i] = 2**(width * (l - 1 - i)) is the
-    key of alpha_(i+1), coordinate 0 most significant.  The key is linear,
-    so keys[k + N] = -keys[k], and v - p*alpha_i or a sum of roots has the
-    matching sum of keys.  Two vectors whose coordinates all differ by less
-    than 2**width have equal keys only when they are equal, since the
-    lowest field where they differ leaves a nonzero remainder.  The scans
-    compare keys of v - p*alpha_i, for a signed root v with p =
-    <v, alpha_i>, of a positive root minus at most three simple roots, and
-    of sums of up to three signed roots, against keys of signed roots or of
-    0.  With c the largest coefficient and R the largest absolute row sum
-    of the Cartan matrix, |p| <= R*c, so those coordinates differ by at
-    most max(4, 2 + R) * c, and the width is the bit length of that bound,
-    at least 8.  Every finite type has c <= 6 and R <= 5, so width 8, and a
-    positive root's key is its coefficient bytes, the packing of
-    enumerate_roots.  ``number`` maps each key back to k, and
-    ``pairings[k]`` is the vector (<beta, alpha_1>, ..., <beta, alpha_l>) of
-    the positive root k.
+    sum_i v_i * unit[i], where unit[i] = 2**(8 * (l - 1 - i)) is the key of
+    alpha_(i+1), coordinate 0 most significant, so a positive root's key is
+    its coefficient bytes, the packing of enumerate_roots.  The key is
+    linear, so keys[k + N] = -keys[k], and v - p*alpha_i or a sum of roots
+    has the matching sum of keys.  Two vectors whose coordinates all differ
+    by less than 256 have equal keys only when they are equal, since the
+    lowest field where they differ leaves a nonzero remainder.
+
+    This is the one bound every scan relies on.  The scans compare keys of
+    v - p*alpha_i, for a signed root v with p = <v, alpha_i>, of a positive
+    root minus at most three simple roots, and of sums of up to three
+    signed roots, against keys of signed roots or of 0.  With c the largest
+    coefficient and R the largest absolute row sum of the Cartan matrix,
+    |p| <= R*c, so those coordinates differ by at most max(4, 2 + R) * c.
+    Every ``CartanMatrix`` is of finite type, so R <= 5, and every
+    ``RootSystem`` has c <= COEFFICIENT_CAP = 9: at most 7 * 9 = 63.
+    ``number`` maps each key back to k, and ``pairings[k]`` is the vector
+    (<beta, alpha_1>, ..., <beta, alpha_l>) of the positive root k.
     """
 
     keys: list[int]
     number: dict[int, int]
     unit: tuple[int, ...]
-    width: int
     pairings: list[tuple[int, ...]]
 
     def coeffs(self, k: int) -> tuple[int, ...]:
@@ -118,8 +124,7 @@ class SignedRoots:
             )
         if k >= n:
             return tuple(-c for c in self.coeffs(k - n))
-        mask = (1 << self.width) - 1
-        return tuple(self.keys[k] // u & mask for u in self.unit)
+        return tuple(self.keys[k].to_bytes(len(self.unit), "big"))
 
     def norm_sq(self, k: int, d: Sequence[int]) -> int:
         """(beta, beta) = sum_i beta_i d_i <beta, alpha_i> for the positive
@@ -141,11 +146,13 @@ class RootSystem:
     are checked once: a ``CartanMatrix``, a ``str`` or ``None`` label, and
     a sequence of sequences of Roots that is a root poset's height grading,
     with layer 0 empty, each root filed under its height with one
-    coefficient per simple root, none listed twice, and one root in the top
-    layer, with a ``form`` whose ``d`` is a tuple of rank positive ints;
-    anything else raises InvalidArgumentError.  A hand-built system stores
-    the ``form`` and ``layers`` it is given; their values are not checked
-    against the Cartan matrix, so a wrong ``d`` reaches the checks.
+    coefficient per simple root and none past COEFFICIENT_CAP, the bound
+    behind every key that ``SignedRoots`` gives, none listed twice, and one
+    root in the top layer, with a ``form`` whose ``d`` is a tuple of rank
+    positive ints; anything else raises InvalidArgumentError.  A hand-built
+    system stores the ``form`` and ``layers`` it is given; their values are
+    not checked against the Cartan matrix, so a wrong ``d`` reaches the
+    checks.
     """
 
     def __init__(
@@ -180,6 +187,10 @@ class RootSystem:
                 if r.height != h:
                     raise InvalidArgumentError(
                         f"{r.coeffs} has height {r.height} but is filed under {h}"
+                    )
+                if max(r.coeffs) > COEFFICIENT_CAP:
+                    raise InvalidArgumentError(
+                        f"{r.coeffs} has a coefficient past COEFFICIENT_CAP = {COEFFICIENT_CAP}"
                     )
         if len(layers[-1]) != 1:
             raise InvalidArgumentError(
@@ -229,16 +240,8 @@ class RootSystem:
         positive_roots() order, key_layers[0] empty: each root's coefficient
         bytes read as one big-endian int, the packing of enumerate_roots,
         which hands over its own lists.  A hand-built system reads them off
-        its layers, and raises InternalInconsistencyError on a coefficient
-        past 255, which no byte holds."""
-        try:
-            return [
-                [int.from_bytes(bytes(r.coeffs), "big") for r in layer] for layer in self.layers
-            ]
-        except ValueError:  # bytes() refuses an int past 255
-            raise InternalInconsistencyError(
-                "a coefficient past 255 does not fit an 8-bit key field"
-            ) from None
+        its layers; COEFFICIENT_CAP keeps every coefficient inside its byte."""
+        return [[int.from_bytes(bytes(r.coeffs), "big") for r in layer] for layer in self.layers]
 
     @cached_property
     def _members(self) -> dict[tuple[int, ...], Root]:
@@ -294,7 +297,7 @@ class RootSystem:
     @cached_property
     def signed(self) -> SignedRoots:
         """The signed roots, numbered, keyed and paired as ``SignedRoots``
-        says.  With 8-bit fields the positive keys are ``key_layers``.
+        says: the positive keys are ``key_layers``.
 
         An enumerated system decodes the na ints of enumerate_roots one root
         at a time: 16-bit field i of na holds b - <beta, alpha_i>, b = 2**15
@@ -308,26 +311,19 @@ class RootSystem:
         n = self.rank
         if self._packed is None:
             by_index = list(zip(*(r.coeffs for r in self.positive_roots())))
-            top = max(map(max, by_index))
             columns = []
             for row, cols in zip(self.cartan.rows, self.cartan.nonzero):
                 terms = [map(mul, by_index[j], repeat(row[j])) for j in cols]
                 columns.append(reduce(partial(map, add), terms))
             pairings = list(zip(*columns))
         else:
-            top = self.c_max()  # an enumerated system's theta dominates every root
             unpack = Struct(">%dh" % n).unpack
             flip = int.from_bytes(b"\x7f\xff" * n, "big")
             pairings = [unpack((na ^ flip).to_bytes(2 * n, "big")) for na in self._packed]
-        reach = max(4, 2 + _largest_row_sum(self.cartan))
-        width = max(8, (reach * top).bit_length())
-        unit = tuple(1 << width * (n - 1 - i) for i in range(n))
-        if width == 8:
-            pos = [key for keys in self.key_layers for key in keys]
-        else:
-            pos = [sum(map(mul, r.coeffs, unit)) for r in self.positive_roots()]
+        unit = tuple(1 << 8 * (n - 1 - i) for i in range(n))
+        pos = [key for keys in self.key_layers for key in keys]
         keys = pos + [-k for k in pos]
-        return SignedRoots(keys, dict(zip(keys, range(len(keys)))), unit, width, pairings)
+        return SignedRoots(keys, dict(zip(keys, range(len(keys)))), unit, pairings)
 
     # -- the extended Dynkin graph --------------------------------------------
 

@@ -55,7 +55,7 @@ def check_string_descent(rs: RootSystem) -> CheckResult:
     key(beta) - (k-1)*unit[i] - unit[j], in ``rs.signed``.  That cannot hit
     a wrong root: its coordinates lie in [-2, c], c the largest
     coefficient, so they differ from a signed root's by at most 2c + 2 <=
-    4c, which the keys' field width covers.  Nor a negative root -gamma:
+    4c, inside the bound ``SignedRoots`` gives.  Nor a negative root -gamma:
     beta has height at least 2, so that needs height 2, k = 3 and gamma a
     simple root alpha_m, making beta = 2*alpha_i + alpha_j - alpha_m either
     alpha_i + alpha_j, which pairs to 2 + a_ij <= 2 against alpha_i, or
@@ -172,7 +172,8 @@ def weyl_orbits(rs: RootSystem) -> WeylOrbits:
     step u -> s_i(u), which forces u = c*alpha_i and s_i(u) = -u.
 
     s_i(v) = v - p*alpha_i is looked up by its key, key(v) - p*unit[i],
-    in ``rs.signed``, whose field width covers every such image."""
+    in ``rs.signed``, whose 8-bit fields hold every such image, as
+    ``SignedRoots`` says."""
     n = rs.rank
     signed = rs.signed
     keys, number, unit, positive = signed.keys, signed.number, signed.unit, signed.pairings
@@ -185,11 +186,10 @@ def weyl_orbits(rs: RootSystem) -> WeylOrbits:
     if escapes:
         return WeylOrbits((), tuple(escapes + [(k + half, i, -p) for k, i, p in escapes]))
     reps = tuple(k for k, pv in enumerate(positive) if min(pv) >= 0)
-    ones = (1 << signed.width) - 1
     orbits = []
     for k in reps:
         J = {i for i, p in enumerate(positive[k]) if not p}
-        outside = sum(ones * u for i, u in enumerate(unit) if i not in J)
+        outside = sum(0xFF * u for i, u in enumerate(unit) if i not in J)
         pos, neg = [], []
         for b, size in _close(moves, J):
             if keys[b] & outside:
@@ -226,8 +226,8 @@ def check_long_pair_positive(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     W_J-orbit, counted with its size: O(orbits * stabilizer orbits) pairs
     instead of O(N^2).  The inner product is (lambda, b) = sum_i lambda_i
     d_i <b, alpha_i>, negated for a negative b, and lambda - b is looked up
-    by its packed key in ``rs.signed``, whose field width covers sums of
-    two signed roots.
+    by its packed key in ``rs.signed``, whose 8-bit fields hold sums of two
+    signed roots, as ``SignedRoots`` says.
     """
     if orbits.escapes:
         return _not_weyl_stable(rs, orbits)
@@ -269,8 +269,9 @@ def check_two_of_three_sums(rs: RootSystem, orbits: WeylOrbits) -> CheckResult:
     stabilizer orbits * N) instead of O(N^3).  The ordered pairs (b, c) so
     counted, plus the diagonal ones (b, b), make twice the number of pairs
     b <= c.  Roots are the packed keys of ``rs.signed``, linear in the
-    coefficients, so vector sums become integer sums; the keys' field width
-    covers sums of up to three signed roots, so those never collide.
+    coefficients, so vector sums become integer sums; their 8-bit fields
+    hold sums of up to three signed roots, as ``SignedRoots`` says, so
+    those never collide.
 
     Height is linear too, and no member of any set, hand-built ones
     included, has |height| > H = ``rs.max_height``.  So with s = ht(r) +

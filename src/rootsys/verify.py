@@ -370,7 +370,7 @@ def check_differences(rs: RootSystem, top: TopChain) -> CheckResult:
     theta_i - theta_j is looked up by its key, the difference of the two
     roots' keys, in ``rs.signed``.  Its coordinates lie in [-c, c], c the
     largest coefficient, so they differ from a signed root's by at most
-    2c, which the keys' field width covers: a key found is that very
+    2c, inside the bound ``SignedRoots`` gives: a key found is that very
     root's.  It is a positive root's, since theta_i - theta_j has height
     j - i > 0."""
     m = top.m

@@ -1,0 +1,132 @@
+"""The mutation catalogue: hand-made faults in the package, each with the
+tests that must catch it.
+
+Each entry of MUTANTS is (file under src/rootsys, the exact old text, the
+new text, the node ids that must fail).  The node ids run once on an
+unedited copy of ``src`` first, and must pass there.  Then, for each entry,
+``src`` is copied to a temporary directory, that one edit is made in the
+copy, and each of the entry's node ids runs in its own pytest process, one
+after another, with PYTHONPATH pointing at the copy.  The checkout itself
+is never edited.  The script exits 1 when an old text does not occur
+exactly once in its file, or when a node id does not fail on its mutant:
+only pytest's exit 1, a test failure, counts, so a node id that names no
+test survives.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # a coefficient of 9 refused: COEFFICIENT_CAP itself must be accepted
+    (
+        "roots.py",
+        "if max(r.coeffs) > COEFFICIENT_CAP:",
+        "if max(r.coeffs) >= COEFFICIENT_CAP:",
+        [
+            "tests/test_roots.py::test_a_coefficient_at_the_cap_is_accepted",
+            "tests/test_verify.py::test_tall_hand_built_tops_match_tuple_oracles",
+        ],
+    ),
+    # an orbit inside span(Delta_J) holds its negatives: its size doubles
+    (
+        "scans.py",
+        "pos.append((b, 2 * size))",
+        "pos.append((b, size))",
+        [
+            "tests/test_verify.py::test_weyl_orbits_match_the_signed_closure",
+            "tests/test_verify.py::test_stabilizer_reduction",
+        ],
+    ),
+    # the triple scan's positive window one height short at its top
+    (
+        "scans.py",
+        "lo, hi = max(1, -H - s), max(0, min(H, H - s))",
+        "lo, hi = max(1, -H - s), max(0, min(H, H - s - 1))",
+        [
+            "tests/test_verify.py::test_height_window_matches_the_full_scan",
+            "tests/test_verify.py::test_two_of_three_differential_oracle",
+        ],
+    ),
+    # coxeter_traces' fields sized without the off-diagonal spread
+    (
+        "exponents.py",
+        "abs(1 - row[i]) + sum(abs(row[j]) for j in cols if j != i)",
+        "abs(1 - row[i])",
+        ["tests/test_exponents.py::test_coxeter_exponents_rejects_affine_matrix"],
+    ),
+    # enumerate_roots admits R = 127, which 16-bit pairing fields cannot hold
+    (
+        "roots.py",
+        "(reach + 1) << 8 >= 1 << 15",
+        "(reach + 1) << 8 > 1 << 15",
+        ["tests/test_roots.py::test_enumeration_refuses_rows_past_16_bit_pairing_fields[rows0]"],
+    ),
+    # main_relation passes a form whose d is not the symmetrizer's
+    (
+        "verify.py",
+        "ok = symmetrizes and cmax",
+        "ok = cmax",
+        [
+            "tests/test_verify.py::test_main_relation_length_condition",
+            "tests/test_failing_path.py::test_failing_path_digest",
+        ],
+    ),
+]
+
+
+def _run(src: Path, node: str) -> int:
+    """pytest's exit code for one node id, importing rootsys from src; the
+    ini file's ``pythonpath`` would put the checkout's own src first."""
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        command + ["-o", "pythonpath=", node], cwd=ROOT, env=env, stdout=subprocess.DEVNULL
+    ).returncode
+
+
+def _copy(to: Path) -> Path:
+    src = to / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = _copy(Path(tmp) / "clean")
+        for node in dict.fromkeys(node for *_, nodes in MUTANTS for node in nodes):
+            if _run(clean, node) != 0:
+                problems.append(f"{node} does not pass on the unedited source")
+        for k, (name, old, new, nodes) in enumerate(MUTANTS):
+            src = _copy(Path(tmp) / str(k))
+            path = src / "rootsys" / name
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                problems.append(f"{name}: {old!r} occurs {text.count(old)} times, not once")
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            for node in nodes:
+                code = _run(src, node)
+                verdict = "fails" if code == 1 else f"exit {code}"
+                print(f"{name}: {old!r} -> {new!r}: {node} {verdict}")
+                if code != 1:
+                    problems.append(f"{name}: {old!r} -> {new!r} survives {node} (exit {code})")
+    for problem in problems:
+        print("error:", problem, file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

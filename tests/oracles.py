@@ -34,6 +34,7 @@ from rootsys import (
     Root,
     RootSystem,
     SymmetrizedForm,
+    build_system,
     enumerate_roots,
     symmetrizer,
     validate_cartan,
@@ -639,6 +640,26 @@ def truncated(rs, height):
     """The roots of height at most the given one, whose layer must hold a
     single root."""
     return RootSystem(rs.cartan, rs.form, rs.layers[: height + 1], None)
+
+
+def with_top(rs, coeffs):
+    """The system's roots under a hand-built top root of the given
+    coefficients, with empty layers up to its height."""
+    h = sum(coeffs)
+    layers = rs.layers + ((),) * (h - len(rs.layers)) + ((Root(coeffs),),)
+    return RootSystem(rs.cartan, rs.form, layers, None)
+
+
+def tall_a12():
+    """A12's Cartan matrix and form, its 12 simple roots in the reflection
+    closure's order, then one root of each height from 2 to 105,
+    coefficients of at most 9: a hand-built system whose heights reach
+    three digits."""
+    a12 = build_system("A12")
+    simple = [Root((0,) * i + (1,) + (0,) * (11 - i)) for i in reversed(range(12))]
+    tall = [((9,) * (h // 9) + (h % 9,) + (0,) * 12)[:12] for h in range(2, 106)]
+    layers = ((), tuple(simple)) + tuple((Root(coeffs),) for coeffs in tall)
+    return RootSystem(a12.cartan, a12.form, layers, None)
 
 
 def with_doubles(rs):

@@ -8,7 +8,6 @@ import io
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ import rootsys as R
 import rootsys.cli as cli
 from rootsys.cli import _emit, main
 
-from oracles import finite_type_classes, gen_payload
+from oracles import finite_type_classes, gen_payload, tall_a12
 
 # sha256 of stdout, pinned when the JSON was still written by one
 # json.dumps(..., indent=2) call; a deliberate output change updates a
@@ -211,58 +210,14 @@ def test_roots_come_in_key_layer_order(system):
     assert cli._gen_text(hand, "\n") == expected
 
 
-def test_a_two_digit_coefficient_is_refused():
-    # A2's Cartan matrix with (h - 1, 1) alone at each height h from 2 to
-    # 11: a system RootSystem accepts, whose c_max of 10 the records cannot
-    # spell with one digit, so _gen_text raises instead of writing text; past
-    # 255 (heights to 258) the key layers have no byte for it
-    a2 = R.build_system("A2")
-    for top, why in (
-        (11, "a root of height 11 has a coefficient past 9, which gen writes as one digit"),
-        (258, "a coefficient past 255 does not fit an 8-bit key field"),
-    ):
-        layers = ((), (R.Root((1, 0)), R.Root((0, 1)))) + tuple(
-            (R.Root((h - 1, 1)),) for h in range(2, top + 1)
-        )
-        rs = R.RootSystem(a2.cartan, a2.form, layers, None)
-        assert rs.c_max() == top - 1
-        with pytest.raises(R.InternalInconsistencyError, match="^" + re.escape(why) + "$"):
-            cli._gen_text(rs, "\n")
-
-
-def _tall_a12(swap=None):
-    """A12's Cartan matrix and form, its 12 simple roots in the oracle's
-    order, then one root of each height from 2 to 105, coefficients of at
-    most 9: a hand-built system whose heights reach three digits.  swap
-    maps a height to the root that replaces its own."""
-    swap = swap or {}
-    a12 = R.build_system("A12")
-    simple = [R.Root((0,) * i + (1,) + (0,) * (11 - i)) for i in reversed(range(12))]
-    tall = [((9,) * (h // 9) + (h % 9,) + (0,) * 12)[:12] for h in range(2, 106)]
-    layers = ((), tuple(simple)) + tuple(
-        (R.Root(swap.get(h, coeffs)),) for h, coeffs in enumerate(tall, start=2)
-    )
-    return R.RootSystem(a12.cartan, a12.form, layers, None)
-
-
 @pytest.mark.parametrize("nl", ["\n", "\n  "])
 def test_three_digit_heights_render_as_json_dumps(nl):
     # heights 1-9, 10-99 and 100-105 make three groups of records, one per
     # number of height digits
-    rs = _tall_a12()
+    rs = tall_a12()
     assert rs.max_height == 105 and rs.c_max() == 9
     expected = json.dumps(gen_payload(rs), indent=2).replace("\n", nl)
     assert cli._gen_text(rs, nl) == expected
-
-
-def test_a_two_digit_coefficient_names_its_lowest_height():
-    # a coefficient of 10 at heights 101 and 104: the message names 101
-    swap = {101: (10,) + (9,) * 10 + (1,), 104: (10,) + (9,) * 10 + (4,)}
-    rs = _tall_a12(swap)
-    assert rs.c_max() == 9  # the highest root is untouched
-    why = "a root of height 101 has a coefficient past 9, which gen writes as one digit"
-    with pytest.raises(R.InternalInconsistencyError, match="^" + re.escape(why) + "$"):
-        cli._gen_text(rs, "\n")
 
 
 @pytest.mark.parametrize("to_file", [False, True])

@@ -2,10 +2,12 @@
 
 import json
 import random
+import re
 
 import pytest
 
 import rootsys as R
+import rootsys.cli as cli
 from rootsys import roots
 from rootsys.cli import main
 from rootsys.errors import InternalInconsistencyError, InvalidArgumentError
@@ -13,13 +15,16 @@ from rootsys.errors import InternalInconsistencyError, InvalidArgumentError
 from conftest import small_labels, stand_in, sweep_labels, with_identity_block
 from oracles import (
     finite_type_classes,
+    gen_payload,
     gram,
     inner,
     pairing,
     reflection_closure,
     root_number,
     root_string,
+    tall_a12,
     tuple_scan_layers,
+    with_top,
 )
 
 G2_POSITIVE = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
@@ -252,8 +257,9 @@ def test_handed_over_table_matches_cartan_rows(system):
 def test_lazy_decode_matches_a_hand_built_system(system):
     # a fresh enumeration answers counts, theta, the signed-root table and
     # the key layers from its packed keys and pairings alone, then decodes
-    # the layers and form a hand-built system is given; with 8-bit fields
-    # the positive signed keys are the key layers, flattened
+    # the layers and form a hand-built system is given; the positive signed
+    # keys are the key layers, flattened, and theta, which dominates every
+    # root, keeps every coefficient within the cap
     for rs in _named_and_relabelled(system):
         fresh = R.enumerate_roots(rs.cartan, rs.label)
         packed = (
@@ -276,7 +282,7 @@ def test_lazy_decode_matches_a_hand_built_system(system):
         assert fresh.form == hand.form, rs.cartan.rows
         assert fresh.highest_root() is fresh.layers[-1][0], rs.cartan.rows
         for built in (fresh, hand):
-            assert built.signed.width == 8, rs.cartan.rows
+            assert max(built.highest_root().coeffs) <= roots.COEFFICIENT_CAP, rs.cartan.rows
             flat = [key for keys in built.key_layers for key in keys]
             assert built.signed.keys[: built.num_positive] == flat, rs.cartan.rows
 
@@ -556,6 +562,54 @@ def test_root_system_rejects_bare_tuples_in_a_layer(system):
         with pytest.raises(InvalidArgumentError, match="expected a str label or None"):
             R.RootSystem(a3.cartan, a3.form, a3.layers, label)
     assert R.RootSystem(a3.cartan, a3.form, a3.layers, "mine").label == "mine"
+
+
+def _a2_chain(top):
+    """A2's Cartan matrix and form with (h - 1, 1) alone at each height h
+    from 2 to top, so that c_max is top - 1; each layer is sorted, as gen's
+    oracle sorts it."""
+    a2 = R.build_system("A2")
+    layers = ((), (R.Root((0, 1)), R.Root((1, 0)))) + tuple(
+        (R.Root((h - 1, 1)),) for h in range(2, top + 1)
+    )
+    return R.RootSystem(a2.cartan, a2.form, layers, None)
+
+
+def test_a_coefficient_at_the_cap_is_accepted(system):
+    # hand-built systems whose largest coefficient is COEFFICIENT_CAP = 9:
+    # each builds, is ledgered through every check, and renders as gen's
+    # json.dumps text, one digit per coefficient
+    assert roots.COEFFICIENT_CAP == 9
+    for rs in (
+        _a2_chain(10),
+        with_top(system("G2"), (1, 9)),
+        with_top(system("G2"), (9, 1)),
+        tall_a12(),
+    ):
+        assert rs.c_max() == 9, rs.layers[-1]
+        ledger = R.build_ledger(rs)
+        assert ledger.c_max == 9 and not ledger.passed, rs.layers[-1]
+        assert cli._gen_text(rs, "\n") == json.dumps(gen_payload(rs), indent=2)
+
+
+def test_a_coefficient_past_the_cap_is_refused(system):
+    # (h - 1, 1) up to height 11 and up to 258, a 10 at heights 101 and 104
+    # under tall_a12's top, and G2 under a top of (1, 128) or (1, 256), which
+    # no 8-bit field holds: RootSystem names the lowest root past the cap
+    ten = (10,) + (9,) * 10
+    tall = tall_a12()
+    swapped = list(tall.layers)
+    swapped[101], swapped[104] = (R.Root(ten + (1,)),), (R.Root(ten + (4,)),)
+    for build, root in (
+        (lambda: _a2_chain(11), (10, 1)),
+        (lambda: _a2_chain(258), (10, 1)),
+        (lambda: R.RootSystem(tall.cartan, tall.form, tuple(swapped), None), ten + (1,)),
+        (lambda: with_top(system("G2"), (1, 128)), (1, 128)),
+        (lambda: with_top(system("G2"), (1, 256)), (1, 256)),
+    ):
+        why = f"{root} has a coefficient past COEFFICIENT_CAP = 9"
+        with pytest.raises(InvalidArgumentError, match="^" + re.escape(why) + "$"):
+            build()
 
 
 def test_root_stores_a_tuple(system):

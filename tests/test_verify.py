@@ -48,6 +48,7 @@ from oracles import (
     tuple_weyl_orbits,
     two_of_three_triples,
     with_doubles,
+    with_top,
     wrong_d,
 )
 
@@ -202,7 +203,7 @@ def test_mark_chain_checks_the_affine_degree_first(system):
     # B3 read with d = (1, 2, 3) under a top (2, 3, 2) two heights up: the
     # affine vertex attaches at alpha_1 and alpha_2, and the marks (1, 3)
     # along a path to alpha_2 break too; the degree is reported
-    rs = _with_top(wrong_d(system("B3"), (1, 2, 3)), (2, 3, 2))
+    rs = with_top(wrong_d(system("B3"), (1, 2, 3)), (2, 3, 2))
     assert sorted(rs.extended_graph[0]) == [1, 2]
     with pytest.raises(
         R.InternalInconsistencyError, match="affine vertex must attach at exactly one vertex"
@@ -214,7 +215,7 @@ def test_extended_graph_rejects_a_non_positive_top_length(system):
     # (theta, theta) = 0 once raised a bare ZeroDivisionError, and -2 built
     # an affine edge of multiplicity -4
     for d, top, norm in (((2, 2), (4, 4), 0), ((2, 1), (4, 3), -2)):
-        rs = _with_top(wrong_d(system("G2"), d), top)
+        rs = with_top(wrong_d(system("G2"), d), top)
         message = f"the highest root has squared length {norm}, not a positive one"
         with pytest.raises(R.InternalInconsistencyError, match=message):
             rs.extended_graph
@@ -358,9 +359,10 @@ def test_pairing_table(system):
     systems = [system(str(t)) for t in R.all_types(6)]
     systems += [swap_one_root(rs, 2) for rs in systems if rs.max_height > 2]
     systems += [with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
-    # the benchmark's defect shapes past rank 6, and keys past 8-bit fields
+    # the benchmark's defect shapes past rank 6, and tall hand-built tops
+    # at the coefficient cap
     systems += [swap_one_root(system(label), 5) for label in ("B8", "D8", "E8")]
-    systems += [_with_top(system("G2"), (1, 128)), _with_top(system("G2"), (1, 256))]
+    systems += [with_top(system("G2"), (1, 9)), with_top(system("G2"), (9, 1))]
     for rs in systems:
         signed, n = rs.signed, rs.num_positive
         vs = signed_roots(rs)
@@ -401,14 +403,6 @@ def test_weyl_orbits_match_the_signed_closure(system):
         assert orbits == tuple_weyl_orbits(rs), rs.cartan.rows
 
 
-def _with_top(rs, coeffs):
-    """The system's roots under a hand-built top root of the given
-    coefficients, with empty layers up to its height."""
-    h = sum(coeffs)
-    layers = rs.layers + ((),) * (h - len(rs.layers)) + ((R.Root(coeffs),),)
-    return R.RootSystem(rs.cartan, rs.form, layers, None)
-
-
 def _every_triple(rs):
     """Each signed root as its own representative and its own stabilizer
     orbit: not the Weyl orbits, but an input without escapes on which the
@@ -417,17 +411,15 @@ def _every_triple(rs):
     return S.WeylOrbits(tuple(every), (), tuple(tuple((b, 1) for b in every) for _ in every))
 
 
-def test_wide_keys_match_tuple_oracles(system, monkeypatch):
-    # hand-built systems past the 8-bit key fields, each of which 8-bit
-    # fields would get wrong: a coefficient of 128, where sums of three
-    # roots carry into the next field; and one of 256, where two roots
-    # share a key
+def test_tall_hand_built_tops_match_tuple_oracles(system, monkeypatch):
+    # hand-built G2 sets under a top root of height 10 with a coefficient
+    # at the cap, in either coordinate: the largest reflections and sums of
+    # three roots any RootSystem can give the 8-bit key fields
     systems = [
-        _with_top(system("G2"), (1, 128)),
-        _with_top(system("G2"), (1, 256)),
+        with_top(system("G2"), (1, 9)),
+        with_top(system("G2"), (9, 1)),
     ]
     for rs in systems:
-        assert rs.signed.unit[-2] > 1 << 8, rs.layers[-1]  # fields wider than 8 bits
         assert weyl_orbits(rs) == tuple_weyl_orbits(rs), rs.layers[-1]
         every = _every_triple(rs)
         assert check_two_of_three_sums(rs, every) == based_two_of_three_sums(rs, every)
@@ -444,7 +436,7 @@ def test_height_window_matches_the_full_scan(system):
     # note alike on every type to rank 32 and a seeded relabelling of each,
     # on doubled sets, where counterexamples occur, and with every signed
     # root as its own orbit, which puts negative roots first and second,
-    # also on systems whose keys are wider than 8 bits
+    # also on tall hand-built tops at the coefficient cap
     rng = random.Random(32)
     inputs = []
     for t in R.all_types(32):
@@ -459,8 +451,8 @@ def test_height_window_matches_the_full_scan(system):
         system("B3"),
         system("G2"),
         with_doubles(system("G2")),
-        _with_top(system("G2"), (1, 128)),
-        _with_top(system("G2"), (1, 256)),
+        with_top(system("G2"), (1, 9)),
+        with_top(system("G2"), (9, 1)),
     ):
         inputs.append((rs, _every_triple(rs)))
     failed = 0
@@ -474,7 +466,7 @@ def test_height_window_matches_the_full_scan(system):
 def test_descent_scans_match_tuple_oracles(system):
     # key lookups against tuple lookups, verdict, counterexamples in order
     # and note alike: every type to rank 12, a seeded relabelling of each,
-    # and hand-built sets, the last two with keys wider than 8 bits
+    # and hand-built sets, the last two tall tops at the coefficient cap
     rng = random.Random(22)
     systems = []
     for t in R.all_types(12):
@@ -484,10 +476,9 @@ def test_descent_scans_match_tuple_oracles(system):
     systems += [with_doubles(system(label)) for label in ("A2", "A3", "B2", "G2")]
     systems += [
         edited(system("G2"), add=[(2, 0)]),
-        _with_top(system("G2"), (1, 128)),
-        _with_top(system("G2"), (1, 256)),
+        with_top(system("G2"), (1, 9)),
+        with_top(system("G2"), (9, 1)),
     ]
-    assert systems[-1].signed.unit[0] > 1 << 8
     failed = collections.Counter()
     for rs in systems:
         for check, oracle in (
