@@ -33,10 +33,9 @@ ratios of d are carried as integer numerator/denominator pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     InvalidArgumentError,
@@ -59,29 +58,66 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "F": 4, "G": 2}
 _EXACT_RANK = {"F": 4, "G": 2}
 
 
-@dataclass(frozen=True)
-class RankedType:
+class Frozen:
+    """Base of the gated value classes.  Each sets its ``__slots__`` once,
+    in the gate in its ``__init__``, through ``object.__setattr__``;
+    assigning or deleting a field afterwards raises AttributeError.
+    Equality and hashing read the fields named in ``_compared``, and only
+    between instances of one class, and ``repr`` shows them as
+    ``Class(field=value, ...)``.  Those fields are also the arguments of
+    ``__init__``, so pickling and copying rebuild a value through its
+    gate."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RankedType(Frozen):
     """Family letter plus rank, e.g. D6.  A family that is not one of the
     letters of FAMILIES, a rank that is not an int (a bool included) and a
     rank outside the family's range raise InvalidTypeError."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
+    _compared = __slots__
 
-    def __post_init__(self) -> None:
+    def __init__(self, family: str, rank: int) -> None:
         # a tuple compares by ==, so a non-str or a longer str is refused,
         # where str's `in` would find a substring
-        if self.family not in tuple(FAMILIES):
-            raise InvalidTypeError(
-                f"unknown family {self.family!r}: must be one of {FAMILIES}"
-            )
-        if not _is_int(self.rank):
-            raise InvalidTypeError(f"rank must be an int, got {self.rank!r}")
-        if self.rank > MAX_RANK:
-            raise InvalidTypeError(f"rank {self.rank} exceeds MAX_RANK = {MAX_RANK}")
-        refusal = _rank_refusal(self.family, self.rank)
+        if family not in tuple(FAMILIES):
+            raise InvalidTypeError(f"unknown family {family!r}: must be one of {FAMILIES}")
+        if not _is_int(rank):
+            raise InvalidTypeError(f"rank must be an int, got {rank!r}")
+        if rank > MAX_RANK:
+            raise InvalidTypeError(f"rank {rank} exceeds MAX_RANK = {MAX_RANK}")
+        refusal = _rank_refusal(family, rank)
         if refusal:
             raise InvalidTypeError(refusal)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def parse(cls, text: str) -> "RankedType":
@@ -133,24 +169,22 @@ def all_types(max_rank: int) -> list[RankedType]:
     ]
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """An integer Cartan matrix of finite type: ``__post_init__`` is the one
+class CartanMatrix(Frozen):
+    """An integer Cartan matrix of finite type: ``__init__`` is the one
     gate, run once by every way of making one (``CartanMatrix(rows)``,
-    ``dataclasses.replace``, ``validate_cartan``, ``build_cartan``), and it
-    stores ``rows`` as a tuple of tuples.  So every Dynkin graph here is a
-    tree with at most one multiple edge, and every root system is finite.
+    ``validate_cartan``, ``build_cartan``), and it stores ``rows`` as a
+    tuple of tuples.  So every Dynkin graph here is a tree with at most one
+    multiple edge, and every root system is finite.
 
     ``nonzero[i]`` holds the columns j with a_ij != 0, ascending, the
     diagonal included: the pattern every reader past the gate goes
-    through instead of scanning all n^2 entries.  The gate sets it, so
-    equality and hashing stay on ``rows`` and ``dataclasses.replace``
-    computes it afresh."""
+    through instead of scanning all n^2 entries.  The gate sets it from
+    the rows, so equality, hashing and ``repr`` read ``rows`` alone."""
 
-    rows: tuple[tuple[int, ...], ...]
-    nonzero: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("rows", "nonzero")
+    _compared = ("rows",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
         """Accept the rows iff they form a Cartan matrix of finite type.
 
         Malformed input (not a nonempty square of integers, or rank above
@@ -176,13 +210,12 @@ class CartanMatrix:
         numerators; that stays positive for as long as the pivots do, so
         the sign of a pivot is the sign of its numerator.
         """
-        raw = self.rows
-        n = len(raw) if hasattr(raw, "__len__") else 0
-        if n == 0 or any(not hasattr(row, "__len__") or len(row) != n for row in raw):
+        n = len(rows) if hasattr(rows, "__len__") else 0
+        if n == 0 or any(not hasattr(row, "__len__") or len(row) != n for row in rows):
             raise InvalidArgumentError("expected a nonempty square matrix")
         if n > MAX_RANK:
             raise InvalidArgumentError(f"rank {n} exceeds MAX_RANK = {MAX_RANK}")
-        rows = tuple(map(tuple, raw))
+        rows = tuple(map(tuple, rows))
         flat = tuple(chain.from_iterable(rows))
         # exact ints pass at once; an int subclass other than bool still does
         if set(map(type, flat)) != {int} and (
@@ -316,8 +349,7 @@ def build_cartan(t: RankedType | str) -> CartanMatrix:
     return validate_cartan(rows)
 
 
-@dataclass(frozen=True)
-class SymmetrizedForm:
+class SymmetrizedForm(NamedTuple):
     """Integer d with diag(d)*A symmetric and min(d) = 1; with the pairing
     table it gives (beta, gamma) = sum_i beta_i d_i <gamma, alpha_i>."""
 

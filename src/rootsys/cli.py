@@ -146,6 +146,9 @@ def _output(path: str | None):
 
 # coefficient byte -> its digit; COEFFICIENT_CAP = 9 keeps every byte below 10
 DIGITS = bytes(range(48, 58)) + bytes(246)
+# Cartan entry -> its text, indexed by the entry: a finite-type matrix has
+# entries -3 to 2 only
+ENTRIES = ("0", "1", "2", "-3", "-2", "-1")
 
 
 def _gen_text(rs: RootSystem, nl: str) -> str:
@@ -165,15 +168,16 @@ def _gen_text(rs: RootSystem, nl: str) -> str:
     costs n + d slice passes and a few more whatever its root count.  A
     coefficient gets one digit, since no RootSystem has one past
     COEFFICIENT_CAP = 9, the bound ``SignedRoots`` gives.  Only the
-    label goes through json.dumps.  The head, the groups and the tail are
-    joined as bytes once and decoded once; the first record's "," becomes
-    the "[" that opens the roots."""
+    label goes through json.dumps.  A Cartan row starts as rank "0"
+    strings; its nonzero entries, read through ``nonzero``, take their
+    text from ENTRIES, and the row is joined once.  The head, the groups
+    and the tail are joined as bytes once and decoded once; the first
+    record's "," becomes the "[" that opens the roots."""
     n = rs.rank
     key = nl + "  "  # the payload's own keys
     item = key + "  "  # a Cartan row, a root, a highest-root coefficient
     field = item + "  "  # a Cartan entry, a root's keys
     coeff = field + "  "  # a root's coefficient
-    cartan_row = "[" + field + ("," + field).join(["%d"] * n) + item + "]"
     lead = "," + item + "{" + field + '"coeffs": [' + coeff
     step = len(coeff) + 2  # from one coefficient slot to the next
     record = lead + ("," + coeff).join("0" * n) + field + "]," + field + '"height": '
@@ -181,10 +185,17 @@ def _gen_text(rs: RootSystem, nl: str) -> str:
     def array(items) -> str:  # a list value of the payload
         return "[" + item + ("," + item).join(items) + key + "]"
 
+    zeros = ["0"] * n
+    cartan_rows = []
+    for row, cols in zip(rs.cartan.rows, rs.cartan.nonzero):
+        texts = zeros[:]
+        for j in cols:
+            texts[j] = ENTRIES[row[j]]
+        cartan_rows.append("[" + field + ("," + field).join(texts) + item + "]")
     pieces = [(
         "{" + key + '"type": ' + json.dumps(rs.label)
         + "," + key + '"rank": %d' % n
-        + "," + key + '"cartan": ' + array([cartan_row % row for row in rs.cartan.rows])
+        + "," + key + '"cartan": ' + array(cartan_rows)
         + "," + key + '"roots": '
     ).encode()]
     layers, sizes = rs.key_layers, rs.layer_sizes

@@ -8,10 +8,9 @@ Both routes are exact integer arithmetic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
-from .cartan import CartanMatrix
+from .cartan import CartanMatrix, Frozen
 from .errors import (
     InternalInconsistencyError,
     InvalidArgumentError,
@@ -27,23 +26,23 @@ DUAL_PARTITION = "dual-partition"
 COXETER_EIGENVALUES = "coxeter-eigenvalues"
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(Frozen):
     """Sorted exponent multiset with the Coxeter number and its provenance."""
 
-    exponents: tuple[int, ...]
-    coxeter_number: int
-    method: str
+    __slots__ = ("exponents", "coxeter_number", "method")
+    _compared = __slots__
 
-    def __post_init__(self) -> None:
-        h = self.coxeter_number
-        ms = self.exponents
+    def __init__(self, exponents: tuple[int, ...], coxeter_number: int, method: str) -> None:
+        h, ms = coxeter_number, exponents
         if tuple(sorted(ms)) != ms:
             raise InternalInconsistencyError("exponents must be sorted")
         if not ms or ms[0] != 1 or ms[-1] != h - 1 or any(not 0 < m < h for m in ms):
             raise InternalInconsistencyError(
                 f"exponent multiset {ms} out of shape for h = {h}"
             )
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "coxeter_number", coxeter_number)
+        object.__setattr__(self, "method", method)
 
     def to_json_dict(self) -> dict:
         return {

@@ -28,15 +28,15 @@ sums, the packed columns and the hand-built pairings are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from itertools import repeat
 from operator import add, mul
 from struct import Struct
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cartan import (
     CartanMatrix,
+    Frozen,
     RankedType,
     SymmetrizedForm,
     build_cartan,
@@ -51,18 +51,18 @@ from .errors import InternalInconsistencyError, InvalidArgumentError
 COEFFICIENT_CAP = 9
 
 
-@dataclass(frozen=True, slots=True)
-class Root:
+class Root(Frozen):
     """A positive root as its coefficient tuple over the simple basis, checked
-    by ``Root(coeffs)``; ``enumerate_roots`` builds its own unchecked."""
+    by ``Root(coeffs)``; ``enumerate_roots`` builds its own unchecked.
+    Equality and hashing read ``coeffs`` alone."""
 
-    coeffs: tuple[int, ...]
-    height: int = field(init=False, compare=False)
+    __slots__ = ("coeffs", "height")
+    _compared = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coeffs, Iterable):
-            raise InvalidArgumentError(f"expected a sequence of coefficients, got {self.coeffs!r}")
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        if not isinstance(coeffs, Iterable):
+            raise InvalidArgumentError(f"expected a sequence of coefficients, got {coeffs!r}")
+        coeffs = tuple(coeffs)
         if any(isinstance(c, bool) or not isinstance(c, int) for c in coeffs):
             raise InvalidArgumentError(f"expected integer root coefficients, got {coeffs}")
         if not coeffs or min(coeffs) < 0:
@@ -83,8 +83,7 @@ def _root(coeffs, height, set_coeffs=Root.coeffs.__set__, set_height=Root.height
     return r
 
 
-@dataclass(frozen=True)
-class SignedRoots:
+class SignedRoots(NamedTuple):
     """The signed roots, numbered once: root k < N is the k-th positive
     root in ``positive_roots()`` order and root k + N is its negative.
 

@@ -16,9 +16,9 @@ of the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from operator import mul
+from typing import NamedTuple
 
 from .roots import RootSystem
 
@@ -29,10 +29,9 @@ COUNTEREXAMPLE_CAP = 8
 # check results
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     passed: bool
-    counterexamples: list = field(default_factory=list)
+    counterexamples: list
     note: str = ""
 
     def to_json_dict(self) -> dict:
@@ -107,8 +106,7 @@ def check_no_detour(rs: RootSystem) -> CheckResult:
     return CheckResult(not cx, cx, f"{checked} applicable pairs")
 
 
-@dataclass(frozen=True)
-class WeylOrbits:
+class WeylOrbits(NamedTuple):
     """The W-orbits of the signed roots, by their numbers in
     ``RootSystem.signed``.
 

@@ -33,8 +33,7 @@ builder raised, else the missing input that kept it from being built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cartan import symmetrizer
 from .errors import InternalInconsistencyError, InvalidArgumentError
@@ -71,8 +70,7 @@ def is_simple_chain(ext: tuple[dict[int, int], ...], path: Sequence[int]) -> boo
     )
 
 
-@dataclass(frozen=True)
-class MarkChain:
+class MarkChain(NamedTuple):
     """Shortest path in the extended Dynkin graph from the affine vertex to
     a simple root whose highest-root coefficient is maximal.  The marks
     along it are 1, 2, ..., c_max."""
@@ -144,8 +142,7 @@ def mark_chain(rs: RootSystem) -> MarkChain:
     return MarkChain(indices, marks)
 
 
-@dataclass(frozen=True)
-class TopChain:
+class TopChain(NamedTuple):
     """Roots of height above m_{l-1}, descending, as coefficient tuples,
     with their numbers in ``RootSystem.signed``; the simple index of each
     consecutive difference; and the case: 1 when theta_t pairs to 3
@@ -417,8 +414,7 @@ def check_exponents_agree(rep_a: ExponentReport, rep_b: ExponentReport) -> Check
     return CheckResult(ok, cx, f"h = {rep_a.coxeter_number}")
 
 
-@dataclass
-class VerificationLedger:
+class VerificationLedger(NamedTuple):
     """Per-system record: headline numbers plus one result per check."""
 
     label: str

@@ -83,6 +83,88 @@ MUTANTS = [
             "tests/test_failing_path.py::test_failing_path_digest",
         ],
     ),
+    # string_descent skips the pairings of 3
+    (
+        "scans.py",
+        "if k not in (2, 3):",
+        "if k != 2:",
+        [
+            "tests/test_verify.py::test_string_descent_small",
+            "tests/test_verify.py::test_descent_scans_match_tuple_oracles",
+        ],
+    ),
+    # string_descent steps down k times instead of k - 1
+    (
+        "scans.py",
+        "base = rs.signed.keys[b] - (k - 1) * ui",
+        "base = rs.signed.keys[b] - k * ui",
+        [
+            "tests/test_verify.py::test_string_descent_small",
+            "tests/test_verify.py::test_descent_scans_match_tuple_oracles",
+        ],
+    ),
+    # no_detour counts stepping down by alpha_i twice as a detour
+    (
+        "scans.py",
+        "if j != i and ki - u in number:",
+        "if ki - u in number:",
+        [
+            "tests/test_verify.py::test_no_detour",
+            "tests/test_verify.py::test_descent_scans_match_tuple_oracles",
+        ],
+    ),
+    # no_detour applies to roots that can also step down by another simple root
+    (
+        "scans.py",
+        "if p != 3 or droppable != [i]:",
+        "if p != 3:",
+        ["tests/test_verify.py::test_no_detour"],
+    ),
+    # long_pair_positive lets an inner product of 0 pass
+    (
+        "scans.py",
+        "if (-product if b >= len(pvs) else product) <= 0 and",
+        "if (-product if b >= len(pvs) else product) < 0 and",
+        ["tests/test_verify.py::test_long_pair_positive_fails_on_wrong_d"],
+    ),
+    # long_pair_positive fixes its first root to the short representatives too
+    (
+        "scans.py",
+        "if norm[r] != top:",
+        "if norm[r] > top:",
+        [
+            "tests/test_verify.py::test_long_pair_positive",
+            "tests/test_verify.py::test_stabilizer_reduction",
+        ],
+    ),
+    # long_pair_positive forgets to negate the product for a negative partner
+    (
+        "scans.py",
+        "(-product if b >= len(pvs) else product)",
+        "product",
+        ["tests/test_verify.py::test_long_pair_positive_fails_on_wrong_d"],
+    ),
+    # the package imports dataclasses again, and inspect with it
+    (
+        "verify.py",
+        "from typing import Iterable, NamedTuple, Sequence",
+        "import dataclasses\nfrom typing import Iterable, NamedTuple, Sequence",
+        ["tests/test_import_weight.py::test_import_loads_neither_dataclasses_nor_inspect"],
+    ),
+    # a gated value takes assignment after its gate
+    (
+        "cartan.py",
+        "raise AttributeError(f\"cannot assign to field {name!r}\")",
+        "object.__setattr__(self, name, value)",
+        ["tests/test_cartan.py::test_gated_classes_are_set_once_by_their_gate"],
+    ),
+    # CartanMatrix compares and shows its nonzero pattern too
+    (
+        "cartan.py",
+        '_compared = ("rows",)',
+        '_compared = ("rows", "nonzero")',
+        ["tests/test_cartan.py::test_nonzero_pattern_follows_the_rows"],
+    ),
 ]
 
 

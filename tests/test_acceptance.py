@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -88,7 +87,7 @@ def test_criterion_3_exponent_cross_validation(sweep_data):
     for label, (_, rep_d, rep_c, _) in sweep_data.items():
         assert rep_d.exponents == rep_c.exponents, label
         assert rep_d.coxeter_number == rep_c.coxeter_number, label
-        assert rep_c == replace(rep_d, method=rep_c.method), label
+        assert rep_c == R.ExponentReport(rep_d.exponents, rep_d.coxeter_number, rep_c.method), label
     assert sweep_data["E8"][1].exponents == (1, 7, 11, 13, 17, 19, 23, 29)
     assert sweep_data["E8"][1].coxeter_number == 30
     assert sweep_data["F4"][1].exponents == (1, 5, 7, 11)

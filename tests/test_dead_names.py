@@ -1,13 +1,15 @@
 """Dead-name guard: every function, method and class defined in the package
-is used by the package itself, and every dataclass field is read by it.
+is used by the package itself, and every record field is read by it.
 
 A name counts as used when some ``Name`` or attribute access with that
 name appears in ``src/rootsys`` outside the name's own definition.  Names
 that ``rootsys/__init__.py`` exports, dunders and the ``run`` console
-entry point are the package's surface and are exempt.  A field counts as
-read when some attribute load with its name appears anywhere in the
-package; passing it to the constructor does not count, and exported
-classes get no exemption.  Code kept only for the tests belongs in
+entry point are the package's surface and are exempt.  The fields are the
+annotated names of a dataclass or a ``NamedTuple`` subclass and the
+``__slots__`` names of any other class.  A field counts as read when some
+attribute load with its name appears anywhere in the package; passing it
+to the constructor does not count, and exported classes get no
+exemption.  Code kept only for the tests belongs in
 ``tests/``.  A module-level import counts as used when its own module
 names it; the re-exports of ``__init__.py`` and ``from __future__`` are
 exempt.
@@ -47,15 +49,38 @@ def _used_name(node: ast.AST) -> str | None:
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is a dataclass or a ``NamedTuple`` subclass: the
+    classes whose annotated names are fields."""
     return any(
         _used_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
         for d in node.decorator_list
-    )
+    ) or any(_used_name(b) == "NamedTuple" for b in node.bases)
+
+
+def _fields(node: ast.ClassDef) -> list[tuple[int, str]]:
+    """(line, name) of each field of the class: its annotated names if it
+    is a dataclass or a ``NamedTuple``, else the names its ``__slots__``
+    lists."""
+    if _is_dataclass(node):
+        return [
+            (f.lineno, f.target.id)
+            for f in node.body
+            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+        ]
+    return [
+        (f.lineno, slot.value)
+        for f in node.body
+        if isinstance(f, ast.Assign)
+        and any(_used_name(t) == "__slots__" for t in f.targets)
+        and isinstance(f.value, (ast.Tuple, ast.List))
+        for slot in f.value.elts
+        if isinstance(slot, ast.Constant) and isinstance(slot.value, str)
+    ]
 
 
 def dead_names(trees: dict[str, ast.Module]) -> list[str]:
     """Definitions no code in the package refers to, as ``file:line name``,
-    and dataclass fields it never reads, as ``file:line Class.field``."""
+    and record fields it never reads, as ``file:line Class.field``."""
     exempt = _exported(trees["__init__.py"]) | {"run"}
     uses: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
@@ -74,13 +99,11 @@ def dead_names(trees: dict[str, ast.Module]) -> list[str]:
         for node in ast.walk(tree):
             if not isinstance(node, DEFINITIONS):
                 continue
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if isinstance(node, ast.ClassDef):
                 dead += [
-                    f"{filename}:{f.lineno} {node.name}.{f.target.id}"
-                    for f in node.body
-                    if isinstance(f, ast.AnnAssign)
-                    and isinstance(f.target, ast.Name)
-                    and f.target.id not in read
+                    f"{filename}:{line} {node.name}.{field}"
+                    for line, field in _fields(node)
+                    if field not in read
                 ]
             name = node.name
             if name in exempt or (name.startswith("__") and name.endswith("__")):
@@ -151,6 +174,35 @@ def test_guard_flags_an_unread_field():
         "g.py": ast.parse(source),
     }
     assert dead_names(trees) == ["g.py:5 Edge.weight", "g.py:6 Edge.label"]
+
+
+def test_guard_flags_an_unread_named_tuple_field():
+    source = (
+        "from typing import NamedTuple\n"
+        "class Edge(NamedTuple):\n"
+        "    head: int\n"
+        "    weight: int = 1\n"
+        "def build(edge):\n"
+        "    return Edge(edge.head)\n"
+    )
+    trees = {"__init__.py": ast.parse("from .g import Edge, build\n"), "g.py": ast.parse(source)}
+    assert dead_names(trees) == ["g.py:4 Edge.weight"]
+
+
+def test_guard_flags_an_unread_slot():
+    # a plain class's fields are the names its __slots__ lists; one that
+    # only its __init__ sets is flagged
+    source = (
+        "class Edge:\n"
+        "    __slots__ = ('head', 'weight')\n"
+        "    def __init__(self, head, weight):\n"
+        "        object.__setattr__(self, 'head', head)\n"
+        "        object.__setattr__(self, 'weight', weight)\n"
+        "def build(edge):\n"
+        "    return Edge(edge.head, 1)\n"
+    )
+    trees = {"__init__.py": ast.parse("from .g import Edge, build\n"), "g.py": ast.parse(source)}
+    assert dead_names(trees) == ["g.py:2 Edge.weight"]
 
 
 def test_guard_flags_an_unused_import():

@@ -318,11 +318,11 @@ def test_enumerated_roots_pass_the_checked_constructors(system):
 
 
 def test_enumeration_skips_the_root_checks(monkeypatch):
-    # enumerate_roots never runs Root.__post_init__, while Root(...) still does
-    def refuse(self):
+    # enumerate_roots never runs Root.__init__, while Root(...) still does
+    def refuse(self, coeffs):
         raise AssertionError("an enumerated root was checked")
 
-    monkeypatch.setattr(R.Root, "__post_init__", refuse)
+    monkeypatch.setattr(R.Root, "__init__", refuse)
     assert R.build_system("E8").num_positive == 120
     assert main(["gen", "--type", "E8"]) == 0
     with pytest.raises(AssertionError, match="was checked"):

@@ -583,6 +583,10 @@ def test_no_detour(system):
     res = check_no_detour(edited(g2, add=[(2, 0)]))
     assert not res.passed
     assert res.counterexamples == [{"beta": [3, 1], "alpha": 1, "detour": 2}]
+    # with 3*alpha_1 added too, (3, 1) can also step down by alpha_2, so the
+    # lemma does not apply to it and (2, 0) is no detour
+    res = check_no_detour(edited(g2, add=[(2, 0), (3, 0)]))
+    assert res.passed and "0 applicable" in res.note
 
 
 # -- ledger ---------------------------------------------------------------------------
@@ -907,14 +911,13 @@ def test_g2_criterion_report(system):
     }
     # the report reads the ledgers, not their labels: G2 under another name
     # still passes, and no G2 at all is an empty sweep, not a failure
-    g2 = R.build_ledger(system("G2"))
-    g2.label = "custom"
+    g2 = R.build_ledger(system("G2"))._replace(label="custom")
     assert R.g2_criterion_report([g2])["pass"]
     assert R.g2_criterion_report([]) == {
         "pass": True, "case1_types": [], "m2_minus_2_types": []
     }
     # a case-1 ledger whose headline misses c_max = m2 - 2 fails it
-    g2.m2 = 6
+    g2 = g2._replace(m2=6)
     assert R.g2_criterion_report([g2]) == {
         "pass": False, "case1_types": ["custom"], "m2_minus_2_types": []
     }
