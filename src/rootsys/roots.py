@@ -2,35 +2,34 @@
 highest root and the extended Dynkin graph.
 
 Only positive roots are stored; a negative root is the negated coefficient
-tuple of a positive one.  An enumerated system holds them packed, as the
-sorted 8-bit keys of each height layer that ``enumerate_roots`` computed,
-plus one ``Root`` for the highest root; its other ``Root`` objects, the
-membership dict behind ``coeffs in rs``, which no check reads, and the
-symmetrizer ``form`` are built on first use.  Layer sizes, the highest
-root, ``c_max``, ``signed`` and ``key_layers``, the keys whose bytes
-``gen`` copies into its fixed-width records one coefficient slot at a time,
-are read without them, so ``exponents``, ``gen`` and ``verify`` decode no
-root table.
+tuple of a positive one.  Every system holds them packed, in the two forms
+that ``enumerate_roots`` computes and a hand-built system's checked layers
+are packed into once: the sorted 8-bit keys of each height layer,
+``key_layers``, and one int per positive root that carries its pairings in
+16-bit fields.  An enumerated system also holds one ``Root``, the highest
+root; its other ``Root`` objects and the symmetrizer ``form`` are built on
+first use.  Layer sizes, the highest root, ``c_max``, ``signed``, the key
+set behind ``coeffs in rs`` and ``key_layers``, whose bytes ``gen`` copies
+into its fixed-width records one coefficient slot at a time, are read
+without them, so ``exponents``, ``gen`` and ``verify`` decode no root
+table.
 
 ``RootSystem.signed`` numbers the signed roots once, positives first in
 ``positive_roots()`` order, then their negatives, with a packed key each
-and the coroot pairing vector of each positive root.  It is built on first
-use, its vectors decoded from the pairings ``enumerate_roots`` handed
-over, packed in 16-bit fields, or, for hand-built layers, computed from
-the Cartan rows.  The Weyl orbits, the root-poset scans and the chain
-checks read roots by number and look them up by key: the orbits move
-among the positive roots alone, and the top chain decodes only its own
-roots with ``signed.coeffs``.  Every length, and the affine edges of the
-extended Dynkin graph, are read from the vectors and ``form.d``; its
-other edges are read off the Cartan matrix's nonzero entries, as the row
-sums, the packed columns and the hand-built pairings are.
+and the coroot pairing vector of each positive root, decoded on first use
+from the packed pairings by one path for every system.  The Weyl orbits,
+the root-poset scans and the chain checks read roots by number and look
+them up by key: the orbits move among the positive roots alone, and the
+top chain decodes only its own roots with ``signed.coeffs``.  Every
+length, and the affine edges of the extended Dynkin graph, are read from
+the vectors and ``form.d``; its other edges are read off the Cartan
+matrix's nonzero entries, as the row sums and the packed columns are.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial, reduce
-from itertools import repeat
-from operator import add, mul
+from functools import cached_property
+from operator import mul
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -139,20 +138,26 @@ class SignedRoots(NamedTuple):
 class RootSystem:
     """All positive roots of a Cartan matrix, organised by height.
 
-    Immutable; build via :func:`enumerate_roots`, which skips the checks
-    below as its loop implies them and hands over packed keys, decoded into
-    ``layers``, ``_members`` and ``form`` on first use.  Hand-built layers
-    are checked once: a ``CartanMatrix``, a ``str`` or ``None`` label, and
-    a sequence of sequences of Roots that is a root poset's height grading,
-    with layer 0 empty, each root filed under its height with one
-    coefficient per simple root and none past COEFFICIENT_CAP, the bound
-    behind every key that ``SignedRoots`` gives, none listed twice, and one
-    root in the top layer, with a ``form`` whose ``d`` is a tuple of rank
-    positive ints; anything else raises InvalidArgumentError.  A hand-built
-    system stores the ``form`` and ``layers`` it is given; their values are
-    not checked against the Cartan matrix, so a wrong ``d`` reaches the
-    checks.
+    Immutable: assigning or deleting an attribute raises AttributeError.
+    Build via :func:`enumerate_roots`, which skips the checks below as its
+    loop implies them and hands over ``key_layers`` and the packed
+    pairings, decoded into ``layers`` and ``form`` on first use.
+    Hand-built layers are checked once: a ``CartanMatrix``, a ``str`` or
+    ``None`` label, and a sequence of sequences of Roots that is a root
+    poset's height grading, with layer 0 empty, each root filed under its
+    height with one coefficient per simple root and none past
+    COEFFICIENT_CAP, the bound behind every key that ``SignedRoots`` gives,
+    none listed twice, and one root in the top layer, with a ``form`` whose
+    ``d`` is a tuple of rank positive ints; anything else raises
+    InvalidArgumentError.  They are then packed once into the keys and
+    pairings enumerate_roots would hand over for them, a non-root's
+    pairings included.  A hand-built system stores the ``form`` and
+    ``layers`` it is given; their values are not checked against the
+    Cartan matrix, so a wrong ``d`` reaches the checks.
     """
+
+    __setattr__ = Frozen.__setattr__
+    __delattr__ = Frozen.__delattr__
 
     def __init__(
         self,
@@ -195,28 +200,21 @@ class RootSystem:
             raise InvalidArgumentError(
                 f"top height layer has {len(layers[-1])} roots; expected exactly one"
             )
-        self._fill(cartan, label, tuple(map(len, layers)), layers[-1][0], None)
-        self.form = form
-        self.layers = layers
-        if len(self._members) != self.num_positive:
+        vars(self).update(form=form, layers=layers)
+        _, bias, columns = _pairing_fields(cartan)
+        packed = [bias - sum(map(mul, r.coeffs, columns)) for r in self.positive_roots()]
+        keys = [[int.from_bytes(bytes(r.coeffs), "big") for r in layer] for layer in layers]
+        self._fill(cartan, label, keys, packed, layers[-1][0])
+        if len(self._positive_keys) != self.num_positive:
             raise InvalidArgumentError("a root is listed twice")
 
-    @classmethod
-    def _enumerated(cls, cartan, label, key_layers, packed, top) -> RootSystem:
-        """The system enumerate_roots built, taken without the checks above,
-        with its ``key_layers``; ``layers``, ``_members`` and ``form`` are
-        built on first use."""
-        rs = cls.__new__(cls)._fill(cartan, label, tuple(map(len, key_layers)), top, packed)
-        rs.key_layers = key_layers  # fills the cached property
-        return rs
-
-    def _fill(self, cartan, label, layer_sizes, top, packed) -> RootSystem:
-        self.cartan = cartan
-        self.label = label
-        self.layer_sizes = layer_sizes  # roots per height; layer_sizes[0] = 0
-        self._top = top
-        # enumerate_roots' packed pairings; None if hand-built
-        self._packed: list[int] | None = packed
+    def _fill(self, cartan, label, key_layers, packed, top) -> RootSystem:
+        """Set the fields both constructors share: key_layers[h] holds the
+        keys of the roots of height h, each root's coefficient bytes read as
+        one big-endian int, packed their pairing ints in positive_roots()
+        order, as enumerate_roots packs them, and top the highest Root."""
+        vars(self).update(cartan=cartan, label=label, key_layers=key_layers, _packed=packed)
+        vars(self).update(_top=top, layer_sizes=tuple(map(len, key_layers)))
         return self
 
     # -- decoded on first use by an enumerated system -------------------------
@@ -234,21 +232,12 @@ class RootSystem:
         return tuple(decoded) + ((self._top,),)
 
     @cached_property
-    def key_layers(self) -> list[list[int]]:
-        """key_layers[h] = the keys of the roots of height h, in
-        positive_roots() order, key_layers[0] empty: each root's coefficient
-        bytes read as one big-endian int, the packing of enumerate_roots,
-        which hands over its own lists.  A hand-built system reads them off
-        its layers; COEFFICIENT_CAP keeps every coefficient inside its byte."""
-        return [[int.from_bytes(bytes(r.coeffs), "big") for r in layer] for layer in self.layers]
-
-    @cached_property
-    def _members(self) -> dict[tuple[int, ...], Root]:
-        return {r.coeffs: r for layer in self.layers for r in layer}
-
-    @cached_property
     def form(self) -> SymmetrizedForm:
         return symmetrizer(self.cartan)
+
+    @cached_property
+    def _positive_keys(self) -> frozenset[int]:
+        return frozenset().union(*self.key_layers)
 
     # -- basic queries ----------------------------------------------------
 
@@ -266,13 +255,17 @@ class RootSystem:
 
     def __contains__(self, coeffs: Sequence[int]) -> bool:
         """Whether coeffs is a positive root here: False for any other
-        sequence of ints, negated roots included."""
+        sequence of ints, negated roots and entries past 255 included.
+        Anything but an iterable of ints raises InvalidArgumentError."""
         try:
-            return tuple(coeffs) in self._members
-        except TypeError:  # not a sequence, or unhashable
+            key = bytes(list(coeffs))
+        except ValueError:  # an entry outside 0..255, which no root has
+            return False
+        except TypeError:  # not iterable, or an entry that is not an int
             raise InvalidArgumentError(
                 f"expected a sequence of coefficients, got {coeffs!r}"
             ) from None
+        return len(key) == self.rank and int.from_bytes(key, "big") in self._positive_keys
 
     def positive_roots(self) -> Iterator[Root]:
         for layer in self.layers:
@@ -298,27 +291,14 @@ class RootSystem:
         """The signed roots, numbered, keyed and paired as ``SignedRoots``
         says: the positive keys are ``key_layers``.
 
-        An enumerated system decodes the na ints of enumerate_roots one root
-        at a time: 16-bit field i of na holds b - <beta, alpha_i>, b = 2**15
-        - 1, XOR with b makes it <beta, alpha_i> mod 2**16, and one
-        big-endian signed unpack reads every field.  Hand-built layers
-        may hold a non-root that no enumeration reached, so they take row i
-        of the Cartan matrix against beta directly, one column at a time:
-        with the coefficient tuples transposed once, column i is the sum,
-        over row i's nonzero entries a_ij, of coefficient column j times
-        a_ij, and the columns zipped back are the vectors."""
+        The pairings are decoded from the packed ints one root at a time:
+        16-bit field i of na holds b - <beta, alpha_i>, b = 2**15 - 1, XOR
+        with b makes it <beta, alpha_i> mod 2**16, and one big-endian
+        signed unpack reads every field."""
         n = self.rank
-        if self._packed is None:
-            by_index = list(zip(*(r.coeffs for r in self.positive_roots())))
-            columns = []
-            for row, cols in zip(self.cartan.rows, self.cartan.nonzero):
-                terms = [map(mul, by_index[j], repeat(row[j])) for j in cols]
-                columns.append(reduce(partial(map, add), terms))
-            pairings = list(zip(*columns))
-        else:
-            unpack = Struct(">%dh" % n).unpack
-            flip = int.from_bytes(b"\x7f\xff" * n, "big")
-            pairings = [unpack((na ^ flip).to_bytes(2 * n, "big")) for na in self._packed]
+        unpack = Struct(">%dh" % n).unpack
+        flip = int.from_bytes(b"\x7f\xff" * n, "big")
+        pairings = [unpack((na ^ flip).to_bytes(2 * n, "big")) for na in self._packed]
         unit = tuple(1 << 8 * (n - 1 - i) for i in range(n))
         pos = [key for keys in self.key_layers for key in keys]
         keys = pos + [-k for k in pos]
@@ -368,12 +348,24 @@ class RootSystem:
         return tuple(graph)
 
 
-def _largest_row_sum(cartan: CartanMatrix) -> int:
-    """R = max_i sum_j |a_ij|, read off the nonzero entries."""
-    return max(
-        sum(map(abs, map(row.__getitem__, cols)))
-        for row, cols in zip(cartan.rows, cartan.nonzero)
-    )
+def _pairing_fields(cartan: CartanMatrix) -> tuple[list[int], int, list[int]]:
+    """The 16-bit fields that carry pairings, field i at F_i = 2**(16*(l-1-i)):
+    the F_i, the bias b * sum_i F_i with b = 2**15 - 1, and each column i
+    of the Cartan matrix packed, sum_j a_ji F_j, so a vector beta has its
+    pairings packed as na = bias - sum_i beta_i * columns[i].  Raises
+    InternalInconsistencyError unless the largest absolute row sum R, read
+    off the nonzero entries, has (R + 1) * 256 < 2**15."""
+    n = cartan.rank
+    rows = list(zip(cartan.rows, cartan.nonzero))
+    reach = max(sum(map(abs, map(row.__getitem__, cols))) for row, cols in rows)
+    if (reach + 1) << 8 >= 1 << 15:
+        raise InternalInconsistencyError(f"a row sum of {reach} outgrows 16-bit pairing fields")
+    fields = [1 << 16 * (n - 1 - i) for i in range(n)]
+    columns = [0] * n
+    for (row, cols), f in zip(rows, fields):
+        for i in cols:
+            columns[i] += row[i] * f
+    return fields, 0x7FFF * sum(fields), columns
 
 
 def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSystem:
@@ -387,15 +379,15 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     height r + 1 leaves height r, so p is complete before its layer is
     scanned.
 
-    Both ride in w-bit fields, field i at F_i = 2**(w*(l-1-i)): na = sum_i
-    (b - <beta, alpha_i>) F_i with b = 2**(w-1) - 1, and p = sum_i p_i F_i.
-    Field i of na + p has its high bit set iff p_i > <beta, alpha_i>, so
-    ``(na + p) & high`` is the set of edges up, and beta + alpha_i has na
-    minus the packed column i.  w = 16, which holds every row whose
-    largest absolute row sum R has (R + 1) * 256 < 2**15: below height
-    256, |<beta, alpha_i>| <= 255 R and p_i <= 254, so no field wraps
-    before the height guard.  Every finite type has R <= 5; a larger R,
-    which no CartanMatrix has, raises InternalInconsistencyError.
+    Both ride in the w = 16-bit fields of ``_pairing_fields``, field i at
+    F_i: na = sum_i (b - <beta, alpha_i>) F_i with b = 2**(w-1) - 1, and p
+    = sum_i p_i F_i.  Field i of na + p has its high bit set iff p_i >
+    <beta, alpha_i>, so ``(na + p) & high`` is the set of edges up, and
+    beta + alpha_i has na minus the packed column i.  The fields hold
+    every row whose largest absolute row sum R has (R + 1) * 256 < 2**15:
+    below height 256, |<beta, alpha_i>| <= 255 R and p_i <= 254, so no
+    field wraps before the height guard.  Every finite type has R <= 5; a
+    larger R, which no CartanMatrix has, raises InternalInconsistencyError.
 
     The edges up are taken highest bit first.  The high bit of field i has
     bit length w * (l - i), so the bit length b of the edges left names the
@@ -414,26 +406,19 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
     Every root but the single top root must have a root above it, or
     InternalInconsistencyError is raised.  Following edges up from any root
     then reaches theta, with coefficients growing, so theta dominates every
-    root.  The system gets each layer's sorted keys, the na ints and k, and
-    the one Root built here, theta's; ``signed`` decodes the na ints, and
-    ``layers`` the keys, only when first read.  Roots and system are built
-    unchecked, as the loop implies the checks of ``Root`` and
-    ``RootSystem``: ``to_bytes`` gives rank nonnegative ints, a key never
-    drops to 0, height is the layer index, ``found`` holds each root once,
-    and one root is maximal.
+    root.  The system gets each layer's sorted keys as ``key_layers``, the
+    na ints in the same order and the one Root built here, theta's: the
+    packing a hand-built system computes from its layers.  ``signed``
+    decodes the na ints, and ``layers`` the keys, only when first read.
+    Roots and system are built unchecked, as the loop implies the checks
+    of ``Root`` and ``RootSystem``: ``to_bytes`` gives rank nonnegative
+    ints, a key never drops to 0, height is the layer index, ``found``
+    holds each root once, and one root is maximal.
     """
     n = cartan.rank
-    reach = _largest_row_sum(cartan)
-    if (reach + 1) << 8 >= 1 << 15:
-        raise InternalInconsistencyError(f"a row sum of {reach} outgrows 16-bit pairing fields")
+    fields, bias, columns = _pairing_fields(cartan)
     w = 16
-    fields = [1 << w * (n - 1 - i) for i in range(n)]
-    bias = ((1 << w - 1) - 1) * sum(fields)
     high = sum(f << w - 1 for f in fields)
-    columns = [0] * n  # column i packed: sum_j a_ji F_j
-    for row, cols, f in zip(cartan.rows, cartan.nonzero, fields):
-        for i in cols:
-            columns[i] += row[i] * f
     # the bit length of field i's high bit -> (key unit, packed column, field
     # mask, F_i); the other entries are None
     edges = [None] * (w * n + 1)
@@ -474,7 +459,7 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
         )
 
     top = _root(tuple(key_layers[-1][0].to_bytes(n, "big")), len(key_layers) - 1)
-    return RootSystem._enumerated(cartan, label, key_layers, pairs, top)
+    return RootSystem.__new__(RootSystem)._fill(cartan, label, key_layers, pairs, top)
 
 
 def build_system(t) -> RootSystem:

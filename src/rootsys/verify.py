@@ -21,14 +21,16 @@ The ledger builds each structure the checks share once per system: the
 Coxeter and dual exponents, the top chain with its case, the mark chain
 and the Weyl orbits that ``scans`` reads off the dominant chamber; the
 four scans of the whole signed-root table come from there.  The ledger's
-checks come from one ordered registry of (name, needs, fn) rows, where
-needs names the structures fn takes, in order.  Each row can fail with
-counterexamples of its own; a condition that the structure builders or
-another row already enforce is not given a row.  A check that raises is
-reported as an error.  A structure whose builder raised is reported as an
-error by the first check that needs it.  Every other check that needs a
-missing structure is reported as blocked, naming that structure if its
-builder raised, else the missing input that kept it from being built.
+checks come from one ordered registry, ``LEDGER_ROWS``, of (name, needs,
+fn) rows, where needs names the structures fn takes, in order; a ledger
+passes only when it holds every row and each row passed.  Each row can
+fail with counterexamples of its own; a condition that the structure
+builders or another row already enforce is not given a row.  A check
+that raises is reported as an error.  A structure whose builder raised is
+reported as an error by the first check that needs it.  Every other
+check that needs a missing structure is reported as blocked, naming that
+structure if its builder raised, else the missing input that kept it
+from being built.
 """
 
 from __future__ import annotations
@@ -414,6 +416,24 @@ def check_exponents_agree(rep_a: ExponentReport, rep_b: ExponentReport) -> Check
     return CheckResult(ok, cx, f"h = {rep_a.coxeter_number}")
 
 
+# The ledger's rows in order: (name, the structures the check takes, the check).
+LEDGER_ROWS = (
+    ("exponents_agree", ("dual exponents", "coxeter exponents"), check_exponents_agree),
+    ("main_relation", ("system", "top chain", "dual exponents"), check_main_relation),
+    ("mark_chain", ("system", "mark chain"), check_mark_chain),
+    ("chains_coincide", ("mark chain", "top chain"), check_chains_coincide),
+    ("step_multiset", ("system", "top chain"), check_step_multiset),
+    ("step_nonramification", ("system", "top chain"), check_step_nonramification),
+    ("differences", ("system", "top chain"), check_differences),
+    ("lengths", ("system", "top chain"), check_lengths),
+    ("string_descent", ("system",), check_string_descent),
+    ("two_of_three_sums", ("system", "Weyl orbits"), check_two_of_three_sums),
+    ("long_pair_positive", ("system", "Weyl orbits"), check_long_pair_positive),
+    ("no_detour", ("system",), check_no_detour),
+)
+ROW_NAMES = frozenset(name for name, _, _ in LEDGER_ROWS)
+
+
 class VerificationLedger(NamedTuple):
     """Per-system record: headline numbers plus one result per check."""
 
@@ -426,7 +446,9 @@ class VerificationLedger(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
+        """Whether the ledger holds exactly the rows of LEDGER_ROWS, each
+        passed: an empty or partial ledger does not pass."""
+        return self.checks.keys() == ROW_NAMES and all(c.passed for c in self.checks.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -480,20 +502,7 @@ def build_ledger(rs: RootSystem) -> VerificationLedger:
         raise InvalidArgumentError("rank >= 2 required; m2 is undefined at rank 1")
     have, raised, lacks = _shared_structures(rs)
     checks: dict[str, CheckResult] = {}
-    for name, needs, check in (
-        ("exponents_agree", ("dual exponents", "coxeter exponents"), check_exponents_agree),
-        ("main_relation", ("system", "top chain", "dual exponents"), check_main_relation),
-        ("mark_chain", ("system", "mark chain"), check_mark_chain),
-        ("chains_coincide", ("mark chain", "top chain"), check_chains_coincide),
-        ("step_multiset", ("system", "top chain"), check_step_multiset),
-        ("step_nonramification", ("system", "top chain"), check_step_nonramification),
-        ("differences", ("system", "top chain"), check_differences),
-        ("lengths", ("system", "top chain"), check_lengths),
-        ("string_descent", ("system",), check_string_descent),
-        ("two_of_three_sums", ("system", "Weyl orbits"), check_two_of_three_sums),
-        ("long_pair_positive", ("system", "Weyl orbits"), check_long_pair_positive),
-        ("no_detour", ("system",), check_no_detour),
-    ):
+    for name, needs, check in LEDGER_ROWS:
         gone = next((n for n in needs if n not in have), None)
         if gone in raised:
             note = f"error: {raised.pop(gone)}"
@@ -501,7 +510,9 @@ def build_ledger(rs: RootSystem) -> VerificationLedger:
             note = f"blocked: {lacks[gone]} unavailable"
         else:
             try:
-                checks[name] = check(*(have[n] for n in needs))
+                # by name at call time, so a wrapper set on the module after
+                # import (a profiler's, a tracer's) is the one called
+                checks[name] = globals()[check.__name__](*(have[n] for n in needs))
                 continue
             except Exception as exc:  # findings, not crashes
                 note = f"error: {exc}"

@@ -165,6 +165,104 @@ MUTANTS = [
         '_compared = ("rows", "nonzero")',
         ["tests/test_cartan.py::test_nonzero_pattern_follows_the_rows"],
     ),
+    # hand-built pairings packed with the sign of the Cartan columns flipped
+    (
+        "roots.py",
+        "bias - sum(map(mul, r.coeffs, columns))",
+        "bias + sum(map(mul, r.coeffs, columns))",
+        [
+            "tests/test_roots.py::test_handed_over_table_matches_cartan_rows",
+            "tests/test_roots.py::test_root_stores_a_tuple",
+        ],
+    ),
+    # a hand-built root listed twice is taken
+    (
+        "roots.py",
+        "        if len(self._positive_keys) != self.num_positive:\n"
+        '            raise InvalidArgumentError("a root is listed twice")\n',
+        "",
+        ["tests/test_verify.py::test_constructor_rejects_malformed_layers"],
+    ),
+    # a RootSystem takes assignment, so a cached table can outlive its label
+    (
+        "roots.py",
+        "    __setattr__ = Frozen.__setattr__\n",
+        "",
+        ["tests/test_roots.py::test_root_systems_refuse_assignment"],
+    ),
+    # an empty or partial ledger passes
+    (
+        "verify.py",
+        "self.checks.keys() == ROW_NAMES and ",
+        "",
+        ["tests/test_verify.py::test_a_ledger_passes_only_with_every_row"],
+    ),
+    # exponents_agree compares the Coxeter numbers alone
+    (
+        "verify.py",
+        "ok = (rep_a.exponents, rep_a.coxeter_number) == (rep_b.exponents, rep_b.coxeter_number)",
+        "ok = rep_a.coxeter_number == rep_b.coxeter_number",
+        ["tests/test_cli.py::test_reports_agree_helper"],
+    ),
+    # mark_chain lets the affine vertex miss a terminal when c_max = 1
+    (
+        "verify.py",
+        "if set(ext[0]) != terminals:",
+        "if not set(ext[0]) <= terminals:",
+        ["tests/test_failing_path.py::test_failing_path_digest"],
+    ),
+    # chains_coincide ignores the order of the mark chain
+    (
+        "verify.py",
+        "if steps[: len(path)] != path:",
+        "if sorted(steps[: len(path)]) != sorted(path):",
+        ["tests/test_verify.py::test_chains_coincide_fails_each_way"],
+    ),
+    # step_multiset takes any negative turn pairing
+    (
+        "verify.py",
+        "if turn != -3:",
+        "if turn > 0:",
+        ["tests/test_verify.py::test_step_multiset_and_differences_fail_on_edited_chains"],
+    ),
+    # step_multiset lets a repeated step into the head in case 1
+    (
+        "verify.py",
+        "if len(set(head)) != len(head):",
+        "if False:",
+        ["tests/test_verify.py::test_step_multiset_and_differences_fail_on_edited_chains"],
+    ),
+    # step_multiset skips the prefix chain of a case-2 chain with m = 3
+    (
+        "verify.py",
+        "elif first == 1 and m >= 3:",
+        "elif first == 1 and m > 3:",
+        ["tests/test_verify.py::test_step_multiset_and_differences_fail_on_edited_chains"],
+    ),
+    # step_nonramification lets a vertex of degree 3 through
+    (
+        "verify.py",
+        "for v in vertices if len(ext[v]) > 2]",
+        "for v in vertices if len(ext[v]) > 3]",
+        [
+            "tests/test_verify.py::test_every_row_can_fail",
+            "tests/test_failing_path.py::test_failing_path_digest",
+        ],
+    ),
+    # differences takes any vector with a 2 for twice a simple root
+    (
+        "verify.py",
+        "ok = sorted(diff) == [0] * (len(diff) - 1) + [2]",
+        "ok = max(diff) == 2",
+        ["tests/test_verify.py::test_step_multiset_and_differences_fail_on_edited_chains"],
+    ),
+    # lengths stops one root short in case 2
+    (
+        "verify.py",
+        "hi = m - 2 if top.case == 1 else m - 1",
+        "hi = m - 2",
+        ["tests/test_failing_path.py::test_failing_path_digest"],
+    ),
 ]
 
 

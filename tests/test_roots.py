@@ -222,10 +222,15 @@ def test_enumeration_rejects_a_second_maximal_root(rows):
 
 
 def _rows_table(rs):
-    """The signed-root table of the same layers, built by hand, so its
-    vectors come from the Cartan rows rather than from enumerate_roots'
-    carried vectors."""
-    return R.RootSystem(rs.cartan, rs.form, rs.layers, None).signed
+    """The signed-root table of the same layers, read off densely: each key
+    the coefficient bytes, each pairing vector the Cartan rows against the
+    coefficient tuple, entry by entry, with no packed field."""
+    pos = [r.coeffs for r in rs.positive_roots()]
+    keys = [int.from_bytes(bytes(c), "big") for c in pos]
+    keys += [-k for k in keys]
+    unit = tuple(1 << 8 * (rs.rank - 1 - i) for i in range(rs.rank))
+    pairings = [tuple(sum(a * b for a, b in zip(row, c)) for row in rs.cartan.rows) for c in pos]
+    return roots.SignedRoots(keys, dict(zip(keys, range(len(keys)))), unit, pairings)
 
 
 def _named_and_relabelled(system):
@@ -241,10 +246,14 @@ def _named_and_relabelled(system):
     return systems
 
 
-def test_handed_over_table_matches_cartan_rows(system):
+def test_handed_over_table_matches_cartan_rows(system, corrupted_ledgers):
     # the same table, in the same order, and 8-bit keys equal to the
-    # enumeration's packing
-    for rs in _named_and_relabelled(system):
+    # enumeration's packing, for enumerated systems and for hand-built ones
+    # that hold non-roots, doubled roots, a wrong d or a tall top, whose
+    # pairings the constructor packs from their layers
+    hand_built = [rs for _, rs, _ in corrupted_ledgers]
+    hand_built += [tall_a12(), with_top(system("G2"), (9, 1)), with_top(system("B3"), (4, 4, 4))]
+    for rs in _named_and_relabelled(system) + hand_built:
         assert rs.signed == _rows_table(rs), rs.cartan.rows
         pos = [int.from_bytes(bytes(r.coeffs), "big") for r in rs.positive_roots()]
         assert rs.signed.keys == pos + [-k for k in pos], rs.cartan.rows
@@ -269,7 +278,7 @@ def test_lazy_decode_matches_a_hand_built_system(system):
             fresh.signed,
             fresh.key_layers,
         )
-        assert {"layers", "_members", "form"}.isdisjoint(vars(fresh)), rs.cartan.rows
+        assert {"layers", "_positive_keys", "form"}.isdisjoint(vars(fresh)), rs.cartan.rows
         hand = R.RootSystem(rs.cartan, R.symmetrizer(rs.cartan), rs.layers, rs.label)
         assert fresh.layers == hand.layers, rs.cartan.rows
         assert packed == (
@@ -625,3 +634,49 @@ def test_root_stores_a_tuple(system):
         return {signed.coeffs(k): pv for k, pv in enumerate(signed.pairings)}
 
     assert by_root(hand) == by_root(a2.signed)
+
+
+def test_membership_reads_the_positive_keys(system):
+    # `coeffs in rs` packs coeffs into a key and looks it up among the
+    # positive keys, on enumerated and hand-built systems alike: every
+    # positive root is in, as a tuple or a list; negated roots, the zero
+    # vector, a vector of another length (whose bytes may spell a root's
+    # key) and entries past 255 are not; what is not an iterable of ints
+    # raises, a float entry included
+    a2 = system("A2")
+    for rs in (a2, system("G2"), R.RootSystem(a2.cartan, a2.form, a2.layers, None), tall_a12()):
+        n = rs.rank
+        for r in rs.positive_roots():
+            assert r.coeffs in rs and list(r.coeffs) in rs, r
+            assert tuple(-c for c in r.coeffs) not in rs, r
+            assert r.coeffs + (0,) not in rs and (0,) + r.coeffs not in rs, r
+        theta = rs.highest_root().coeffs
+        for coeffs in ((0,) * n, theta[1:], (256,) + theta[1:], (1 << 64,) * n, (-1,) * n):
+            assert coeffs not in rs, coeffs
+        for coeffs in (5, None, [[1]] + [0] * (n - 1), (1.0,) + (0,) * (n - 1), "1" * n):
+            with pytest.raises(InvalidArgumentError, match="expected a sequence of coefficients"):
+                coeffs in rs
+    # the bytes of (0, 1, 0) read as A2's key of (1, 0), and (1,) as (0, 1)
+    assert (0, 1, 0) not in a2 and (1,) not in a2 and (1, 0) in a2 and (0, 1) in a2
+
+
+def test_root_systems_refuse_assignment(system):
+    # once labelled A2, a G2 system whose signed roots were cached would be
+    # ledgered as A2 from G2's roots; enumerated and hand-built systems
+    # refuse every assignment and deletion, while their lazy fields still
+    # fill on first read
+    g2 = R.build_system("G2")
+    hand = R.RootSystem(g2.cartan, g2.form, system("G2").layers, "G2")
+    for rs in (g2, hand):
+        rs.signed
+        with pytest.raises(AttributeError, match="cannot assign to field 'cartan'"):
+            rs.cartan = R.build_cartan("A2")
+        with pytest.raises(AttributeError, match="cannot assign to field 'label'"):
+            rs.label = "A2"
+        for name in ("cartan", "signed", "layers", "form", "key_layers"):
+            with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+                delattr(rs, name)
+        assert rs.label == "G2" and rs.cartan == R.build_cartan("G2")
+        assert rs.layers == system("G2").layers and rs.form == R.symmetrizer(rs.cartan)
+        ledger = R.build_ledger(rs)
+        assert ledger.label == "G2" and ledger.passed and ledger.case == 1

@@ -16,6 +16,8 @@ from rootsys.cli import main
 from rootsys.errors import InvalidArgumentError, NumericInconsistencyError
 from rootsys.scans import COUNTEREXAMPLE_CAP
 from rootsys.verify import (
+    CheckResult,
+    VerificationLedger,
     check_chains_coincide,
     check_differences,
     check_lengths,
@@ -267,6 +269,34 @@ def test_differences_case_two(system):
         for t in range(1, top.m):
             diff = tuple(a - b for a, b in zip(top.roots[t - 1], top.roots[t]))
             assert diff in rs
+
+
+def test_step_multiset_and_differences_fail_on_edited_chains(system):
+    # no valid system breaks these rules, so edited chains stand in: G2's
+    # chain read on B2, whose turn pairs to -1; G2's steps all alpha_1, a
+    # repeated head whose prefix leaves the affine vertex by no edge and
+    # whose turn pairs to 2; a case-2 chain of A3 with m = 3 whose prefix
+    # [0, 1] misses the affine vertex's edge to alpha_3; and G2's theta_2 -
+    # theta_4 made (2, 1), which is not twice a simple root
+    g2, b2, a3 = system("G2"), system("B2"), system("A3")
+    top = _top(g2)
+    res = check_step_multiset(b2, top)
+    assert res.counterexamples == [
+        {"reason": "head prefix is not a simple chain", "path": [0, 2]},
+        {"reason": "turn pairing must be -3", "pairing": -1},
+    ]
+    res = check_step_multiset(g2, top._replace(step_indices=(1, 1, 1)))
+    assert res.counterexamples == [
+        {"reason": "head steps must be distinct", "steps": [1, 1, 1]},
+        {"reason": "head prefix is not a simple chain", "path": [0, 1]},
+        {"reason": "turn pairing must be -3", "pairing": 2},
+    ]
+    roots = ((1, 1, 1), (0, 1, 1), (0, 0, 1))
+    chain = V.TopChain(roots, tuple(root_number(a3, r) for r in roots), (1, 2), 2, None)
+    res = check_step_multiset(a3, chain)
+    assert res.counterexamples == [{"reason": "prefix is not a simple chain", "path": [0, 1]}]
+    res = check_differences(g2, top._replace(roots=(top.roots[0], (3, 2)) + top.roots[2:]))
+    assert res.counterexamples == [{"i": 2, "j": 4, "difference": [2, 1]}]
 
 
 def test_lengths(system):
@@ -771,20 +801,20 @@ def test_main_relation_length_condition(system):
 
 def test_ledger_reads_roots_from_the_signed_table_alone(monkeypatch):
     # the checks read roots by number and key in rs.signed, so an enumerated
-    # system's ledger never builds the membership dict behind `coeffs in
-    # rs`, and a dict that raises leaves every ledger as it was
+    # system's ledger never builds the membership set behind `coeffs in
+    # rs`, and a set that raises leaves every ledger as it was
     ledgers = {}
     for label in sweep_labels(12):
         rs = R.build_system(label)
         ledger = R.build_ledger(rs)
-        assert ledger.passed and "_members" not in vars(rs), label
+        assert ledger.passed and "_positive_keys" not in vars(rs), label
         assert "layers" not in vars(rs), label  # the top chain decodes no layer
         ledgers[label] = json.dumps(ledger.to_json_dict())
 
     def refuse(rs):
-        raise AssertionError("the membership dict was built")
+        raise AssertionError("the membership set was built")
 
-    monkeypatch.setattr(R.RootSystem, "_members", property(refuse))
+    monkeypatch.setattr(R.RootSystem, "_positive_keys", property(refuse))
     for label, expected in ledgers.items():
         assert json.dumps(R.build_ledger(R.build_system(label)).to_json_dict()) == expected
 
@@ -897,6 +927,26 @@ def test_relabeled_ledgers_pass(system):
                 canonical.m2,
                 canonical.case,
             ), (label, perm)
+
+
+def test_a_ledger_passes_only_with_every_row(system):
+    # passed requires the rows of LEDGER_ROWS, each passed: an empty
+    # ledger, a built one missing a row or holding an extra one, and one
+    # whose rows were cleared after building do not pass, while every
+    # sweep ledger does
+    names = [name for name, _, _ in V.LEDGER_ROWS]
+    assert len(names) == 12 and V.ROW_NAMES == set(names)
+    assert not VerificationLedger("", 1, 2, 1, 2, {}).passed
+    for label in sweep_labels(12):
+        ledger = R.build_ledger(system(label))
+        assert ledger.passed and list(ledger.checks) == names, label
+        for name in names:
+            rows = {n: c for n, c in ledger.checks.items() if n != name}
+            assert not ledger._replace(checks=rows).passed, (label, name)
+        extra = ledger.checks | {"extra": CheckResult(True, [])}
+        assert not ledger._replace(checks=extra).passed, label
+        ledger.checks.clear()
+        assert not ledger.passed, label
 
 
 def test_ledger_rejects_rank_one(system):
