@@ -59,14 +59,14 @@ _EXACT_RANK = {"F": 4, "G": 2}
 
 
 class Frozen:
-    """Base of the gated value classes.  Each sets its ``__slots__`` once,
-    in the gate in its ``__init__``, through ``object.__setattr__``;
-    assigning or deleting a field afterwards raises AttributeError.
-    Equality and hashing read the fields named in ``_compared``, and only
-    between instances of one class, and ``repr`` shows them as
-    ``Class(field=value, ...)``.  Those fields are also the arguments of
-    ``__init__``, so pickling and copying rebuild a value through its
-    gate."""
+    """Base of the gated value classes but ``Root``, a tuple gated in its
+    ``__new__``.  Each sets its ``__slots__`` once, in the gate in its
+    ``__init__``, through ``object.__setattr__``; assigning or deleting a
+    field afterwards raises AttributeError.  Equality and hashing read the
+    fields named in ``_compared``, and only between instances of one
+    class, and ``repr`` shows them as ``Class(field=value, ...)``.  Those
+    fields are also the arguments of ``__init__``, so pickling and copying
+    rebuild a value through its gate."""
 
     __slots__ = ()
     _compared: tuple[str, ...] = ()

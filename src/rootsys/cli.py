@@ -222,7 +222,7 @@ def _gen_text(rs: RootSystem, nl: str) -> str:
         lo = hi
     pieces.append((
         key + "]"
-        + "," + key + '"highest_root": ' + array(map(str, rs.highest_root().coeffs))
+        + "," + key + '"highest_root": ' + array(map(str, rs.highest_root()))
         + "," + key + '"c_max": %d' % rs.c_max()
         + nl + "}"
     ).encode())
@@ -320,7 +320,7 @@ def cmd_gen(args, targets, out) -> int:
         if args.format == "table":
             out.write(
                 f"{rs.label or 'custom':<8}  {rs.rank:>4}  {rs.num_positive:>5}"
-                f"  {rs.c_max():>5}  {list(rs.highest_root().coeffs)}\n"
+                f"  {rs.c_max():>5}  {list(rs.highest_root())}\n"
             )
         else:
             _emit(out, lambda nl: [_gen_text(rs, nl)], k, len(targets))

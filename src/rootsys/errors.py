@@ -12,11 +12,9 @@ class InvalidCartanError(ValueError):
     ``sign``, ``product-bound``, ``decomposable``, ``not-positive-definite``.
     """
 
-    def __init__(self, violations, message=None):
+    def __init__(self, violations):
         self.violations = tuple(violations)
-        if message is None:
-            message = "invalid Cartan matrix: " + ", ".join(self.violations)
-        super().__init__(message)
+        super().__init__("invalid Cartan matrix: " + ", ".join(self.violations))
 
 
 class InvalidArgumentError(ValueError):

@@ -1,18 +1,18 @@
 """Positive-root enumeration by height layers, plus pairings, lengths, the
 highest root and the extended Dynkin graph.
 
-Only positive roots are stored; a negative root is the negated coefficient
-tuple of a positive one.  Every system holds them packed, in the two forms
-that ``enumerate_roots`` computes and a hand-built system's checked layers
-are packed into once: the sorted 8-bit keys of each height layer,
-``key_layers``, and one int per positive root that carries its pairings in
-16-bit fields.  An enumerated system also holds one ``Root``, the highest
-root; its other ``Root`` objects and the symmetrizer ``form`` are built on
-first use.  Layer sizes, the highest root, ``c_max``, ``signed``, the key
-set behind ``coeffs in rs`` and ``key_layers``, whose bytes ``gen`` copies
-into its fixed-width records one coefficient slot at a time, are read
-without them, so ``exponents``, ``gen`` and ``verify`` decode no root
-table.
+Only positive roots are stored, in tuples of tuples; a ``Root`` is its
+coefficient tuple, and a negative root the negated tuple of a positive one.
+Every system holds them packed, in the two forms that ``enumerate_roots``
+computes and a hand-built system's checked layers are packed into once:
+the sorted 8-bit keys of each height layer, ``key_layers``, and one int
+per positive root that carries its pairings in 16-bit fields.  An
+enumerated system also holds one ``Root``, the highest root; its other
+roots and the symmetrizer ``form`` are built on first use.  Layer sizes,
+the highest root, ``c_max``, ``signed``, the key set behind ``coeffs in
+rs`` and ``key_layers``, whose bytes ``gen`` copies into its fixed-width
+records one coefficient slot at a time, are read without them, so
+``exponents``, ``gen`` and ``verify`` decode no root table.
 
 ``RootSystem.signed`` numbers the signed roots once, positives first in
 ``positive_roots()`` order, then their negatives, with a packed key each
@@ -50,15 +50,14 @@ from .errors import InternalInconsistencyError, InvalidArgumentError
 COEFFICIENT_CAP = 9
 
 
-class Root(Frozen):
-    """A positive root as its coefficient tuple over the simple basis, checked
-    by ``Root(coeffs)``; ``enumerate_roots`` builds its own unchecked.
-    Equality and hashing read ``coeffs`` alone."""
+class Root(tuple):
+    """A positive root: the tuple of its coefficients over the simple basis,
+    equal to and hashed as that plain tuple.  ``Root(coeffs)`` runs the gate,
+    ``__new__``; the system builds its own unchecked, by ``tuple.__new__``."""
 
-    __slots__ = ("coeffs", "height")
-    _compared = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[int]) -> None:
+    def __new__(cls, coeffs: Iterable[int]) -> Root:
         if not isinstance(coeffs, Iterable):
             raise InvalidArgumentError(f"expected a sequence of coefficients, got {coeffs!r}")
         coeffs = tuple(coeffs)
@@ -68,18 +67,16 @@ class Root(Frozen):
             raise InvalidArgumentError("root coefficients must be nonnegative")
         if not any(coeffs):
             raise InvalidArgumentError("the zero vector is not a root")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "height", sum(coeffs))
+        return tuple.__new__(cls, coeffs)
+
+    coeffs = property(tuple)
+    height = property(sum)
 
     def __repr__(self) -> str:
-        return f"Root{self.coeffs}"
+        return f"Root{tuple(self)}"
 
-
-def _root(coeffs, height, set_coeffs=Root.coeffs.__set__, set_height=Root.height.__set__):
-    """A Root set through its slots, unchecked: the caller vouches for both."""
-    r = object.__new__(Root)
-    set_coeffs(r, coeffs), set_height(r, height)
-    return r
+    def __reduce__(self):  # pickle protocols 0 and 1 would skip the gate
+        return Root, (tuple(self),)
 
 
 class SignedRoots(NamedTuple):
@@ -149,11 +146,12 @@ class RootSystem:
     COEFFICIENT_CAP, the bound behind every key that ``SignedRoots`` gives,
     none listed twice, and one root in the top layer, with a ``form`` whose
     ``d`` is a tuple of rank positive ints; anything else raises
-    InvalidArgumentError.  They are then packed once into the keys and
-    pairings enumerate_roots would hand over for them, a non-root's
-    pairings included.  A hand-built system stores the ``form`` and
-    ``layers`` it is given; their values are not checked against the
-    Cartan matrix, so a wrong ``d`` reaches the checks.
+    InvalidArgumentError.  The checked layers are a tuple of tuples copied
+    from those given, packed once into the keys and pairings
+    enumerate_roots would hand over for them, a non-root's pairings
+    included.  A hand-built system stores that copy and the ``form`` it is
+    given; their values are not checked against the Cartan matrix, so a
+    wrong ``d`` reaches the checks.
     """
 
     __setattr__ = Frozen.__setattr__
@@ -180,21 +178,22 @@ class RootSystem:
             raise InvalidArgumentError("expected the layers as a sequence of sequences of Roots")
         if not layers or layers[0]:
             raise InvalidArgumentError("layer 0 must exist and be empty")
+        layers = tuple(map(tuple, layers))
         for h, layer in enumerate(layers):
             for r in layer:
                 if not isinstance(r, Root):
                     raise InvalidArgumentError(f"expected a Root in layer {h}, got {r!r}")
-                if len(r.coeffs) != n:
+                if len(r) != n:
                     raise InvalidArgumentError(
-                        f"{r.coeffs} has {len(r.coeffs)} coefficients; the rank is {n}"
+                        f"{tuple(r)} has {len(r)} coefficients; the rank is {n}"
                     )
-                if r.height != h:
+                if sum(r) != h:
                     raise InvalidArgumentError(
-                        f"{r.coeffs} has height {r.height} but is filed under {h}"
+                        f"{tuple(r)} has height {sum(r)} but is filed under {h}"
                     )
-                if max(r.coeffs) > COEFFICIENT_CAP:
+                if max(r) > COEFFICIENT_CAP:
                     raise InvalidArgumentError(
-                        f"{r.coeffs} has a coefficient past COEFFICIENT_CAP = {COEFFICIENT_CAP}"
+                        f"{tuple(r)} has a coefficient past COEFFICIENT_CAP = {COEFFICIENT_CAP}"
                     )
         if len(layers[-1]) != 1:
             raise InvalidArgumentError(
@@ -202,8 +201,8 @@ class RootSystem:
             )
         vars(self).update(form=form, layers=layers)
         _, bias, columns = _pairing_fields(cartan)
-        packed = [bias - sum(map(mul, r.coeffs, columns)) for r in self.positive_roots()]
-        keys = [[int.from_bytes(bytes(r.coeffs), "big") for r in layer] for layer in layers]
+        packed = [bias - sum(map(mul, r, columns)) for r in self.positive_roots()]
+        keys = tuple([tuple([int.from_bytes(bytes(r), "big") for r in layer]) for layer in layers])
         self._fill(cartan, label, keys, packed, layers[-1][0])
         if len(self._positive_keys) != self.num_positive:
             raise InvalidArgumentError("a root is listed twice")
@@ -221,13 +220,13 @@ class RootSystem:
 
     @cached_property
     def layers(self) -> tuple[tuple[Root, ...], ...]:
-        """layers[r] = the roots of height r, layers[0] empty: each key
+        """layers[r] = the Roots of height r, layers[0] empty: each key
         unpacked to its coefficient bytes, in enumerate_roots' order, and
         the top layer the Root that highest_root() returns."""
         n = self.rank
         decoded = [
-            tuple([_root(tuple(key.to_bytes(n, "big")), h) for key in keys])
-            for h, keys in enumerate(self.key_layers[:-1])
+            tuple([tuple.__new__(Root, key.to_bytes(n, "big")) for key in keys])
+            for keys in self.key_layers[:-1]
         ]
         return tuple(decoded) + ((self._top,),)
 
@@ -282,7 +281,7 @@ class RootSystem:
         return self._top
 
     def c_max(self) -> int:
-        return max(self.highest_root().coeffs)
+        return max(self.highest_root())
 
     # -- pairings and lengths ------------------------------------------------
 
@@ -426,7 +425,7 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
         edges[(f << w - 1).bit_length()] = (1 << 8 * (n - 1 - i), col, ((1 << w) - 1) * f, f)
     # key -> [na, p] of the roots one layer up
     found = {u: [bias - col, 0] for u, col, _, _ in filter(None, edges)}
-    key_layers: list[list[int]] = [[]]  # sorted keys by height
+    key_layers: list[tuple[int, ...]] = [()]  # sorted keys by height
     pairs: list[int] = []  # na in layer order, for the pairing table
     maximal = []  # keys of the roots with no root above them
     while found:
@@ -436,7 +435,7 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
             )
         layer, found = found, {}
         keys = sorted(layer)
-        key_layers.append(keys)
+        key_layers.append(tuple(keys))
         for key in keys:
             na, p = layer[key]
             pairs.append(na)
@@ -458,8 +457,8 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
             f"{tuple(maximal[0].to_bytes(n, 'big'))}; expected only the top root"
         )
 
-    top = _root(tuple(key_layers[-1][0].to_bytes(n, "big")), len(key_layers) - 1)
-    return RootSystem.__new__(RootSystem)._fill(cartan, label, key_layers, pairs, top)
+    top = tuple.__new__(Root, key_layers[-1][0].to_bytes(n, "big"))
+    return RootSystem.__new__(RootSystem)._fill(cartan, label, tuple(key_layers), pairs, top)
 
 
 def build_system(t) -> RootSystem:

@@ -21,16 +21,16 @@ The ledger builds each structure the checks share once per system: the
 Coxeter and dual exponents, the top chain with its case, the mark chain
 and the Weyl orbits that ``scans`` reads off the dominant chamber; the
 four scans of the whole signed-root table come from there.  The ledger's
-checks come from one ordered registry, ``LEDGER_ROWS``, of (name, needs,
-fn) rows, where needs names the structures fn takes, in order; a ledger
-passes only when it holds every row and each row passed.  Each row can
-fail with counterexamples of its own; a condition that the structure
-builders or another row already enforce is not given a row.  A check
-that raises is reported as an error.  A structure whose builder raised is
-reported as an error by the first check that needs it.  Every other
-check that needs a missing structure is reported as blocked, naming that
-structure if its builder raised, else the missing input that kept it
-from being built.
+checks come from one ordered registry, ``LEDGER_ROWS``, of (check_x,
+needs) rows, where needs names the structures check_x takes, in order,
+and x names the row; a ledger passes only when it holds every row and
+each row passed.  Each row can fail with counterexamples of its own; a
+condition that the structure builders or another row already enforce is
+not given a row.  A check that raises is reported as an error.  A
+structure whose builder raised is reported as an error by the first
+check that needs it.  Every other check that needs a missing structure
+is reported as blocked, naming that structure if its builder raised,
+else the missing input that kept it from being built.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def mark_chain(rs: RootSystem) -> MarkChain:
     vertex's distance and the parent through which the unique path to it
     runs.
     """
-    c = rs.highest_root().coeffs
+    c = rs.highest_root()
     cmax = max(c)
     if cmax == 1:
         return MarkChain((), (1,))
@@ -416,22 +416,22 @@ def check_exponents_agree(rep_a: ExponentReport, rep_b: ExponentReport) -> Check
     return CheckResult(ok, cx, f"h = {rep_a.coxeter_number}")
 
 
-# The ledger's rows in order: (name, the structures the check takes, the check).
+# The ledger's rows in order: (check_x, the structures it takes) for row x.
 LEDGER_ROWS = (
-    ("exponents_agree", ("dual exponents", "coxeter exponents"), check_exponents_agree),
-    ("main_relation", ("system", "top chain", "dual exponents"), check_main_relation),
-    ("mark_chain", ("system", "mark chain"), check_mark_chain),
-    ("chains_coincide", ("mark chain", "top chain"), check_chains_coincide),
-    ("step_multiset", ("system", "top chain"), check_step_multiset),
-    ("step_nonramification", ("system", "top chain"), check_step_nonramification),
-    ("differences", ("system", "top chain"), check_differences),
-    ("lengths", ("system", "top chain"), check_lengths),
-    ("string_descent", ("system",), check_string_descent),
-    ("two_of_three_sums", ("system", "Weyl orbits"), check_two_of_three_sums),
-    ("long_pair_positive", ("system", "Weyl orbits"), check_long_pair_positive),
-    ("no_detour", ("system",), check_no_detour),
+    (check_exponents_agree, ("dual exponents", "coxeter exponents")),
+    (check_main_relation, ("system", "top chain", "dual exponents")),
+    (check_mark_chain, ("system", "mark chain")),
+    (check_chains_coincide, ("mark chain", "top chain")),
+    (check_step_multiset, ("system", "top chain")),
+    (check_step_nonramification, ("system", "top chain")),
+    (check_differences, ("system", "top chain")),
+    (check_lengths, ("system", "top chain")),
+    (check_string_descent, ("system",)),
+    (check_two_of_three_sums, ("system", "Weyl orbits")),
+    (check_long_pair_positive, ("system", "Weyl orbits")),
+    (check_no_detour, ("system",)),
 )
-ROW_NAMES = frozenset(name for name, _, _ in LEDGER_ROWS)
+ROW_NAMES = frozenset(check.__name__.removeprefix("check_") for check, _ in LEDGER_ROWS)
 
 
 class VerificationLedger(NamedTuple):
@@ -502,7 +502,8 @@ def build_ledger(rs: RootSystem) -> VerificationLedger:
         raise InvalidArgumentError("rank >= 2 required; m2 is undefined at rank 1")
     have, raised, lacks = _shared_structures(rs)
     checks: dict[str, CheckResult] = {}
-    for name, needs, check in LEDGER_ROWS:
+    for check, needs in LEDGER_ROWS:
+        name = check.__name__.removeprefix("check_")
         gone = next((n for n in needs if n not in have), None)
         if gone in raised:
             note = f"error: {raised.pop(gone)}"

@@ -32,8 +32,8 @@ MUTANTS = [
     # a coefficient of 9 refused: COEFFICIENT_CAP itself must be accepted
     (
         "roots.py",
-        "if max(r.coeffs) > COEFFICIENT_CAP:",
-        "if max(r.coeffs) >= COEFFICIENT_CAP:",
+        "if max(r) > COEFFICIENT_CAP:",
+        "if max(r) >= COEFFICIENT_CAP:",
         [
             "tests/test_roots.py::test_a_coefficient_at_the_cap_is_accepted",
             "tests/test_verify.py::test_tall_hand_built_tops_match_tuple_oracles",
@@ -168,8 +168,8 @@ MUTANTS = [
     # hand-built pairings packed with the sign of the Cartan columns flipped
     (
         "roots.py",
-        "bias - sum(map(mul, r.coeffs, columns))",
-        "bias + sum(map(mul, r.coeffs, columns))",
+        "bias - sum(map(mul, r, columns))",
+        "bias + sum(map(mul, r, columns))",
         [
             "tests/test_roots.py::test_handed_over_table_matches_cartan_rows",
             "tests/test_roots.py::test_root_stores_a_tuple",
@@ -182,6 +182,29 @@ MUTANTS = [
         '            raise InvalidArgumentError("a root is listed twice")\n',
         "",
         ["tests/test_verify.py::test_constructor_rejects_malformed_layers"],
+    ),
+    # Root's gate takes a negative coefficient
+    (
+        "roots.py",
+        "if not coeffs or min(coeffs) < 0:",
+        "if not coeffs:",
+        ["tests/test_roots.py::test_root_rejects_bad_coeffs"],
+    ),
+    # a hand-built system keeps the layers it was given, which its caller
+    # can still edit
+    (
+        "roots.py",
+        "        layers = tuple(map(tuple, layers))\n",
+        "",
+        ["tests/test_roots.py::test_root_systems_hold_only_tuples"],
+    ),
+    # pickle protocols 0 and 1 rebuild a Root by tuple.__new__, past its gate
+    (
+        "roots.py",
+        "    def __reduce__(self):  # pickle protocols 0 and 1 would skip the gate\n"
+        "        return Root, (tuple(self),)\n",
+        "",
+        ["tests/test_roots.py::test_a_root_is_its_checked_tuple"],
     ),
     # a RootSystem takes assignment, so a cached table can outlive its label
     (

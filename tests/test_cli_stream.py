@@ -200,7 +200,7 @@ def test_roots_come_in_key_layer_order(system):
     # and then coefficients; a hand-built system's come in the order its
     # layers give, here A3 with each layer reversed, and are not sorted
     rs = system("A3")
-    assert all(keys == sorted(keys) for keys in rs.key_layers)
+    assert all(list(keys) == sorted(keys) for keys in rs.key_layers)
     assert cli._gen_text(rs, "\n") == json.dumps(gen_payload(rs), indent=2)
     layers = tuple(layer[::-1] for layer in rs.layers)
     hand = R.RootSystem(rs.cartan, rs.form, layers, rs.label)

@@ -1,6 +1,8 @@
 """Enumeration, pairings, strings, lengths, and the highest root."""
 
+import copy
 import json
+import pickle
 import random
 import re
 
@@ -298,21 +300,21 @@ def test_lazy_decode_matches_a_hand_built_system(system):
 
 def test_counts_and_gen_build_only_the_top_root(monkeypatch, capsys):
     # enumerate_roots builds one Root, theta; dual_partition reads layer
-    # sizes and gen reads keys, so neither decodes the rest
-    built = []
-    real = roots._root
-    monkeypatch.setattr(roots, "_root", lambda *args: built.append(args) or real(*args))
-    types = R.all_types(12)
-    for t in types:
-        rs = R.enumerate_roots(R.build_cartan(t))
+    # sizes and gen reads keys, so neither decodes the layers, which a
+    # watch on RootSystem.layers would see
+    decoded = []
+    layers = R.RootSystem.layers
+    watch = property(lambda rs: decoded.append(rs.label) or layers.func(rs))
+    monkeypatch.setattr(R.RootSystem, "layers", watch)
+    for t in R.all_types(12):
+        rs = R.enumerate_roots(R.build_cartan(t), str(t))
         R.dual_partition(rs)
-        assert built == [(rs.highest_root().coeffs, rs.max_height)], str(t)
-        built.clear()
+        assert rs.highest_root() == rs.layers[-1][0] and decoded == [str(t)], str(t)
+        decoded.clear()
     for command in ("gen", "exponents"):
         assert main([command, "--all", "--max-rank", "12"]) == 0
         capsys.readouterr()
-        assert len(built) == len(types), command
-        built.clear()
+        assert decoded == [], command
 
 
 def test_enumerated_roots_pass_the_checked_constructors(system):
@@ -327,12 +329,13 @@ def test_enumerated_roots_pass_the_checked_constructors(system):
 
 
 def test_enumeration_skips_the_root_checks(monkeypatch):
-    # enumerate_roots never runs Root.__init__, while Root(...) still does
-    def refuse(self, coeffs):
+    # enumerate_roots and the layers decode never run Root's gate,
+    # Root.__new__, while Root(...) still does
+    def refuse(cls, coeffs):
         raise AssertionError("an enumerated root was checked")
 
-    monkeypatch.setattr(R.Root, "__init__", refuse)
-    assert R.build_system("E8").num_positive == 120
+    monkeypatch.setattr(R.Root, "__new__", refuse)
+    assert len(list(R.build_system("E8").positive_roots())) == 120
     assert main(["gen", "--type", "E8"]) == 0
     with pytest.raises(AssertionError, match="was checked"):
         R.Root((1, 0))
@@ -634,6 +637,42 @@ def test_root_stores_a_tuple(system):
         return {signed.coeffs(k): pv for k, pv in enumerate(signed.pairings)}
 
     assert by_root(hand) == by_root(a2.signed)
+
+
+def test_a_root_is_its_checked_tuple(monkeypatch):
+    # a Root equals and hashes as its coefficient tuple and keeps its repr;
+    # pickling under every protocol, and copying, rebuild it through its
+    # gate, Root.__new__, where protocols 0 and 1 would otherwise rebuild a
+    # tuple subclass by tuple.__new__
+    r = R.Root((1, 0))
+    assert r == (1, 0) and hash(r) == hash((1, 0)) and isinstance(r, tuple)
+    assert repr(r) == "Root(1, 0)" and (r.coeffs, r.height) == ((1, 0), 1)
+    gate, calls = R.Root.__new__, []
+    monkeypatch.setattr(R.Root, "__new__", lambda cls, c: calls.append(c) or gate(cls, c))
+    rebuilt = [pickle.loads(pickle.dumps(r, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    rebuilt += [copy.copy(r), copy.deepcopy(r)]
+    assert calls == [(1, 0)] * len(rebuilt)
+    assert all(type(x) is R.Root and x == r for x in rebuilt)
+
+
+def test_root_systems_hold_only_tuples(system):
+    # key_layers was a list of lists, and a hand-built system kept the
+    # layers it was given: appending to either left the system's counts,
+    # signed roots, membership and gen's records disagreeing.  Every layer
+    # and key layer is now a tuple, and a hand-built system copies the
+    # layers it is given
+    with pytest.raises(AttributeError):
+        R.build_system("A2").key_layers[1].append(257)
+    a2 = system("A2")
+    given = [list(layer) for layer in a2.layers]
+    hand = R.RootSystem(a2.cartan, a2.form, given, None)
+    given[2].append(R.Root((2, 0)))
+    assert len(list(hand.positive_roots())) == hand.num_positive == 3
+    assert len(hand.signed.pairings) == 3 and (2, 0) not in hand
+    assert hand.layers == a2.layers
+    for rs in (hand, R.build_system("A2"), system("G2"), tall_a12()):
+        for rows in (rs.layers, rs.key_layers):
+            assert type(rows) is tuple and {type(row) for row in rows} == {tuple}
 
 
 def test_membership_reads_the_positive_keys(system):

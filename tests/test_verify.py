@@ -890,7 +890,8 @@ def test_constructor_rejects_malformed_layers(system):
         (((),), "top height layer has 0 roots"),
         (5, "expected the layers as a sequence of sequences of Roots"),
         (((), 3), "expected the layers as a sequence of sequences of Roots"),
-        (b3.layers[:-1] + (theta,), "expected the layers as a sequence of sequences of Roots"),
+        # a Root is a sequence too, so it stands in for a layer of ints
+        (b3.layers[:-1] + (theta,), "expected a Root in layer 5, got 1"),
     ):
         with pytest.raises(InvalidArgumentError, match=why):
             R.RootSystem(b3.cartan, b3.form, layers, None)
@@ -934,7 +935,7 @@ def test_a_ledger_passes_only_with_every_row(system):
     # ledger, a built one missing a row or holding an extra one, and one
     # whose rows were cleared after building do not pass, while every
     # sweep ledger does
-    names = [name for name, _, _ in V.LEDGER_ROWS]
+    names = [check.__name__.removeprefix("check_") for check, _ in V.LEDGER_ROWS]
     assert len(names) == 12 and V.ROW_NAMES == set(names)
     assert not VerificationLedger("", 1, 2, 1, 2, {}).passed
     for label in sweep_labels(12):
