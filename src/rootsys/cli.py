@@ -30,7 +30,7 @@ from .errors import (
     InvalidTypeError,
 )
 from .exponents import coxeter_exponents, dual_partition
-from .roots import RootSystem, enumerate_roots
+from .roots import RootSystem, _trailing, enumerate_roots
 from .verify import (
     VerificationLedger,
     build_ledger,
@@ -312,11 +312,42 @@ def _system(label: str, cartan: CartanMatrix) -> RootSystem:
     return enumerate_roots(cartan, None if label == "custom" else label)
 
 
+# The families whose rank-k Cartan matrix is the trailing k x k block of
+# their rank-n one, k <= n, under build_cartan's Bourbaki labels; a
+# --cartan target's label, "custom", starts with none of them.
+NESTED = "ABCD"
+
+
+def _systems(targets):
+    """Yield the root system of each target in turn, each built when it is
+    asked for, so nothing is built before --out is opened.  A family of
+    NESTED is enumerated once, at its largest rank among the targets, when
+    its first target is asked for, and that host is dropped when the next
+    family starts or the generator ends: it lives for one command.  Each
+    target of the family is the host or is read off the host's trailing
+    block by ``roots._trailing``, since the simple roots of a block span
+    the root system whose Cartan matrix is that block (Humphreys,
+    *Reflection Groups and Coxeter Groups* 1.10).  Every other target is
+    enumerated on its own."""
+    top = {
+        label[0]: (label, cartan)
+        for label, cartan in sorted(targets, key=lambda t: t[1].rank)
+        if label[0] in NESTED
+    }
+    host = None
+    for label, cartan in targets:
+        if label[0] not in top:
+            yield _system(label, cartan)
+            continue
+        if host is None or host.label[0] != label[0]:
+            host = _system(*top[label[0]])
+        yield host if host.rank == cartan.rank else _trailing(host, cartan, label)
+
+
 def cmd_gen(args, targets, out) -> int:
     if args.format == "table":
         out.write("type      rank  roots  c_max  highest_root\n")
-    for k, (label, cartan) in enumerate(targets):
-        rs = _system(label, cartan)
+    for k, rs in enumerate(_systems(targets)):
         if args.format == "table":
             out.write(
                 f"{rs.label or 'custom':<8}  {rs.rank:>4}  {rs.num_positive:>5}"
@@ -327,10 +358,14 @@ def cmd_gen(args, targets, out) -> int:
     return 0
 
 
-def _exponent_entry(label: str, cartan: CartanMatrix, method: str) -> dict:
+def _exponent_entry(
+    label: str, cartan: CartanMatrix, method: str, rs: RootSystem | None
+) -> dict:
+    """One type's exponents entry; rs is its root system, which only the
+    dual partition reads, so --method coxeter passes None."""
     entry: dict = {"type": label}
     if method in ("dual", "both"):
-        dual = dual_partition(_system(label, cartan))
+        dual = dual_partition(rs)
         entry["dual"] = dual.to_json_dict()
     if method in ("coxeter", "both"):
         coxeter = coxeter_exponents(cartan)
@@ -344,8 +379,9 @@ def cmd_exponents(args, targets, out) -> int:
     disagree = False
     if args.format == "table":
         out.write("type      method                h  exponents\n")
-    for k, (label, cartan) in enumerate(targets):
-        e = _exponent_entry(label, cartan, args.method)
+    systems = repeat(None) if args.method == "coxeter" else _systems(targets)
+    for k, ((label, cartan), rs) in enumerate(zip(targets, systems)):
+        e = _exponent_entry(label, cartan, args.method, rs)
         disagree |= args.method == "both" and not e["agree"]
         if args.format == "json":
             _emit(out, lambda nl: [_exponents_text(e, nl)], k, len(targets))
@@ -361,13 +397,8 @@ def cmd_exponents(args, targets, out) -> int:
 
 
 def cmd_verify(args, targets, out) -> int:
-    ledgers = []
-    skipped = []
-    for label, cartan in targets:
-        if cartan.rank < 2:
-            skipped.append({"type": label, "skipped": SKIP_RANK_ONE})
-            continue
-        ledgers.append(build_ledger(_system(label, cartan)))
+    skipped = [{"type": label, "skipped": SKIP_RANK_ONE} for label, c in targets if c.rank < 2]
+    ledgers = [build_ledger(rs) for rs in _systems([t for t in targets if t[1].rank >= 2])]
 
     rest: dict = {"skipped": skipped}
     all_pass = all(l.passed for l in ledgers)

@@ -24,11 +24,18 @@ top chain decodes only its own roots with ``signed.coeffs``.  Every
 length, and the affine edges of the extended Dynkin graph, are read from
 the vectors and ``form.d``; its other edges are read off the Cartan
 matrix's nonzero entries, as the row sums and the packed columns are.
+
+``_trailing`` reads the system of a host's last k simple roots off the
+host's packed fields, equal field for field to its enumeration: the CLI
+enumerates A_n, B_n, C_n and D_n once, at the largest rank a command
+asks for, and reads every smaller rank of the family off its trailing
+Cartan block.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress, islice
 from operator import mul
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -459,6 +466,50 @@ def enumerate_roots(cartan: CartanMatrix, label: str | None = None) -> RootSyste
 
     top = tuple.__new__(Root, key_layers[-1][0].to_bytes(n, "big"))
     return RootSystem.__new__(RootSystem)._fill(cartan, label, tuple(key_layers), pairs, top)
+
+
+def _trailing(rs: RootSystem, cartan: CartanMatrix, label: str | None) -> RootSystem:
+    """The root system of rs's last k = ``cartan.rank`` simple roots, read
+    off rs, with the given label: the system ``enumerate_roots(cartan,
+    label)`` builds, field for field.  For any subset I of the simple
+    roots, Phi meets span(I) in the root system with simple system I, whose
+    Cartan matrix is the I x I block (Humphreys, *Reflection Groups and
+    Coxeter Groups* 1.10).  Under ``build_cartan``'s Bourbaki labels, A_k,
+    B_k, C_k and D_k (k >= 4) are the trailing blocks of A_n, B_n, C_n and
+    D_n, so one enumeration of the largest rank yields every smaller one.
+
+    A key holds coordinate 0 in its most significant byte, so the roots on
+    the last k simple roots are those with key < 2**(8k), and their keys
+    are already the keys of X_k.  They are taken layer by layer, in rs's
+    order, which is enumeration's, up to the first layer that has none.
+    Pairing field i sits at 2**(16(n-1-i)) and no field carries, so the low
+    k fields of a kept root's packed pairings are its pairings against the
+    last k simple roots, packed as enumerate_roots packs them for X_k.
+    Raises InvalidArgumentError unless ``cartan.rows`` is the trailing k x
+    k block of ``rs.cartan.rows``, and InternalInconsistencyError unless
+    the top layer kept holds exactly one root."""
+    n, k = rs.rank, cartan.rank
+    if k > n or cartan.rows != tuple(row[n - k :] for row in rs.cartan.rows[n - k :]):
+        raise InvalidArgumentError(
+            f"the Cartan matrix of {label} is not the trailing {k} x {k} block of {rs.label}'s"
+        )
+    below, mask = 1 << 8 * k, (1 << 16 * k) - 1
+    key_layers: list[tuple[int, ...]] = [()]
+    packed: list[int] = []
+    pairs = iter(rs._packed)
+    for keys in rs.key_layers[1:]:
+        kept = list(map(below.__gt__, keys))
+        layer = tuple(compress(keys, kept))
+        if not layer:
+            break
+        key_layers.append(layer)
+        packed += map(mask.__and__, compress(islice(pairs, len(keys)), kept))
+    if len(key_layers[-1]) != 1:
+        raise InternalInconsistencyError(
+            f"{len(key_layers[-1])} roots of {label} share its top layer; expected one"
+        )
+    top = tuple.__new__(Root, key_layers[-1][0].to_bytes(k, "big"))
+    return RootSystem.__new__(RootSystem)._fill(cartan, label, tuple(key_layers), packed, top)
 
 
 def build_system(t) -> RootSystem:

@@ -286,6 +286,23 @@ MUTANTS = [
         "hi = m - 2",
         ["tests/test_failing_path.py::test_failing_path_digest"],
     ),
+    # _trailing reads any matrix off a host, block or not
+    (
+        "roots.py",
+        "if k > n or cartan.rows != tuple(row[n - k :] for row in rs.cartan.rows[n - k :]):",
+        "if k > n:",
+        [
+            "tests/test_roots.py::test_trailing_refuses_a_matrix_that_is_not_the_block[B]",
+            "tests/test_roots.py::test_trailing_refuses_a_matrix_that_is_not_the_block[D]",
+        ],
+    ),
+    # _trailing keeps one pairing field past the block, against alpha_(n-k)
+    (
+        "roots.py",
+        "below, mask = 1 << 8 * k, (1 << 16 * k) - 1",
+        "below, mask = 1 << 8 * k, (1 << 16 * (k + 1)) - 1",
+        ["tests/test_roots.py::test_trailing_blocks_equal_their_enumeration"],
+    ),
 ]
 
 

@@ -417,8 +417,8 @@ def test_exponents_exit_one_on_disagreement(capsys, monkeypatch):
 
     real = cli._exponent_entry
 
-    def fake_entry(label, cartan, method):
-        entry = real(label, cartan, method)
+    def fake_entry(label, cartan, method, rs):
+        entry = real(label, cartan, method, rs)
         if "agree" in entry:
             entry["agree"] = False
         return entry
@@ -426,3 +426,87 @@ def test_exponents_exit_one_on_disagreement(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_exponent_entry", fake_entry)
     code, _, _ = run_cli(capsys, "exponents", "--type", "A2", "--method", "both")
     assert code == 1
+
+
+def _count_builds(monkeypatch):
+    """The labels enumerate_roots is called with through the CLI, in order."""
+    import rootsys.cli as cli
+
+    built = []
+    enumerate_roots = cli.enumerate_roots
+
+    def counting(cartan, label=None):
+        built.append(label)
+        return enumerate_roots(cartan, label)
+
+    monkeypatch.setattr(cli, "enumerate_roots", counting)
+    return built
+
+
+HOSTS_24 = ["A24", "B24", "C24", "D24", "E6", "E7", "E8", "F4", "G2"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("gen",), ("exponents", "--method", "both"), ("verify",)]
+)
+def test_all_enumerates_each_classical_family_once(capsys, monkeypatch, argv):
+    # A-D are enumerated at rank 24 alone, and the smaller ranks read off
+    # that host; the hosts live for one main call, so a second call builds
+    # them again
+    built = _count_builds(monkeypatch)
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, *argv, "--all", "--max-rank", "24")
+        assert code == 0 and out
+    assert built == HOSTS_24 * 2
+
+
+def test_coxeter_exponents_build_no_root_system(capsys, monkeypatch):
+    import rootsys.cli as cli
+
+    def refuse(*args, **kwargs):
+        pytest.fail("exponents --method coxeter built a root system")
+
+    monkeypatch.setattr(cli, "enumerate_roots", refuse)
+    monkeypatch.setattr(cli, "_trailing", refuse)
+    code, out, _ = run_cli(
+        capsys, "exponents", "--all", "--max-rank", "24", "--method", "coxeter"
+    )
+    assert code == 0 and len(json.loads(out)) == 96
+
+
+@pytest.mark.parametrize("command", ["gen", "exponents", "verify"])
+@pytest.mark.parametrize("selector", ["type", "cartan"])
+def test_one_target_enumerates_once(capsys, monkeypatch, tmp_path, command, selector):
+    built = _count_builds(monkeypatch)
+    if selector == "type":
+        argv, label = ("--type", "D6"), "D6"
+    else:
+        path = tmp_path / "c3.json"
+        path.write_text(json.dumps(R.build_cartan("C3").rows))
+        argv, label = ("--cartan", str(path)), None
+    code, _, _ = run_cli(capsys, command, *argv)
+    assert code == 0 and built == [label]
+
+
+def test_vacuity_census_at_max_rank(capsys):
+    # the rows that apply to few types, read off the sweep's own ledgers:
+    # no_detour needs a pairing of 3, so a length ratio of 3, which only G2
+    # has; string_descent needs a pairing of 2 against another simple root,
+    # so two root lengths; lengths needs m = m2 - 1 >= 3, and m2 is 2 on A
+    # and 3 on B, C and D
+    code, out, _ = run_cli(capsys, "verify", "--all", "--max-rank", str(R.MAX_RANK))
+    assert code == 0
+    ledgers = json.loads(out)["ledgers"]
+    assert [l["type"] for l in ledgers] == [
+        str(t) for t in R.all_types(R.MAX_RANK) if t.rank >= 2
+    ]
+    for ledger in ledgers:
+        label, checks = ledger["type"], ledger["checks"]
+        family, rank = label[0], int(label[1:])
+        assert all(c["pass"] for c in checks.values()), label
+        detours = 1 if label == "G2" else 0
+        assert checks["no_detour"]["note"] == f"{detours} applicable pairs", label
+        descents = {"B": rank - 1, "C": rank - 1, "F": 6, "G": 1}.get(family, 0)
+        assert checks["string_descent"]["note"] == f"{descents} applicable pairs", label
+        vacuous = checks["lengths"]["note"] == "vacuous: m < 3"
+        assert vacuous == (family in "ABCD"), label

@@ -230,7 +230,10 @@ def test_exponents_output_is_json_dumps(capsys, tmp_path, to_file, max_rank):
         types = R.all_types(max_rank)
     code, text = _run(capsys, tmp_path, to_file, *argv)
     assert code == 0
-    entries = [cli._exponent_entry(str(t), R.build_cartan(t), "both") for t in types]
+    entries = [
+        cli._exponent_entry(str(t), R.build_cartan(t), "both", R.build_system(t))
+        for t in types
+    ]
     assert text == _expected(entries)
 
 
@@ -283,14 +286,19 @@ def test_exponents_template_matches_json_dumps(capsys, monkeypatch):
     # json.dumps and json.dump refuse to run
     methods = ("dual", "coxeter", "both")
     entries = {
-        m: [cli._exponent_entry(str(t), R.build_cartan(t), m) for t in R.all_types(32)]
+        m: [
+            cli._exponent_entry(str(t), R.build_cartan(t), m, R.build_system(t))
+            for t in R.all_types(32)
+        ]
         for m in methods
     }
     odd = 'quote " slash \\ tab \t nul \x00 é € \U0001f600 \ud800 /'
     disagree = {
         "type": odd,
-        "dual": cli._exponent_entry("G2", R.build_cartan("G2"), "dual")["dual"],
-        "coxeter": cli._exponent_entry("A2", R.build_cartan("A2"), "coxeter")["coxeter"],
+        "dual": cli._exponent_entry(
+            "G2", R.build_cartan("G2"), "dual", R.build_system("G2")
+        )["dual"],
+        "coxeter": cli._exponent_entry("A2", R.build_cartan("A2"), "coxeter", None)["coxeter"],
         "agree": False,
     }
     for entry in [disagree, *entries["dual"], *entries["coxeter"], *entries["both"]]:
@@ -426,7 +434,10 @@ def test_output_streams_one_payload_at_a_time(monkeypatch, command):
     if command == "gen":
         texts = [cli._gen_text(R.build_system(t), "\n  ") for t in types]
     elif command == "exponents":
-        entries = [cli._exponent_entry(str(t), R.build_cartan(t), "both") for t in types]
+        entries = [
+        cli._exponent_entry(str(t), R.build_cartan(t), "both", R.build_system(t))
+        for t in types
+    ]
         texts = [cli._exponents_text(e, "\n  ") for e in entries]
     else:
         ledgers = [R.build_ledger(R.build_system(t)) for t in types if t.rank > 1]

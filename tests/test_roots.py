@@ -298,6 +298,64 @@ def test_lazy_decode_matches_a_hand_built_system(system):
             assert built.signed.keys[: built.num_positive] == flat, rs.cartan.rows
 
 
+def _packed_fields(rs):
+    return (
+        rs.key_layers, rs._packed, rs.layer_sizes, rs.highest_root(), rs.label, rs.cartan
+    )
+
+
+def test_trailing_blocks_equal_their_enumeration():
+    # every A-D type to MAX_RANK, read off its family's MAX_RANK host, is
+    # the system enumerate_roots builds: the packed fields, the top Root,
+    # the label and the Cartan matrix, then every structure decoded from them
+    checked = []
+    for family in "ABCD":
+        host = R.build_system(f"{family}{R.MAX_RANK}")
+        for t in R.all_types(R.MAX_RANK):
+            if t.family != family:
+                continue
+            cartan = R.build_cartan(t)
+            got = roots._trailing(host, cartan, str(t))
+            want = R.enumerate_roots(cartan, str(t))
+            assert _packed_fields(got) == _packed_fields(want), str(t)
+            assert type(got.highest_root()) is R.Root, str(t)
+            assert (got.signed, got.layers, got.form) == (want.signed, want.layers, want.form)
+            if t.rank > 1:
+                assert got.extended_graph == want.extended_graph, str(t)
+            checked.append(str(t))
+    assert {"A1", "B2", "C2", "D4", f"D{R.MAX_RANK}"} <= set(checked)
+    assert len(checked) == 4 * R.MAX_RANK - 5
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_trailing_refuses_a_matrix_that_is_not_the_block(family):
+    # D_n's last three nodes form a star, not A3's path; B_n's trailing
+    # blocks are B_k, whose short root C_k has long; and no block is larger
+    # than its host
+    host = R.build_system(f"{family}{R.MAX_RANK}")
+    wrong = ["A3"] if family == "D" else [f"C{k}" for k in range(2, R.MAX_RANK + 1)]
+    for label in wrong:
+        with pytest.raises(InvalidArgumentError, match="not the trailing"):
+            roots._trailing(host, R.build_cartan(label), label)
+    with pytest.raises(InvalidArgumentError, match="not the trailing"):
+        roots._trailing(R.build_system(f"{family}4"), R.build_cartan(f"{family}5"), "big")
+
+
+def test_trailing_refuses_two_top_roots():
+    # a hand-built A3 whose roots on alpha_2, alpha_3 end in two roots of
+    # height 2, which no root system has
+    a3 = R.build_cartan("A3")
+    layers = [
+        [],
+        [R.Root((1, 0, 0)), R.Root((0, 1, 0)), R.Root((0, 0, 1))],
+        [R.Root((1, 1, 0)), R.Root((0, 1, 1)), R.Root((0, 0, 2))],
+        [R.Root((1, 1, 1))],
+    ]
+    hand = R.RootSystem(a3, R.symmetrizer(a3), layers, "A3")
+    with pytest.raises(InternalInconsistencyError, match="2 roots of A2 share its top layer"):
+        roots._trailing(hand, R.build_cartan("A2"), "A2")
+
+
 def test_counts_and_gen_build_only_the_top_root(monkeypatch, capsys):
     # enumerate_roots builds one Root, theta; dual_partition reads layer
     # sizes and gen reads keys, so neither decodes the layers, which a
