@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from itertools import chain, compress, repeat
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -58,53 +59,16 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "F": 4, "G": 2}
 _EXACT_RANK = {"F": 4, "G": 2}
 
 
-class Frozen:
-    """Base of the gated value classes but ``Root``, a tuple gated in its
-    ``__new__``.  Each sets its ``__slots__`` once, in the gate in its
-    ``__init__``, through ``object.__setattr__``; assigning or deleting a
-    field afterwards raises AttributeError.  Equality and hashing read the
-    fields named in ``_compared``, and only between instances of one
-    class, and ``repr`` shows them as ``Class(field=value, ...)``.  Those
-    fields are also the arguments of ``__init__``, so pickling and copying
-    rebuild a value through its gate."""
+class RankedType(tuple):
+    """Family letter plus rank, e.g. D6: the pair (family, rank), equal to
+    and hashed as that plain tuple.  ``__new__`` is the gate: a family
+    that is not one of the letters of FAMILIES, a rank that is not an int
+    (a bool included) and a rank outside the family's range raise
+    InvalidTypeError."""
 
     __slots__ = ()
-    _compared: tuple[str, ...] = ()
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
-        return f"{type(self).__name__}({shown})"
-
-    def __reduce__(self):
-        return type(self), self._key()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class RankedType(Frozen):
-    """Family letter plus rank, e.g. D6.  A family that is not one of the
-    letters of FAMILIES, a rank that is not an int (a bool included) and a
-    rank outside the family's range raise InvalidTypeError."""
-
-    __slots__ = ("family", "rank")
-    _compared = __slots__
-
-    def __init__(self, family: str, rank: int) -> None:
+    def __new__(cls, family: str, rank: int) -> RankedType:
         # a tuple compares by ==, so a non-str or a longer str is refused,
         # where str's `in` would find a substring
         if family not in tuple(FAMILIES):
@@ -116,8 +80,16 @@ class RankedType(Frozen):
         refusal = _rank_refusal(family, rank)
         if refusal:
             raise InvalidTypeError(refusal)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
+        return tuple.__new__(cls, (family, rank))
+
+    family = property(itemgetter(0))
+    rank = property(itemgetter(1))
+
+    def __repr__(self) -> str:
+        return "RankedType(family=%r, rank=%r)" % self
+
+    def __reduce__(self):  # pickle protocols 0 and 1 would skip the gate
+        return RankedType, tuple(self)
 
     @classmethod
     def parse(cls, text: str) -> "RankedType":
@@ -169,8 +141,8 @@ def all_types(max_rank: int) -> list[RankedType]:
     ]
 
 
-class CartanMatrix(Frozen):
-    """An integer Cartan matrix of finite type: ``__init__`` is the one
+class CartanMatrix(tuple):
+    """An integer Cartan matrix of finite type: ``__new__`` is the one
     gate, run once by every way of making one (``CartanMatrix(rows)``,
     ``validate_cartan``, ``build_cartan``), and it stores ``rows`` as a
     tuple of tuples.  So every Dynkin graph here is a tree with at most one
@@ -178,13 +150,14 @@ class CartanMatrix(Frozen):
 
     ``nonzero[i]`` holds the columns j with a_ij != 0, ascending, the
     diagonal included: the pattern every reader past the gate goes
-    through instead of scanning all n^2 entries.  The gate sets it from
-    the rows, so equality, hashing and ``repr`` read ``rows`` alone."""
+    through instead of scanning all n^2 entries.  A matrix is the pair
+    (rows, nonzero), equal to and hashed as that plain tuple; the gate
+    derives ``nonzero`` from the rows, so equality and hashing follow
+    ``rows``, and ``repr`` shows ``rows`` alone."""
 
-    __slots__ = ("rows", "nonzero")
-    _compared = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
+    def __new__(cls, rows: Sequence[Sequence[int]]) -> CartanMatrix:
         """Accept the rows iff they form a Cartan matrix of finite type.
 
         Malformed input (not a nonempty square of integers, or rank above
@@ -256,12 +229,20 @@ class CartanMatrix(Frozen):
 
         if violations:
             raise InvalidCartanError(violations)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nonzero", nonzero)
+        return tuple.__new__(cls, (rows, nonzero))
+
+    rows = property(itemgetter(0))
+    nonzero = property(itemgetter(1))
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def __repr__(self) -> str:
+        return f"CartanMatrix(rows={self.rows!r})"
+
+    def __reduce__(self):  # pickle protocols 0 and 1 would skip the gate
+        return CartanMatrix, (self.rows,)
 
     def a(self, i: int, j: int) -> int:
         """Entry a[i][j] with 1-based indices."""

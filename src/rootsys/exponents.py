@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from collections import Counter
 from math import gcd
+from operator import itemgetter
 
-from .cartan import CartanMatrix, Frozen
+from .cartan import CartanMatrix
 from .errors import (
     InternalInconsistencyError,
     InvalidArgumentError,
@@ -26,13 +27,16 @@ DUAL_PARTITION = "dual-partition"
 COXETER_EIGENVALUES = "coxeter-eigenvalues"
 
 
-class ExponentReport(Frozen):
-    """Sorted exponent multiset with the Coxeter number and its provenance."""
+class ExponentReport(tuple):
+    """Sorted exponent multiset with the Coxeter number and its provenance:
+    the triple (exponents, coxeter_number, method), equal to and hashed as
+    that plain tuple, and gated in ``__new__``."""
 
-    __slots__ = ("exponents", "coxeter_number", "method")
-    _compared = __slots__
+    __slots__ = ()
 
-    def __init__(self, exponents: tuple[int, ...], coxeter_number: int, method: str) -> None:
+    def __new__(
+        cls, exponents: tuple[int, ...], coxeter_number: int, method: str
+    ) -> ExponentReport:
         h, ms = coxeter_number, exponents
         if tuple(sorted(ms)) != ms:
             raise InternalInconsistencyError("exponents must be sorted")
@@ -40,9 +44,17 @@ class ExponentReport(Frozen):
             raise InternalInconsistencyError(
                 f"exponent multiset {ms} out of shape for h = {h}"
             )
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "coxeter_number", coxeter_number)
-        object.__setattr__(self, "method", method)
+        return tuple.__new__(cls, (exponents, coxeter_number, method))
+
+    exponents = property(itemgetter(0))
+    coxeter_number = property(itemgetter(1))
+    method = property(itemgetter(2))
+
+    def __repr__(self) -> str:
+        return "ExponentReport(exponents=%r, coxeter_number=%r, method=%r)" % self
+
+    def __reduce__(self):  # pickle protocols 0 and 1 would skip the gate
+        return ExponentReport, tuple(self)
 
     def to_json_dict(self) -> dict:
         return {

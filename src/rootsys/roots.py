@@ -42,7 +42,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cartan import (
     CartanMatrix,
-    Frozen,
     RankedType,
     SymmetrizedForm,
     build_cartan,
@@ -161,8 +160,11 @@ class RootSystem:
     wrong ``d`` reaches the checks.
     """
 
-    __setattr__ = Frozen.__setattr__
-    __delattr__ = Frozen.__delattr__
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __init__(
         self,

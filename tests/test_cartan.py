@@ -336,17 +336,34 @@ def test_nonzero_pattern_follows_the_rows():
     assert "nonzero" not in repr(b3)
 
 
-def test_gated_classes_are_set_once_by_their_gate():
-    # assignment and deletion raise, as on a frozen record, no tuple route
-    # such as _replace or _make makes one past the gate, and pickling and
-    # copying give an equal value back
+def test_gated_classes_are_set_once_by_their_gate(monkeypatch):
+    # each gated value is a tuple, equal to and hashed as the plain tuple of
+    # its fields, with its Class(field=value, ...) repr.  Assignment and
+    # deletion raise, as on a frozen record, and no tuple route such as
+    # _replace or _make makes one past the gate.  Pickling under every
+    # protocol, and copying, rebuild a value through its gate, __new__,
+    # once each, where protocols 0 and 1 would otherwise rebuild a tuple
+    # subclass by tuple.__new__
+    rows = ((2, -1), (-1, 2))
+    a2 = ((1, 2), 3, "dual-partition")
     made = (
-        (R.build_cartan("A2"), ("rows", "nonzero")),
-        (R.Root((1, 1)), ("coeffs", "height")),
-        (R.RankedType("A", 2), ("family", "rank")),
-        (R.dual_partition(R.build_system("A2")), ("exponents", "coxeter_number", "method")),
+        # (value, its fields, its gate's arguments, its plain tuple, its repr)
+        (
+            R.build_cartan("A2"), ("rows", "nonzero"), (rows,), (rows, ((0, 1), (0, 1))),
+            "CartanMatrix(rows=((2, -1), (-1, 2)))",
+        ),
+        (R.Root((1, 1)), ("coeffs", "height"), ((1, 1),), (1, 1), "Root(1, 1)"),
+        (
+            R.RankedType("A", 2), ("family", "rank"), ("A", 2), ("A", 2),
+            "RankedType(family='A', rank=2)",
+        ),
+        (
+            R.dual_partition(R.build_system("A2")), ("exponents", "coxeter_number", "method"),
+            a2, a2, "ExponentReport(exponents=(1, 2), coxeter_number=3, method='dual-partition')",
+        ),
     )
-    for obj, fields in made:
+    for obj, fields, args, plain, text in made:
+        assert obj == plain and hash(obj) == hash(plain) and repr(obj) == text
         for name in fields + ("other",):
             before = getattr(obj, name, None)
             with pytest.raises(AttributeError):
@@ -355,9 +372,22 @@ def test_gated_classes_are_set_once_by_their_gate():
                 delattr(obj, name)
             assert getattr(obj, name, None) == before
         assert not hasattr(obj, "_replace") and not hasattr(obj, "_make"), obj
-        for again in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
-            assert type(again) is type(obj) and again == obj, obj
+        cls, gate, calls = type(obj), type(obj).__new__, []
+        with monkeypatch.context() as m:
+            m.setattr(cls, "__new__", lambda c, *a: calls.append(a) or gate(c, *a))
+            protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+            rebuilt = [pickle.loads(pickle.dumps(obj, p)) for p in protocols]
+            rebuilt += [copy.copy(obj), copy.deepcopy(obj)]
+        assert calls == [args] * len(rebuilt), obj
+        for again in rebuilt:
+            assert type(again) is cls and again == obj, obj
             assert all(getattr(again, name) == getattr(obj, name) for name in fields)
+    # a matrix is the pair (rows, nonzero), never read as a matrix itself:
+    # at rank 2 its entries are not integers, at any other rank it is not
+    # square
+    for label, why in (("A2", "integer entries"), ("G2", "integer entries"), ("B3", "square")):
+        with pytest.raises(InvalidArgumentError, match=why):
+            R.validate_cartan(R.build_cartan(label))
 
 
 # -- graphs ------------------------------------------------------------------------
