@@ -232,12 +232,12 @@ def _gen_text(rs: RootSystem, nl: str) -> str:
 def _exponents_text(entry: dict, nl: str) -> str:
     """What exponents writes for one type, the entry _exponent_entry made,
     {"type": ..., then "dual" and "coxeter", each {"exponents": [...], "h":
-    h, "method": ...}, as --method asks, then "agree" for both}: its
-    json.dumps(..., indent=2) text, every line break replaced by nl, from a
-    fixed template.  The strings go through encode_basestring_ascii, the C
-    function json.dumps uses, and the ints and the boolean are written as
-    literals.  An ExponentReport holds at least one exponent, so no list is
-    empty."""
+    h, "method": ...} read off that ExponentReport, as --method asks, then
+    "agree" for both}: its json.dumps(..., indent=2) text, every line break
+    replaced by nl, from a fixed template.  The strings go through
+    encode_basestring_ascii, the C function json.dumps uses, and the ints
+    and the boolean are written as literals.  An ExponentReport holds at
+    least one exponent, so no list is empty."""
     key = nl + "  "  # the entry's own keys
     field = key + "  "  # a report's keys
     item = field + "  "  # an exponent
@@ -247,9 +247,9 @@ def _exponents_text(entry: dict, nl: str) -> str:
             rep = entry[method]
             pieces += (
                 "," + key + '"' + method + '": {' + field + '"exponents": [' + item,
-                ("," + item).join(map(str, rep["exponents"])),
-                field + "]," + field + '"h": %d' % rep["h"]
-                + "," + field + '"method": ' + _string(rep["method"]) + key + "}",
+                ("," + item).join(map(str, rep.exponents)),
+                field + "]," + field + '"h": %d' % rep.coxeter_number
+                + "," + field + '"method": ' + _string(rep.method) + key + "}",
             )
     if "agree" in entry:
         pieces.append("," + key + '"agree": ' + ("true" if entry["agree"] else "false"))
@@ -258,12 +258,14 @@ def _exponents_text(entry: dict, nl: str) -> str:
 
 
 def _ledger_text(ledger: VerificationLedger, nl: str) -> str:
-    """The text of json.dumps(ledger.to_json_dict(), indent=2), every line
-    break replaced by nl, from a fixed template: strings go through
-    encode_basestring_ascii, the C function json.dumps uses, ints and None
-    are written as literals, an empty counterexample list as [], and only
-    a nonempty one goes through json.dumps.  A check leaves its note out
-    when it is empty, as CheckResult.to_json_dict does."""
+    """What verify writes for one ledger, {"type": ..., "c_max", "m2",
+    "case", "witness_t", then "checks", one {"pass": ..., "counterexamples":
+    [...], "note": ...} per check in ledger order}: its
+    json.dumps(..., indent=2) text, every line break replaced by nl, from a
+    fixed template.  Strings go through encode_basestring_ascii, the C
+    function json.dumps uses, ints and None are written as literals, an
+    empty counterexample list as [], and only a nonempty one goes through
+    json.dumps.  A check with an empty note leaves "note" out."""
     key = nl + "  "  # the ledger's own keys
     name = key + "  "  # a check's name
     item = name + "  "  # a check's keys
@@ -361,15 +363,15 @@ def cmd_gen(args, targets, out) -> int:
 def _exponent_entry(
     label: str, cartan: CartanMatrix, method: str, rs: RootSystem | None
 ) -> dict:
-    """One type's exponents entry; rs is its root system, which only the
-    dual partition reads, so --method coxeter passes None."""
+    """One type's exponents entry: its label, the ExponentReport of each
+    route --method asks for under "dual" and "coxeter", and "agree" for
+    both.  rs is its root system, which only the dual partition reads, so
+    --method coxeter passes None."""
     entry: dict = {"type": label}
     if method in ("dual", "both"):
-        dual = dual_partition(rs)
-        entry["dual"] = dual.to_json_dict()
+        entry["dual"] = dual = dual_partition(rs)
     if method in ("coxeter", "both"):
-        coxeter = coxeter_exponents(cartan)
-        entry["coxeter"] = coxeter.to_json_dict()
+        entry["coxeter"] = coxeter = coxeter_exponents(cartan)
     if method == "both":
         entry["agree"] = check_exponents_agree(dual, coxeter).passed
     return entry
@@ -390,8 +392,8 @@ def cmd_exponents(args, targets, out) -> int:
                 if method in e:
                     rep = e[method]
                     out.write(
-                        f"{e['type']:<8}  {rep['method']:<19}  {rep['h']:>2}"
-                        f"  {rep['exponents']}\n"
+                        f"{e['type']:<8}  {rep.method:<19}  {rep.coxeter_number:>2}"
+                        f"  {list(rep.exponents)}\n"
                     )
     return 1 if disagree else 0
 

@@ -56,13 +56,6 @@ class ExponentReport(tuple):
     def __reduce__(self):  # pickle protocols 0 and 1 would skip the gate
         return ExponentReport, tuple(self)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "exponents": list(self.exponents),
-            "h": self.coxeter_number,
-            "method": self.method,
-        }
-
 
 def dual_partition(rs: RootSystem) -> ExponentReport:
     """Read the exponents off the height distribution, t_r = the number of

@@ -34,12 +34,6 @@ class CheckResult(NamedTuple):
     counterexamples: list
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"pass": self.passed, "counterexamples": self.counterexamples}
-        if self.note:
-            out["note"] = self.note
-        return out
-
 
 # ---------------------------------------------------------------------------
 # exhaustive root-poset scans

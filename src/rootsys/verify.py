@@ -450,16 +450,6 @@ class VerificationLedger(NamedTuple):
         passed: an empty or partial ledger does not pass."""
         return self.checks.keys() == ROW_NAMES and all(c.passed for c in self.checks.values())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": self.label,
-            "c_max": self.c_max,
-            "m2": self.m2,
-            "case": self.case,
-            "witness_t": self.witness_t,
-            "checks": {name: c.to_json_dict() for name, c in self.checks.items()},
-        }
-
 
 def _shared_structures(rs: RootSystem) -> tuple[dict, dict, dict]:
     """Build each structure the checks share, once, by name.

@@ -288,6 +288,23 @@ MUTANTS = [
         "hi = m - 2",
         ["tests/test_failing_path.py::test_failing_path_digest"],
     ),
+    # verify writes "note" for a check whose note is empty
+    (
+        "cli.py",
+        '_string(c.note) if c.note else "")',
+        "_string(c.note))",
+        [
+            "tests/test_cli_stream.py::test_ledger_template_matches_json_dumps",
+            "tests/test_cli_stream.py::test_verify_single_payload_is_json_dumps",
+        ],
+    ),
+    # exponents writes the number of exponents for h
+    (
+        "cli.py",
+        "%d' % rep.coxeter_number",
+        "%d' % len(rep.exponents)",
+        ["tests/test_cli_stream.py::test_exponents_template_matches_json_dumps"],
+    ),
     # _trailing reads any matrix off a host, block or not
     (
         "roots.py",

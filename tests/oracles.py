@@ -11,6 +11,11 @@ matrices, and the Weyl-orbit moves, the descent scans and the triple scan
 look roots up by coefficient tuple or by an encoding as wide as the roots
 at hand, never by the package's shared packed keys.
 
+The payload oracles, ``gen_payload`` to ``verify_payload``, give what each
+command writes as plain dicts and lists, read off the values' public
+fields, for the tests to hold the CLI's writers, the package's only JSON
+encoders, to ``json.dumps`` of them.
+
 The corruption helpers at the end build hand-made systems that break one
 property each: a root swapped for a non-root, dropped or added roots, a
 truncation, the roots with their doubles, and a wrong symmetrizer; and
@@ -36,6 +41,7 @@ from rootsys import (
     SymmetrizedForm,
     build_system,
     enumerate_roots,
+    g2_criterion_report,
     symmetrizer,
     validate_cartan,
 )
@@ -295,6 +301,57 @@ def gen_payload(rs) -> dict:
         "highest_root": theta,
         "c_max": max(theta),
     }
+
+
+def report_payload(rep) -> dict:
+    """What ``exponents`` writes for one ExponentReport."""
+    return {"exponents": list(rep.exponents), "h": rep.coxeter_number, "method": rep.method}
+
+
+def exponents_payload(entry) -> dict:
+    """What ``exponents`` writes for one type's entry, {"type", then the
+    ExponentReport under "dual" and "coxeter" as report_payload gives it,
+    then "agree"}, each key only when the entry has it."""
+    return {
+        key: report_payload(entry[key]) if key in ("dual", "coxeter") else entry[key]
+        for key in ("type", "dual", "coxeter", "agree")
+        if key in entry
+    }
+
+
+def _check_payload(c) -> dict:
+    out = {"pass": c.passed, "counterexamples": c.counterexamples}
+    if c.note:
+        out["note"] = c.note
+    return out
+
+
+def ledger_payload(ledger) -> dict:
+    """What ``verify`` writes for one ledger: its headline numbers, then one
+    {"pass", "counterexamples", "note"} dict per check in ledger order, a
+    check with an empty note leaving "note" out."""
+    return {
+        "type": ledger.label,
+        "c_max": ledger.c_max,
+        "m2": ledger.m2,
+        "case": ledger.case,
+        "witness_t": ledger.witness_t,
+        "checks": {name: _check_payload(c) for name, c in ledger.checks.items()},
+    }
+
+
+def verify_payload(ledgers, skipped, sweep=False) -> dict:
+    """What ``verify`` writes for ledgers and skipped types; a sweep
+    (--all) also reports the G2 criterion."""
+    payload = {"ledgers": [ledger_payload(l) for l in ledgers], "skipped": skipped}
+    if sweep:
+        payload["g2_criterion"] = g2_criterion_report(ledgers)
+    passed = sum(l.passed for l in ledgers)
+    case1 = sum(l.case == 1 for l in ledgers)
+    payload["summary"] = (
+        f"{len(ledgers)} types verified, {passed} passed, {case1} case-1, {len(skipped)} skipped"
+    )
+    return payload
 
 
 def two_of_three_triples(rs) -> list[tuple[tuple, tuple, tuple, bool]]:

@@ -20,7 +20,14 @@ import rootsys as R
 import rootsys.cli as cli
 from rootsys.cli import _emit, main
 
-from oracles import finite_type_classes, gen_payload, tall_a12
+from oracles import (
+    exponents_payload,
+    finite_type_classes,
+    gen_payload,
+    ledger_payload,
+    tall_a12,
+    verify_payload,
+)
 
 # sha256 of stdout, pinned when the JSON was still written by one
 # json.dumps(..., indent=2) call; a deliberate output change updates a
@@ -234,7 +241,7 @@ def test_exponents_output_is_json_dumps(capsys, tmp_path, to_file, max_rank):
         cli._exponent_entry(str(t), R.build_cartan(t), "both", R.build_system(t))
         for t in types
     ]
-    assert text == _expected(entries)
+    assert text == _expected([exponents_payload(e) for e in entries])
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -279,11 +286,16 @@ def test_failing_verify_table_without_m2(capsys, monkeypatch, tmp_path, to_file)
 
 
 def test_exponents_template_matches_json_dumps(capsys, monkeypatch):
-    # the exponents template against json.dumps of the entry, its line
-    # breaks indented as _emit indents them, on every type to rank 32
+    # the exponents template against json.dumps of the oracle payload, its
+    # line breaks indented as _emit indents them, on every type to rank 32
     # under each --method and on an entry whose routes disagree under an odd
     # label; and each --method through main writes json.dumps text while
-    # json.dumps and json.dump refuse to run
+    # json.dumps and json.dump refuse to run; no ExponentReport.to_json_dict
+    # runs throughout
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exponents entry went through json")
+
+    monkeypatch.setattr(R.ExponentReport, "to_json_dict", refuse, raising=False)
     methods = ("dual", "coxeter", "both")
     entries = {
         m: [
@@ -303,14 +315,14 @@ def test_exponents_template_matches_json_dumps(capsys, monkeypatch):
     }
     for entry in [disagree, *entries["dual"], *entries["coxeter"], *entries["both"]]:
         for nl in ("\n", "\n  "):
-            expected = json.dumps(entry, indent=2).replace("\n", nl)
+            expected = json.dumps(exponents_payload(entry), indent=2).replace("\n", nl)
             assert cli._exponents_text(entry, nl) == expected, entry["type"]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("an exponents entry went through json")
-
     small = {str(t) for t in R.all_types(8)}
-    expected = {m: _expected([e for e in entries[m] if e["type"] in small]) for m in methods}
+    expected = {
+        m: _expected([exponents_payload(e) for e in entries[m] if e["type"] in small])
+        for m in methods
+    }
     monkeypatch.setattr(json, "dumps", refuse)
     monkeypatch.setattr(json, "dump", refuse)
     for m in methods:
@@ -319,7 +331,7 @@ def test_exponents_template_matches_json_dumps(capsys, monkeypatch):
 
 
 def test_ledger_template_matches_json_dumps(system, corrupted_ledgers):
-    # the ledger template against json.dumps of to_json_dict, its line
+    # the ledger template against json.dumps of the oracle payload, its line
     # breaks indented as _emit indents them, on every type to rank 32, on
     # the corrupted corpus, whose ledgers carry error, blocked and failing
     # notes and nonempty counterexamples, and on fake ledgers with m2 =
@@ -343,27 +355,13 @@ def test_ledger_template_matches_json_dumps(system, corrupted_ledgers):
     notes = collections.Counter()
     for ledger in ledgers:
         for nl in ("\n", "\n    "):
-            expected = json.dumps(ledger.to_json_dict(), indent=2).replace("\n", nl)
+            expected = json.dumps(ledger_payload(ledger), indent=2).replace("\n", nl)
             assert cli._ledger_text(ledger, nl) == expected, ledger.label
         for c in ledger.checks.values():
             notes[c.note.partition(":")[0]] += 1
             notes["failing"] += not c.passed
             notes["counterexamples"] += bool(c.counterexamples)
     assert all(notes[k] for k in ("error", "blocked", "failing", "counterexamples")), notes
-
-
-def _verify_payload(ledgers, skipped, sweep=False) -> dict:
-    """verify's payload for ledgers and skipped types; a sweep (--all)
-    also reports the G2 criterion."""
-    payload = {"ledgers": [l.to_json_dict() for l in ledgers], "skipped": skipped}
-    if sweep:
-        payload["g2_criterion"] = R.g2_criterion_report(ledgers)
-    passed = sum(l.passed for l in ledgers)
-    case1 = sum(l.case == 1 for l in ledgers)
-    payload["summary"] = (
-        f"{len(ledgers)} types verified, {passed} passed, {case1} case-1, {len(skipped)} skipped"
-    )
-    return payload
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -375,25 +373,26 @@ def test_verify_single_payload_is_json_dumps(capsys, tmp_path, to_file, source):
         path = tmp_path / "f4.json"
         path.write_text(json.dumps([list(r) for r in R.build_cartan("F4").rows]))
         argv = ("--cartan", str(path))
-        payload = _verify_payload([R.build_ledger(R.enumerate_roots(R.build_cartan("F4")))], [])
+        payload = verify_payload([R.build_ledger(R.enumerate_roots(R.build_cartan("F4")))], [])
     elif source == "A1":
         argv = ("--type", "A1")
-        payload = _verify_payload([], [{"type": "A1", "skipped": cli.SKIP_RANK_ONE}])
+        payload = verify_payload([], [{"type": "A1", "skipped": cli.SKIP_RANK_ONE}])
     else:
         argv = ("--type", source)
-        payload = _verify_payload([R.build_ledger(R.build_system(source))], [])
+        payload = verify_payload([R.build_ledger(R.build_system(source))], [])
     code, text = _run(capsys, tmp_path, to_file, "verify", *argv)
     assert code == 0
     assert text == json.dumps(payload, indent=2) + "\n"
 
 
 def test_verify_builds_no_ledger_dicts(capsys, monkeypatch):
-    # verify writes its ledgers from the template: no to_json_dict, and
-    # json.dumps only for the rest of the payload, the skipped types, the
-    # G2 criterion and the summary, as no ledger has a counterexample
+    # verify writes its ledgers from the template: no to_json_dict of a
+    # ledger or a check, and json.dumps only for the rest of the payload,
+    # the skipped types, the G2 criterion and the summary, as no ledger has
+    # a counterexample
     labels = [str(t) for t in R.all_types(8)]
     ledgers = [R.build_ledger(R.build_system(l)) for l in labels if l != "A1"]
-    payload = _verify_payload(ledgers, [{"type": "A1", "skipped": cli.SKIP_RANK_ONE}], True)
+    payload = verify_payload(ledgers, [{"type": "A1", "skipped": cli.SKIP_RANK_ONE}], True)
     expected = json.dumps(payload, indent=2) + "\n"
     dumps = json.dumps
     dumped = []
@@ -405,7 +404,8 @@ def test_verify_builds_no_ledger_dicts(capsys, monkeypatch):
         dumped.append(sorted(obj))
         return dumps(obj, *args, **kwargs)
 
-    monkeypatch.setattr(R.VerificationLedger, "to_json_dict", refuse)
+    monkeypatch.setattr(R.VerificationLedger, "to_json_dict", refuse, raising=False)
+    monkeypatch.setattr(R.CheckResult, "to_json_dict", refuse, raising=False)
     monkeypatch.setattr(json, "dumps", guarded)
     assert main(["verify", "--all", "--max-rank", "8"]) == 0
     monkeypatch.undo()

@@ -1,10 +1,12 @@
 """Exponents by dual partition and by Coxeter eigenvalues."""
 
+import json
 import random
 
 import pytest
 
 import rootsys as R
+from rootsys.cli import main
 from rootsys.errors import InvalidArgumentError, NumericInconsistencyError
 from rootsys.exponents import coxeter_traces
 
@@ -203,7 +205,8 @@ def test_conjugacy_invariance_sample():
             assert rep.coxeter_number == reference.coxeter_number
 
 
-def test_report_serialization():
-    rep = R.coxeter_exponents(R.build_cartan("B2"))
-    d = rep.to_json_dict()
+def test_report_serialization(capsys):
+    # B2's Coxeter report as exponents writes it
+    assert main(["exponents", "--type", "B2", "--method", "coxeter"]) == 0
+    d = json.loads(capsys.readouterr().out)["coxeter"]
     assert d == {"exponents": [1, 3], "h": 4, "method": "coxeter-eigenvalues"}

@@ -12,7 +12,7 @@ import json
 import pytest
 
 import rootsys as R
-from oracles import reflection_closure
+from oracles import ledger_payload, reflection_closure
 
 DIGEST = "f9662b7a118f2e68d624d0e1789b5ca9318fe78ba7b29723a19f8a8753ef07d3"
 FAILED_ROWS = {
@@ -34,9 +34,9 @@ NOTES = {"error": 1579, "blocked": 6590}
 
 @pytest.fixture(scope="module")
 def ledgered(corrupted_ledgers):
-    """(name, system, ledger JSON) for each system of the corpus, from the
+    """(name, system, ledger payload) for each system of the corpus, from the
     session's one ledgering of it."""
-    return [(name, rs, ledger.to_json_dict()) for name, rs, ledger in corrupted_ledgers]
+    return [(name, rs, ledger_payload(ledger)) for name, rs, ledger in corrupted_ledgers]
 
 
 def test_failing_path_digest(ledgered):

@@ -12,7 +12,7 @@ import pytest
 import rootsys as R
 import rootsys.scans as S
 import rootsys.verify as V
-from rootsys.cli import main
+from rootsys.cli import _ledger_text, main
 from rootsys.errors import InvalidArgumentError, NumericInconsistencyError
 from rootsys.scans import COUNTEREXAMPLE_CAP
 from rootsys.verify import (
@@ -38,6 +38,7 @@ from oracles import (
     fraction_symmetrizer,
     gram,
     inner,
+    ledger_payload,
     long_pairs,
     reflection_orbit,
     relabel,
@@ -453,11 +454,11 @@ def test_tall_hand_built_tops_match_tuple_oracles(system, monkeypatch):
         assert weyl_orbits(rs) == tuple_weyl_orbits(rs), rs.layers[-1]
         every = _every_triple(rs)
         assert check_two_of_three_sums(rs, every) == based_two_of_three_sums(rs, every)
-        ledger = R.build_ledger(rs).to_json_dict()
+        ledger = ledger_payload(R.build_ledger(rs))
         with monkeypatch.context() as m:
             m.setattr(V, "weyl_orbits", tuple_weyl_orbits)
             m.setattr(V, "check_two_of_three_sums", based_two_of_three_sums)
-            assert R.build_ledger(rs).to_json_dict() == ledger, rs.layers[-1]
+            assert ledger_payload(R.build_ledger(rs)) == ledger, rs.layers[-1]
 
 
 def test_height_window_matches_the_full_scan(system):
@@ -625,7 +626,7 @@ def test_ledger_g2(system):
     led = R.build_ledger(system("G2"))
     assert led.passed
     assert (led.label, led.c_max, led.m2, led.case, led.witness_t) == ("G2", 3, 5, 1, 2)
-    d = led.to_json_dict()
+    d = json.loads(_ledger_text(led, "\n"))
     assert list(d.keys()) == ["type", "c_max", "m2", "case", "witness_t", "checks"]
     for payload in d["checks"].values():
         assert payload["pass"] is True
@@ -657,7 +658,7 @@ def test_ledger_reports_non_finite_cartan(system, monkeypatch):
     monkeypatch.setattr(V, "coxeter_exponents", raising)
     led = R.build_ledger(system("A3"))
     assert not led.passed and led.m2 is None
-    assert led.to_json_dict()["m2"] is None
+    assert json.loads(_ledger_text(led, "\n"))["m2"] is None
     assert led.checks["exponents_agree"].note.startswith(
         "error: Coxeter power entry outside"
     )
@@ -809,14 +810,14 @@ def test_ledger_reads_roots_from_the_signed_table_alone(monkeypatch):
         ledger = R.build_ledger(rs)
         assert ledger.passed and "_positive_keys" not in vars(rs), label
         assert "layers" not in vars(rs), label  # the top chain decodes no layer
-        ledgers[label] = json.dumps(ledger.to_json_dict())
+        ledgers[label] = json.dumps(ledger_payload(ledger))
 
     def refuse(rs):
         raise AssertionError("the membership set was built")
 
     monkeypatch.setattr(R.RootSystem, "_positive_keys", property(refuse))
     for label, expected in ledgers.items():
-        assert json.dumps(R.build_ledger(R.build_system(label)).to_json_dict()) == expected
+        assert json.dumps(ledger_payload(R.build_ledger(R.build_system(label)))) == expected
 
 
 def test_ledger_builds_each_structure_once(monkeypatch, capsys):
